@@ -65,10 +65,15 @@ int main() {
   {
     Table table("(b) latency feature percentile");
     table.SetHeader({"feature", "goodput"});
-    for (const double p : {50.0, 95.0, 99.0}) {
+    const std::pair<core::LatencyFeature, const char*> features[] = {
+        {core::LatencyFeature::kP50, "p50"},
+        {core::LatencyFeature::kP95, "p95"},
+        {core::LatencyFeature::kP99, "p99"},
+    };
+    for (const auto& [feature, name] : features) {
       core::TopFullConfig config;
-      config.latency_percentile = p;
-      table.AddRow({"p" + Fmt(p, 0), Fmt(Run(policy.get(), config), 0)});
+      config.latency_feature = feature;
+      table.AddRow({name, Fmt(Run(policy.get(), config), 0)});
     }
     table.Print();
     std::printf("\n");

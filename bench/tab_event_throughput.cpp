@@ -8,6 +8,9 @@
 //                   timer that is cancelled long before it would fire
 //   timer_churn     pure DES: 64 connections re-arming a 1 s idle timeout
 //                   every 1 ms of activity
+// plus rows for the live telemetry plane, the sharded engine, and
+// closed_loop_<users> (2.6k / 20k / 200k users thinking ~1 s, so the queue
+// holds about one pending timer per user).
 //
 // Allocations are counted by a global operator new hook, so run this binary
 // alone (single process, Release build) for meaningful numbers. Events are
@@ -23,6 +26,7 @@
 // embedded seed rows and the rows measured by this run. CI gates on the
 // JSON: allocs_per_event is machine-independent; events_per_sec is compared
 // against a committed same-class-runner baseline with generous tolerance.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -335,6 +339,55 @@ Measurement RunTimerChurn() {
   return m;
 }
 
+/// Closed-loop users thinking 1 s (±10 %) against one wide service (64
+/// pods x 16 threads, 1 ms mean, ~1M rps of capacity), so requests barely
+/// queue. Every user always holds one think or client-timeout timer, which
+/// makes the pending depth about `users`: these rows show how the queue's
+/// cost grows with depth. `pending` is the mean depth over the measured
+/// seconds.
+struct ClosedLoopMeasurement {
+  Measurement m;
+  double pending = 0.0;
+};
+
+ClosedLoopMeasurement RunClosedLoop(int users) {
+  auto app = std::make_unique<sim::Application>("closed-loop", 404);
+  sim::ServiceConfig config;
+  config.name = "svc";
+  config.mean_service_ms = 1.0;
+  config.threads = 16;
+  config.initial_pods = 64;
+  app->AddService(config);
+  sim::ApiSpec api("api", 1);
+  api.AddPath(sim::ExecutionPath{sim::Chain({0}), 1.0, {}});
+  app->AddApi(std::move(api));
+  app->Finalize();
+  workload::TrafficDriver traffic(app.get());
+  workload::ClosedLoopConfig pool;
+  pool.mix.weights = {1.0};
+  traffic.AddClosedLoop(pool, workload::Schedule::Constant(users));
+
+  // About 1.5M measured events per row (~3 events per request).
+  constexpr int kWarmupS = 3;
+  const int measure_s = std::max(2, 500000 / users);
+  app->RunUntil(Seconds(kWarmupS));
+  const std::uint64_t events0 = EngineEvents(app->sim());
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  double pending_sum = 0.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int s = 1; s <= measure_s; ++s) {
+    app->RunUntil(Seconds(kWarmupS + s));
+    pending_sum += static_cast<double>(app->sim().PendingEvents());
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  ClosedLoopMeasurement r;
+  r.m.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  r.m.events = EngineEvents(app->sim()) - events0;
+  r.m.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
+  r.pending = pending_sum / measure_s;
+  return r;
+}
+
 /// Seed-engine numbers measured on the reference machine (Release, same
 /// workload code, events counted as all-fire which equals processed +
 /// cancelled for an engine without cancellation).
@@ -351,16 +404,17 @@ constexpr SeedRow kSeedRows[] = {
     {"timer_churn", 6.89e6, 0.5000},
 };
 
+/// Appends one JSON row; `extra` holds further `, "key": value` fields.
 void AppendJsonRow(std::string& out, const char* workload, const char* engine,
                    std::uint64_t events, double wall_s, double events_per_sec,
-                   double allocs_per_event, bool last) {
-  char buf[512];
+                   double allocs_per_event, bool last, const char* extra = "") {
+  char buf[768];
   std::snprintf(buf, sizeof buf,
                 "  {\"workload\": \"%s\", \"engine\": \"%s\", "
                 "\"events\": %llu, \"wall_s\": %.4f, "
-                "\"events_per_sec\": %.1f, \"allocs_per_event\": %.4f}%s\n",
+                "\"events_per_sec\": %.1f, \"allocs_per_event\": %.4f%s}%s\n",
                 workload, engine, static_cast<unsigned long long>(events),
-                wall_s, events_per_sec, allocs_per_event, last ? "" : ",");
+                wall_s, events_per_sec, allocs_per_event, extra, last ? "" : ",");
   out += buf;
 }
 
@@ -449,6 +503,26 @@ int main(int argc, char** argv) {
                   /*last=*/false);
   }
 
+  // Queue depth: closed-loop users, one pending timer each. Not in the
+  // committed baseline, so CI reports these rows but does not gate them.
+  for (const int users : {2600, 20000, 200000}) {
+    const ClosedLoopMeasurement r = RunClosedLoop(users);
+    const double eps = static_cast<double>(r.m.events) / r.m.wall_s;
+    const double ape =
+        static_cast<double>(r.m.allocs) / static_cast<double>(r.m.events);
+    char name[64];
+    std::snprintf(name, sizeof name, "closed_loop_%d", users);
+    std::printf(
+        "%s: events=%llu wall_s=%.3f events_per_sec=%.0f allocs=%llu "
+        "allocs_per_event=%.4f pending=%.0f\n",
+        name, static_cast<unsigned long long>(r.m.events), r.m.wall_s, eps,
+        static_cast<unsigned long long>(r.m.allocs), ape, r.pending);
+    char extra[64];
+    std::snprintf(extra, sizeof extra, ", \"pending\": %.0f", r.pending);
+    AppendJsonRow(json, name, "current", r.m.events, r.m.wall_s, eps, ape,
+                  /*last=*/false, extra);
+  }
+
   // Sharded engine: one scaled deep-tree simulation across 1/2/4/8 shards.
   // Aggregate events/sec; speedup is reported against the 1-shard row of
   // this same process (hardware-dependent — near-linear on free cores,
@@ -470,18 +544,12 @@ int main(int argc, char** argv) {
         name, static_cast<unsigned long long>(r.m.events), r.m.wall_s, eps, ape,
         r.blocked_frac, static_cast<unsigned long long>(r.messages),
         sharded_base_eps > 0 ? eps / sharded_base_eps : 0.0);
-    char extra[512];
+    char extra[128];
     std::snprintf(extra, sizeof extra,
-                  "  {\"workload\": \"%s\", \"engine\": \"current\", "
-                  "\"events\": %llu, \"wall_s\": %.4f, "
-                  "\"events_per_sec\": %.1f, \"allocs_per_event\": %.4f, "
-                  "\"shards\": %d, \"blocked_frac\": %.4f, "
-                  "\"messages\": %llu}%s\n",
-                  name, static_cast<unsigned long long>(r.m.events), r.m.wall_s,
-                  eps, ape, shards, r.blocked_frac,
-                  static_cast<unsigned long long>(r.messages),
-                  i + 1 == std::size(shard_counts) ? "" : ",");
-    json += extra;
+                  ", \"shards\": %d, \"blocked_frac\": %.4f, \"messages\": %llu",
+                  shards, r.blocked_frac, static_cast<unsigned long long>(r.messages));
+    AppendJsonRow(json, name, "current", r.m.events, r.m.wall_s, eps, ape,
+                  /*last=*/i + 1 == std::size(shard_counts), extra);
   }
   json += "]\n";
   if (std::FILE* f = std::fopen(out_path, "w")) {

@@ -71,9 +71,15 @@ void TopFullController::ForceRateLimit(sim::ApiId api, double rate) {
 }
 
 double TopFullController::LatencyOf(const sim::ApiWindow& w) const {
-  if (config_.latency_percentile >= 99.0) return w.latency_p99_ms / 1000.0;
-  if (config_.latency_percentile >= 95.0) return w.latency_p95_ms / 1000.0;
-  return w.latency_p50_ms / 1000.0;
+  switch (config_.latency_feature) {
+    case LatencyFeature::kP50:
+      return w.latency_p50_ms / 1000.0;
+    case LatencyFeature::kP99:
+      return w.latency_p99_ms / 1000.0;
+    case LatencyFeature::kP95:
+      break;
+  }
+  return w.latency_p95_ms / 1000.0;
 }
 
 ControlState TopFullController::StateOf(const std::vector<sim::ApiId>& apis) const {

@@ -39,12 +39,16 @@ enum class TargetOrder {
   kServiceIdOrder,   ///< arbitrary fixed order
 };
 
+/// Which per-window end-to-end latency percentile feeds the controller
+/// state (the ablation bench compares them).
+enum class LatencyFeature { kP50, kP95, kP99 };
+
 struct TopFullConfig {
   SimTime period = Seconds(1);
   OverloadConfig overload;
   TargetOrder target_order = TargetOrder::kFewestApisFirst;
   /// Which end-to-end latency percentile feeds the controller state.
-  double latency_percentile = 95.0;
+  LatencyFeature latency_feature = LatencyFeature::kP95;
   /// Ablation switch (§6.2 "w/o cluster"): when false, only one cluster is
   /// controlled per tick (naive sequential load control).
   bool enable_clustering = true;

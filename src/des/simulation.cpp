@@ -35,61 +35,51 @@ std::uint32_t Simulation::Resolve(TimerHandle handle) const {
   return SlotAt(handle.slot).gen == handle.gen ? handle.slot : kNoSlot;
 }
 
-// --- 4-ary indexed heap ------------------------------------------------------
+// --- Keyed 4-ary indexed heap ------------------------------------------------
 
-void Simulation::SiftUp(std::uint32_t pos) {
-  const std::uint32_t id = heap_[pos];
-  const Slot& s = SlotAt(id);
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) >> 2;
-    const std::uint32_t parent_id = heap_[parent];
-    if (!Earlier(s, SlotAt(parent_id))) break;
-    heap_[pos] = parent_id;
-    SlotAt(parent_id).heap_pos = pos;
-    pos = parent;
+void Simulation::SiftUp(std::uint32_t hole, const HeapEntry& e) {
+  while (hole > 0) {
+    const std::uint32_t parent = (hole - 1) >> 2;
+    if (!Earlier(e, heap_[parent])) break;
+    Place(hole, heap_[parent]);
+    hole = parent;
   }
-  heap_[pos] = id;
-  SlotAt(id).heap_pos = pos;
+  Place(hole, e);
 }
 
-void Simulation::SiftDown(std::uint32_t pos) {
+void Simulation::SiftDown(std::uint32_t hole, const HeapEntry& e) {
   const auto n = static_cast<std::uint32_t>(heap_.size());
-  const std::uint32_t id = heap_[pos];
-  const Slot& s = SlotAt(id);
   while (true) {
-    const std::uint32_t first_child = (pos << 2) + 1;
+    const std::uint32_t first_child = (hole << 2) + 1;
     if (first_child >= n) break;
     std::uint32_t best = first_child;
     const std::uint32_t last_child = first_child + 3 < n ? first_child + 3 : n - 1;
     for (std::uint32_t c = first_child + 1; c <= last_child; ++c) {
-      if (Earlier(SlotAt(heap_[c]), SlotAt(heap_[best]))) best = c;
+      if (Earlier(heap_[c], heap_[best])) best = c;
     }
-    const std::uint32_t best_id = heap_[best];
-    if (!Earlier(SlotAt(best_id), s)) break;
-    heap_[pos] = best_id;
-    SlotAt(best_id).heap_pos = pos;
-    pos = best;
+    if (!Earlier(heap_[best], e)) break;
+    Place(hole, heap_[best]);
+    hole = best;
   }
-  heap_[pos] = id;
-  SlotAt(id).heap_pos = pos;
+  Place(hole, e);
 }
 
-void Simulation::HeapPush(std::uint32_t id) {
-  heap_.push_back(id);
-  SlotAt(id).heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  SiftUp(SlotAt(id).heap_pos);
+void Simulation::HeapPush(const HeapEntry& e) {
+  heap_.emplace_back();
+  SiftUp(static_cast<std::uint32_t>(heap_.size() - 1), e);
 }
 
 void Simulation::HeapRemove(std::uint32_t pos) {
-  const std::uint32_t last = heap_.back();
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;  // removed the tail
-  heap_[pos] = last;
-  SlotAt(last).heap_pos = pos;
-  // The swapped-in tail may order either way relative to the hole's
-  // neighbourhood; one of the two sifts is a no-op.
-  SiftUp(pos);
-  SiftDown(SlotAt(last).heap_pos);
+  // The tail entry refills the hole; it may order either way relative to
+  // the hole's neighbourhood.
+  if (pos > 0 && Earlier(last, heap_[(pos - 1) >> 2])) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
 }
 
 // --- Scheduling --------------------------------------------------------------
@@ -98,11 +88,9 @@ Simulation::TimerHandle Simulation::ScheduleAt(SimTime when, Callback fn) {
   assert(when >= now_ && "cannot schedule in the past");
   const std::uint32_t id = AllocSlot();
   Slot& s = SlotAt(id);
-  s.when = when < now_ ? now_ : when;
-  s.seq = next_seq_++;
   s.period = 0;
   s.fn = std::move(fn);
-  HeapPush(id);
+  HeapPush(HeapEntry{when < now_ ? now_ : when, next_seq_++, id});
   ++events_scheduled_;
   return TimerHandle{id, s.gen};
 }
@@ -135,20 +123,24 @@ bool Simulation::Cancel(TimerHandle handle) {
 bool Simulation::Reschedule(TimerHandle handle, SimTime when) {
   const std::uint32_t id = Resolve(handle);
   if (id == kNoSlot || id == running_slot_) return false;
-  Slot& s = SlotAt(id);
-  s.when = when < now_ ? now_ : when;
-  s.seq = next_seq_++;  // same tie-break position as cancel + re-schedule
-  SiftUp(s.heap_pos);
-  SiftDown(s.heap_pos);
+  const std::uint32_t pos = SlotAt(id).heap_pos;
+  // Same tie-break position as cancel + re-schedule: a fresh seq, so the
+  // new key is later than the old one unless `when` moved earlier.
+  const HeapEntry e{when < now_ ? now_ : when, next_seq_++, id};
+  if (e.when < heap_[pos].when) {
+    SiftUp(pos, e);
+  } else {
+    SiftDown(pos, e);
+  }
   return true;
 }
 
 // --- Execution ---------------------------------------------------------------
 
 void Simulation::RunFront() {
-  const std::uint32_t id = heap_[0];
+  const std::uint32_t id = heap_[0].id;
   Slot& s = SlotAt(id);
-  now_ = s.when;
+  now_ = heap_[0].when;
   ++events_processed_;
   if (s.period == 0) {
     // One-shot: free the slot before running so the callback can observe a
@@ -173,14 +165,12 @@ void Simulation::RunFront() {
     FreeSlot(id);
     return;
   }
-  s.when = now_ + s.period;
-  s.seq = next_seq_++;
   // Only sift down: the re-armed event moved later in (when, seq) order.
-  SiftDown(s.heap_pos);
+  SiftDown(s.heap_pos, HeapEntry{now_ + s.period, next_seq_++, id});
 }
 
 void Simulation::RunUntil(SimTime end) {
-  while (!heap_.empty() && SlotAt(heap_[0]).when <= end) RunFront();
+  while (!heap_.empty() && heap_[0].when <= end) RunFront();
   if (now_ < end) now_ = end;
 }
 
@@ -196,12 +186,13 @@ bool Simulation::CheckHeapInvariant() const {
   const std::size_t total = slabs_.size() * kSlabSize;
   if (heap_.size() + free_slots_.size() != total) return false;
   for (std::uint32_t pos = 0; pos < heap_.size(); ++pos) {
-    const std::uint32_t id = heap_[pos];
-    if (id >= total) return false;
-    const Slot& s = SlotAt(id);
+    const HeapEntry& e = heap_[pos];
+    if (e.id >= total) return false;
+    const Slot& s = SlotAt(e.id);
     if (s.heap_pos != pos) return false;
     if (!s.fn) return false;
-    if (pos > 0 && Earlier(s, SlotAt(heap_[(pos - 1) >> 2]))) return false;
+    if (e.seq >= next_seq_) return false;
+    if (pos > 0 && Earlier(e, heap_[(pos - 1) >> 2])) return false;
   }
   return true;
 }

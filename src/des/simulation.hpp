@@ -6,14 +6,19 @@
 // design — determinism and reproducibility outrank parallel speed for the
 // reproduction experiments.
 //
-// The queue is an indexed 4-ary heap over stable slot storage: every
-// scheduled event has a pool slot whose address never moves, and the heap
-// orders slot ids by (when, seq). That indirection is what buys O(log n)
-// cancellation — ScheduleAt returns a generation-counted TimerHandle, and
-// Cancel/Reschedule locate the slot through its back-pointer instead of
-// leaving a dead event to fire as a no-op. Callbacks are InlineEvents
-// (fixed inline storage, no heap), so scheduling costs zero allocations
-// once the slot pool and heap have reached their high-water marks.
+// The queue is a keyed, indexed 4-ary min-heap over stable slot storage.
+// Every scheduled event has a pool slot whose address never moves; the heap
+// array holds {when, seq, slot id} entries, so sifts compare keys in one
+// contiguous array and touch a slot only to write its heap_pos back-pointer.
+// The key lives in the heap entry alone (a slot carries no copy of it).
+// The back-pointer is what buys O(log n) cancellation — ScheduleAt returns
+// a generation-counted TimerHandle, and Cancel/Reschedule locate the
+// event's heap entry through its slot instead of leaving a dead event to
+// fire as a no-op. seq is unique, so (when, seq) is a strict total order
+// and the pop order does not depend on the heap's internal layout.
+// Callbacks are InlineEvents (fixed inline storage, no heap), so scheduling
+// costs zero allocations once the slot pool and heap have reached their
+// high-water marks.
 #pragma once
 
 #include <cstddef>
@@ -107,13 +112,20 @@ class Simulation {
   bool CheckHeapInvariant() const;
 
  private:
+  /// Per-event state that never moves. The event's (when, seq) key lives
+  /// in its heap entry, found through heap_pos.
   struct Slot {
-    SimTime when = 0;
-    std::uint64_t seq = 0;
     SimTime period = 0;  ///< 0 = one-shot
     std::uint32_t heap_pos = 0;
     std::uint32_t gen = 0;
     InlineEvent fn;
+  };
+
+  /// One heap element: the event's ordering key plus its slot id.
+  struct HeapEntry {
+    SimTime when = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t id = kNoSlot;
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -132,14 +144,21 @@ class Simulation {
   /// Resolves a handle to a live slot id, or kNoSlot when stale.
   std::uint32_t Resolve(TimerHandle handle) const;
 
-  static bool Earlier(const Slot& a, const Slot& b) {
+  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
-  void HeapPush(std::uint32_t id);
+  /// Stores `e` at `pos` and points its slot back at it.
+  void Place(std::uint32_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    SlotAt(e.id).heap_pos = pos;
+  }
+  void HeapPush(const HeapEntry& e);
   void HeapRemove(std::uint32_t pos);
-  void SiftUp(std::uint32_t pos);
-  void SiftDown(std::uint32_t pos);
+  /// Settle `e` into the heap starting from the vacant position `hole`,
+  /// moving it toward the root (SiftUp) or toward the leaves (SiftDown).
+  void SiftUp(std::uint32_t hole, const HeapEntry& e);
+  void SiftDown(std::uint32_t hole, const HeapEntry& e);
 
   /// Pops and runs the front event. Pre: heap non-empty.
   void RunFront();
@@ -151,7 +170,7 @@ class Simulation {
   std::uint64_t events_scheduled_ = 0;
   std::vector<std::unique_ptr<Slot[]>> slabs_;  ///< stable slot storage
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> heap_;  ///< slot ids, 4-ary min-heap order
+  std::vector<HeapEntry> heap_;  ///< 4-ary min-heap on (when, seq)
   /// Slot id of the periodic event currently executing (kNoSlot otherwise);
   /// lets Cancel/Reschedule from inside the callback interact with the
   /// re-arm correctly.

@@ -5,22 +5,33 @@
 
 namespace topfull::workload {
 
-sim::ApiId ApiMix::Sample(double u) const {
+std::vector<double> ApiMix::Cumulative() const {
+  std::vector<double> cumulative(weights.size());
   double total = 0.0;
-  for (const double w : weights) total += w;
-  assert(total > 0.0 && "API mix must have positive total weight");
-  double acc = 0.0;
-  const double target = u * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (target < acc) return static_cast<sim::ApiId>(i);
+    total += weights[i];
+    cumulative[i] = total;
   }
-  return static_cast<sim::ApiId>(weights.size() - 1);
+  return cumulative;
+}
+
+sim::ApiId ApiMix::SampleCumulative(const std::vector<double>& cumulative,
+                                    double u) {
+  assert(!cumulative.empty() && cumulative.back() > 0.0 &&
+         "API mix must have positive total weight");
+  const auto it =
+      std::upper_bound(cumulative.begin(), cumulative.end(), u * cumulative.back());
+  if (it == cumulative.end()) return static_cast<sim::ApiId>(cumulative.size() - 1);
+  return static_cast<sim::ApiId>(it - cumulative.begin());
 }
 
 ClosedLoopPool::ClosedLoopPool(sim::Application* app, ClosedLoopConfig config,
                                Schedule users, Rng rng)
-    : app_(app), config_(std::move(config)), users_(std::move(users)), rng_(rng) {}
+    : app_(app),
+      config_(std::move(config)),
+      mix_cumulative_(config_.mix.Cumulative()),
+      users_(std::move(users)),
+      rng_(rng) {}
 
 void ClosedLoopPool::Start() {
   if (started_) return;
@@ -53,7 +64,8 @@ void ClosedLoopPool::UserLoop(int user_index) {
     --live_users_;
     return;
   }
-  const sim::ApiId api = config_.mix.Sample(rng_.NextDouble());
+  const sim::ApiId api =
+      ApiMix::SampleCumulative(mix_cumulative_, rng_.NextDouble());
   UserState& st = states_[static_cast<std::size_t>(user_index)];
   st.api = api;
   st.retries_left = config_.max_client_retries;

@@ -22,8 +22,17 @@ namespace topfull::workload {
 struct ApiMix {
   std::vector<double> weights;  ///< indexed by ApiId; missing tail = 0.
 
+  /// Left-to-right running sums of `weights`; the last one is the total.
+  std::vector<double> Cumulative() const;
+
   /// Samples an ApiId given a uniform [0,1) draw.
-  sim::ApiId Sample(double u) const;
+  sim::ApiId Sample(double u) const { return SampleCumulative(Cumulative(), u); }
+
+  /// Samples from precomputed Cumulative() sums: the first index whose sum
+  /// exceeds u * total, or the last index when u * total rounds up to the
+  /// total. Zero-weight entries are never picked except in that last case.
+  static sim::ApiId SampleCumulative(const std::vector<double>& cumulative,
+                                     double u);
 };
 
 struct ClosedLoopConfig {
@@ -113,6 +122,8 @@ class ClosedLoopPool {
 
   sim::Application* app_;
   ClosedLoopConfig config_;
+  /// config_.mix.Cumulative(), built once: every user request samples it.
+  std::vector<double> mix_cumulative_;
   Schedule users_;
   Rng rng_;
   std::vector<UserState> states_;

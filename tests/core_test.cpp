@@ -276,6 +276,32 @@ TEST(ControllerTest, StateOfAggregatesCandidates) {
   EXPECT_DOUBLE_EQ(state.slo_s, 1.0);
 }
 
+TEST(ControllerTest, LatencyFeatureReadsMatchingWindowPercentile) {
+  const auto check = [](LatencyFeature feature) {
+    auto app = Fig1App();
+    workload::TrafficDriver traffic(app.get());
+    // Poisson arrivals near B's 400 rps capacity queue up unevenly, so the
+    // window's p50 < p95 < p99 and each feature selects a distinct value.
+    traffic.AddOpenLoop(0, workload::Schedule::Constant(380));
+    app->RunFor(Seconds(5));
+    TopFullConfig config;
+    config.latency_feature = feature;
+    TopFullController controller(app.get(), std::make_unique<MimdRateController>(),
+                                 config);
+    const sim::ApiWindow& w = app->metrics().Latest().apis[0];
+    EXPECT_LT(w.latency_p50_ms, w.latency_p95_ms);
+    EXPECT_LT(w.latency_p95_ms, w.latency_p99_ms);
+    const double expected_ms = feature == LatencyFeature::kP50   ? w.latency_p50_ms
+                               : feature == LatencyFeature::kP95 ? w.latency_p95_ms
+                                                                 : w.latency_p99_ms;
+    EXPECT_DOUBLE_EQ(controller.StateOf({0}).latency_s, expected_ms / 1000.0);
+  };
+  check(LatencyFeature::kP50);
+  check(LatencyFeature::kP95);
+  check(LatencyFeature::kP99);
+  EXPECT_EQ(TopFullConfig{}.latency_feature, LatencyFeature::kP95);
+}
+
 TEST(ControllerTest, SequentialAblationControlsOneClusterPerTick) {
   // Two independent bottlenecks: with clustering disabled only one cluster
   // is acted on per tick, so after exactly one tick under double overload

@@ -3,6 +3,7 @@
 // property test of the indexed heap against a std::multimap reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -236,95 +237,175 @@ TEST(TimerCancelTest, HandleStaysValidAcrossPeriodicRearms) {
 
 // --- Property test: random interleavings vs a reference model ---------------
 
-// The engine's pending set must behave exactly like a std::multimap keyed by
+// The engine's pending set must behave exactly like an ordered map keyed by
 // (when, insertion order): schedule inserts at the back of its time's tie
-// range, cancel erases, reschedule erases + re-inserts at the back, and
+// range, cancel erases, reschedule erases + re-inserts at the back, a
+// periodic event re-inserts itself one period later after it fires, and
 // RunUntil pops in key order. The 4-ary heap invariant is checked after
 // every mutation.
-TEST(TimerQueueProperty, MatchesMultimapReferenceModel) {
+struct QueueModelParams {
+  int rounds;
+  /// Pending events topped up before each round's random operations.
+  std::size_t min_pending;
+  /// Random operations per round, drawn from [1, max_ops].
+  int max_ops;
+  /// Schedule/reschedule times are Now() + [0, when_span].
+  SimTime when_span;
+  /// Each round advances RunUntil by [0, horizon_span].
+  SimTime horizon_span;
+};
+
+void CheckAgainstReferenceModel(const QueueModelParams& p) {
   Rng rng(0x70F4);
   Simulation sim;
   using Key = std::pair<SimTime, std::uint64_t>;
-  std::multimap<Key, int> model;
-  struct Live {
+  std::map<Key, int> model;  // keys are unique: order never repeats
+  struct Event {
     Simulation::TimerHandle handle;
-    Key key;
-    int token;
+    Key key;               ///< the model's key; set by the model side
+    SimTime period = 0;    ///< 0 = one-shot
+    int cancel_after = 0;  ///< periodic: cancels itself on this firing (0 = never)
+    int engine_fires = 0;
+    int model_fires = 0;
+    std::vector<int> children;  ///< one-shots spawned on odd firings
   };
-  std::vector<Live> live;
+  std::vector<Event> events;  // indexed by token
+  std::vector<int> live;      // live tokens, for random picks
   std::vector<int> fired;
   std::uint64_t order = 0;  // mirrors the engine's seq allocation order
-  int next_token = 0;
 
-  for (int round = 0; round < 300; ++round) {
-    const int ops = static_cast<int>(rng.UniformInt(1, 8));
+  // Engine side: schedules an event and records it under a fresh token.
+  // Callbacks index `events` at fire time because spawning may grow it.
+  std::function<int(SimTime, SimTime, int)> add_event =
+      [&](SimTime when, SimTime period, int cancel_after) {
+        const int token = static_cast<int>(events.size());
+        const auto self = static_cast<std::size_t>(token);
+        auto fire = [&sim, &events, &fired, &add_event, self]() {
+          fired.push_back(static_cast<int>(self));
+          if (events[self].period == 0) return;
+          const int fires = ++events[self].engine_fires;
+          // A periodic event cannot move itself while it runs.
+          EXPECT_FALSE(sim.Reschedule(events[self].handle, sim.Now() + 1));
+          if (fires % 2 == 1) {
+            // Due exactly when this event re-arms, but scheduled first: the
+            // re-arm takes its seq only after the callback returns.
+            const int child = add_event(sim.Now() + events[self].period, 0, 0);
+            events[self].children.push_back(child);
+          }
+          if (fires == events[self].cancel_after) {
+            EXPECT_TRUE(sim.Cancel(events[self].handle));
+          }
+        };
+        events.push_back(Event{});
+        events[self].period = period;
+        events[self].cancel_after = cancel_after;
+        events[self].handle = period > 0 ? sim.SchedulePeriodic(when, period, fire)
+                                         : sim.ScheduleAt(when, fire);
+        live.push_back(token);
+        return token;
+      };
+
+  const auto remove_live = [&](std::size_t idx) {
+    live[idx] = live.back();
+    live.pop_back();
+  };
+  const auto pick_live = [&]() {
+    return static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+  };
+  const auto schedule = [&](bool periodic) {
+    // Small time range on purpose: dense tie collisions.
+    const SimTime when = sim.Now() + rng.UniformInt(0, p.when_span);
+    const SimTime period = periodic ? rng.UniformInt(20, 200) : 0;
+    const int cancel_after = periodic ? static_cast<int>(rng.UniformInt(0, 3)) : 0;
+    const int token = add_event(when, period, cancel_after);
+    const Key key{when, order++};
+    events[static_cast<std::size_t>(token)].key = key;
+    model.emplace(key, token);
+  };
+
+  std::size_t min_seen_pending = SIZE_MAX;
+  for (int round = 0; round < p.rounds; ++round) {
+    while (live.size() < p.min_pending) schedule(/*periodic=*/false);
+    ASSERT_TRUE(sim.CheckHeapInvariant());
+    min_seen_pending = std::min(min_seen_pending, sim.PendingEvents());
+    const int ops = static_cast<int>(rng.UniformInt(1, p.max_ops));
     for (int k = 0; k < ops; ++k) {
       const double u = rng.NextDouble();
-      if (u < 0.55 || live.empty()) {
-        // Schedule. Small time range on purpose: dense tie collisions.
-        const SimTime when = sim.Now() + rng.UniformInt(0, 200);
-        const int token = next_token++;
-        const auto handle =
-            sim.ScheduleAt(when, [token, &fired]() { fired.push_back(token); });
-        const Key key{when, order++};
-        model.emplace(key, token);
-        live.push_back(Live{handle, key, token});
+      if (u < 0.45 || live.empty()) {
+        schedule(/*periodic=*/false);
+      } else if (u < 0.55) {
+        schedule(/*periodic=*/true);
       } else if (u < 0.8) {
-        // Cancel a random live event.
-        const auto idx = static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-        ASSERT_TRUE(sim.Cancel(live[idx].handle));
-        EXPECT_FALSE(sim.Cancel(live[idx].handle));
-        for (auto it = model.lower_bound(live[idx].key); it != model.end(); ++it) {
-          if (it->second == live[idx].token) {
-            model.erase(it);
-            break;
-          }
-        }
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+        const std::size_t idx = pick_live();
+        Event& ev = events[static_cast<std::size_t>(live[idx])];
+        ASSERT_TRUE(sim.Cancel(ev.handle));
+        EXPECT_FALSE(sim.Cancel(ev.handle));
+        model.erase(ev.key);
+        remove_live(idx);
       } else {
-        // Reschedule a random live event: same token, fresh tie position.
-        const auto idx = static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-        const SimTime when = sim.Now() + rng.UniformInt(0, 200);
-        ASSERT_TRUE(sim.Reschedule(live[idx].handle, when));
-        for (auto it = model.lower_bound(live[idx].key); it != model.end(); ++it) {
-          if (it->second == live[idx].token) {
-            model.erase(it);
-            break;
-          }
-        }
-        live[idx].key = Key{when, order++};
-        model.emplace(live[idx].key, live[idx].token);
+        // Reschedule: same token (and period), fresh tie position.
+        const std::size_t idx = pick_live();
+        const int token = live[idx];
+        Event& ev = events[static_cast<std::size_t>(token)];
+        const SimTime when = sim.Now() + rng.UniformInt(0, p.when_span);
+        ASSERT_TRUE(sim.Reschedule(ev.handle, when));
+        model.erase(ev.key);
+        ev.key = Key{when, order++};
+        model.emplace(ev.key, token);
       }
       ASSERT_TRUE(sim.CheckHeapInvariant());
     }
 
     // Advance to a random horizon and compare the fired tokens with the
-    // model's expected pop order.
-    const SimTime horizon = sim.Now() + rng.UniformInt(0, 120);
+    // model's expected pop order, re-arms included.
+    const SimTime horizon = sim.Now() + rng.UniformInt(0, p.horizon_span);
     fired.clear();
     sim.RunUntil(horizon);
     ASSERT_TRUE(sim.CheckHeapInvariant());
     std::vector<int> expected;
     while (!model.empty() && model.begin()->first.first <= horizon) {
-      expected.push_back(model.begin()->second);
+      const auto [key, token] = *model.begin();
       model.erase(model.begin());
+      expected.push_back(token);
+      Event& ev = events[static_cast<std::size_t>(token)];
+      if (ev.period == 0) continue;
+      const SimTime next = key.first + ev.period;
+      const int fires = ++ev.model_fires;
+      if (fires % 2 == 1) {
+        const int child = ev.children[static_cast<std::size_t>(fires / 2)];
+        const Key child_key{next, order++};
+        events[static_cast<std::size_t>(child)].key = child_key;
+        model.emplace(child_key, child);
+      }
+      if (fires == ev.cancel_after) continue;
+      ev.key = Key{next, order++};
+      model.emplace(ev.key, token);
     }
     ASSERT_EQ(fired, expected) << "divergence in round " << round;
-    for (const int token : fired) {
-      for (auto it = live.begin(); it != live.end(); ++it) {
-        if (it->token == token) {
-          EXPECT_FALSE(sim.Cancel(it->handle));  // fired handles are stale
-          live.erase(it);
-          break;
-        }
-      }
+    for (std::size_t idx = live.size(); idx-- > 0;) {
+      const Event& ev = events[static_cast<std::size_t>(live[idx])];
+      const bool done = ev.period == 0 ? ev.key.first <= horizon
+                                       : ev.model_fires == ev.cancel_after &&
+                                             ev.cancel_after > 0;
+      if (!done) continue;
+      EXPECT_FALSE(sim.Cancel(ev.handle));  // fired handles are stale
+      remove_live(idx);
     }
     EXPECT_EQ(sim.PendingEvents(), model.size());
+    EXPECT_EQ(live.size(), model.size());
   }
+  EXPECT_GE(min_seen_pending, p.min_pending);
 
-  // Drain everything left and compare the tail.
+  // Cancel the periodic events (they would re-arm forever), then drain
+  // everything left and compare the tail.
+  for (std::size_t idx = live.size(); idx-- > 0;) {
+    Event& ev = events[static_cast<std::size_t>(live[idx])];
+    if (ev.period == 0) continue;
+    ASSERT_TRUE(sim.Cancel(ev.handle));
+    model.erase(ev.key);
+    remove_live(idx);
+  }
   fired.clear();
   sim.RunUntil(sim.Now() + Seconds(10));
   std::vector<int> expected;
@@ -332,6 +413,21 @@ TEST(TimerQueueProperty, MatchesMultimapReferenceModel) {
   EXPECT_EQ(fired, expected);
   EXPECT_EQ(sim.PendingEvents(), 0u);
   ASSERT_TRUE(sim.CheckHeapInvariant());
+}
+
+// Tens of pending events: sifts stay within two or three levels.
+TEST(TimerQueueProperty, MatchesMultimapReferenceModel) {
+  CheckAgainstReferenceModel({/*rounds=*/300, /*min_pending=*/0, /*max_ops=*/8,
+                              /*when_span=*/200, /*horizon_span=*/120});
+}
+
+// At least 5k pending events (6000 topped up each round): a root-to-leaf
+// sift crosses six levels of the 4-ary heap, with ~3 events per
+// microsecond of `when` so ties are dense at every depth.
+TEST(TimerQueueProperty, MatchesMultimapReferenceModelAtDepth) {
+  CheckAgainstReferenceModel({/*rounds=*/120, /*min_pending=*/6000,
+                              /*max_ops=*/64, /*when_span=*/2000,
+                              /*horizon_span=*/12});
 }
 
 }  // namespace

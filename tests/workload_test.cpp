@@ -1,6 +1,9 @@
 // Unit tests for schedules and traffic generators.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "sim/app.hpp"
 #include "workload/generators.hpp"
 #include "workload/schedule.hpp"
@@ -72,6 +75,61 @@ TEST(ApiMixTest, ZeroWeightNeverSampled) {
   ApiMix mix;
   mix.weights = {0.0, 1.0, 0.0};
   for (double u = 0.0; u < 1.0; u += 0.05) EXPECT_EQ(mix.Sample(u), 1);
+}
+
+// The pre-computed prefix-sum sampler must pick exactly what the original
+// per-call linear scan picked: same partial sums, same strict comparison.
+sim::ApiId LinearScanSample(const std::vector<double>& weights, double u) {
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  double acc = 0.0;
+  const double target = u * total;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    if (target < acc) return static_cast<sim::ApiId>(i);
+  }
+  return static_cast<sim::ApiId>(weights.size() - 1);
+}
+
+TEST(ApiMixTest, PrefixSumSamplerMatchesLinearScan) {
+  const std::vector<std::vector<double>> mixes = {
+      {1.0, 1.0, 1.0, 1.0},
+      {0.0, 1.0, 0.0, 2.0, 0.0, 0.5, 0.0},
+      {0.0, 0.0, 3.0},
+      {0.1, 0.2, 0.0, 0.3, 0.4},
+      {2.5, 0.0, 0.0},
+  };
+  for (const auto& weights : mixes) {
+    ApiMix mix;
+    mix.weights = weights;
+    const std::vector<double> cumulative = mix.Cumulative();
+    ASSERT_EQ(cumulative.size(), weights.size());
+    const double total = cumulative.back();
+    std::vector<double> us = {0.0, std::nextafter(1.0, 0.0), 1.0 - 1e-12};
+    for (const double c : cumulative) {
+      // Exact cumulative boundaries and their floating-point neighbours.
+      const double u = c / total;
+      for (const double v : {u, std::nextafter(u, 0.0), std::nextafter(u, 1.0)}) {
+        if (v < 1.0) us.push_back(v);
+      }
+    }
+    for (int i = 0; i < 1000; ++i) us.push_back(i / 1000.0);
+    for (const double u : us) {
+      const sim::ApiId api = mix.Sample(u);
+      EXPECT_EQ(api, LinearScanSample(weights, u)) << "u=" << u;
+      EXPECT_EQ(ApiMix::SampleCumulative(cumulative, u), api);
+      if (u * total < total) {
+        EXPECT_GT(weights[static_cast<std::size_t>(api)], 0.0) << "u=" << u;
+      }
+    }
+    // u * total landing on the total itself (rounding does this for u just
+    // below 1 with total 2.5): both fall back to the last index, even if
+    // its weight is zero.
+    EXPECT_EQ(ApiMix::SampleCumulative(cumulative, 1.0),
+              LinearScanSample(weights, 1.0));
+    EXPECT_EQ(ApiMix::SampleCumulative(cumulative, 1.0),
+              static_cast<sim::ApiId>(weights.size() - 1));
+  }
 }
 
 sim::ServiceConfig FastService(const char* name, double capacity_rps) {
