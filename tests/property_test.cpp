@@ -324,6 +324,12 @@ struct MlpArch {
   std::vector<int> sizes;
 };
 
+// Without this gtest prints the raw bytes of the vector (heap addresses), and
+// the discovered ctest names change with every build.
+void PrintTo(const MlpArch& arch, std::ostream* os) {
+  *os << "MlpArch" << ::testing::PrintToString(arch.sizes);
+}
+
 class MlpGradSweep : public ::testing::TestWithParam<MlpArch> {};
 
 TEST_P(MlpGradSweep, AnalyticMatchesNumeric) {
