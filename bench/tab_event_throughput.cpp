@@ -233,14 +233,16 @@ Measurement RunDeepCallTree() {
 
 /// The sharded engine on a scaled deep-tree workload: 8 disjoint tree
 /// deployments (8 clusters), 16k closed-loop users, one simulation
-/// partitioned across `shards` engine shards with 1 ms lookahead. Measures
-/// aggregate events/sec over all shards plus the barrier-blocked fraction
-/// of shard wall time (near 1 on an oversubscribed machine, small on real
-/// cores).
+/// partitioned across `shards` engine shards. The plan is cluster-aligned,
+/// so the lookahead is unbounded and each RunUntil is one round. Measures
+/// aggregate events/sec over all shards, the synchronization rounds, and
+/// the barrier-blocked fraction of shard wall time (shard imbalance once
+/// rounds no longer dominate).
 struct ShardedMeasurement {
   Measurement m;
   double blocked_frac = 0.0;
   std::uint64_t messages = 0;
+  std::uint64_t rounds = 0;  ///< synchronization rounds in the measured span
 };
 
 ShardedMeasurement RunShardedDeepTree(int shards) {
@@ -270,6 +272,7 @@ ShardedMeasurement RunShardedDeepTree(int shards) {
   const std::vector<des::ShardedSimulation::ShardStats> stats0 =
       app.engine().Stats();
   const std::uint64_t events0 = engine_events();
+  const std::uint64_t rounds0 = app.engine().Rounds();
   const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
   app.RunUntil(Seconds(9));
@@ -288,6 +291,7 @@ ShardedMeasurement RunShardedDeepTree(int shards) {
     r.messages += s1.messages_delivered;
   }
   r.blocked_frac = busy + blocked > 0 ? blocked / (busy + blocked) : 0.0;
+  r.rounds = app.engine().Rounds() - rounds0;
   return r;
 }
 
@@ -540,14 +544,17 @@ int main(int argc, char** argv) {
     std::snprintf(name, sizeof name, "sharded_deep_tree_s%d", shards);
     std::printf(
         "%s: events=%llu wall_s=%.3f events_per_sec=%.0f allocs_per_event=%.4f "
-        "blocked_frac=%.3f msgs=%llu speedup=%.2fx\n",
+        "blocked_frac=%.3f msgs=%llu rounds=%llu speedup=%.2fx\n",
         name, static_cast<unsigned long long>(r.m.events), r.m.wall_s, eps, ape,
         r.blocked_frac, static_cast<unsigned long long>(r.messages),
+        static_cast<unsigned long long>(r.rounds),
         sharded_base_eps > 0 ? eps / sharded_base_eps : 0.0);
-    char extra[128];
+    char extra[160];
     std::snprintf(extra, sizeof extra,
-                  ", \"shards\": %d, \"blocked_frac\": %.4f, \"messages\": %llu",
-                  shards, r.blocked_frac, static_cast<unsigned long long>(r.messages));
+                  ", \"shards\": %d, \"blocked_frac\": %.4f, \"messages\": %llu"
+                  ", \"rounds\": %llu",
+                  shards, r.blocked_frac, static_cast<unsigned long long>(r.messages),
+                  static_cast<unsigned long long>(r.rounds));
     AppendJsonRow(json, name, "current", r.m.events, r.m.wall_s, eps, ape,
                   /*last=*/i + 1 == std::size(shard_counts), extra);
   }

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 
 namespace topfull::des {
@@ -13,6 +15,16 @@ namespace {
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+[[noreturn]] void LookaheadViolation(const char* why, int from, int to,
+                                     SimTime now, SimTime when) {
+  std::fprintf(stderr,
+               "ShardedSimulation::Post: %s (shard %d -> %d, sender now %lld us, "
+               "when %lld us)\n",
+               why, from, to, static_cast<long long>(now),
+               static_cast<long long>(when));
+  std::abort();
 }
 
 }  // namespace
@@ -72,10 +84,20 @@ void ShardedSimulation::Post(int from, int to, SimTime when, InlineEvent fn) {
   }
   // Conservative-lookahead contract: the receiver may already be at
   // sender_now rounded up to the window edge, so anything closer than
-  // `lookahead` could land in its past.
-  assert(when >= shards_[static_cast<std::size_t>(from)]->Now() +
-                     options_.lookahead &&
-         "cross-shard message undercuts the lookahead");
+  // `lookahead` could land in its past. Checked in every build type: a
+  // shard plan that disagrees with the engine's lookahead would otherwise
+  // silently reorder the receiver's history.
+  const SimTime now = shards_[static_cast<std::size_t>(from)]->Now();
+  if (options_.lookahead == kUnboundedLookahead) {
+    LookaheadViolation(
+        "cross-shard message on an engine with unbounded lookahead "
+        "(the shard plan promised no cross-shard edge)",
+        from, to, now, when);
+  }
+  if (when < now + options_.lookahead) {
+    LookaheadViolation("cross-shard message undercuts the lookahead", from, to,
+                       now, when);
+  }
   MailboxFor(from, to).Push(Message{when, std::move(fn)});
   ++stats_[static_cast<std::size_t>(from)].messages_sent;
 }
@@ -191,7 +213,11 @@ void ShardedSimulation::RunUntil(SimTime end) {
   assert(options_.lookahead > 0 && "lookahead must be positive for N > 1");
   if (options_.threaded && workers_.empty()) StartWorkers();
   while (horizon_ < end) {
-    const SimTime h = std::min(horizon_ + options_.lookahead, end);
+    // Saturating horizon_ + lookahead: never overflows, and an unbounded
+    // lookahead makes this whole call a single round.
+    const SimTime h = end - horizon_ <= options_.lookahead
+                          ? end
+                          : horizon_ + options_.lookahead;
     if (round_observer_) {
       // Per-round wall clocks are observer-only: the protocol itself never
       // needs them and the unobserved hot loop stays clock-free.

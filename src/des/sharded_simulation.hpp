@@ -6,7 +6,9 @@
 // whole-machine simulation is N per-shard engines that only interact through
 // cross-shard RPC edges. Every such edge has a known minimum network
 // latency, which gives a global conservative lookahead L = min over edges:
-// no shard can affect another sooner than L ahead of its own clock.
+// no shard can affect another sooner than L ahead of its own clock. With no
+// cross-shard edge at all (a cluster-aligned plan) the minimum is over an
+// empty set and L is unbounded: kUnboundedLookahead.
 //
 // Synchronization is a bounded-lag window protocol (a simplified
 // Chandy–Misra: the all-to-all mailbox topology makes per-link null
@@ -17,17 +19,28 @@
 //                  order (sender shard id ascending, FIFO within a
 //                  mailbox) and schedules the messages into its local
 //                  engine. No shard produces messages in this phase.
-//   execute phase  every shard runs its local engine to the horizon H =
-//                  H_prev + L. Sends during this phase only Push into
-//                  outbound mailboxes; no shard consumes.
+//   execute phase  every shard runs its local engine to the horizon
+//                  H = min(H_prev + L, end), the add saturating at `end`.
+//                  Sends during this phase only Push into outbound
+//                  mailboxes; no shard consumes.
+//
+// With an unbounded L each RunUntil(end) is exactly one round: the shards
+// run independently to `end` and meet once. RunUntil boundaries are the
+// caller's quiescent points (live publishes, rule evaluation), so callers
+// that need to observe mid-run state chunk their RunUntil calls.
 //
 // Safety: a message Posted during the execute phase of round k has send
 // time > H_{k-1} and delivery time >= send + L > H_{k-1} + L = H_k, so
 // draining it at the start of round k+1 (receiver clock == H_k) can never
-// deliver into the receiver's past. Phase separation means push and pop on
-// a mailbox are never concurrent (see SpscMailbox), and the fixed drain
-// order makes delivery -> engine seq assignment deterministic regardless
-// of thread scheduling: a fixed shard count yields bit-identical runs.
+// deliver into the receiver's past. Post enforces this in every build
+// type: a cross-shard message that undercuts L, or any cross-shard message
+// at all when L is unbounded, aborts the process. Phase separation means
+// push and pop on a mailbox are never concurrent (see SpscMailbox), and the
+// fixed drain order makes delivery -> engine seq assignment deterministic
+// regardless of thread scheduling: a fixed shard count and lookahead yield
+// bit-identical runs. With no cross-shard messages a shard's (when, seq)
+// stream depends on its own queue alone, not on where the window edges
+// fall, so the window length changes nothing but the round count.
 //
 // shards == 1 bypasses the protocol entirely (no threads, no windows, a
 // plain RunUntil) and is byte-identical to the PR 5 engine; the
@@ -36,6 +49,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -48,9 +62,15 @@ namespace topfull::des {
 
 class ShardedSimulation {
  public:
+  /// Lookahead of a shard set that no message can cross: every RunUntil
+  /// call is one drain + execute round, and any cross-shard Post aborts.
+  static constexpr SimTime kUnboundedLookahead =
+      std::numeric_limits<SimTime>::max();
+
   struct Options {
-    /// Conservative lookahead: the minimum cross-shard message latency.
-    /// Post() asserts no message undercuts it. Must be > 0 for N > 1.
+    /// Conservative lookahead: the minimum cross-shard message latency, or
+    /// kUnboundedLookahead when no cross-shard edge exists. Post() aborts
+    /// on any message that undercuts it. Must be > 0 for N > 1.
     SimTime lookahead = Millis(1);
     /// Run execute phases on worker threads (default) or on the calling
     /// thread, one shard at a time. Both modes run the identical window
@@ -118,13 +138,15 @@ class ShardedSimulation {
   /// Sends `fn` from shard `from` to shard `to`, to run at absolute time
   /// `when` on the receiving shard. Must be called from shard `from`'s
   /// execute phase (i.e. from inside one of its events), with
-  /// `when >= shard(from).Now() + lookahead`. Messages to self are legal
-  /// and become plain local events.
+  /// `when >= shard(from).Now() + lookahead`; a violation, or any
+  /// cross-shard message under kUnboundedLookahead, aborts the process in
+  /// every build type. Messages to self are legal and become plain local
+  /// events.
   void Post(int from, int to, SimTime when, InlineEvent fn);
 
-  /// Advances every shard to `end` in lookahead windows. Callable
-  /// repeatedly; messages still in flight past `end` are delivered by the
-  /// next call's first drain phase.
+  /// Advances every shard to `end` in lookahead windows (one window when
+  /// the lookahead is unbounded). Callable repeatedly; messages still in
+  /// flight past `end` are delivered by the next call's first drain phase.
   void RunUntil(SimTime end);
 
   /// Aggregate engine counters over all shards.

@@ -110,12 +110,16 @@ ShardedRunResult RunShardedSpec(const RunSpec& spec,
       sources.label = spec.label;
       sources.duration_s = spec.duration_s;
       sources.sharded = &sharded;
-      // Chunks must be whole multiples of the lookahead so the window edges
-      // land exactly where the unchunked run puts them — otherwise a
-      // truncated window could reorder same-timestamp cross-shard delivery.
-      const SimTime lookahead = std::max<SimTime>(options.net_latency, 1);
+      // Chunks are whole multiples of net_latency. For a split plan that is
+      // the lookahead, so the window edges land exactly where the unchunked
+      // run puts them — otherwise a truncated window could reorder
+      // same-timestamp cross-shard delivery. An aligned plan's lookahead is
+      // unbounded, so each chunk is one round; the chunk size must not come
+      // from engine().lookahead(), or the whole run would be one chunk and
+      // nothing would publish mid-run.
+      const SimTime net_latency = std::max<SimTime>(options.net_latency, 1);
       const SimTime chunk =
-          std::max<SimTime>(Millis(100) / lookahead, 1) * lookahead;
+          std::max<SimTime>(Millis(100) / net_latency, 1) * net_latency;
       const SimTime end = sharded.Now() + Seconds(spec.duration_s);
       // Publish a start-of-run snapshot so a scrape that races the first
       // window round never sees an empty board.

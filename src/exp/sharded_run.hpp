@@ -8,6 +8,14 @@
 // and fault events are armed only on the shard owning their target
 // service. With shards == 1 every step degenerates to exactly what RunOne
 // does, which the engine-identity digests verify byte-for-byte.
+//
+// The run's RunUntil calls are its quiescent points. Without a live plane
+// the whole run is one call, so a cluster-aligned plan (unbounded
+// lookahead) is a single synchronization round. With a live plane the run
+// advances in ~100 ms chunks and publishes and evaluates TSDB rules at each
+// chunk edge; an aligned plan then takes one round per chunk, and shards
+// may drift up to a chunk apart in between. Split plans keep net_latency
+// windows either way.
 #pragma once
 
 #include <memory>
@@ -21,7 +29,8 @@ namespace topfull::exp {
 
 struct ShardedRunOptions {
   int shards = 1;
-  /// One-way cross-shard RPC latency == synchronization lookahead.
+  /// One-way cross-shard RPC latency; the synchronization window only when
+  /// the shard plan splits a cluster (aligned plans have none to wait on).
   SimTime net_latency = Millis(1);
   /// Worker threads vs same-protocol sequential execution (bit-identical;
   /// sequential is for determinism cross-checks and debugging).

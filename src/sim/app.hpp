@@ -51,8 +51,9 @@ struct ShardBinding {
   int shard = 0;
   int num_shards = 1;
   /// One-way cross-shard RPC network latency, charged per direction. Must
-  /// be >= the ShardedSimulation lookahead (normally equal: the lookahead
-  /// is derived as the minimum cross-shard latency).
+  /// be >= the ShardedSimulation lookahead (equal for a split plan: the
+  /// lookahead is derived as the minimum cross-shard latency; an aligned
+  /// plan never sends, and its lookahead is unbounded).
   SimTime net_latency = 0;
   /// ServiceId -> owning shard. Not owned; must outlive the Application.
   const std::vector<int>* service_owner = nullptr;

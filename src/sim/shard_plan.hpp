@@ -25,8 +25,9 @@ class Application;
 struct ShardPlanOptions {
   int num_shards = 1;
   /// One-way network latency charged to every cross-shard hop; doubles as
-  /// the synchronization lookahead (it is the minimum — and only —
-  /// cross-shard message latency).
+  /// the synchronization lookahead of a split plan (it is the minimum — and
+  /// only — cross-shard message latency). A cluster-aligned plan has no
+  /// cross-shard hop, so its lookahead is unbounded.
   SimTime net_latency = Millis(1);
 };
 
@@ -43,7 +44,9 @@ struct ShardPlan {
   std::vector<int> service_cluster;
   int num_clusters = 0;
   /// True when every API's involved-service set landed on one shard, i.e.
-  /// the plan induces zero cross-shard hops (pure cluster packing).
+  /// the plan induces zero cross-shard hops (pure cluster packing). The
+  /// sharded engine then runs with unbounded lookahead and meets only at
+  /// RunUntil boundaries.
   bool cluster_aligned = true;
 
   int OwnerOf(ServiceId s) const {

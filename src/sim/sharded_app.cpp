@@ -24,8 +24,13 @@ ShardedApp::ShardedApp(const AppFactory& factory, Options options)
   std::vector<des::Simulation*> sims;
   sims.reserve(apps_.size());
   for (auto& a : apps_) sims.push_back(&a->sim());
+  // The lookahead is the minimum latency of any message that can cross
+  // shards: net_latency when the plan splits a cluster, unbounded when it
+  // does not (then each RunUntil is a single round).
   des::ShardedSimulation::Options engine_options;
-  engine_options.lookahead = options_.net_latency;
+  engine_options.lookahead = plan_.cluster_aligned
+                                 ? des::ShardedSimulation::kUnboundedLookahead
+                                 : options_.net_latency;
   engine_options.threaded = options_.threaded;
   engine_ = std::make_unique<des::ShardedSimulation>(std::move(sims),
                                                      engine_options);

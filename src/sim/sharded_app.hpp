@@ -4,9 +4,12 @@
 // (identical topology, identical seeds, so ServiceIds, ApiIds and RNG fork
 // points line up across replicas), a shard plan assigns every service an
 // owning shard, and a des::ShardedSimulation synchronizes the per-shard
-// engines with conservative lookahead equal to the cross-shard network
-// latency. Traffic enters each API on its origin shard; hops to services
-// owned elsewhere travel as timestamped messages (see Application's shard
+// engines with conservative lookahead equal to the minimum latency of any
+// message that can cross shards: the cross-shard network latency when the
+// plan splits a cluster, unbounded when it is cluster-aligned (no hop ever
+// leaves its shard, so each RunUntil is one synchronization round).
+// Traffic enters each API on its origin shard; hops to services owned
+// elsewhere travel as timestamped messages (see Application's shard
 // binding). Observability stays shard-local during the run and is merged
 // deterministically afterwards: API windows are taken from the API's
 // origin shard, service windows from the service's owner — each row has
@@ -36,7 +39,8 @@ class ShardedApp {
 
   struct Options {
     int shards = 1;
-    /// One-way cross-shard RPC latency; also the synchronization lookahead.
+    /// One-way cross-shard RPC latency; also the synchronization lookahead
+    /// when the plan splits a cluster (an aligned plan's is unbounded).
     SimTime net_latency = Millis(1);
     /// Worker threads (default) vs the same window protocol run on the
     /// calling thread. Bit-identical either way.

@@ -14,6 +14,9 @@
 #include "des/sharded_simulation.hpp"
 #include "exp/harness.hpp"
 #include "exp/sharded_run.hpp"
+#include "obs/live.hpp"
+#include "obs/rules.hpp"
+#include "obs/tsdb_plane.hpp"
 #include "sim/app.hpp"
 #include "sim/shard_plan.hpp"
 #include "sim/sharded_app.hpp"
@@ -28,6 +31,8 @@ des::ShardedSimulation::Options EngineOptions(SimTime lookahead, bool threaded) 
   options.threaded = threaded;
   return options;
 }
+
+constexpr SimTime kUnbounded = des::ShardedSimulation::kUnboundedLookahead;
 
 // --- Window protocol ---------------------------------------------------------
 
@@ -124,6 +129,90 @@ TEST(ShardedSimulationTest, SingleShardBypassesTheProtocol) {
   net.RunUntil(Millis(10));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(net.Rounds(), 0u);  // no windows, no rounds
+}
+
+TEST(ShardedSimulationDeathTest, CrossShardPostOutsideTheLookaheadAborts) {
+  // Both checks hold in every build type, not only where assert() is live.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        des::ShardedSimulation net(2, EngineOptions(kUnbounded, false));
+        net.Post(0, 1, Millis(5), [] {});
+      },
+      "unbounded lookahead");
+  EXPECT_DEATH(
+      {
+        des::ShardedSimulation net(2, EngineOptions(Millis(2), false));
+        net.Post(0, 1, Millis(1), [] {});
+      },
+      "undercuts the lookahead");
+}
+
+/// One run of a local-only workload: every shard runs actors that log
+/// (now, id) and reschedule themselves on a 250 us grid, so actors collide
+/// on shared timestamps and the log pins each shard's (when, seq) order.
+struct LocalOnlyRun {
+  std::vector<std::vector<std::uint64_t>> log;
+  std::uint64_t rounds = 0;
+  std::uint64_t messages = 0;
+};
+
+constexpr int kRunUntilCalls = 5;
+constexpr SimTime kLocalOnlyEnd = Seconds(1);
+
+LocalOnlyRun RunLocalOnly(SimTime lookahead, bool threaded) {
+  constexpr int kShards = 3;
+  constexpr int kActors = 20;
+  des::ShardedSimulation net(kShards, EngineOptions(lookahead, threaded));
+  LocalOnlyRun run;
+  run.log.resize(kShards);
+  struct Actor {
+    des::Simulation* sim;
+    std::vector<std::uint64_t>* log;
+    std::uint64_t id;
+    std::uint64_t state;
+    void Fire() {
+      log->push_back((static_cast<std::uint64_t>(sim->Now()) << 12) ^ id);
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const SimTime delay = static_cast<SimTime>(1 + (state >> 33) % 8) * 250;
+      sim->ScheduleAfter(delay, [this] { Fire(); });
+    }
+  };
+  std::vector<Actor> actors;
+  actors.reserve(kShards * kActors);
+  for (int shard = 0; shard < kShards; ++shard) {
+    for (int a = 0; a < kActors; ++a) {
+      const auto id = static_cast<std::uint64_t>(shard * kActors + a);
+      actors.push_back(
+          Actor{&net.shard(shard), &run.log[static_cast<std::size_t>(shard)], id, id});
+      Actor* actor = &actors.back();
+      net.shard(shard).ScheduleAt(250 * (a % 4), [actor] { actor->Fire(); });
+    }
+  }
+  for (int call = 1; call <= kRunUntilCalls; ++call) {
+    net.RunUntil(kLocalOnlyEnd * call / kRunUntilCalls);
+  }
+  run.rounds = net.Rounds();
+  run.messages = net.TotalMessages();
+  return run;
+}
+
+TEST(ShardedSimulationTest, UnboundedLookaheadRunsOneRoundPerRunUntil) {
+  const LocalOnlyRun base = RunLocalOnly(Millis(1), /*threaded=*/false);
+  ASSERT_GT(base.log[0].size(), 1000u);
+  for (const SimTime lookahead : {Millis(1), kUnbounded}) {
+    for (const bool threaded : {false, true}) {
+      const LocalOnlyRun run = RunLocalOnly(lookahead, threaded);
+      const bool unbounded = lookahead == kUnbounded;
+      SCOPED_TRACE(testing::Message() << "unbounded=" << unbounded
+                                      << " threaded=" << threaded);
+      EXPECT_EQ(run.log, base.log);
+      EXPECT_EQ(run.messages, 0u);
+      EXPECT_EQ(run.rounds, static_cast<std::uint64_t>(
+                                unbounded ? kRunUntilCalls
+                                          : kLocalOnlyEnd / Millis(1)));
+    }
+  }
 }
 
 // --- Partitioner -------------------------------------------------------------
@@ -295,6 +384,9 @@ TEST(ShardedAppTest, AlignedPlanRunsWithoutCrossShardCalls) {
   const auto r = exp::RunShardedSpec(TwoClusterSpec(), options);
   EXPECT_TRUE(r.app->plan().cluster_aligned);
   EXPECT_EQ(r.app->RemoteCalls(), 0u);
+  // Nothing can cross, so the one-shot run is a single round.
+  EXPECT_EQ(r.app->engine().lookahead(), kUnbounded);
+  EXPECT_EQ(r.app->engine().Rounds(), 1u);
   // Both shards did real work.
   EXPECT_GT(r.app->app(0).sim().EventsProcessed(), 1000u);
   EXPECT_GT(r.app->app(1).sim().EventsProcessed(), 1000u);
@@ -328,6 +420,10 @@ TEST(ShardedAppTest, SplitClusterRoutesHopsAcrossShards) {
   const auto r = exp::RunShardedSpec(spec, options);
   EXPECT_FALSE(r.app->plan().cluster_aligned);
   EXPECT_GT(r.app->RemoteCalls(), 0u);
+  // A split plan keeps net_latency windows.
+  EXPECT_EQ(r.app->engine().lookahead(), Millis(1));
+  EXPECT_EQ(r.app->engine().Rounds(),
+            static_cast<std::uint64_t>(Seconds(spec.duration_s) / Millis(1)));
   const auto totals = r.app->MergedTotals();
   ASSERT_EQ(totals.size(), 1u);
   EXPECT_GT(totals[0].completed, 0u);
@@ -340,6 +436,58 @@ TEST(ShardedAppTest, SplitClusterRoutesHopsAcrossShards) {
   const auto r3 = exp::RunShardedSpec(spec, options);
   EXPECT_EQ(SerializeMerged(*r.app, r.fault_log),
             SerializeMerged(*r3.app, r3.fault_log));
+}
+
+/// Runs TwoClusterSpec on 2 aligned shards with a TSDB plane (SLO burn
+/// rules plus one rule that surely fires) and returns the plane's store
+/// and alert history. With `live` set the run advances in publish chunks.
+struct TsdbRun {
+  std::string tsdb_json;
+  std::string alerts_json;
+  std::size_t transitions = 0;
+  std::uint64_t rounds = 0;
+};
+
+TsdbRun RunTwoClusterWithTsdb(obs::LivePlane* live) {
+  obs::TsdbPlane plane;
+  for (obs::AlertRule& rule : obs::SloBurnRules()) {
+    plane.rules().AddAlert(std::move(rule));
+  }
+  obs::AlertRule busy;
+  busy.name = "completing";
+  busy.exprs = {"sum(rate(topfull_requests_completed_total[2s])) > 0"};
+  busy.for_s = 1.0;
+  plane.rules().AddAlert(std::move(busy));
+  exp::RunSpec spec = TwoClusterSpec();
+  spec.tsdb = &plane;
+  spec.live = live;
+  exp::ShardedRunOptions options;
+  options.shards = 2;
+  const exp::ShardedRunResult r = exp::RunShardedSpec(spec, options);
+  EXPECT_TRUE(r.app->plan().cluster_aligned);
+  return {obs::TsdbJson(plane.tsdb()), plane.rules().AlertsJson(),
+          plane.rules().transitions().size(), r.app->engine().Rounds()};
+}
+
+TEST(ShardedAppTest, AlignedShardsDriftOnlyBetweenQuiescentPoints) {
+  // One-shot: a single round for the whole run, rules evaluated at the end.
+  const TsdbRun one_shot = RunTwoClusterWithTsdb(nullptr);
+  EXPECT_EQ(one_shot.rounds, 1u);
+  EXPECT_GT(one_shot.transitions, 0u);
+
+  // Chunked: a publish and a rule evaluation at every chunk edge, one
+  // round per chunk; shards run up to a whole chunk apart in between.
+  obs::LiveOptions live_options;
+  live_options.port = -1;
+  live_options.publish_interval_s = 0.0;
+  obs::LivePlane live(live_options);
+  const TsdbRun chunked = RunTwoClusterWithTsdb(&live);
+  EXPECT_GT(chunked.rounds, 2u);
+  // Start-of-run and final publishes plus at least two mid-run snapshots.
+  EXPECT_GE(live.publishes(), 4u);
+
+  EXPECT_EQ(one_shot.tsdb_json, chunked.tsdb_json);
+  EXPECT_EQ(one_shot.alerts_json, chunked.alerts_json);
 }
 
 TEST(ShardedAppTest, FaultsAreArmedOnTheOwningShardOnly) {

@@ -173,7 +173,8 @@ int Usage() {
       "  --retry-backoff S delay before each retry (default 0)\n"
       "  --shards N       run one simulation across N engine shards\n"
       "                   (conservative-lookahead parallel DES; merged results)\n"
-      "  --net-latency-ms L  one-way cross-shard RPC latency == lookahead (def 1)\n"
+      "  --net-latency-ms L  one-way cross-shard RPC latency (def 1); the sync\n"
+      "                   window only when the shard plan splits a cluster\n"
       "  --sequential     run the sharded protocol without worker threads\n"
       "  --replicas K     alibaba only: K independent 127-service copies\n");
   return 2;
@@ -473,7 +474,7 @@ int CmdRunSharded(const Args& args) {
   spec.live = live.get();
 
   std::printf("running %s with %s for %.0f s across %d shards "
-              "(lookahead %.1f ms, %s)...\n",
+              "(net latency %.1f ms, %s)...\n",
               spec.label.c_str(), exp::VariantName(spec.variant).c_str(),
               spec.duration_s, shards, ToMillis(options.net_latency),
               options.threaded ? "threaded" : "sequential");
@@ -496,6 +497,12 @@ int CmdRunSharded(const Args& args) {
               plan.num_clusters, shards,
               plan.cluster_aligned ? "cluster-aligned"
                                    : "split clusters: cross-shard RPC in play");
+  const SimTime lookahead = app.engine().lookahead();
+  if (lookahead == des::ShardedSimulation::kUnboundedLookahead) {
+    std::printf("sync lookahead: unbounded (cluster-aligned)\n");
+  } else {
+    std::printf("sync lookahead: %.1f ms\n", ToMillis(lookahead));
+  }
 
   Table table("per-API results (whole run, merged across shards)");
   table.SetHeader({"API", "shard", "avg offered", "avg goodput"});
