@@ -91,16 +91,17 @@ std::string Serialize(const sim::Application& app,
   return out;
 }
 
-/// Reduced fig08 config: Online Boutique under closed-loop overload, one
-/// MIMD-controlled run and one DAGOR run.
-std::vector<exp::RunSpec> Fig08Specs() {
+/// Reduced fig08 config: Online Boutique under closed-loop overload, one run
+/// per variant. `static_rate` only matters for the static-limit variant.
+std::vector<exp::RunSpec> Fig08SpecsFor(const std::vector<exp::Variant>& variants,
+                                        double static_rate = 0.0) {
   std::vector<exp::RunSpec> specs;
-  for (const exp::Variant variant :
-       {exp::Variant::kTopFullMimd, exp::Variant::kDagor}) {
+  for (const exp::Variant variant : variants) {
     exp::RunSpec spec;
     spec.label = exp::VariantName(variant);
     spec.duration_s = 12.0;
     spec.variant = variant;
+    spec.static_rate = static_rate;
     spec.make_app = [variant] {
       apps::BoutiqueOptions options;
       options.seed = 17;
@@ -115,6 +116,20 @@ std::vector<exp::RunSpec> Fig08Specs() {
     specs.push_back(std::move(spec));
   }
   return specs;
+}
+
+/// One MIMD-controlled run and one DAGOR run.
+std::vector<exp::RunSpec> Fig08Specs() {
+  return Fig08SpecsFor({exp::Variant::kTopFullMimd, exp::Variant::kDagor});
+}
+
+/// The token-bucket baselines: Breakwater and WISP gate every hop, the static
+/// limit gates the entry. 1500 users offer about 300 rps per API, so the
+/// 150 rps static limit binds and refuses about 60 % at the entry.
+std::vector<exp::RunSpec> Fig08BaselineSpecs() {
+  return Fig08SpecsFor({exp::Variant::kBreakwater, exp::Variant::kWisp,
+                        exp::Variant::kStaticLimit},
+                       /*static_rate=*/150.0);
 }
 
 /// Reduced fig18 config: Train Ticket with hop timeouts + one retry, 10
@@ -213,6 +228,12 @@ void CheckCase(std::vector<exp::RunSpec> (*make)(), std::uint64_t golden) {
 // same serialization, on the reference toolchain.
 TEST(EngineIdentityTest, Fig08BoutiqueMatchesSeedEngine) {
   CheckCase(Fig08Specs, 0xc68e4a7aac39ce8dull);
+}
+
+// Golden minted at commit 203b049, before the baselines' token buckets were
+// swapped for common/TokenBucket; the swap must not move a byte.
+TEST(EngineIdentityTest, Fig08BaselinesMatchParent) {
+  CheckCase(Fig08BaselineSpecs, 0x12fbe5ccd886293eull);
 }
 
 TEST(EngineIdentityTest, Fig18TrainTicketWithFaultsMatchesSeedEngine) {
