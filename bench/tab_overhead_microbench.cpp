@@ -9,7 +9,6 @@
 // lookup, collector with the registry on vs off).
 #include <benchmark/benchmark.h>
 
-#include "admit/plane.hpp"
 #include "apps/train_ticket.hpp"
 #include "common/token_bucket.hpp"
 #include "core/clustering.hpp"
@@ -80,73 +79,6 @@ void BM_TokenBucketAdmit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TokenBucketAdmit);
-
-// --- Concurrent admission plane (ISSUE 10): contended-admit rows -------------
-// The same datapath as BM_TokenBucketAdmit, on the lock-free bucket the
-// admission plane runs on. Single-threaded must stay within 2x of the plain
-// bucket above; the ->Threads rows show the shared-cache-line CAS cost under
-// real contention.
-
-void BM_AtomicTokenBucketAdmit(benchmark::State& state) {
-  admit::AtomicTokenBucket bucket(1e6, 1e5);
-  SimTime now = 0;
-  for (auto _ : state) {
-    now += 10;
-    benchmark::DoNotOptimize(bucket.TryAdmit(now));
-  }
-}
-BENCHMARK(BM_AtomicTokenBucketAdmit);
-
-// All threads hammer ONE bucket (one 16-byte cell, one cache line) with
-// per-thread virtual clocks — the worst case the entry gateway can see.
-void BM_AtomicTokenBucketAdmitContended(benchmark::State& state) {
-  static admit::AtomicTokenBucket bucket(1e6, 1e5);
-  SimTime now = 0;
-  for (auto _ : state) {
-    now += 10;
-    benchmark::DoNotOptimize(bucket.TryAdmit(now));
-  }
-  state.SetLabel("shared bucket");
-}
-BENCHMARK(BM_AtomicTokenBucketAdmitContended)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-// Full gateway path: CachedGate -> plane snapshot -> TokenBucketAdmitter.
-// Steady state (no reconfigs) is one relaxed version load on top of the
-// bucket CAS — this row minus BM_AtomicTokenBucketAdmit is the plane tax.
-void BM_CachedGateAdmit(benchmark::State& state) {
-  admit::AdmissionPlane plane;
-  const int slot = plane.Register(
-      "entry", "bench", std::make_shared<admit::TokenBucketAdmitter>(1e6, 1e5));
-  admit::CachedGate gate(&plane);
-  admit::AdmitRequest req;
-  for (auto _ : state) {
-    req.now += 10;
-    benchmark::DoNotOptimize(gate.TryAdmit(slot, req));
-  }
-}
-BENCHMARK(BM_CachedGateAdmit);
-
-void BM_CachedGateAdmitContended(benchmark::State& state) {
-  static admit::AdmissionPlane plane;
-  static const int slot = plane.Register(
-      "entry", "bench", std::make_shared<admit::TokenBucketAdmitter>(1e6, 1e5));
-  thread_local admit::CachedGate gate(&plane);
-  admit::AdmitRequest req;
-  for (auto _ : state) {
-    req.now += 10;
-    benchmark::DoNotOptimize(gate.TryAdmit(slot, req));
-  }
-  state.SetLabel("shared plane slot");
-}
-BENCHMARK(BM_CachedGateAdmitContended)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
 
 // --- Metrics-registry overhead (ISSUE 4): the in-line recording costs --------
 

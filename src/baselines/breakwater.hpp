@@ -13,9 +13,10 @@
 // weakness §6.1 analyses.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
-#include "admit/atomic_token_bucket.hpp"
+#include "common/token_bucket.hpp"
 #include "sim/app.hpp"
 
 namespace topfull::baselines {
@@ -58,9 +59,7 @@ class BreakwaterAdmission : public sim::ServiceAdmission {
  private:
   struct PodCtl {
     double rate;
-    // The plane's lock-free bucket; sequential use is bit-identical to the
-    // historical common::TokenBucket (same refill math — DESIGN.md §15).
-    admit::AtomicTokenBucket bucket;
+    TokenBucket bucket;
     explicit PodCtl(double rate_rps)
         : rate(rate_rps), bucket(rate_rps, std::max(4.0, rate_rps / 10.0)) {}
   };

@@ -1,7 +1,6 @@
 #include "baselines/static_limit.hpp"
 
 #include <algorithm>
-#include <memory>
 
 namespace topfull::baselines {
 
@@ -12,22 +11,15 @@ StaticLimitAdmission::StaticLimitAdmission(sim::Application* app,
     : app_(app), rate_per_api_(rate_per_api) {
   if (rate_per_api <= 0.0) return;
   const double burst = std::max(min_burst, rate_per_api * burst_fraction);
-  slots_.reserve(static_cast<std::size_t>(app->NumApis()));
-  for (int i = 0; i < app->NumApis(); ++i) {
-    slots_.push_back(plane_.Register(
-        "entry", app->api(i).name(),
-        std::make_shared<admit::TokenBucketAdmitter>(rate_per_api, burst)));
-  }
-  gate_ = admit::CachedGate(&plane_);
+  buckets_.assign(static_cast<std::size_t>(app->NumApis()),
+                  TokenBucket(rate_per_api, burst));
 }
 
 void StaticLimitAdmission::Install() { app_->SetEntryAdmission(this); }
 
 bool StaticLimitAdmission::Admit(sim::ApiId api, SimTime now) {
-  if (slots_.empty()) return true;
-  admit::AdmitRequest req;
-  req.now = now;
-  return gate_.TryAdmit(slots_[static_cast<std::size_t>(api)], req);
+  if (buckets_.empty()) return true;
+  return buckets_[static_cast<std::size_t>(api)].TryAdmit(now);
 }
 
 }  // namespace topfull::baselines

@@ -5,16 +5,11 @@
 // the control group of the scenario matrix — scenarios that require
 // *adaptation* (metastable-trap escape, retry-storm damping) are expected
 // to defeat it, which is exactly what the invariant expectations encode.
-//
-// Backed by the concurrent admission plane (admit::AdmissionPlane) so the
-// lock-free admit path is continuously exercised by every scenario-matrix
-// cell; driven sequentially by the sim it is bit-identical to the historical
-// per-API TokenBucket vector (DESIGN.md §15).
 #pragma once
 
 #include <vector>
 
-#include "admit/plane.hpp"
+#include "common/token_bucket.hpp"
 #include "sim/admission.hpp"
 #include "sim/app.hpp"
 
@@ -35,14 +30,11 @@ class StaticLimitAdmission : public sim::EntryAdmission {
   bool Admit(sim::ApiId api, SimTime now) override;
 
   double rate_per_api() const { return rate_per_api_; }
-  const admit::AdmissionPlane& admission_plane() const { return plane_; }
 
  private:
   sim::Application* app_;
   double rate_per_api_;
-  admit::AdmissionPlane plane_;
-  admit::CachedGate gate_;
-  std::vector<int> slots_;  ///< empty when uncapped
+  std::vector<TokenBucket> buckets_;  ///< one per API; empty when uncapped
 };
 
 }  // namespace topfull::baselines

@@ -20,9 +20,10 @@
 // sub-request outcome.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
-#include "admit/atomic_token_bucket.hpp"
+#include "common/token_bucket.hpp"
 #include "sim/app.hpp"
 
 namespace topfull::baselines {
@@ -55,9 +56,7 @@ class WispAdmission : public sim::ServiceAdmission {
  private:
   struct PodCtl {
     double rate;
-    // The plane's lock-free bucket; sequential use is bit-identical to the
-    // historical common::TokenBucket (same refill math — DESIGN.md §15).
-    admit::AtomicTokenBucket bucket;
+    TokenBucket bucket;
     // Downstream acceptance accounting for the current window: of the
     // requests this pod admitted, how many were later shed anywhere
     // downstream of it. Approximated service-wide (see Update()).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 
 namespace topfull::core {
@@ -22,10 +23,6 @@ TopFullController::TopFullController(sim::Application* app,
   decisions_counter_ =
       metrics.GetCounter("topfull_controller_decisions_total",
                          "Control decisions taken (Algorithm 1 + recovery).");
-  reconfigs_skipped_counter_ = metrics.GetCounter(
-      "topfull_admit_reconfigs_skipped_total",
-      "Admission-plane limit publishes coalesced away (same rate and burst "
-      "as already configured, so no new RCU snapshot was built).");
   overloaded_gauge_ = metrics.GetGauge(
       "topfull_controller_overloaded_services",
       "Overloaded microservices detected at the last tick (after hysteresis).");
@@ -34,14 +31,7 @@ TopFullController::TopFullController(sim::Application* app,
         "topfull_api_rate_limit_rps",
         "Entry rate limit per API (+Inf = uncapped).", {{"api", app_->api(a).name()}}));
     limit_gauges_.back()->Set(std::numeric_limits<double>::infinity());
-    // One admission-plane slot per API at the entry gateway. The effectively
-    // uncapped (1e18, 1e18) bucket mirrors the historical ApiControl default;
-    // it is never consulted until the API is capped and Configure()d.
-    controls_[a].slot = plane_.Register(
-        "entry", app_->api(a).name(),
-        std::make_shared<admit::TokenBucketAdmitter>(1e18, 1e18));
   }
-  gate_ = admit::CachedGate(&plane_);
 }
 
 void TopFullController::Start() {
@@ -53,10 +43,7 @@ void TopFullController::Start() {
 
 bool TopFullController::Admit(sim::ApiId api, SimTime now) {
   ApiControl& control = controls_[api];
-  if (!control.capped) return true;
-  admit::AdmitRequest req;
-  req.now = now;
-  return gate_.TryAdmit(control.slot, req);
+  return !control.capped || control.bucket.TryAdmit(now);
 }
 
 std::optional<double> TopFullController::RateLimit(sim::ApiId api) const {
@@ -66,6 +53,7 @@ std::optional<double> TopFullController::RateLimit(sim::ApiId api) const {
 }
 
 void TopFullController::ForceRateLimit(sim::ApiId api, double rate) {
+  if (!std::isfinite(rate)) return;  // fail safe: keep the current limit
   controls_[api].capped = true;
   SetRate(api, rate);
 }
@@ -114,6 +102,9 @@ RateController& TopFullController::RecoveryController(sim::ApiId api) {
 }
 
 void TopFullController::SetRate(sim::ApiId api, double rate) {
+  // Fail safe: a non-finite rate (NaN from a diverged policy, say) would pass
+  // std::clamp and starve the API, so the API keeps its current limit.
+  if (!std::isfinite(rate)) return;
   ApiControl& control = controls_[api];
   const double before = control.rate;
   control.rate = std::clamp(rate, config_.min_rate, config_.max_rate);
@@ -121,16 +112,11 @@ void TopFullController::SetRate(sim::ApiId api, double rate) {
     decision_observer_->OnRateChange(api, before, control.rate);
   }
   limit_gauges_[api]->Set(control.rate);
-  // Keep a shallow burst so 1 s averages track the limit closely. Configure
-  // resets the slot's bucket exactly like the historical fresh-TokenBucket
-  // assignment; a same-value republish still resets but skips the RCU
-  // snapshot rebuild (coalesced, counted below).
+  // Keep a shallow burst so 1 s averages track the limit closely. Every
+  // change starts a fresh, full bucket.
   const double burst =
       std::max(config_.min_burst, control.rate * config_.burst_fraction);
-  if (plane_.Configure(control.slot, control.rate, burst) ==
-      admit::ConfigureResult::kCoalesced) {
-    reconfigs_skipped_counter_->Inc();
-  }
+  control.bucket = TokenBucket(control.rate, burst);
 }
 
 void TopFullController::EnsureCapped(sim::ApiId api, const sim::Snapshot& snap) {

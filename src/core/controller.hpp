@@ -19,7 +19,7 @@
 #include <optional>
 #include <vector>
 
-#include "admit/plane.hpp"
+#include "common/token_bucket.hpp"
 #include "core/cluster_tracker.hpp"
 #include "core/clustering.hpp"
 #include "core/decision_observer.hpp"
@@ -120,17 +120,11 @@ class TopFullController : public sim::EntryAdmission {
   /// Pass-through: cannot influence control behaviour.
   void SetDecisionObserver(DecisionObserver* observer) { decision_observer_ = observer; }
 
-  /// The concurrent admission plane backing Admit(). The sim drives it from
-  /// one thread (decision-stream bit-identical to the historical per-API
-  /// TokenBucket), but the same object is safe to hammer from any number of
-  /// gateway threads while Tick() republishes limits.
-  const admit::AdmissionPlane& admission_plane() const { return plane_; }
-
  private:
   struct ApiControl {
     bool capped = false;
     double rate = 0.0;
-    int slot = -1;  ///< admission-plane slot backing this API's entry gate
+    TokenBucket bucket{0.0, 1.0};  ///< entry gate; reset by every SetRate
   };
 
   /// Applies Algorithm 1 to `candidates` with multiplicative step `action`.
@@ -150,12 +144,9 @@ class TopFullController : public sim::EntryAdmission {
   std::unique_ptr<RateController> prototype_;
   TopFullConfig config_;
   std::vector<ApiControl> controls_;
-  admit::AdmissionPlane plane_;
-  admit::CachedGate gate_;
   // Live metrics-registry handles (owned by the app's registry).
   obs::Counter* ticks_counter_ = nullptr;
   obs::Counter* decisions_counter_ = nullptr;
-  obs::Counter* reconfigs_skipped_counter_ = nullptr;
   obs::Gauge* overloaded_gauge_ = nullptr;
   std::vector<obs::Gauge*> limit_gauges_;
   std::map<sim::ServiceId, std::unique_ptr<RateController>> cluster_controllers_;

@@ -245,6 +245,25 @@ TEST(TokenBucketTest, SetRateTakesEffect) {
   EXPECT_NEAR(admitted, 1000, 10);
 }
 
+TEST(TokenBucketTest, ConstructorClampsRateAndBurst) {
+  TokenBucket bucket(-5.0, 0.25);  // rate < 0 -> 0, burst < 1 -> 1
+  EXPECT_EQ(bucket.rate(), 0.0);
+  EXPECT_EQ(bucket.burst(), 1.0);
+  EXPECT_EQ(bucket.PeekTokens(0), 1.0);  // starts full
+  EXPECT_TRUE(bucket.TryAdmit(0));       // spends the single token
+  EXPECT_FALSE(bucket.TryAdmit(0));      // zero rate: never refills
+  EXPECT_FALSE(bucket.TryAdmit(Seconds(3600)));
+}
+
+TEST(TokenBucketTest, PeekTokensDoesNotMutate) {
+  TokenBucket bucket(100.0, 10.0);
+  ASSERT_TRUE(bucket.TryAdmit(1000));
+  const double before = bucket.PeekTokens(Millis(500));
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(bucket.PeekTokens(Millis(500)), before);
+  // The preview looked half a second ahead; the real balance is still 9.
+  EXPECT_EQ(bucket.PeekTokens(1000), 9.0);
+}
+
 TEST(UnionFindTest, BasicUnions) {
   UnionFind dsu(6);
   EXPECT_TRUE(dsu.Union(0, 1));

@@ -3,6 +3,8 @@
 // controller behaviour on small deterministic topologies.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/clustering.hpp"
 #include "core/controller.hpp"
 #include "core/overload.hpp"
@@ -190,6 +192,48 @@ TEST(ControllerTest, ForcedRateLimitEnforced) {
   }
   // ~100 rps for 10 s (plus the initial burst allowance).
   EXPECT_NEAR(admitted, 1000, 60);
+}
+
+TEST(ControllerTest, NonFiniteRateKeepsTheCurrentLimit) {
+  auto app = Fig1App();
+  TopFullController controller(app.get(), std::make_unique<MimdRateController>());
+  const obs::Gauge* gauge = app->metrics_registry().GetGauge(
+      "topfull_api_rate_limit_rps", "", {{"api", "api0"}});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // An uncapped API stays uncapped.
+  controller.ForceRateLimit(0, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_FALSE(controller.RateLimit(0).has_value());
+  EXPECT_EQ(gauge->value(), kInf);
+  EXPECT_TRUE(controller.Admit(0, 0));
+  // A capped API keeps its limit, its gauge and its admits.
+  controller.ForceRateLimit(0, 100.0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    controller.ForceRateLimit(0, bad);
+    ASSERT_TRUE(controller.RateLimit(0).has_value());
+    EXPECT_EQ(*controller.RateLimit(0), 100.0);
+    EXPECT_EQ(gauge->value(), 100.0);
+  }
+  int admitted = 0;
+  for (SimTime t = 0; t < Seconds(10); t += Millis(1)) {
+    admitted += controller.Admit(0, t) ? 1 : 0;
+  }
+  EXPECT_NEAR(admitted, 1000, 60);
+}
+
+TEST(ControllerTest, SameRateRefillsTheEntryBucket) {
+  auto app = Fig1App();
+  TopFullConfig config;
+  config.min_rate = 0.0;
+  config.min_burst = 4.0;
+  TopFullController controller(app.get(), std::make_unique<MimdRateController>(),
+                               config);
+  controller.ForceRateLimit(0, 0.0);  // zero rate: only the burst of 4 admits
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(controller.Admit(0, Seconds(1)));
+  EXPECT_FALSE(controller.Admit(0, Seconds(1)));
+  // Re-applying the same limit starts a fresh, full bucket.
+  controller.ForceRateLimit(0, 0.0);
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(controller.Admit(0, Seconds(1)));
+  EXPECT_FALSE(controller.Admit(0, Seconds(1)));
 }
 
 TEST(ControllerTest, OverloadTriggersCapOnOffendingApi) {
