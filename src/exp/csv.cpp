@@ -5,13 +5,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+
+#include "obs/text_buffer.hpp"
 
 namespace topfull::exp {
 
 bool WriteTimelineCsv(const sim::Application& app, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
+  obs::TextBuffer out(path);
+  if (!out.ok()) return false;
   out << "t_s";
   for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
     const std::string& name = app.api(a).name();
@@ -21,17 +22,26 @@ bool WriteTimelineCsv(const sim::Application& app, const std::string& path) {
   for (int s = 0; s < app.NumServices(); ++s) {
     out << ",util_" << app.service(s).name();
   }
-  out << '\n';
+  out << "\n";
+  // Doubles keep the iostream default rendering the file has always had:
+  // %g with six significant digits.
+  constexpr int kDigits = 6;
   for (const auto& snap : app.metrics().Timeline()) {
-    out << snap.t_end_s;
+    out.Num(snap.t_end_s, kDigits);
     for (const auto& api : snap.apis) {
-      out << ',' << api.offered << ',' << api.admitted << ',' << api.good << ','
-          << api.latency_p95_ms;
+      out << ",";
+      out.U64(api.offered) << ",";
+      out.U64(api.admitted) << ",";
+      out.U64(api.good) << ",";
+      out.Num(api.latency_p95_ms, kDigits);
     }
-    for (const auto& svc : snap.services) out << ',' << svc.cpu_utilization;
-    out << '\n';
+    for (const auto& svc : snap.services) {
+      out << ",";
+      out.Num(svc.cpu_utilization, kDigits);
+    }
+    out << "\n";
   }
-  return static_cast<bool>(out);
+  return out.Close();
 }
 
 void MaybeExportTimeline(const sim::Application& app, const std::string& name) {

@@ -1,27 +1,11 @@
 #include "obs/export.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-
 #include "core/controller.hpp"
+#include "obs/text_buffer.hpp"
 
 namespace topfull::obs {
 
 namespace {
-
-/// Deterministic, locale-independent double formatting.
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string U64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 const char* OutcomeName(sim::Outcome outcome) {
   switch (outcome) {
@@ -38,30 +22,33 @@ bool WritePerfettoTrace(const RequestTracer& tracer, const sim::Application& app
                         const std::string& path,
                         const std::vector<fault::FaultRecord>* faults,
                         const std::vector<SloEvent>* slo_events) {
-  std::ofstream out(path);
-  if (!out) return false;
+  TextBuffer out(path);
+  if (!out.ok()) return false;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
-  const auto emit = [&out, &first](const std::string& event) {
+  // Starts the next event: every event but the first follows ",\n".
+  const auto next = [&out, &first]() -> TextBuffer& {
     if (!first) out << ",\n";
     first = false;
-    out << event;
+    return out;
   };
 
   // Process/thread naming: pid 0 is the client (root spans, one thread per
   // API); pid s+1 is microservice s.
-  emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-       "\"args\":{\"name\":\"client:" + JsonEscape(app.name()) + "\"}}");
+  next() << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+            "\"args\":{\"name\":\"client:";
+  out.Json(app.name()) << "\"}}";
   for (int s = 0; s < app.NumServices(); ++s) {
-    emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + U64(s + 1) +
-         ",\"tid\":0,\"args\":{\"name\":\"" + JsonEscape(app.service(s).name()) +
-         "\"}}");
+    next() << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+    out.U64(s + 1) << ",\"tid\":0,\"args\":{\"name\":\"";
+    out.Json(app.service(s).name()) << "\"}}";
   }
   for (int pid = 0; pid <= app.NumServices(); ++pid) {
     for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
-      emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" + U64(pid) +
-           ",\"tid\":" + U64(a) + ",\"args\":{\"name\":\"" +
-           JsonEscape(app.api(a).name()) + "\"}}");
+      next() << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
+      out.U64(pid) << ",\"tid\":";
+      out.U64(a) << ",\"args\":{\"name\":\"";
+      out.Json(app.api(a).name()) << "\"}}";
     }
   }
 
@@ -69,16 +56,17 @@ bool WritePerfettoTrace(const RequestTracer& tracer, const sim::Application& app
   // request spans they disturbed.
   if (faults != nullptr && !faults->empty()) {
     const std::string fault_pid = U64(static_cast<std::uint64_t>(app.NumServices()) + 1);
-    emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + fault_pid +
-         ",\"tid\":0,\"args\":{\"name\":\"faults\"}}");
+    next() << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << fault_pid
+           << ",\"tid\":0,\"args\":{\"name\":\"faults\"}}";
     for (const fault::FaultRecord& r : *faults) {
-      emit("{\"name\":\"" + std::string(fault::FaultTypeName(r.type)) + ":" +
-           fault::FaultActionName(r.action) +
-           "\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\"ts\":" +
-           U64(static_cast<std::uint64_t>(r.at)) + ",\"pid\":" + fault_pid +
-           ",\"tid\":0,\"args\":{\"service\":\"" + JsonEscape(r.service) +
-           "\",\"severity\":" + Num(r.severity) + ",\"count\":" + U64(r.count) +
-           "}}");
+      next() << "{\"name\":\"" << fault::FaultTypeName(r.type) << ":"
+             << fault::FaultActionName(r.action)
+             << "\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\"ts\":";
+      out.U64(static_cast<std::uint64_t>(r.at)) << ",\"pid\":" << fault_pid
+          << ",\"tid\":0,\"args\":{\"service\":\"";
+      out.Json(r.service) << "\",\"severity\":";
+      out.Num(r.severity) << ",\"count\":";
+      out.U64(static_cast<std::uint64_t>(r.count)) << "}}";
     }
   }
 
@@ -86,46 +74,63 @@ bool WritePerfettoTrace(const RequestTracer& tracer, const sim::Application& app
   // closes in simulation time — deterministic by construction.
   if (slo_events != nullptr && !slo_events->empty()) {
     const std::string slo_pid = U64(static_cast<std::uint64_t>(app.NumServices()) + 2);
-    emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + slo_pid +
-         ",\"tid\":0,\"args\":{\"name\":\"slo\"}}");
+    next() << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << slo_pid
+           << ",\"tid\":0,\"args\":{\"name\":\"slo\"}}";
     for (const SloEvent& e : *slo_events) {
-      emit("{\"name\":\"" + std::string(SloEventTypeName(e.type)) +
-           "\",\"cat\":\"slo\",\"ph\":\"i\",\"s\":\"g\",\"ts\":" +
-           U64(static_cast<std::uint64_t>(e.t_s * 1e6)) + ",\"pid\":" + slo_pid +
-           ",\"tid\":0,\"args\":{\"subject\":\"" + JsonEscape(e.subject) +
-           "\",\"value\":" + Num(e.value) + ",\"threshold\":" + Num(e.threshold) +
-           "}}");
+      next() << "{\"name\":\"" << SloEventTypeName(e.type)
+             << "\",\"cat\":\"slo\",\"ph\":\"i\",\"s\":\"g\",\"ts\":";
+      out.U64(static_cast<std::uint64_t>(e.t_s * 1e6)) << ",\"pid\":" << slo_pid
+          << ",\"tid\":0,\"args\":{\"subject\":\"";
+      out.Json(e.subject) << "\",\"value\":";
+      out.Num(e.value) << ",\"threshold\":";
+      out.Num(e.threshold) << "}}";
     }
   }
 
+  // Request and hop events dominate the file: their names are escaped once
+  // up front, the per-event work is appends and integer formatting.
+  std::vector<std::string> api_names;
+  for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
+    api_names.push_back(JsonEscape(app.api(a).name()));
+  }
+  std::vector<std::string> service_names;
+  for (int s = 0; s < app.NumServices(); ++s) {
+    service_names.push_back(JsonEscape(app.service(s).name()));
+  }
   for (const RequestTrace& trace : tracer.finished()) {
-    const std::string tid = U64(static_cast<std::uint64_t>(trace.api));
+    const std::uint64_t tid = static_cast<std::uint64_t>(trace.api);
     if (trace.outcome == sim::Outcome::kRejectedEntry) {
-      emit("{\"name\":\"rejected_entry\",\"cat\":\"admission\",\"ph\":\"i\","
-           "\"s\":\"t\",\"ts\":" + U64(trace.start) + ",\"pid\":0,\"tid\":" +
-           tid + "}");
+      next() << "{\"name\":\"rejected_entry\",\"cat\":\"admission\",\"ph\":\"i\","
+                "\"s\":\"t\",\"ts\":";
+      out.U64(trace.start) << ",\"pid\":0,\"tid\":";
+      out.U64(tid) << "}";
       continue;
     }
-    emit("{\"name\":\"" + JsonEscape(app.api(trace.api).name()) +
-         "\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":" + U64(trace.start) +
-         ",\"dur\":" + U64(trace.end - trace.start) + ",\"pid\":0,\"tid\":" +
-         tid + ",\"args\":{\"id\":" + U64(trace.id) + ",\"outcome\":\"" +
-         OutcomeName(trace.outcome) + "\",\"slo_ok\":" +
-         (trace.slo_ok ? "true" : "false") + "}}");
+    next() << "{\"name\":\"" << api_names[static_cast<std::size_t>(trace.api)]
+           << "\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":";
+    out.U64(trace.start) << ",\"dur\":";
+    out.U64(trace.end - trace.start) << ",\"pid\":0,\"tid\":";
+    out.U64(tid) << ",\"args\":{\"id\":";
+    out.U64(trace.id) << ",\"outcome\":\"" << OutcomeName(trace.outcome)
+                      << (trace.slo_ok ? "\",\"slo_ok\":true}}"
+                                       : "\",\"slo_ok\":false}}");
     for (const HopSpan& span : trace.spans) {
-      emit("{\"name\":\"" + JsonEscape(app.service(span.service).name()) +
-           "\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":" + U64(span.start) +
-           ",\"dur\":" + U64(span.end - span.start) + ",\"pid\":" +
-           U64(span.service + 1) + ",\"tid\":" + tid +
-           ",\"args\":{\"id\":" + U64(trace.id) + ",\"queue_wait_ms\":" +
-           Num(ToMillis(span.queue_wait)) + ",\"service_time_ms\":" +
-           Num(ToMillis(span.service_time)) + ",\"ok\":" +
-           (span.ok ? "true" : "false") + ",\"shed\":" +
-           (span.shed ? "true" : "false") + "}}");
+      next() << "{\"name\":\""
+             << service_names[static_cast<std::size_t>(span.service)]
+             << "\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":";
+      out.U64(span.start) << ",\"dur\":";
+      out.U64(span.end - span.start) << ",\"pid\":";
+      out.U64(span.service + 1) << ",\"tid\":";
+      out.U64(tid) << ",\"args\":{\"id\":";
+      out.U64(trace.id) << ",\"queue_wait_ms\":";
+      out.Num(ToMillis(span.queue_wait)) << ",\"service_time_ms\":";
+      out.Num(ToMillis(span.service_time))
+          << (span.ok ? ",\"ok\":true" : ",\"ok\":false")
+          << (span.shed ? ",\"shed\":true}}" : ",\"shed\":false}}");
     }
   }
   out << "\n]}\n";
-  return static_cast<bool>(out);
+  return out.Close();
 }
 
 namespace {
@@ -138,14 +143,10 @@ std::string SloEventLine(const SloEvent& e) {
 
 std::string AlertLine(const AlertTransition& tr) {
   // Burn ratios can be non-finite (zero denominator); keep the line JSON.
-  const std::string value =
-      std::isfinite(tr.value)
-          ? Num(tr.value)
-          : (std::isnan(tr.value) ? "\"nan\""
-                                  : tr.value > 0 ? "\"inf\"" : "\"-inf\"");
   return "{\"t_s\":" + Num(tr.t_s) + ",\"event\":\"alert\",\"rule\":\"" +
          JsonEscape(tr.rule) + "\",\"from\":\"" + AlertStateName(tr.from) +
-         "\",\"to\":\"" + AlertStateName(tr.to) + "\",\"value\":" + value + "}";
+         "\",\"to\":\"" + AlertStateName(tr.to) + "\",\"value\":" +
+         JsonDouble(tr.value) + "}";
 }
 
 }  // namespace
@@ -154,8 +155,8 @@ bool WriteDecisionLogJsonl(const DecisionLog& log, const sim::Application& app,
                            const std::string& path,
                            const std::vector<SloEvent>* slo_events,
                            const std::vector<AlertTransition>* alerts) {
-  std::ofstream out(path);
-  if (!out) return false;
+  TextBuffer out(path);
+  if (!out.ok()) return false;
   const auto api_name = [&app](sim::ApiId a) {
     return "\"" + JsonEscape(app.api(a).name()) + "\"";
   };
@@ -259,7 +260,7 @@ bool WriteDecisionLogJsonl(const DecisionLog& log, const sim::Application& app,
       ++next_alert;
     }
   }
-  return static_cast<bool>(out);
+  return out.Close();
 }
 
 void AppendTracerCounters(SnapshotBuilder& builder, const RequestTracer& tracer,
@@ -278,15 +279,12 @@ void AppendTracerCounters(SnapshotBuilder& builder, const RequestTracer& tracer,
 
 bool WritePrometheusText(const sim::Application& app, const RequestTracer* tracer,
                          const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
   // The tracer lives outside the application (it is attached per run, the
   // registry belongs to the app), so its counters join the snapshot here.
   SnapshotBuilder builder;
   builder.AddRegistry(app.metrics_registry());
   if (tracer != nullptr) AppendTracerCounters(builder, *tracer);
-  out << PromTextFromSnapshot(*builder.Finish());
-  return static_cast<bool>(out);
+  return WriteTextFile(path, PromTextFromSnapshot(*builder.Finish()));
 }
 
 }  // namespace topfull::obs

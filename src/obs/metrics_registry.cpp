@@ -41,6 +41,7 @@ MetricsRegistry::Cell* MetricsRegistry::GetCell(const std::string& name,
   if (cell_inserted) {
     cell_it->second = std::make_unique<Cell>();
     cell_it->second->labels = std::move(labels);
+    ++cells_created_;
   }
   return cell_it->second.get();
 }

@@ -99,6 +99,10 @@ class MetricsRegistry {
 
   std::size_t FamilyCount() const { return families_.size(); }
 
+  /// Cells created so far. Readers that cache cell pointers (the TSDB
+  /// RegistryFeed) re-plan only when this changes.
+  std::uint64_t cells_created() const { return cells_created_; }
+
   /// Canonical cell key for a label set ("k1=v1,k2=v2"; empty for no labels).
   static std::string LabelKey(const Labels& labels);
 
@@ -107,6 +111,7 @@ class MetricsRegistry {
                 MetricType type, Labels labels);
 
   std::map<std::string, Family> families_;
+  std::uint64_t cells_created_ = 0;
 };
 
 }  // namespace topfull::obs

@@ -11,16 +11,12 @@
 #include <regex>
 #include <string_view>
 
+#include "obs/snapshot.hpp"
+#include "obs/text_buffer.hpp"
+
 namespace topfull::obs {
 
 namespace {
-
-/// Deterministic, locale-independent double formatting.
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
 
 // --- Lexer -------------------------------------------------------------------
 

@@ -3,26 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 #include "core/controller.hpp"
 #include "obs/export.hpp"
+#include "obs/text_buffer.hpp"
 
 namespace topfull::obs {
 
 namespace {
-
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string U64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 std::string Quote(const std::string& s) { return "\"" + JsonEscape(s) + "\""; }
 
@@ -504,17 +492,11 @@ std::string BuildHtmlReport(const ReportInputs& inputs) {
 }
 
 bool WriteRunSummaryJson(const ReportInputs& inputs, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << BuildRunSummaryJson(inputs);
-  return static_cast<bool>(out);
+  return WriteTextFile(path, BuildRunSummaryJson(inputs));
 }
 
 bool WriteHtmlReport(const ReportInputs& inputs, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << BuildHtmlReport(inputs);
-  return static_cast<bool>(out);
+  return WriteTextFile(path, BuildHtmlReport(inputs));
 }
 
 // --- Regression diffing ------------------------------------------------------

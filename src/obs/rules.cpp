@@ -1,20 +1,11 @@
 #include "obs/rules.hpp"
 
-#include <cmath>
-#include <cstdio>
+#include "obs/snapshot.hpp"
+#include "obs/text_buffer.hpp"
 
 namespace topfull::obs {
 
 namespace {
-
-std::string Num(double v) {
-  // An infinite alert value (e.g. a burn ratio with a zero denominator)
-  // must not leak bare "inf" into the JSON body.
-  if (!std::isfinite(v)) return std::isnan(v) ? "\"nan\"" : v > 0 ? "\"inf\"" : "\"-inf\"";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
 
 /// The SLO bad-fraction burn expression over one window, as a multiple of
 /// the error budget. NaN (no completions in the window) compares false,
@@ -129,24 +120,27 @@ double RuleEngine::last_eval_s() const {
 
 std::string RuleEngine::AlertsJson() const {
   std::lock_guard<std::mutex> lock(mu_);
+  // JsonDouble: an infinite alert value (e.g. a burn ratio with a zero
+  // denominator) must not leak bare "inf" into the JSON body.
   std::string out = "{\"status\":\"success\",\"data\":{\"last_eval_s\":" +
-                    Num(last_eval_s_) + ",\"alerts\":[";
+                    JsonDouble(last_eval_s_) + ",\"alerts\":[";
   for (std::size_t i = 0; i < alerts_.size(); ++i) {
     const AlertStatus& alert = alerts_[i];
     if (i > 0) out += ",";
     out += "{\"name\":\"" + JsonEscape(alert.rule.name) + "\",\"severity\":\"" +
            JsonEscape(alert.rule.severity) + "\",\"for_s\":" +
-           Num(alert.rule.for_s) + ",\"state\":\"" +
+           JsonDouble(alert.rule.for_s) + ",\"state\":\"" +
            AlertStateName(alert.state) + "\",\"since_s\":" +
-           Num(alert.since_s) + ",\"value\":" + Num(alert.value) + "}";
+           JsonDouble(alert.since_s) + ",\"value\":" + JsonDouble(alert.value) +
+           "}";
   }
   out += "],\"transitions\":[";
   for (std::size_t i = 0; i < transitions_.size(); ++i) {
     const AlertTransition& tr = transitions_[i];
     if (i > 0) out += ",";
-    out += "{\"t_s\":" + Num(tr.t_s) + ",\"rule\":\"" + JsonEscape(tr.rule) +
-           "\",\"from\":\"" + AlertStateName(tr.from) + "\",\"to\":\"" +
-           AlertStateName(tr.to) + "\",\"value\":" + Num(tr.value) + "}";
+    out += "{\"t_s\":" + JsonDouble(tr.t_s) + ",\"rule\":\"" +
+           JsonEscape(tr.rule) + "\",\"from\":\"" + AlertStateName(tr.from) + "\",\"to\":\"" +
+           AlertStateName(tr.to) + "\",\"value\":" + JsonDouble(tr.value) + "}";
   }
   out += "]}}\n";
   return out;

@@ -3,27 +3,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <utility>
 
+#include "obs/text_buffer.hpp"
+
 namespace topfull::obs {
 
 namespace {
-
-/// Deterministic, locale-independent double formatting.
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string U64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 /// Sample-value rendering: Prometheus spells out non-finite values.
 std::string PromNum(double v) {
@@ -126,23 +114,7 @@ std::string PromEscapeHelp(const std::string& s) {
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendJsonEscaped(out, s);
   return out;
 }
 

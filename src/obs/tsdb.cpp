@@ -1,37 +1,13 @@
 #include "obs/tsdb.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
-#include "obs/histogram.hpp"
 #include "obs/prom_parser.hpp"
+#include "obs/text_buffer.hpp"
 
 namespace topfull::obs {
 
 namespace {
-
-/// Deterministic, locale-independent double formatting (display forms).
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-/// Round-trip-exact formatting for stored sample values: 17 significant
-/// digits reconstruct any finite double bit-exactly, which the
-/// live-vs-replay equality contract depends on. JSON has no literal for
-/// non-finite values, so those become strings ("inf"/"-inf"/"nan") that
-/// TsdbFromJson maps back.
-std::string NumExact(double v) {
-  if (!std::isfinite(v)) {
-    if (std::isnan(v)) return "\"nan\"";
-    return v > 0 ? "\"inf\"" : "\"-inf\"";
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 bool IsCumulative(MetricType type) { return type == MetricType::kCounter; }
 
@@ -88,54 +64,6 @@ bool Tsdb::Append(const std::string& name, const Labels& labels,
                   MetricType type, double t_s, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   return AppendLocked(GetSeries(name, labels, type), t_s, value);
-}
-
-void Tsdb::AppendSnapshot(const MetricsSnapshot& snapshot, double t_s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const MetricsSnapshot::Family& family : snapshot.families) {
-    for (const MetricsSnapshot::Cell& cell : family.cells) {
-      switch (family.type) {
-        case MetricType::kCounter:
-          AppendLocked(GetSeries(family.name, cell.labels, MetricType::kCounter),
-                       t_s, static_cast<double>(cell.counter));
-          break;
-        case MetricType::kGauge:
-          AppendLocked(GetSeries(family.name, cell.labels, MetricType::kGauge),
-                       t_s, cell.gauge);
-          break;
-        case MetricType::kHistogram: {
-          if (!cell.histogram.has_value()) break;
-          const Histogram& h = *cell.histogram;
-          // Mirror the text exposition exactly: cumulative buckets with
-          // empty ones elided, `+Inf` always present, then _sum/_count.
-          // All derived series are cumulative, hence stored as counters.
-          std::uint64_t cumulative = 0;
-          Labels bucket_labels = cell.labels;
-          bucket_labels.emplace_back("le", "");
-          for (int b = 0; b + 1 < h.NumBuckets(); ++b) {
-            const std::uint64_t in_bucket = h.BucketCount(b);
-            cumulative += in_bucket;
-            if (in_bucket == 0) continue;
-            bucket_labels.back().second = Num(h.UpperBound(b));
-            AppendLocked(GetSeries(family.name + "_bucket", bucket_labels,
-                                   MetricType::kCounter),
-                         t_s, static_cast<double>(cumulative));
-          }
-          bucket_labels.back().second = "+Inf";
-          AppendLocked(GetSeries(family.name + "_bucket", bucket_labels,
-                                 MetricType::kCounter),
-                       t_s, static_cast<double>(h.count()));
-          AppendLocked(GetSeries(family.name + "_sum", cell.labels,
-                                 MetricType::kCounter),
-                       t_s, h.sum());
-          AppendLocked(GetSeries(family.name + "_count", cell.labels,
-                                 MetricType::kCounter),
-                       t_s, static_cast<double>(h.count()));
-          break;
-        }
-      }
-    }
-  }
 }
 
 void Tsdb::AppendScrape(const PromScrape& scrape, double t_s) {
@@ -212,47 +140,122 @@ TsdbStats Tsdb::stats() const {
   return stats;
 }
 
-std::string TsdbJson(const Tsdb& tsdb) {
-  const TsdbStats stats = tsdb.stats();
-  std::string out = "{\"schema\":\"topfull.tsdb.v1\",\"step_s\":" +
-                    Num(tsdb.options().step_s) + ",\"retention\":" +
-                    std::to_string(tsdb.options().retention) +
-                    ",\"stats\":{\"series\":" + std::to_string(stats.series) +
-                    ",\"appended\":" + std::to_string(stats.appended) +
-                    ",\"evicted\":" + std::to_string(stats.evicted) +
-                    ",\"out_of_order\":" + std::to_string(stats.out_of_order) +
-                    ",\"counter_resets\":" + std::to_string(stats.counter_resets) +
-                    "},\"series\":[";
+void Tsdb::RenderJson(TextBuffer& out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::uint64_t counter_resets = 0;
+  for (const auto& [key, series] : series_) counter_resets += series.resets;
+  out << "{\"schema\":\"topfull.tsdb.v1\",\"step_s\":";
+  out.Num(options_.step_s) << ",\"retention\":";
+  out.U64(options_.retention) << ",\"stats\":{\"series\":";
+  out.U64(series_.size()) << ",\"appended\":";
+  out.U64(appended_) << ",\"evicted\":";
+  out.U64(evicted_) << ",\"out_of_order\":";
+  out.U64(out_of_order_) << ",\"counter_resets\":";
+  out.U64(counter_resets) << "},\"series\":[";
   bool first_series = true;
-  for (const SeriesSnapshot& series : tsdb.All()) {
-    if (!first_series) out += ",";
+  for (const auto& [key, series] : series_) {
+    out << (first_series ? "\n{\"name\":\"" : ",\n{\"name\":\"");
     first_series = false;
-    out += "\n{\"name\":\"";
-    out += JsonEscape(series.name);
-    out += "\",\"type\":\"";
-    out += MetricTypeName(series.type);
-    out += "\",\"labels\":{";
+    out.Json(key.first) << "\",\"type\":\"" << MetricTypeName(series.type)
+                        << "\",\"labels\":{";
     for (std::size_t i = 0; i < series.labels.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "\"";
-      out += JsonEscape(series.labels[i].first);
-      out += "\":\"";
-      out += JsonEscape(series.labels[i].second);
-      out += "\"";
+      out << (i > 0 ? ",\"" : "\"");
+      out.Json(series.labels[i].first) << "\":\"";
+      out.Json(series.labels[i].second) << "\"";
     }
-    out += "},\"samples\":[";
-    for (std::size_t i = 0; i < series.samples.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "[";
-      out += NumExact(series.samples[i].t_s);
-      out += ",";
-      out += NumExact(series.samples[i].value);
-      out += "]";
+    out << "},\"samples\":[";
+    for (std::size_t i = 0; i < series.size; ++i) {
+      const TsdbSample& sample =
+          series.ring[(series.head + i) % options_.retention];
+      // %.17g reconstructs any finite double bit-exactly, which the
+      // live-vs-replay equality contract depends on.
+      out << (i > 0 ? ",[" : "[");
+      out.JsonNum(sample.t_s, 17) << ",";
+      out.JsonNum(sample.value, 17) << "]";
     }
-    out += "]}";
+    out << "]}";
   }
-  out += "\n]}\n";
-  return out;
+  out << "\n]}\n";
+}
+
+std::string TsdbJson(const Tsdb& tsdb) {
+  TextBuffer out;
+  tsdb.RenderJson(out);
+  return out.Take();
+}
+
+// --- RegistryFeed -------------------------------------------------------------
+
+RegistryFeed::RegistryFeed(Tsdb* tsdb, const MetricsRegistry* registry,
+                           Labels extra)
+    : tsdb_(tsdb), registry_(registry), extra_(std::move(extra)) {}
+
+void RegistryFeed::Plan() {
+  scalars_.clear();
+  histograms_.clear();
+  for (const auto& [name, family] : registry_->families()) {
+    for (const auto& [key, cell] : family.cells) {
+      Labels labels = cell->labels;
+      labels.insert(labels.end(), extra_.begin(), extra_.end());
+      if (family.type != MetricType::kHistogram) {
+        const bool counter = family.type == MetricType::kCounter;
+        scalars_.push_back({cell.get(), counter,
+                            &tsdb_->GetSeries(name, labels, family.type)});
+        continue;
+      }
+      if (cell->histogram == nullptr) continue;
+      // All derived series are cumulative, hence stored as counters.
+      HistogramSeries h;
+      h.histogram = cell->histogram.get();
+      h.bucket_name = name + "_bucket";
+      h.buckets.assign(static_cast<std::size_t>(h.histogram->NumBuckets() - 1),
+                       nullptr);
+      h.sum = &tsdb_->GetSeries(name + "_sum", labels, MetricType::kCounter);
+      h.count = &tsdb_->GetSeries(name + "_count", labels, MetricType::kCounter);
+      labels.emplace_back("le", "+Inf");
+      h.inf = &tsdb_->GetSeries(h.bucket_name, labels, MetricType::kCounter);
+      labels.pop_back();
+      h.labels = std::move(labels);
+      histograms_.push_back(std::move(h));
+    }
+  }
+  planned_cells_ = registry_->cells_created();
+}
+
+Tsdb::Series* RegistryFeed::Bucket(HistogramSeries& h, int b) {
+  Tsdb::Series*& series = h.buckets[static_cast<std::size_t>(b)];
+  if (series == nullptr) {
+    Labels labels = h.labels;
+    labels.emplace_back("le", Num(h.histogram->UpperBound(b)));
+    series = &tsdb_->GetSeries(h.bucket_name, labels, MetricType::kCounter);
+  }
+  return series;
+}
+
+void RegistryFeed::Append(double t_s) {
+  std::lock_guard<std::mutex> lock(tsdb_->mu_);
+  if (registry_->cells_created() != planned_cells_) Plan();
+  for (const Scalar& s : scalars_) {
+    tsdb_->AppendLocked(*s.series, t_s,
+                        s.counter ? static_cast<double>(s.cell->counter.value())
+                                  : s.cell->gauge.value());
+  }
+  for (HistogramSeries& h : histograms_) {
+    // Mirror the text exposition exactly: cumulative buckets with empty
+    // ones elided, `+Inf` always present, then _sum/_count.
+    const Histogram& histogram = *h.histogram;
+    std::uint64_t cumulative = 0;
+    for (int b = 0; b + 1 < histogram.NumBuckets(); ++b) {
+      const std::uint64_t in_bucket = histogram.BucketCount(b);
+      if (in_bucket == 0) continue;
+      cumulative += in_bucket;
+      tsdb_->AppendLocked(*Bucket(h, b), t_s, static_cast<double>(cumulative));
+    }
+    const double count = static_cast<double>(histogram.count());
+    tsdb_->AppendLocked(*h.inf, t_s, count);
+    tsdb_->AppendLocked(*h.sum, t_s, histogram.sum());
+    tsdb_->AppendLocked(*h.count, t_s, count);
+  }
 }
 
 }  // namespace topfull::obs

@@ -6,11 +6,12 @@
 // bounded by series x retention regardless of run length, and the oldest
 // samples are evicted first. Two ingestion paths feed it:
 //
-//   * in-process: AppendSnapshot flattens a MetricsSnapshot at its sim-time
-//     stamp — histogram cells expand into the same cumulative
-//     `_bucket{le=...}` / `_sum` / `_count` series the Prometheus text
-//     exposition renders (empty buckets elided, `+Inf` always present), so
-//     the TSDB, the text endpoint, and the query engine agree on keys;
+//   * in-process: a RegistryFeed flattens a live MetricsRegistry at each
+//     window's sim-time stamp — histogram cells expand into the same
+//     cumulative `_bucket{le=...}` / `_sum` / `_count` series the
+//     Prometheus text exposition renders (empty buckets elided, `+Inf`
+//     always present), so the TSDB, the text endpoint, and the query
+//     engine agree on keys;
 //   * out-of-process: AppendScrape ingests a parsed Prometheus scrape
 //     (prom_parser.hpp), the ingestion half of the standalone runtime mode.
 //
@@ -37,11 +38,11 @@
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
-#include "obs/snapshot.hpp"
 
 namespace topfull::obs {
 
 struct PromScrape;  // prom_parser.hpp
+class TextBuffer;   // text_buffer.hpp
 
 struct TsdbOptions {
   /// Nominal sample spacing in seconds (the metrics-window cadence). The
@@ -85,11 +86,6 @@ class Tsdb {
   bool Append(const std::string& name, const Labels& labels, MetricType type,
               double t_s, double value);
 
-  /// Flattens every family of `snapshot` at time `t_s`. Histogram cells
-  /// expand into cumulative `_bucket`/`_sum`/`_count` counter series keyed
-  /// exactly like the text exposition.
-  void AppendSnapshot(const MetricsSnapshot& snapshot, double t_s);
-
   /// Ingests a parsed Prometheus scrape at time `t_s`. Histogram families
   /// arrive pre-flattened (their samples already carry `le`); every sample
   /// of a histogram family is stored as a counter series.
@@ -111,7 +107,13 @@ class Tsdb {
   TsdbStats stats() const;
   const TsdbOptions& options() const { return options_; }
 
+  /// Renders the whole store as the "topfull.tsdb.v1" JSON document under
+  /// one lock (see TsdbJson).
+  void RenderJson(TextBuffer& out) const;
+
  private:
+  friend class RegistryFeed;
+
   struct Series {
     Labels labels;
     MetricType type = MetricType::kGauge;
@@ -134,6 +136,51 @@ class Tsdb {
   std::uint64_t appended_ = 0;
   std::uint64_t evicted_ = 0;
   std::uint64_t out_of_order_ = 0;
+};
+
+/// The in-process feed: appends every cell of one registry to a Tsdb at
+/// each call, flattened exactly like the text exposition (and therefore
+/// exactly like AppendScrape of that exposition). `extra` labels are
+/// appended to every series (the sharded plane passes {{"shard", "k"}}).
+///
+/// The feed resolves each cell to its series handle once and keeps the
+/// plan until the registry creates a new cell (MetricsRegistry::
+/// cells_created); a histogram bucket's series is resolved, and its `le`
+/// formatted, the first time the bucket is non-empty. Series are never
+/// erased, so the handles stay valid. Each Append then reads the values
+/// and appends them under one store lock. Call Append on the thread that
+/// updates the registry.
+class RegistryFeed {
+ public:
+  RegistryFeed(Tsdb* tsdb, const MetricsRegistry* registry, Labels extra = {});
+
+  void Append(double t_s);
+
+ private:
+  struct Scalar {
+    const MetricsRegistry::Cell* cell = nullptr;
+    bool counter = false;
+    Tsdb::Series* series = nullptr;
+  };
+  struct HistogramSeries {
+    const Histogram* histogram = nullptr;
+    std::string bucket_name;             ///< family name + "_bucket"
+    Labels labels;                       ///< cell labels + extra
+    std::vector<Tsdb::Series*> buckets;  ///< finite buckets, null until used
+    Tsdb::Series* inf = nullptr;
+    Tsdb::Series* sum = nullptr;
+    Tsdb::Series* count = nullptr;
+  };
+
+  void Plan();
+  Tsdb::Series* Bucket(HistogramSeries& h, int b);
+
+  Tsdb* tsdb_;
+  const MetricsRegistry* registry_;
+  Labels extra_;
+  std::uint64_t planned_cells_ = 0;  ///< registry cells_created() at Plan
+  std::vector<Scalar> scalars_;
+  std::vector<HistogramSeries> histograms_;
 };
 
 /// Serialises the whole store as the "topfull.tsdb.v1" JSON document

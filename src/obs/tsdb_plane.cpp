@@ -2,12 +2,11 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 
 #include "obs/json.hpp"
 #include "obs/query.hpp"
-#include "obs/snapshot.hpp"
+#include "obs/text_buffer.hpp"
 #include "sim/app.hpp"
 
 namespace topfull::obs {
@@ -16,14 +15,21 @@ namespace topfull::obs {
 /// first (SloMonitor events precede same-timestamp TSDB activity), then
 /// hands the window to the plane.
 struct TsdbPlane::Feeder : sim::WindowObserver {
-  TsdbPlane* plane = nullptr;
-  const MetricsRegistry* registry = nullptr;
-  sim::WindowObserver* next = nullptr;
-  Labels extra;
+  Feeder(TsdbPlane* plane, const MetricsRegistry* registry, Labels extra,
+         sim::WindowObserver* next)
+      : plane(plane), feed(&plane->tsdb_, registry, std::move(extra)), next(next) {}
+
+  TsdbPlane* plane;
+  RegistryFeed feed;
+  sim::WindowObserver* next;
 
   void OnWindow(const sim::Snapshot& snapshot) override {
     if (next != nullptr) next->OnWindow(snapshot);
-    plane->OnFeederWindow(*this, snapshot);
+    // Registry families only: the live-only wall-clock families (profiler,
+    // sharded scheduler) never enter the store, so its contents depend on
+    // simulation state alone.
+    feed.Append(snapshot.t_end_s);
+    plane->OnFeederWindow(snapshot.t_end_s);
   }
 };
 
@@ -33,27 +39,18 @@ TsdbPlane::TsdbPlane(TsdbPlaneOptions options)
 TsdbPlane::~TsdbPlane() = default;
 
 void TsdbPlane::Attach(sim::Application& app, int shard, int num_shards) {
-  auto feeder = std::make_unique<Feeder>();
-  feeder->plane = this;
-  feeder->registry = &app.metrics_registry();
-  feeder->next = app.metrics().window_observer();
-  if (num_shards > 1) {
-    feeder->extra.emplace_back("shard", std::to_string(shard));
-  }
+  Labels extra;
+  if (num_shards > 1) extra.emplace_back("shard", std::to_string(shard));
+  auto feeder = std::make_unique<Feeder>(this, &app.metrics_registry(),
+                                         std::move(extra),
+                                         app.metrics().window_observer());
   app.metrics().SetWindowObserver(feeder.get());
   feeders_.push_back(std::move(feeder));
 }
 
-void TsdbPlane::OnFeederWindow(const Feeder& feeder,
-                               const sim::Snapshot& snapshot) {
-  // Registry families only: the live-only wall-clock families (profiler,
-  // sharded scheduler) never enter the store, so its contents depend on
-  // simulation state alone.
-  SnapshotBuilder builder;
-  builder.AddRegistry(*feeder.registry, feeder.extra);
-  tsdb_.AppendSnapshot(*builder.Finish(), snapshot.t_end_s);
+void TsdbPlane::OnFeederWindow(double t_end_s) {
   if (options_.evaluate_on_window) {
-    EvaluateBoundaries(snapshot.t_end_s, /*inclusive=*/true);
+    EvaluateBoundaries(t_end_s, /*inclusive=*/true);
   }
 }
 
@@ -80,19 +77,11 @@ void TsdbPlane::EvaluateBoundaries(double limit_s, bool inclusive) {
   }
 }
 
-namespace {
-
-bool WriteTextFile(const std::string& path, const std::string& body) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << body;
-  return static_cast<bool>(out);
-}
-
-}  // namespace
-
 bool WriteTsdbJson(const Tsdb& tsdb, const std::string& path) {
-  return WriteTextFile(path, TsdbJson(tsdb));
+  TextBuffer out(path);
+  if (!out.ok()) return false;
+  tsdb.RenderJson(out);
+  return out.Close();
 }
 
 bool WriteAlertsJson(const RuleEngine& rules, const std::string& path) {

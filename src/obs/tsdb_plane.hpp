@@ -2,13 +2,13 @@
 //
 // A TsdbPlane owns one Tsdb and one RuleEngine and feeds the store from
 // the sim::MetricsCollector window stream: Attach installs a
-// WindowObserver on the application that, at every window close, builds a
-// registry-only MetricsSnapshot (no wall-clock families — none of the
-// live-only profiler/scheduler gauges ever enter the store) and appends it
-// at the window's sim-time stamp. The feeder chains to whatever observer
-// was already installed (obs::SloMonitor) and calls it first, so the SLO
-// event stream is untouched and alert transitions at the same timestamp
-// sort after monitor events.
+// WindowObserver on the application that, at every window close, appends
+// the application's registry through a RegistryFeed (registry families
+// only — none of the live-only profiler/scheduler gauges ever enter the
+// store) at the window's sim-time stamp. The feeder chains to whatever
+// observer was already installed (obs::SloMonitor) and calls it first, so
+// the SLO event stream is untouched and alert transitions at the same
+// timestamp sort after monitor events.
 //
 // Rule pacing follows the quiescent-point discipline:
 //  * unsharded (evaluate_on_window = true, the default): rules are
@@ -79,7 +79,8 @@ class TsdbPlane {
 
  private:
   struct Feeder;
-  void OnFeederWindow(const Feeder& feeder, const sim::Snapshot& snapshot);
+  /// Rule pacing after a feeder appended the window closing at `t_end_s`.
+  void OnFeederWindow(double t_end_s);
   void EvaluateBoundaries(double limit_s, bool inclusive);
 
   TsdbPlaneOptions options_;

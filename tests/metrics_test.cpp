@@ -3,12 +3,19 @@
 // renderer (escaping + golden output).
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "obs/export.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/text_buffer.hpp"
 
 namespace topfull {
 namespace {
@@ -231,6 +238,79 @@ TEST(MetricsTest, PromHistogramBucketsAreCumulativeAndEndAtInf) {
             std::string::npos);
   EXPECT_NE(text.find("topfull_demo_wait_ms_count{svc=\"frontend\"} 4\n"),
             std::string::npos);
+}
+
+// --- Number formatting ---------------------------------------------------------
+
+std::string Printf(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, v);
+  return buf;
+}
+
+std::string Exact(double v) {
+  std::string out;
+  obs::AppendDouble(out, v, 17);
+  return out;
+}
+
+std::string Digits(double v, int precision) {
+  std::string out;
+  obs::AppendDouble(out, v, precision);
+  return out;
+}
+
+// Every exporter formats numbers through std::to_chars; the artifact bytes
+// rest on it matching the printf forms they were first written with:
+// %.10g (display), %.17g (TSDB samples), %.6g (the CSV timeline's
+// iostream default) and %llu.
+TEST(MetricsTest, ToCharsFormattingMatchesPrintf) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> corpus = {
+      0.0, -0.0, 1.0, -1.0, 7.0, 42.0, 1e6, 123456789.0, 1234567890.0,
+      12345678901.0, 9007199254740992.0, 0.1, 0.5, 1.0 / 3.0, -2.0 / 3.0,
+      1e-9, 1e-5, 1e-4, 1e-3, 1e15, 1e16, 1e17, 1e21, -1e21, 1e22, 1e100,
+      1e-300, std::numeric_limits<double>::denorm_min(),
+      2.2250738585072009e-308,  // largest subnormal
+      DBL_MIN, DBL_MAX, -DBL_MAX, inf, -inf, nan, -nan,
+      // exactly 10 significant digits, and 10-digit rounding boundaries
+      1.234567891, 0.1234567891, 1234567.891, 9.9999999995, 0.99999999995,
+      999999999.95, 9999999999.5,
+      // exactly 17 significant digits
+      1.2345678901234567, 12345.678901234567, 0.12345678901234567,
+      // ties and short binary fractions
+      1.5, 2.5, 0.125, 1234.5, 0.000125};
+  // Plus a fixed-seed sweep over raw bit patterns (every exponent).
+  std::mt19937_64 rng(20240817);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    corpus.push_back(v);
+  }
+  for (const double v : corpus) {
+    const std::string tag = Printf("%a", v);
+    ASSERT_EQ(obs::Num(v), Printf("%.10g", v)) << tag;
+    ASSERT_EQ(Exact(v), Printf("%.17g", v)) << tag;
+    ASSERT_EQ(Digits(v, 6), Printf("%.6g", v)) << tag;
+  }
+
+  const std::uint64_t integers[] = {0u, 1u, 9u, 10u, 99u, 12345u,
+                                    4294967295u, 9007199254740993u,
+                                    std::numeric_limits<std::uint64_t>::max() - 1,
+                                    std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t u : integers) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(u));
+    EXPECT_EQ(obs::U64(u), buf);
+  }
+
+  // JSON bodies spell non-finite values as strings.
+  EXPECT_EQ(obs::JsonDouble(0.25), "0.25");
+  EXPECT_EQ(obs::JsonDouble(inf), "\"inf\"");
+  EXPECT_EQ(obs::JsonDouble(-inf), "\"-inf\"");
+  EXPECT_EQ(obs::JsonDouble(-nan), "\"nan\"");
 }
 
 }  // namespace

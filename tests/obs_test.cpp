@@ -3,19 +3,25 @@
 // (tracing must never change simulation results).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 
+#include "apps/online_boutique.hpp"
 #include "core/controller.hpp"
 #include "core/rate_controller.hpp"
 #include "exp/csv.hpp"
 #include "exp/harness.hpp"
 #include "exp/run_executor.hpp"
+#include "fault/fault.hpp"
 #include "obs/export.hpp"
 #include "obs/profile.hpp"
+#include "obs/report.hpp"
+#include "obs/slo_monitor.hpp"
 #include "obs/trace.hpp"
+#include "obs/tsdb_plane.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull {
@@ -381,6 +387,135 @@ TEST(ObsTest, RunExecutorTelemetryIsIdenticalAcrossPoolSizes) {
   EXPECT_EQ(files, 3 * 4);
 }
 
+// --- Artifact bytes pinned across commits -------------------------------------
+
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+bool StrictGolden() {
+  const char* env = std::getenv("TOPFULL_STRICT_GOLDEN");
+  return env == nullptr || std::string(env) != "0";
+}
+
+// A short observed Online Boutique run with every exporter on: tracer,
+// decision log, SLO monitor, TSDB plane with the burn-rate rules, and one
+// pod crash, so the fault and SLO rows of the trace are exercised. The
+// digests were minted on commit 92588d5, before the writers moved onto the
+// shared append buffer; every artifact must keep those bytes.
+TEST(ObsTest, ExportArtifactsMatchParent) {
+  apps::BoutiqueOptions options;
+  options.seed = 11;
+  auto app = apps::MakeOnlineBoutique(options);
+  obs::TraceConfig trace;
+  trace.sample_rate = 0.02;
+  obs::RequestTracer tracer(trace);
+  app->SetObserver(&tracer);
+  auto monitor = obs::SloMonitor::ForApp(*app);
+  obs::DecisionLog log;
+  monitor->SetDecisionLog(&log);
+  obs::TsdbPlane plane;
+  for (obs::AlertRule& rule : obs::SloBurnRules()) {
+    plane.rules().AddAlert(std::move(rule));
+  }
+  plane.Attach(*app);
+  auto controller = MakeController(*app);
+  controller->SetDecisionObserver(&log);
+  fault::FaultSchedule faults;
+  faults.CrashPods("checkout", Seconds(6), 1, Seconds(4));
+  fault::FaultInjector injector(app.get(), faults);
+  injector.Arm();
+  workload::TrafficDriver traffic(app.get());
+  for (sim::ApiId a = 0; a < app->NumApis(); ++a) {
+    traffic.AddOpenLoop(a, workload::Schedule::Constant(600));
+  }
+  app->RunFor(Seconds(15));
+  plane.FinishRules(15.0);
+
+  const std::string dir = testing::TempDir() + "obs_golden";
+  std::filesystem::create_directories(dir);
+  const std::string base = dir + "/run";
+  const std::vector<obs::SloEvent>* events = &monitor->events();
+  ASSERT_FALSE(events->empty());
+  ASSERT_FALSE(injector.Log().empty());
+  ASSERT_TRUE(obs::WritePerfettoTrace(tracer, *app, base + ".trace.json",
+                                      &injector.Log(), events));
+  ASSERT_TRUE(obs::WriteDecisionLogJsonl(log, *app, base + ".decisions.jsonl",
+                                         events, &plane.rules().transitions()));
+  ASSERT_TRUE(obs::WritePrometheusText(*app, &tracer, base + ".metrics.prom"));
+  ASSERT_TRUE(obs::WriteTsdbJson(plane.tsdb(), base + ".tsdb.json"));
+  ASSERT_TRUE(obs::WriteAlertsJson(plane.rules(), base + ".alerts.json"));
+  obs::ReportInputs inputs;
+  inputs.app = app.get();
+  inputs.label = "run";
+  inputs.controller = controller.get();
+  inputs.monitor = monitor.get();
+  inputs.decisions = &log;
+  inputs.faults = &injector.Log();
+  ASSERT_TRUE(obs::WriteRunSummaryJson(inputs, base + ".summary.json"));
+  ASSERT_TRUE(obs::WriteHtmlReport(inputs, base + ".report.html"));
+
+  const std::pair<const char*, std::uint64_t> golden[] = {
+      {".trace.json", 0xf48f236665cf52cfull},
+      {".decisions.jsonl", 0x9693e557299f0e32ull},
+      {".metrics.prom", 0x3d3389e82dc93664ull},
+      {".tsdb.json", 0x92547618a2fac41bull},
+      {".alerts.json", 0x0d6c6afc586625fdull},
+      {".summary.json", 0xeeadc2e42b0c39ccull},
+      {".report.html", 0x8cc1f7066ade0019ull},
+  };
+  for (const auto& [suffix, digest] : golden) {
+    const std::string bytes = ReadFile(base + suffix);
+    ASSERT_FALSE(bytes.empty()) << suffix;
+    if (StrictGolden()) {
+      EXPECT_EQ(Fnv1a(bytes), digest)
+          << suffix << " bytes diverged from the pinned artifact "
+          << "(set TOPFULL_STRICT_GOLDEN=0 on a foreign libm)";
+    }
+  }
+}
+
+// A full disk must fail the write. Small artifacts reach the file only in
+// the final flush or at close, so every writer has to check those too, not
+// just the open.
+TEST(ObsTest, WritersReturnFalseWhenTheDiskIsFull) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << "no " << full;
+  auto app = MakeApp();
+  obs::RequestTracer tracer;
+  app->SetObserver(&tracer);
+  auto monitor = obs::SloMonitor::ForApp(*app);
+  obs::DecisionLog log;
+  obs::TsdbPlane plane;
+  plane.Attach(*app);
+  auto controller = MakeController(*app);
+  controller->SetDecisionObserver(&log);
+  workload::TrafficDriver traffic(app.get());
+  DriveOverload(traffic);
+  app->RunFor(Seconds(3));
+  plane.FinishRules(3.0);
+  obs::ReportInputs inputs;
+  inputs.app = app.get();
+  inputs.label = "full";
+  inputs.controller = controller.get();
+  inputs.monitor = monitor.get();
+  inputs.decisions = &log;
+
+  EXPECT_FALSE(obs::WritePerfettoTrace(tracer, *app, full));
+  EXPECT_FALSE(obs::WriteDecisionLogJsonl(log, *app, full));
+  EXPECT_FALSE(obs::WritePrometheusText(*app, &tracer, full));
+  EXPECT_FALSE(obs::WriteTsdbJson(plane.tsdb(), full));
+  EXPECT_FALSE(obs::WriteAlertsJson(plane.rules(), full));
+  EXPECT_FALSE(obs::WriteRunSummaryJson(inputs, full));
+  EXPECT_FALSE(obs::WriteHtmlReport(inputs, full));
+  EXPECT_FALSE(exp::WriteTimelineCsv(*app, full));
+}
+
 // --- Satellite: CSV export creates its directory -----------------------------
 
 TEST(ObsTest, CsvExportCreatesMissingDirectory) {
@@ -455,6 +590,14 @@ TEST(ObsTest, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(obs::JsonEscape("plain-name_1.2"), "plain-name_1.2");
   EXPECT_EQ(obs::JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(obs::JsonEscape(std::string("x\x01y")), "x\\u0001y");
+  EXPECT_EQ(obs::JsonEscape("\r\t\xc3\xa9"), "\\r\\t\xc3\xa9");
+  // Every other control character takes printf's \u%04x form.
+  for (int c = 1; c < 0x20; ++c) {
+    if (c == '\n' || c == '\r' || c == '\t') continue;
+    char want[8];
+    std::snprintf(want, sizeof(want), "\\u%04x", c);
+    EXPECT_EQ(obs::JsonEscape(std::string(1, static_cast<char>(c))), want) << c;
+  }
 }
 
 TEST(ObsTest, SanitizeFileNameReplacesHostileChars) {

@@ -204,10 +204,8 @@ TEST(QueryTest, HistogramQuantileTracksHistogramPercentile) {
     histogram->Record(1.0 + 0.37 * static_cast<double>(i));
   }
 
-  obs::SnapshotBuilder builder;
-  builder.AddRegistry(registry);
   obs::Tsdb tsdb;
-  tsdb.AppendSnapshot(*builder.Finish(), 1.0);
+  obs::RegistryFeed(&tsdb, &registry).Append(1.0);
 
   for (const double p : {50.0, 90.0, 99.0}) {
     const double expected = histogram->Percentile(p);

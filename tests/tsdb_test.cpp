@@ -104,69 +104,82 @@ TEST(TsdbTest, IterationIsSortedByNameThenLabelKey) {
   EXPECT_EQ(filtered[0].labels[0].second, "b");
 }
 
-// In-process ingestion (AppendSnapshot) and scrape ingestion of the same
-// registry's text exposition must produce the identical store: same series
-// keys (histograms expanded to _bucket/_sum/_count with the same le
-// labels), same types, same values.
-TEST(TsdbTest, SnapshotAndScrapeIngestionAgree) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("req_total", "Requests.", {{"api", "a"}})->Inc(3);
-  registry.GetCounter("req_total", "Requests.", {{"api", "b"}})->Inc(5);
-  registry.GetGauge("depth", "Depth.", {})->Set(2.5);
-  auto* histogram = registry.GetHistogram("latency_ms", "Latency.", {},
-                                          obs::HistogramConfig{0.1, 1e4, 8});
-  histogram->Record(1.0);
-  histogram->Record(50.0);
-  histogram->Record(50.0);
-  histogram->Record(2e9);  // lands in the +Inf overflow bucket
+// The in-process RegistryFeed and scrape ingestion of the same registry
+// must build the same store after every window: same keys, types, and
+// values. Midway the registry gains new cells (a counter and a histogram)
+// and a histogram bucket fills for the first time, so the feed has to
+// re-plan and resolve a bucket lazily; both with and without the sharded
+// shard="k" label the feed appends.
+TEST(TsdbTest, RegistryFeedMatchesScrapeEveryWindow) {
+  const obs::HistogramConfig config{0.1, 1e4, 8};
+  for (const obs::Labels& extra :
+       {obs::Labels{}, obs::Labels{{"shard", "1"}}}) {
+    obs::MetricsRegistry registry;
+    obs::Counter* a =
+        registry.GetCounter("req_total", "Requests.", {{"api", "a"}});
+    obs::Gauge* depth = registry.GetGauge("depth", "Depth.", {});
+    obs::Histogram* latency =
+        registry.GetHistogram("latency_ms", "Latency.", {}, config);
+    obs::Counter* c = nullptr;
+    obs::Histogram* latency_c = nullptr;
 
-  obs::SnapshotBuilder builder;
-  builder.AddRegistry(registry);
-  const auto snapshot = builder.Finish();
+    obs::Tsdb fed = MakeTsdb();
+    obs::RegistryFeed feed(&fed, &registry, extra);
+    obs::Tsdb scraped = MakeTsdb();
+    for (int w = 1; w <= 6; ++w) {
+      a->Inc(static_cast<std::uint64_t>(w));
+      depth->Set(0.5 * w);
+      latency->Record(1.0);
+      if (w == 3) {
+        c = registry.GetCounter("req_total", "Requests.", {{"api", "c"}});
+        latency_c = registry.GetHistogram("latency_ms", "Latency.",
+                                          {{"api", "c"}}, config);
+        latency->Record(50.0);  // first sample in the 50 ms bucket
+      }
+      if (w == 5) latency->Record(2e9);  // overflow: only +Inf moves
+      if (c != nullptr) c->Inc(2);
+      if (latency_c != nullptr) latency_c->Record(8.0);
 
-  obs::Tsdb direct = MakeTsdb();
-  direct.AppendSnapshot(*snapshot, 1.0);
-
-  obs::PromScrape scrape;
-  std::string error;
-  ASSERT_TRUE(
-      obs::ParsePromText(obs::PromTextFromSnapshot(*snapshot), &scrape, &error))
-      << error;
-  obs::Tsdb scraped = MakeTsdb();
-  scraped.AppendScrape(scrape, 1.0);
-
-  const auto lhs = direct.All();
-  const auto rhs = scraped.All();
-  ASSERT_EQ(lhs.size(), rhs.size());
-  ASSERT_GT(lhs.size(), 4u);  // histogram expanded into several series
-  bool saw_bucket = false;
-  for (std::size_t i = 0; i < lhs.size(); ++i) {
-    EXPECT_EQ(lhs[i].name, rhs[i].name);
-    EXPECT_EQ(lhs[i].label_key, rhs[i].label_key);
-    EXPECT_EQ(lhs[i].type, rhs[i].type);
-    ASSERT_EQ(lhs[i].samples.size(), 1u);
-    ASSERT_EQ(rhs[i].samples.size(), 1u);
-    EXPECT_EQ(lhs[i].samples[0].value, rhs[i].samples[0].value)
-        << lhs[i].name << "{" << lhs[i].label_key << "}";
-    saw_bucket |= lhs[i].name == "latency_ms_bucket";
-  }
-  EXPECT_TRUE(saw_bucket);
-
-  // The expansion is cumulative and ends with the authoritative +Inf
-  // bucket equal to _count.
-  const auto buckets = direct.Match("latency_ms_bucket", nullptr);
-  ASSERT_GE(buckets.size(), 2u);
-  double inf_count = -1.0;
-  for (const obs::SeriesSnapshot& series : buckets) {
-    const double v = series.samples[0].value;
-    EXPECT_GE(v, 0.0);
-    for (const auto& [k, le] : series.labels) {
-      if (k == "le" && le == "+Inf") inf_count = v;
+      const double t = static_cast<double>(w);
+      feed.Append(t);
+      std::string text;
+      if (extra.empty()) {
+        text = obs::PromTextFromRegistry(registry);
+      } else {
+        obs::SnapshotBuilder builder;
+        builder.AddRegistry(registry, extra);
+        text = obs::PromTextFromSnapshot(*builder.Finish());
+      }
+      obs::PromScrape scrape;
+      std::string error;
+      ASSERT_TRUE(obs::ParsePromText(text, &scrape, &error)) << error;
+      scraped.AppendScrape(scrape, t);
+      ASSERT_EQ(obs::TsdbJson(fed), obs::TsdbJson(scraped))
+          << "window " << w << ", " << extra.size() << " extra label(s)";
     }
+
+    // The expansion is cumulative and ends with the authoritative +Inf
+    // bucket equal to _count; the mid-run cells made it in.
+    const auto buckets = fed.Match("latency_ms_bucket", nullptr);
+    ASSERT_GE(buckets.size(), 4u);
+    double inf_count = -1.0;
+    for (const obs::SeriesSnapshot& series : buckets) {
+      EXPECT_GE(series.samples.back().value, 0.0);
+      if (series.labels.size() == extra.size() + 1 &&
+          series.labels.back() == obs::Labels::value_type{"le", "+Inf"}) {
+        inf_count = series.samples.back().value;
+      }
+      if (!extra.empty()) {
+        EXPECT_EQ(series.labels[series.labels.size() - 2], extra[0]);
+      }
+    }
+    const auto count = fed.Match(
+        "latency_ms_count", [&extra](const obs::Labels& l) { return l == extra; });
+    ASSERT_EQ(count.size(), 1u);
+    EXPECT_EQ(inf_count, count[0].samples.back().value);
+    EXPECT_EQ(fed.Match("latency_ms_count", nullptr).size(), 2u);
+    EXPECT_EQ(fed.Match("req_total", nullptr).size(), 2u);
   }
-  const auto count = direct.Match("latency_ms_count", nullptr);
-  ASSERT_EQ(count.size(), 1u);
-  EXPECT_EQ(inf_count, count[0].samples[0].value);
 }
 
 TEST(TsdbTest, JsonRoundTripIsByteExact) {
