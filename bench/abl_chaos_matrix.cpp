@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
       for (const bool severe : {false, true}) {
         double during = 0.0, after = 0.0;
         for (std::size_t s = 0; s < seeds.size(); ++s, ++i) {
-          const sim::Application& app = *results[i].app;
+          const sim::Application& app = results[i].app();
           during += exp::TotalGoodput(app, phase.fault_s, phase.clear_s);
           after += exp::TotalGoodput(app, phase.clear_s + 5.0, phase.end_s);
         }

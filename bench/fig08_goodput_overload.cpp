@@ -56,7 +56,7 @@ double ReduceVariant(exp::Variant variant,
                      Table& table) {
   std::vector<std::vector<double>> runs;
   for (std::size_t s = 0; s < std::size(kSeeds); ++s) {
-    runs.push_back(exp::PerApiGoodputRow(*results[first + s].app, kWarmupS, kEndS));
+    runs.push_back(exp::PerApiGoodputRow(results[first + s].app(), kWarmupS, kEndS));
   }
   std::vector<std::string> row{exp::VariantName(variant)};
   StreamingStats total;

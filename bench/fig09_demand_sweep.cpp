@@ -74,7 +74,7 @@ int main() {
     std::vector<double> row;
     row.reserve(demands.size());
     for (std::size_t d = 0; d < demands.size(); ++d, ++next) {
-      row.push_back(exp::TotalGoodput(*results[next].app, kWarmupS, kEndS));
+      row.push_back(exp::TotalGoodput(results[next].app(), kWarmupS, kEndS));
     }
     table.AddRow(exp::VariantName(vp.first), row, 0);
   }

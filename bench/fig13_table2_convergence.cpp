@@ -106,15 +106,15 @@ int main() {
   const std::vector<exp::RunResult> runs = exp::RunExecutor().Execute(specs);
 
   double best_steady = 0.0;
-  for (const auto& run : runs) best_steady = std::max(best_steady, SteadyGoodput(*run.app));
+  for (const auto& run : runs) best_steady = std::max(best_steady, SteadyGoodput(run.app()));
   const double bar = 0.9 * best_steady;
 
   Table table("convergence to 90% of the best steady goodput (" +
               Fmt(best_steady, 0) + " rps) after overload");
   table.SetHeader({"rate controller", "steady goodput (rps)", "convergence (s)"});
   for (const auto& run : runs) {
-    const double conv = ConvergenceSeconds(*run.app, bar);
-    table.AddRow({run.label, Fmt(SteadyGoodput(*run.app), 0),
+    const double conv = ConvergenceSeconds(run.app(), bar);
+    table.AddRow({run.label, Fmt(SteadyGoodput(run.app()), 0),
                   std::isinf(conv) ? "never (oscillates)" : Fmt(conv, 0)});
   }
   table.Print();

@@ -92,9 +92,9 @@ void Sweep(const char* name, const std::vector<int>& vcpus,
               ": avg goodput (rps) during the spike vs critical vCPUs");
   table.SetHeader({"vCPUs", "without TopFull", "with TopFull", "gain"});
   for (std::size_t i = 0; i < vcpus.size(); ++i) {
-    const double without = exp::TotalGoodput(*results[2 * i].app, kSpikeStartS,
+    const double without = exp::TotalGoodput(results[2 * i].app(), kSpikeStartS,
                                              kSpikeStartS + kSpikeS);
-    const double with = exp::TotalGoodput(*results[2 * i + 1].app, kSpikeStartS,
+    const double with = exp::TotalGoodput(results[2 * i + 1].app(), kSpikeStartS,
                                           kSpikeStartS + kSpikeS);
     table.AddRow({std::to_string(vcpus[i]), Fmt(without, 0), Fmt(with, 0),
                   Fmt(with / std::max(1.0, without), 2) + "x"});

@@ -127,18 +127,18 @@ int main() {
       pods = 35 - kKilledPods + back;
     }
     timeline.AddRow({Fmt(t + 5.0, 0),
-                     Fmt(exp::TotalGoodput(*results[0].app, t, t + 5), 0),
-                     Fmt(exp::TotalGoodput(*results[1].app, t, t + 5), 0),
-                     Fmt(exp::TotalGoodput(*results[2].app, t, t + 5), 0),
-                     Fmt(exp::TotalGoodput(*results[3].app, t, t + 5), 0),
+                     Fmt(exp::TotalGoodput(results[0].app(), t, t + 5), 0),
+                     Fmt(exp::TotalGoodput(results[1].app(), t, t + 5), 0),
+                     Fmt(exp::TotalGoodput(results[2].app(), t, t + 5), 0),
+                     Fmt(exp::TotalGoodput(results[3].app(), t, t + 5), 0),
                      Fmt(static_cast<double>(pods), 0)});
   }
   timeline.Print();
 
-  exp::MaybeExportTimeline(*results[0].app, "fig18_no_control");
-  exp::MaybeExportTimeline(*results[1].app, "fig18_topfull");
-  exp::MaybeExportTimeline(*results[2].app, "fig18_dagor");
-  exp::MaybeExportTimeline(*results[3].app, "fig18_breakwater");
+  exp::MaybeExportTimeline(results[0].app(), "fig18_no_control");
+  exp::MaybeExportTimeline(results[1].app(), "fig18_topfull");
+  exp::MaybeExportTimeline(results[2].app(), "fig18_dagor");
+  exp::MaybeExportTimeline(results[3].app(), "fig18_breakwater");
 
   std::printf("\nfault log (TopFull run):\n");
   for (const auto& r : results[1].fault_log) {
@@ -153,7 +153,7 @@ int main() {
   // for being slow before the failure too.
   double healthy = 0.0;
   for (const auto& result : results) {
-    healthy = std::max(healthy, exp::TotalGoodput(*result.app, 25, kFailS));
+    healthy = std::max(healthy, exp::TotalGoodput(result.app(), 25, kFailS));
   }
   const double bar = 0.95 * healthy;
 
@@ -161,12 +161,12 @@ int main() {
   summary.SetHeader({"variant", "pre-fail (rps)", "during failure (rps)",
                      "recovered (rps)", "t_recover (>=95% healthy)"});
   for (const auto& result : results) {
-    const double prefail = exp::TotalGoodput(*result.app, 25, kFailS);
+    const double prefail = exp::TotalGoodput(result.app(), 25, kFailS);
     const double during =
-        exp::TotalGoodput(*result.app, kFailS + 10, kFailS + kRecoverDelayS);
-    const double recovered = exp::TotalGoodput(*result.app, 150, kEndS);
+        exp::TotalGoodput(result.app(), kFailS + 10, kFailS + kRecoverDelayS);
+    const double recovered = exp::TotalGoodput(result.app(), 150, kEndS);
     const double recover =
-        RecoveryTime(*result.app, kFailS + kRecoverDelayS, bar);
+        RecoveryTime(result.app(), kFailS + kRecoverDelayS, bar);
     summary.AddRow({result.label, Fmt(prefail, 0), Fmt(during, 0),
                     Fmt(recovered, 0),
                     recover < 0 ? "never" : Fmt(recover, 0) + " s"});

@@ -64,7 +64,7 @@ std::vector<double> SweepGoodputs(const std::vector<exp::RunResult>& results) {
   std::vector<double> goodputs;
   goodputs.reserve(results.size());
   for (const auto& r : results) {
-    goodputs.push_back(exp::TotalGoodput(*r.app, 10.0, kSweepEndS));
+    goodputs.push_back(exp::TotalGoodput(r.app(), 10.0, kSweepEndS));
   }
   return goodputs;
 }

@@ -44,10 +44,13 @@ std::optional<Variant> VariantFromName(const std::string& name) {
   return std::nullopt;
 }
 
+bool VariantNeedsPolicy(Variant variant) {
+  return variant == Variant::kTopFull || variant == Variant::kTopFullNoCluster;
+}
+
 void Controllers::Attach(Variant variant, sim::Application& app,
                          const rl::GaussianPolicy* policy,
-                         core::TopFullConfig config, double mimd_decrease,
-                         double mimd_increase, double static_rate) {
+                         core::TopFullConfig config, double static_rate) {
   switch (variant) {
     case Variant::kNoControl:
       break;
@@ -60,8 +63,7 @@ void Controllers::Attach(Variant variant, sim::Application& app,
     }
     case Variant::kTopFullMimd: {
       topfull_ = std::make_unique<core::TopFullController>(
-          &app, std::make_unique<core::MimdRateController>(mimd_decrease, mimd_increase),
-          config);
+          &app, std::make_unique<core::MimdRateController>(), config);
       topfull_->Start();
       break;
     }
@@ -127,30 +129,43 @@ TelemetryOptions TelemetryOptions::FromEnv() {
 Telemetry::Telemetry(TelemetryOptions options) : options_(std::move(options)) {}
 
 void Telemetry::Attach(sim::Application& app) {
-  if (!enabled()) return;
-  if (!tracer_) {
-    obs::TraceConfig config;
-    config.sample_rate = options_.sample_rate;
-    config.max_traces = options_.max_traces;
-    tracer_ = std::make_unique<obs::RequestTracer>(config);
+  if (enabled()) {
+    if (!tracer_) {
+      obs::TraceConfig config;
+      config.sample_rate = options_.sample_rate;
+      config.max_traces = options_.max_traces;
+      tracer_ = std::make_unique<obs::RequestTracer>(config);
+    }
+    app.SetObserver(tracer_.get());
   }
-  app.SetObserver(tracer_.get());
   monitor_ = obs::SloMonitor::ForApp(app);
   if (decision_log_) monitor_->SetDecisionLog(decision_log_.get());
 }
 
 void Telemetry::Attach(core::TopFullController& controller) {
-  if (!enabled()) return;
   if (!decision_log_) decision_log_ = std::make_unique<obs::DecisionLog>();
   controller.SetDecisionObserver(decision_log_.get());
   if (monitor_) monitor_->SetDecisionLog(decision_log_.get());
 }
 
+namespace {
+
+/// Records one artifact write: the path on success, a FAILED line if not.
+void ReportWrite(TelemetrySummary* summary, const std::string& path, bool ok) {
+  if (!ok) {
+    std::fprintf(stderr, "[obs] FAILED to write %s\n", path.c_str());
+    return;
+  }
+  summary->paths.push_back(path);
+  std::fprintf(stderr, "[obs] wrote %s\n", path.c_str());
+}
+
+}  // namespace
+
 TelemetrySummary Telemetry::Export(const sim::Application& app,
                                    const std::string& name,
                                    const core::TopFullController* controller,
-                                   const std::vector<fault::FaultRecord>* faults,
-                                   bool log_stderr) {
+                                   const std::vector<fault::FaultRecord>* faults) {
   TelemetrySummary summary;
   if (!enabled()) return summary;
   std::error_code ec;
@@ -161,21 +176,14 @@ TelemetrySummary Telemetry::Export(const sim::Application& app,
     return summary;
   }
   const std::string base = options_.dir + "/" + name;
-  const auto report = [&summary, log_stderr](const std::string& path, bool ok) {
-    if (!ok) {
-      std::fprintf(stderr, "[obs] FAILED to write %s\n", path.c_str());
-      return;
-    }
-    summary.paths.push_back(path);
-    if (log_stderr) std::fprintf(stderr, "[obs] wrote %s\n", path.c_str());
-  };
   const std::vector<obs::SloEvent>* events =
       monitor_ ? &monitor_->events() : nullptr;
   if (tracer_) {
     summary.sampled = tracer_->counters().sampled;
     summary.dropped = tracer_->counters().dropped;
     const std::string path = base + ".trace.json";
-    report(path, obs::WritePerfettoTrace(*tracer_, app, path, faults, events));
+    ReportWrite(&summary, path,
+                obs::WritePerfettoTrace(*tracer_, app, path, faults, events));
   }
   const std::vector<obs::AlertTransition>* alerts =
       tsdb_ != nullptr ? &tsdb_->rules().transitions() : nullptr;
@@ -183,17 +191,13 @@ TelemetrySummary Telemetry::Export(const sim::Application& app,
     summary.ticks = decision_log_->ticks().size();
     summary.decisions = decision_log_->DecisionCount();
     const std::string path = base + ".decisions.jsonl";
-    report(path,
-           obs::WriteDecisionLogJsonl(*decision_log_, app, path, events, alerts));
+    ReportWrite(&summary, path,
+                obs::WriteDecisionLogJsonl(*decision_log_, app, path, events,
+                                           alerts));
   }
   const std::string prom = base + ".metrics.prom";
-  report(prom, obs::WritePrometheusText(app, tracer_.get(), prom));
-  if (tsdb_ != nullptr) {
-    const std::string tsdb_path = base + ".tsdb.json";
-    report(tsdb_path, obs::WriteTsdbJson(tsdb_->tsdb(), tsdb_path));
-    const std::string alerts_path = base + ".alerts.json";
-    report(alerts_path, obs::WriteAlertsJson(tsdb_->rules(), alerts_path));
-  }
+  ReportWrite(&summary, prom, obs::WritePrometheusText(app, tracer_.get(), prom));
+  if (tsdb_ != nullptr) ExportTsdb(*tsdb_, name, &summary);
 
   if (events != nullptr) summary.slo_events = events->size();
   obs::ReportInputs inputs;
@@ -204,10 +208,20 @@ TelemetrySummary Telemetry::Export(const sim::Application& app,
   inputs.decisions = decision_log_.get();
   inputs.faults = faults;
   const std::string summary_path = base + ".summary.json";
-  report(summary_path, obs::WriteRunSummaryJson(inputs, summary_path));
+  ReportWrite(&summary, summary_path, obs::WriteRunSummaryJson(inputs, summary_path));
   const std::string html_path = base + ".report.html";
-  report(html_path, obs::WriteHtmlReport(inputs, html_path));
+  ReportWrite(&summary, html_path, obs::WriteHtmlReport(inputs, html_path));
   return summary;
+}
+
+void Telemetry::ExportTsdb(const obs::TsdbPlane& tsdb, const std::string& name,
+                           TelemetrySummary* summary) const {
+  if (!enabled()) return;
+  const std::string base = options_.dir + "/" + name;
+  const std::string tsdb_path = base + ".tsdb.json";
+  ReportWrite(summary, tsdb_path, obs::WriteTsdbJson(tsdb.tsdb(), tsdb_path));
+  const std::string alerts_path = base + ".alerts.json";
+  ReportWrite(summary, alerts_path, obs::WriteAlertsJson(tsdb.rules(), alerts_path));
 }
 
 std::string SanitizeFileName(const std::string& name) {

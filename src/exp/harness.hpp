@@ -45,25 +45,24 @@ std::string VariantName(Variant variant);
 /// for unknown names.
 std::optional<Variant> VariantFromName(const std::string& name);
 
+/// True for the variants that run the RL rate controller and so need the
+/// pre-trained policy (TopFull(BW) runs AIMD and does not).
+bool VariantNeedsPolicy(Variant variant);
+
 /// Attaches a variant's controller(s) to an application and keeps them
-/// alive. `policy` must outlive this object for the RL variants.
-/// `mimd_decrease`/`mimd_increase` customise the fixed-step controller
-/// (Fig. 13 sweeps the decrease step).
+/// alive. `policy` must outlive this object for the RL variants;
+/// `static_rate` is the per-API rate of Variant::kStaticLimit.
 class Controllers {
  public:
   Controllers() = default;
 
   void Attach(Variant variant, sim::Application& app,
               const rl::GaussianPolicy* policy,
-              core::TopFullConfig config = {},
-              double mimd_decrease = 0.05, double mimd_increase = 0.01,
-              double static_rate = 0.0);
+              core::TopFullConfig config = {}, double static_rate = 0.0);
 
   core::TopFullController* topfull() { return topfull_.get(); }
   baselines::DagorAdmission* dagor() { return dagor_.get(); }
   baselines::BreakwaterAdmission* breakwater() { return breakwater_.get(); }
-  baselines::WispAdmission* wisp() { return wisp_.get(); }
-  baselines::StaticLimitAdmission* static_limit() { return static_.get(); }
 
  private:
   std::unique_ptr<core::TopFullController> topfull_;
@@ -110,8 +109,11 @@ struct TelemetrySummary {
 
 /// Owns a RequestTracer, DecisionLog and SloMonitor for one run and writes
 /// the Perfetto trace, decision JSONL, Prometheus dump, run summary JSON
-/// and HTML report at the end. Must outlive the simulation run (the
-/// application/controller hold raw observer pointers).
+/// and HTML report at the end. The SLO monitor and the decision log are
+/// always attached (one window observer, one tick observer; both pure), so
+/// their event streams exist with tracing off; the tracer and every file
+/// export are gated on the trace directory. Must outlive the simulation
+/// run (the application/controller hold raw observer pointers).
 class Telemetry {
  public:
   Telemetry() = default;
@@ -119,11 +121,11 @@ class Telemetry {
 
   bool enabled() const { return options_.enabled(); }
 
-  /// Installs the span tracer and the SLO/overload monitor on `app`.
-  /// No-op when disabled.
+  /// Installs the SLO/overload monitor on `app`, and the span tracer when
+  /// enabled.
   void Attach(sim::Application& app);
   /// Installs the decision log on `controller` (and feeds it to the SLO
-  /// monitor's oscillation detector). No-op when disabled.
+  /// monitor's oscillation detector).
   void Attach(core::TopFullController& controller);
 
   /// Associates a TSDB plane with this run (not owned, may be null). When
@@ -135,19 +137,24 @@ class Telemetry {
   /// Writes "<dir>/<name>.trace.json", "<dir>/<name>.decisions.jsonl" (when
   /// a controller was attached), "<dir>/<name>.metrics.prom",
   /// "<dir>/<name>.summary.json" and "<dir>/<name>.report.html", creating
-  /// `dir` recursively. Paths are reported on stderr when `log_stderr`
-  /// (bench stdout must stay byte-identical with telemetry on or off).
-  /// When `faults` is non-null, injected fault records are embedded in the
-  /// trace (instant events), the summary and the report. SLO monitor
-  /// events appear in the decision JSONL, the Perfetto trace, the summary
-  /// and the report.
+  /// `dir` recursively. Paths are reported on stderr (bench stdout must
+  /// stay byte-identical with telemetry on or off), failed writes as
+  /// "[obs] FAILED". When `faults` is non-null, injected fault records are
+  /// embedded in the trace (instant events), the summary and the report.
+  /// SLO monitor events appear in the decision JSONL, the Perfetto trace,
+  /// the summary and the report. No-op when disabled.
   TelemetrySummary Export(const sim::Application& app, const std::string& name,
                           const core::TopFullController* controller = nullptr,
-                          const std::vector<fault::FaultRecord>* faults = nullptr,
-                          bool log_stderr = true);
+                          const std::vector<fault::FaultRecord>* faults = nullptr);
+
+  /// Writes "<dir>/<name>.tsdb.json" and "<dir>/<name>.alerts.json" and
+  /// appends them to `summary`. Export calls it for the plane set with
+  /// SetTsdb; a sharded run calls it once for its run-level plane. No-op
+  /// when disabled.
+  void ExportTsdb(const obs::TsdbPlane& tsdb, const std::string& name,
+                  TelemetrySummary* summary) const;
 
   const obs::RequestTracer* tracer() const { return tracer_.get(); }
-  const obs::DecisionLog* decision_log() const { return decision_log_.get(); }
   const obs::SloMonitor* monitor() const { return monitor_.get(); }
 
  private:

@@ -1,14 +1,16 @@
-// Parallel sweep harness for the bench binaries.
+// The one run driver, and the parallel sweep harness on top of it.
 //
 // Every paper figure is a matrix of independent simulation runs
 // (variant x demand, variant x seed, vCPUs x with/without, ...). A RunSpec
 // describes one cell — an app factory, the controller variant to attach,
-// the traffic to drive, and how long to run — and RunExecutor runs the
-// whole list on the shared worker pool, one complete Simulation +
-// Application per worker. Each run owns its app, RNG streams, and metrics,
-// so runs never share mutable state (the pre-trained policy is shared
-// read-only); results come back in spec order, making a parallel sweep's
-// output bit-identical to the sequential one.
+// the traffic to drive, faults, observers, the shard count and how long to
+// run — and exp::Run executes it. The CLI, the scenario matrix and the
+// sweep benches all go through Run, so the attach order lives in one place.
+// RunExecutor runs a whole list of specs on the shared worker pool, one
+// complete simulation per worker. Each run owns its app, RNG streams, and
+// metrics, so runs never share mutable state (the pre-trained policy is
+// shared read-only); results come back in spec order, making a parallel
+// sweep's output bit-identical to the sequential one.
 #pragma once
 
 #include <functional>
@@ -20,6 +22,7 @@
 #include "exp/harness.hpp"
 #include "fault/fault.hpp"
 #include "sim/app.hpp"
+#include "sim/sharded_app.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull::obs {
@@ -34,11 +37,13 @@ struct RunSpec {
   std::string label;
   double duration_s = 0.0;
 
-  /// Builds the application (topology, seeds, pod counts). Runs on the
-  /// worker, so factories must not share mutable state across specs.
+  /// Builds the application (topology, seeds, pod counts) once per shard,
+  /// on the worker: no mutable state shared across specs, and identical
+  /// replicas on every call.
   std::function<std::unique_ptr<sim::Application>()> make_app;
 
-  /// Installs the workload (closed-loop pools / open-loop generators).
+  /// Installs the workload (closed-loop pools / open-loop generators), once
+  /// per shard with a shard-scoped driver.
   std::function<void(workload::TrafficDriver&, sim::Application&)> traffic;
 
   /// Standard controller attachment (ignored when `attach` is set).
@@ -53,10 +58,19 @@ struct RunSpec {
   /// returned object is kept alive until the run completes.
   std::function<std::shared_ptr<void>(sim::Application&)> attach;
 
-  /// Faults injected during the run (empty = none; zero perturbation).
-  /// The injector draws only from its own stream seeded by `fault_seed`.
+  /// Horizontal pod autoscaler on its own VM cluster, which the fault
+  /// injector's VM outages hit. Each shard replica scales independently.
+  bool hpa = false;
+
+  /// Faults injected during the run (empty = none; zero perturbation),
+  /// each armed on the shard owning its service. The injector draws only
+  /// from its own stream seeded by `fault_seed`.
   fault::FaultSchedule faults;
   std::uint64_t fault_seed = fault::FaultInjector::kDefaultSeed;
+
+  /// Span tracing and file exports; files get a ".shard<k>" suffix per
+  /// shard when shards > 1.
+  TelemetryOptions telemetry = TelemetryOptions::FromEnv();
 
   /// Live telemetry plane (non-owning; may be null). When set, the run is
   /// executed in sim-time chunks and a metrics snapshot is published to the
@@ -64,23 +78,54 @@ struct RunSpec {
   /// to one without it. The final snapshot is published with finished=true.
   obs::LivePlane* live = nullptr;
 
-  /// Time-series plane (non-owning; may be null). When set, a window
-  /// feeder is attached (chained after any telemetry observers) and rules
-  /// evaluate at window closes; like `live`, a pure observer. When null,
-  /// the TOPFULL_TSDB env var (non-empty, not "0") creates a run-owned
-  /// plane with the default SLO burn rules, so benches gain the
-  /// `.tsdb.json`/`.alerts.json` artifacts without code changes.
+  /// Time-series plane (non-owning; may be null): a window feeder chained
+  /// after the SLO monitor, rules evaluated at window closes; like `live`,
+  /// a pure observer. When null, TOPFULL_TSDB creates a run-owned plane
+  /// with the SLO burn rules, so benches gain the `.tsdb.json` and
+  /// `.alerts.json` artifacts without code changes.
   obs::TsdbPlane* tsdb = nullptr;
+
+  /// Engine shards; 1 is byte-identical to the plain engine.
+  int shards = 1;
+  /// One-way cross-shard RPC latency; the synchronization window only when
+  /// the shard plan splits a cluster (aligned plans have none to wait on).
+  SimTime net_latency = Millis(1);
+  /// Worker threads vs same-protocol sequential execution (bit-identical;
+  /// sequential is for determinism cross-checks and debugging).
+  bool threaded = true;
 };
 
-/// The finished run: label echoed back plus the application with its full
-/// metrics timeline, ready for goodput / convergence analysis.
+/// The finished run: what a caller may read afterwards. The simulation
+/// must not be advanced again.
 struct RunResult {
   std::string label;
-  std::unique_ptr<sim::Application> app;
-  /// What the fault injector actually did (empty when no faults ran).
+  std::unique_ptr<sim::ShardedApp> sharded;
+  /// Per shard: the standard controllers (empty when `attach` was used)
+  /// and the traffic driver, whose closed-loop pools keep per-user outcomes.
+  std::vector<Controllers> controllers;
+  std::vector<std::unique_ptr<workload::TrafficDriver>> traffic;
+  /// What the fault injectors actually did, merged deterministically:
+  /// stable-sorted by injection time, shard order kept within a timestamp.
   std::vector<fault::FaultRecord> fault_log;
+  /// SLO monitor events, merged the same way.
+  std::vector<obs::SloEvent> slo_events;
+  /// Per-shard export accounting (empty when telemetry is off).
+  std::vector<TelemetrySummary> telemetry;
+
+  /// The single-app view: the whole run when shards == 1.
+  sim::Application& app() const { return sharded->app(0); }
 };
+
+/// Runs `spec` to completion on the calling thread. `name` names the run's
+/// telemetry files (default: the sanitized label).
+RunResult Run(const RunSpec& spec, const std::string& name = {});
+
+/// TOPFULL_TSDB env gate: set, non-empty and not "0".
+bool TsdbFromEnv();
+
+/// A time-series plane with the default multi-window SLO burn rules, plus
+/// a goodput_floor_burn rule when `goodput_floor` is positive.
+std::unique_ptr<obs::TsdbPlane> MakeSloTsdbPlane(double goodput_floor = 0.0);
 
 class RunExecutor {
  public:
@@ -88,15 +133,9 @@ class RunExecutor {
   explicit RunExecutor(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   /// Runs every spec to completion; results are in spec order. With
-  /// TOPFULL_TRACE_DIR set, every run additionally exports its telemetry
-  /// (trace JSON / decision JSONL / Prometheus dump) under a deterministic
+  /// telemetry on, every run exports under a deterministic
   /// "<index>_<label>" name, identically for any pool size.
   std::vector<RunResult> Execute(const std::vector<RunSpec>& specs) const;
-
-  /// Runs a single spec on the calling thread. `telemetry_name` names the
-  /// run's telemetry files (defaults to the sanitized label).
-  static RunResult RunOne(const RunSpec& spec);
-  static RunResult RunOne(const RunSpec& spec, const std::string& telemetry_name);
 
  private:
   ThreadPool* pool_;

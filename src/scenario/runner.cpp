@@ -40,21 +40,9 @@ std::unique_ptr<sim::Application> MakeApp(const ScenarioSpec& spec,
   return nullptr;
 }
 
-/// True when `variant` runs the RL rate controller and needs the
-/// pre-trained policy.
-bool NeedsPolicy(exp::Variant variant) {
-  switch (variant) {
-    case exp::Variant::kTopFull:
-    case exp::Variant::kTopFullNoCluster:
-    case exp::Variant::kTopFullBw:
-      return true;
-    default:
-      return false;
-  }
-}
-
+/// `name` names the cell's telemetry files (default: scenario_controller).
 CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
-                    const std::string& telemetry_name) {
+                    const std::string& name = {}) {
   CellVerdict verdict;
   verdict.scenario = spec.name;
   verdict.controller = controller;
@@ -64,115 +52,93 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
     verdict.error = "unknown controller '" + controller + "'";
     return verdict;
   }
-  auto app = MakeApp(spec, &verdict.error);
-  if (app == nullptr) return verdict;
+  // A probe app validates the app name and the fault profile before
+  // anything runs, so a bad cell yields an error rather than a half-run
+  // scenario.
+  const auto probe = MakeApp(spec, &verdict.error);
+  if (probe == nullptr) return verdict;
 
-  if (spec.hop_timeout_s > 0.0) {
-    app->ConfigureRpc(Seconds(spec.hop_timeout_s), spec.hop_retries,
-                      Seconds(spec.hop_retry_backoff_s));
-  }
-
-  // Faults are validated against the app before anything runs, so a bad
-  // profile yields an error cell rather than a half-run scenario.
-  fault::FaultSchedule faults;
+  exp::RunSpec run;
+  run.label = spec.name + "_" + controller;
+  run.duration_s = spec.duration_s;
   if (!spec.fault_profile.empty()) {
     std::string fault_error;
     const auto parsed =
-        fault::ParseFaultProfile(spec.fault_profile, *app, &fault_error);
+        fault::ParseFaultProfile(spec.fault_profile, *probe, &fault_error);
     if (!parsed.has_value()) {
       verdict.error = "fault profile: " + fault_error;
       return verdict;
     }
-    faults = *parsed;
+    run.faults = *parsed;
   }
-
-  exp::Telemetry telemetry(exp::TelemetryOptions::FromEnv());
-  telemetry.Attach(*app);
-
-  std::shared_ptr<rl::GaussianPolicy> policy;
-  if (NeedsPolicy(*variant)) policy = exp::GetPretrainedPolicy();
-  exp::Controllers controllers;
-  controllers.Attach(*variant, *app, policy.get(), {},
-                     /*mimd_decrease=*/0.05, /*mimd_increase=*/0.01,
-                     spec.static_rate);
-
-  // The SLO monitor drives the invariant checks, so every cell gets one:
-  // telemetry's when tracing is on, a private one otherwise. Either way it
-  // is a pure window observer — the event stream (and hence the verdict)
-  // is identical with tracing on or off.
-  std::unique_ptr<obs::SloMonitor> own_monitor;
-  std::unique_ptr<obs::DecisionLog> own_log;
-  const obs::SloMonitor* monitor = nullptr;
-  if (telemetry.enabled()) {
-    if (controllers.topfull() != nullptr) telemetry.Attach(*controllers.topfull());
-    monitor = telemetry.monitor();
-  } else {
-    own_monitor = obs::SloMonitor::ForApp(*app);
-    if (controllers.topfull() != nullptr) {
-      own_log = std::make_unique<obs::DecisionLog>();
-      controllers.topfull()->SetDecisionObserver(own_log.get());
-      own_monitor->SetDecisionLog(own_log.get());
+  run.make_app = [&spec] {
+    std::string error;
+    auto app = MakeApp(spec, &error);
+    if (spec.hop_timeout_s > 0.0) {
+      app->ConfigureRpc(Seconds(spec.hop_timeout_s), spec.hop_retries,
+                        Seconds(spec.hop_retry_backoff_s));
     }
-    monitor = own_monitor.get();
-  }
+    return app;
+  };
+  // One closed-loop pool per tenant, splitting the scheduled population by
+  // weight. A scenario without tenants runs one anonymous pool over the
+  // full schedule (the legacy uniform-users setup).
+  run.traffic = [&spec](workload::TrafficDriver& traffic, sim::Application& app) {
+    std::vector<TenantSpec> tenants = spec.tenants;
+    if (tenants.empty()) tenants.push_back(TenantSpec{});
+    double total_weight = 0.0;
+    for (const TenantSpec& tenant : tenants) total_weight += tenant.weight;
+    if (total_weight <= 0.0) total_weight = 1.0;
+    const workload::Schedule users = spec.BuildUserSchedule();
+    for (const TenantSpec& tenant : tenants) {
+      workload::ClosedLoopConfig config = exp::UniformUsers(app);
+      if (!tenant.api_weights.empty()) config.mix.weights = tenant.api_weights;
+      config.think = Seconds(spec.think_s);
+      config.client_timeout = Seconds(spec.client_timeout_s);
+      config.max_client_retries = spec.client_retries;
+      config.client_retry_backoff = Seconds(spec.client_retry_backoff_s);
+      config.user_priority_lo = tenant.priority_lo;
+      config.user_priority_hi = tenant.priority_hi;
+      config.tenant = tenant.name;
+      traffic.AddClosedLoop(std::move(config),
+                            users.Scaled(tenant.weight / total_weight));
+    }
+  };
+  run.variant = *variant;
+  std::shared_ptr<rl::GaussianPolicy> policy;
+  if (exp::VariantNeedsPolicy(*variant)) policy = exp::GetPretrainedPolicy();
+  run.policy = policy.get();
+  run.static_rate = spec.static_rate;
 
   // Every cell gets a time-series plane with the standard burn-rate rules
   // plus a goodput-floor alert derived from the scenario's own floor
   // invariant, so kNoAlertFiring always has the same rules to judge. The
-  // plane is a pure observer and its rules read only the window stream, so
-  // the verdict is identical for any pool size and with tracing on or off.
-  obs::TsdbPlane tsdb_plane;
-  for (obs::AlertRule& rule : obs::SloBurnRules()) {
-    tsdb_plane.rules().AddAlert(std::move(rule));
-  }
+  // plane and the SLO monitor are pure observers that read only the window
+  // stream, so the verdict is identical for any pool size and with tracing
+  // on or off.
+  double goodput_floor = 0.0;
   for (const Invariant& inv : spec.invariants) {
     if (inv.kind == InvariantKind::kGoodputFloor) {
-      tsdb_plane.rules().AddAlert(obs::GoodputFloorRule(inv.value));
+      goodput_floor = inv.value;
       break;
     }
   }
-  tsdb_plane.Attach(*app);
+  const std::unique_ptr<obs::TsdbPlane> tsdb =
+      exp::MakeSloTsdbPlane(goodput_floor);
+  run.tsdb = tsdb.get();
 
-  // One closed-loop pool per tenant, splitting the scheduled population by
-  // weight. A scenario without tenants runs one anonymous pool over the
-  // full schedule (the legacy uniform-users setup).
-  workload::TrafficDriver traffic(app.get());
-  std::vector<TenantSpec> tenants = spec.tenants;
-  if (tenants.empty()) tenants.push_back(TenantSpec{});
-  double total_weight = 0.0;
-  for (const TenantSpec& tenant : tenants) total_weight += tenant.weight;
-  if (total_weight <= 0.0) total_weight = 1.0;
-  const workload::Schedule users = spec.BuildUserSchedule();
-  for (const TenantSpec& tenant : tenants) {
-    workload::ClosedLoopConfig config = exp::UniformUsers(*app);
-    if (!tenant.api_weights.empty()) config.mix.weights = tenant.api_weights;
-    config.think = Seconds(spec.think_s);
-    config.client_timeout = Seconds(spec.client_timeout_s);
-    config.max_client_retries = spec.client_retries;
-    config.client_retry_backoff = Seconds(spec.client_retry_backoff_s);
-    config.user_priority_lo = tenant.priority_lo;
-    config.user_priority_hi = tenant.priority_hi;
-    config.tenant = tenant.name;
-    traffic.AddClosedLoop(std::move(config),
-                          users.Scaled(tenant.weight / total_weight));
-  }
-
-  fault::FaultInjector injector(app.get(), faults,
-                                fault::FaultInjector::kDefaultSeed);
-  if (!spec.fault_profile.empty()) injector.Arm();
-
-  app->RunFor(Seconds(spec.duration_s));
-  tsdb_plane.FinishRules(ToSeconds(app->sim().Now()));
+  const exp::RunResult result = exp::Run(run, name);
+  const sim::Application& app = result.app();
 
   // --- Fold the run into artefacts and check --------------------------------
   RunArtifacts artifacts;
-  artifacts.metrics = &app->metrics();
-  artifacts.slo_events = &monitor->events();
-  artifacts.alerts = &tsdb_plane.rules().transitions();
+  artifacts.metrics = &app.metrics();
+  artifacts.slo_events = &result.slo_events;
+  artifacts.alerts = &tsdb->rules().transitions();
   std::uint64_t client_attempts = 0;
   std::uint64_t client_intents = 0;
   std::vector<double> all_rates;
-  for (const auto& pool : traffic.pools()) {
+  for (const auto& pool : result.traffic[0]->pools()) {
     artifacts.tenant_outcomes.push_back(pool->Outcomes());
     for (const workload::UserOutcomes& user : pool->Outcomes()) {
       client_attempts += user.attempts;
@@ -181,27 +147,22 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
     }
   }
   artifacts.amplification = obs::ComputeAmplification(
-      app->HopAttempts(), app->Retries(), client_attempts, client_intents);
+      app.HopAttempts(), app.Retries(), client_attempts, client_intents);
 
   verdict.invariants = CheckInvariants(spec, artifacts);
   verdict.pass = true;
   verdict.conforms = true;
-  for (InvariantResult& result : verdict.invariants) {
-    result.expected_violation =
-        spec.ExpectsViolation(controller, result.invariant.kind);
-    verdict.pass = verdict.pass && result.ok;
+  for (InvariantResult& check : verdict.invariants) {
+    check.expected_violation =
+        spec.ExpectsViolation(controller, check.invariant.kind);
+    verdict.pass = verdict.pass && check.ok;
     verdict.conforms =
-        verdict.conforms && (result.ok == !result.expected_violation);
+        verdict.conforms && (check.ok == !check.expected_violation);
   }
-  verdict.goodput_rps = app->metrics().AvgTotalGoodput();
+  verdict.goodput_rps = app.metrics().AvgTotalGoodput();
   verdict.fairness = obs::SuccessRateFairness(all_rates);
   verdict.amplification = artifacts.amplification;
-  verdict.slo_events = monitor->events().size();
-
-  if (telemetry.enabled()) {
-    telemetry.Export(*app, telemetry_name, controllers.topfull(),
-                     injector.Log().empty() ? nullptr : &injector.Log());
-  }
+  verdict.slo_events = result.slo_events.size();
   return verdict;
 }
 
@@ -242,8 +203,7 @@ void AppendInvariantJson(std::string* out, const InvariantResult& result) {
 
 CellVerdict RunScenarioCell(const ScenarioSpec& spec,
                             const std::string& controller) {
-  return RunCell(spec, controller,
-                 exp::SanitizeFileName(spec.name + "_" + controller));
+  return RunCell(spec, controller);
 }
 
 std::vector<CellVerdict> RunScenarioMatrix(

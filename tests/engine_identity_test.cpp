@@ -28,7 +28,6 @@
 #include "common/thread_pool.hpp"
 #include "exp/harness.hpp"
 #include "exp/run_executor.hpp"
-#include "exp/sharded_run.hpp"
 #include "sim/app.hpp"
 #include "sim/sharded_app.hpp"
 #include "workload/generators.hpp"
@@ -203,7 +202,7 @@ std::uint64_t SweepDigest(const std::vector<exp::RunSpec>& specs, int pool_size)
   for (const auto& r : results) {
     all += r.label;
     all += '\n';
-    all += Serialize(*r.app, &r.fault_log);
+    all += Serialize(r.app(), &r.fault_log);
   }
   return Fnv1a(all);
 }
@@ -225,7 +224,9 @@ void CheckCase(std::vector<exp::RunSpec> (*make)(), std::uint64_t golden) {
 }
 
 // Goldens captured from the pre-rewrite seed engine (commit 62e3978) with the
-// same serialization, on the reference toolchain.
+// same serialization, on the reference toolchain. Execute runs every spec
+// through exp::Run, i.e. a sim::ShardedApp at shards = 1, so these goldens
+// also pin the single-replica path to the unsharded seed engine.
 TEST(EngineIdentityTest, Fig08BoutiqueMatchesSeedEngine) {
   CheckCase(Fig08Specs, 0xc68e4a7aac39ce8dull);
 }
@@ -292,48 +293,19 @@ std::string SerializeSharded(const sim::ShardedApp& app,
   return out;
 }
 
-/// Digest of `specs` run through the sharded executor. At shards == 1 the
-/// per-run serialization is byte-compatible with SweepDigest's (same
-/// Serialize, same label framing), so digests compare across executors.
-std::uint64_t ShardedSweepDigest(const std::vector<exp::RunSpec>& specs,
-                                 int shards, bool threaded) {
+/// Digest of `specs` run at `shards` engine shards, merged observables.
+std::uint64_t ShardedSweepDigest(std::vector<exp::RunSpec> specs, int shards,
+                                 bool threaded) {
   std::string all;
-  for (const auto& spec : specs) {
-    exp::ShardedRunOptions options;
-    options.shards = shards;
-    options.threaded = threaded;
-    const exp::ShardedRunResult r = exp::RunShardedSpec(spec, options);
+  for (auto& spec : specs) {
+    spec.shards = shards;
+    spec.threaded = threaded;
+    const exp::RunResult r = exp::Run(spec);
     all += r.label;
     all += '\n';
-    if (shards == 1) {
-      all += Serialize(r.app->app(0), &r.fault_log);
-    } else {
-      all += SerializeSharded(*r.app, r.fault_log);
-    }
+    all += SerializeSharded(*r.sharded, r.fault_log);
   }
   return Fnv1a(all);
-}
-
-/// shards=1 must be byte-identical to the unsharded engine: same goldens,
-/// and (toolchain-independently) the same digest the direct executor
-/// produces in this very process.
-void CheckShardedOne(std::vector<exp::RunSpec> (*make)(), std::uint64_t golden) {
-  const std::uint64_t sharded = ShardedSweepDigest(make(), /*shards=*/1,
-                                                   /*threaded=*/true);
-  EXPECT_EQ(sharded, SweepDigest(make(), /*pool_size=*/1))
-      << "shards=1 diverged from the unsharded executor";
-  if (StrictGolden()) {
-    EXPECT_EQ(sharded, golden)
-        << "shards=1 diverged from the seed-engine golden digest";
-  }
-}
-
-TEST(EngineIdentityTest, Fig08ShardsOneMatchesSeedEngine) {
-  CheckShardedOne(Fig08Specs, 0xc68e4a7aac39ce8dull);
-}
-
-TEST(EngineIdentityTest, Fig18ShardsOneMatchesSeedEngine) {
-  CheckShardedOne(Fig18Specs, 0x98c210e206ab2bceull);
 }
 
 // Golden captured from this engine at shards=4 on the reference toolchain

@@ -36,6 +36,22 @@ TEST(HarnessTest, AttachMimdCreatesEntryController) {
   EXPECT_TRUE(controllers.topfull()->config().enable_clustering);
 }
 
+TEST(HarnessTest, TopFullBwRunsWithoutAPolicy) {
+  // TopFull(BW) runs the AIMD rate controller, so it must neither need nor
+  // load the pre-trained PPO policy.
+  EXPECT_FALSE(VariantNeedsPolicy(Variant::kTopFullBw));
+  EXPECT_TRUE(VariantNeedsPolicy(Variant::kTopFull));
+  EXPECT_TRUE(VariantNeedsPolicy(Variant::kTopFullNoCluster));
+  auto app = apps::MakeOnlineBoutique({});
+  Controllers controllers;
+  controllers.Attach(Variant::kTopFullBw, *app, nullptr);
+  ASSERT_NE(controllers.topfull(), nullptr);
+  workload::TrafficDriver traffic(app.get());
+  traffic.AddClosedLoop(UniformUsers(*app), workload::Schedule::Constant(3000));
+  app->RunFor(Seconds(10));
+  EXPECT_GT(app->metrics().AvgTotalGoodput(), 0.0);
+}
+
 TEST(HarnessTest, AttachDagorInstallsOnEveryService) {
   auto app = apps::MakeOnlineBoutique({});
   Controllers controllers;
@@ -126,7 +142,7 @@ TEST(CsvTest, TimelineExportHasHeaderAndRows) {
   traffic.AddOpenLoop(0, workload::Schedule::Constant(100));
   app->RunFor(Seconds(5));
   const std::string path = ::testing::TempDir() + "/timeline.csv";
-  ASSERT_TRUE(WriteTimelineCsv(*app, path));
+  ASSERT_TRUE(WriteTimelineCsv(*app, app->metrics().Timeline(), path));
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));

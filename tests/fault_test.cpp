@@ -415,13 +415,13 @@ TEST(FaultDeterminismTest, ByteIdenticalAcrossThreadPoolSizes) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_FALSE(serial[i].fault_log.empty());
-    EXPECT_EQ(Digest(*serial[i].app, &serial[i].fault_log),
-              Digest(*parallel[i].app, &parallel[i].fault_log))
+    EXPECT_EQ(Digest(serial[i].app(), &serial[i].fault_log),
+              Digest(parallel[i].app(), &parallel[i].fault_log))
         << "run " << i;
   }
   // All three runs of the identical spec agree with each other too.
-  EXPECT_EQ(Digest(*serial[0].app, &serial[0].fault_log),
-            Digest(*serial[2].app, &serial[2].fault_log));
+  EXPECT_EQ(Digest(serial[0].app(), &serial[0].fault_log),
+            Digest(serial[2].app(), &serial[2].fault_log));
 }
 
 TEST(FaultDeterminismTest, ByteIdenticalWithTracingOnAndOff) {

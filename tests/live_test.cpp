@@ -20,7 +20,6 @@
 
 #include "exp/harness.hpp"
 #include "exp/run_executor.hpp"
-#include "exp/sharded_run.hpp"
 #include "obs/export.hpp"
 #include "obs/http_server.hpp"
 #include "obs/json.hpp"
@@ -402,7 +401,7 @@ TEST(LivePlaneTest, FinalSnapshotEqualsTheOfflinePrometheusDump) {
   obs::LivePlane live(options);
   exp::RunSpec spec = LiveSpec("golden");
   spec.live = &live;
-  exp::RunExecutor::RunOne(spec);
+  exp::Run(spec);
   unsetenv("TOPFULL_TRACE_DIR");
 
   const auto snapshot = live.board().Read();
@@ -420,17 +419,17 @@ TEST(LivePlaneTest, FinalSnapshotEqualsTheOfflinePrometheusDump) {
 
 TEST(LivePlaneTest, PublishingIsAPureObserver) {
   // Identical spec with and without the live plane: per-API totals match.
-  exp::RunResult plain = exp::RunExecutor::RunOne(LiveSpec("observer"));
+  exp::RunResult plain = exp::Run(LiveSpec("observer"));
 
   obs::LiveOptions options;
   options.port = -1;
   obs::LivePlane live(options);
   exp::RunSpec spec = LiveSpec("observer");
   spec.live = &live;
-  exp::RunResult observed = exp::RunExecutor::RunOne(spec);
+  exp::RunResult observed = exp::Run(spec);
 
-  const auto& a = plain.app->metrics().Totals();
-  const auto& b = observed.app->metrics().Totals();
+  const auto& a = plain.app().metrics().Totals();
+  const auto& b = observed.app().metrics().Totals();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].offered, b[i].offered) << "api " << i;
@@ -478,7 +477,7 @@ TEST(LivePlaneTest, ConcurrentScrapesDuringARunningSimulation) {
 
   exp::RunSpec spec = LiveSpec("scraped", /*duration_s=*/10.0);
   spec.live = &live;
-  exp::RunExecutor::RunOne(spec);
+  exp::Run(spec);
   done.store(true, std::memory_order_relaxed);
   for (std::thread& thread : scrapers) thread.join();
   EXPECT_EQ(bad.load(), 0);
@@ -493,11 +492,9 @@ TEST(LivePlaneTest, ShardedRunExposesSchedulerMetricsPerShard) {
   obs::LivePlane live(options);
   exp::RunSpec spec = LiveSpec("sharded-live");
   spec.live = &live;
-  exp::ShardedRunOptions sharded_options;
-  sharded_options.shards = 2;
-  sharded_options.net_latency = Millis(1);
-  const exp::ShardedRunResult result =
-      exp::RunShardedSpec(spec, sharded_options);
+  spec.shards = 2;
+  spec.net_latency = Millis(1);
+  const exp::RunResult result = exp::Run(spec);
 
   const auto snapshot = live.board().Read();
   ASSERT_NE(snapshot, nullptr);
@@ -626,7 +623,7 @@ TEST(RouteTest, QueryAndAlertsServeJsonWhenATsdbIsWired) {
 TEST(LivePlaneTest, TsdbPlaneIsAPureObserver) {
   // Identical spec with and without the TSDB plane: per-API totals match
   // sample for sample, while the plane itself captured real series.
-  exp::RunResult plain = exp::RunExecutor::RunOne(LiveSpec("tsdb-observer"));
+  exp::RunResult plain = exp::Run(LiveSpec("tsdb-observer"));
 
   obs::TsdbPlane plane;
   for (obs::AlertRule& rule : obs::SloBurnRules()) {
@@ -634,10 +631,10 @@ TEST(LivePlaneTest, TsdbPlaneIsAPureObserver) {
   }
   exp::RunSpec spec = LiveSpec("tsdb-observer");
   spec.tsdb = &plane;
-  exp::RunResult observed = exp::RunExecutor::RunOne(spec);
+  exp::RunResult observed = exp::Run(spec);
 
-  const auto& a = plain.app->metrics().Totals();
-  const auto& b = observed.app->metrics().Totals();
+  const auto& a = plain.app().metrics().Totals();
+  const auto& b = observed.app().metrics().Totals();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].offered, b[i].offered) << "api " << i;
@@ -655,7 +652,7 @@ TEST(LivePlaneTest, ReplayedStoreAnswersQueriesByteIdentically) {
   obs::TsdbPlane plane;
   exp::RunSpec spec = LiveSpec("tsdb-replay");
   spec.tsdb = &plane;
-  exp::RunExecutor::RunOne(spec);
+  exp::Run(spec);
   ASSERT_GT(plane.tsdb().stats().appended, 0u);
 
   // The artifact reload (what `topfull serve --dir` and `topfull query

@@ -300,8 +300,7 @@ TEST(ObsTest, ExportsAreDeterministicAndWellFormed) {
     DriveOverload(traffic);
     app->RunFor(Seconds(15));
     const exp::TelemetrySummary summary =
-        telemetry.Export(*app, "demo", controller.get(), /*faults=*/nullptr,
-                         /*log_stderr=*/false);
+        telemetry.Export(*app, "demo", controller.get(), /*faults=*/nullptr);
     EXPECT_EQ(summary.paths.size(), 5u);
     EXPECT_GT(summary.sampled, 0u);
     EXPECT_GT(summary.ticks, 0u);
@@ -513,7 +512,7 @@ TEST(ObsTest, WritersReturnFalseWhenTheDiskIsFull) {
   EXPECT_FALSE(obs::WriteAlertsJson(plane.rules(), full));
   EXPECT_FALSE(obs::WriteRunSummaryJson(inputs, full));
   EXPECT_FALSE(obs::WriteHtmlReport(inputs, full));
-  EXPECT_FALSE(exp::WriteTimelineCsv(*app, full));
+  EXPECT_FALSE(exp::WriteTimelineCsv(*app, app->metrics().Timeline(), full));
 }
 
 // --- Satellite: CSV export creates its directory -----------------------------

@@ -192,7 +192,7 @@ std::vector<double> SweepTable(ThreadPool& pool) {
       exp::RunExecutor(&pool).Execute(SmallSweep());
   std::vector<double> goodputs;
   for (const auto& r : results) {
-    goodputs.push_back(exp::TotalGoodput(*r.app, 2.0, 8.0));
+    goodputs.push_back(exp::TotalGoodput(r.app(), 2.0, 8.0));
   }
   return goodputs;
 }

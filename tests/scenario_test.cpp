@@ -19,7 +19,6 @@
 #include "common/thread_pool.hpp"
 #include "exp/harness.hpp"
 #include "exp/run_executor.hpp"
-#include "exp/sharded_run.hpp"
 #include "obs/fairness.hpp"
 #include "obs/slo_monitor.hpp"
 #include "scenario/invariant.hpp"
@@ -668,9 +667,9 @@ TEST(ScenarioMatrixTest, MetastableTrapsStaticWhileTopFullEscapes) {
 // --- Sharded self-consistency -------------------------------------------------
 
 // One scenario driven through the sharded engine: shards=4 must be
-// bit-identical between threaded and sequential execution, shards=1 must
-// equal the unsharded run, and the 4-shard goodput must agree with the
-// 1-shard goodput within the cross-shard-latency tolerance.
+// bit-identical between threaded and sequential execution, and the 4-shard
+// goodput must agree with the 1-shard goodput within the
+// cross-shard-latency tolerance.
 TEST(ScenarioShardedTest, FourShardsSelfConsistent) {
   const ScenarioSpec scenario = MiniStorm();
 
@@ -694,30 +693,21 @@ TEST(ScenarioShardedTest, FourShardsSelfConsistent) {
   spec.variant = *exp::VariantFromName("breakwater");
   spec.static_rate = scenario.static_rate;
 
-  exp::ShardedRunOptions threaded;
-  threaded.shards = 4;
-  threaded.threaded = true;
-  const exp::ShardedRunResult four = exp::RunShardedSpec(spec, threaded);
+  spec.shards = 4;
+  const exp::RunResult four = exp::Run(spec);
 
-  exp::ShardedRunOptions sequential = threaded;
-  sequential.threaded = false;
-  const exp::ShardedRunResult four_seq = exp::RunShardedSpec(spec, sequential);
-  EXPECT_DOUBLE_EQ(four.app->MergedAvgTotalGoodput(),
-                   four_seq.app->MergedAvgTotalGoodput())
+  spec.threaded = false;
+  const exp::RunResult four_seq = exp::Run(spec);
+  EXPECT_DOUBLE_EQ(four.sharded->MergedAvgTotalGoodput(),
+                   four_seq.sharded->MergedAvgTotalGoodput())
       << "threaded vs sequential sharded execution diverged";
-  EXPECT_EQ(four.app->Retries(), four_seq.app->Retries());
-  EXPECT_EQ(four.app->HopTimeouts(), four_seq.app->HopTimeouts());
+  EXPECT_EQ(four.sharded->Retries(), four_seq.sharded->Retries());
+  EXPECT_EQ(four.sharded->HopTimeouts(), four_seq.sharded->HopTimeouts());
 
-  exp::ShardedRunOptions single;
-  single.shards = 1;
-  const exp::ShardedRunResult one = exp::RunShardedSpec(spec, single);
-  const exp::RunResult unsharded = exp::RunExecutor::RunOne(spec);
-  EXPECT_DOUBLE_EQ(one.app->MergedAvgTotalGoodput(),
-                   unsharded.app->metrics().AvgTotalGoodput())
-      << "shards=1 must degenerate to the unsharded run";
-
-  const double goodput1 = one.app->MergedAvgTotalGoodput();
-  const double goodput4 = four.app->MergedAvgTotalGoodput();
+  spec.shards = 1;
+  const exp::RunResult one = exp::Run(spec);
+  const double goodput1 = one.sharded->MergedAvgTotalGoodput();
+  const double goodput4 = four.sharded->MergedAvgTotalGoodput();
   ASSERT_GT(goodput1, 0.0);
   EXPECT_NEAR(goodput4, goodput1, 0.2 * goodput1)
       << "4-shard goodput drifted from the single-shard run";

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -12,8 +16,10 @@
 #include "apps/online_boutique.hpp"
 #include "common/partition.hpp"
 #include "des/sharded_simulation.hpp"
+#include "exp/csv.hpp"
 #include "exp/harness.hpp"
-#include "exp/sharded_run.hpp"
+#include "exp/run_executor.hpp"
+#include "obs/http_server.hpp"
 #include "obs/live.hpp"
 #include "obs/rules.hpp"
 #include "obs/tsdb_plane.hpp"
@@ -370,32 +376,31 @@ std::string SerializeMerged(const sim::ShardedApp& app,
 }
 
 std::string RunTwoCluster(int shards, bool threaded) {
-  exp::ShardedRunOptions options;
-  options.shards = shards;
-  options.net_latency = Millis(1);
-  options.threaded = threaded;
-  const exp::ShardedRunResult r = exp::RunShardedSpec(TwoClusterSpec(), options);
-  return SerializeMerged(*r.app, r.fault_log);
+  exp::RunSpec spec = TwoClusterSpec();
+  spec.shards = shards;
+  spec.threaded = threaded;
+  const exp::RunResult r = exp::Run(spec);
+  return SerializeMerged(*r.sharded, r.fault_log);
 }
 
 TEST(ShardedAppTest, AlignedPlanRunsWithoutCrossShardCalls) {
-  exp::ShardedRunOptions options;
-  options.shards = 2;
-  const auto r = exp::RunShardedSpec(TwoClusterSpec(), options);
-  EXPECT_TRUE(r.app->plan().cluster_aligned);
-  EXPECT_EQ(r.app->RemoteCalls(), 0u);
+  exp::RunSpec spec = TwoClusterSpec();
+  spec.shards = 2;
+  const exp::RunResult r = exp::Run(spec);
+  EXPECT_TRUE(r.sharded->plan().cluster_aligned);
+  EXPECT_EQ(r.sharded->RemoteCalls(), 0u);
   // Nothing can cross, so the one-shot run is a single round.
-  EXPECT_EQ(r.app->engine().lookahead(), kUnbounded);
-  EXPECT_EQ(r.app->engine().Rounds(), 1u);
+  EXPECT_EQ(r.sharded->engine().lookahead(), kUnbounded);
+  EXPECT_EQ(r.sharded->engine().Rounds(), 1u);
   // Both shards did real work.
-  EXPECT_GT(r.app->app(0).sim().EventsProcessed(), 1000u);
-  EXPECT_GT(r.app->app(1).sim().EventsProcessed(), 1000u);
+  EXPECT_GT(r.sharded->app(0).sim().EventsProcessed(), 1000u);
+  EXPECT_GT(r.sharded->app(1).sim().EventsProcessed(), 1000u);
   // Conservation per API: everything offered is accounted for.
-  for (const auto& t : r.app->MergedTotals()) {
+  for (const auto& t : r.sharded->MergedTotals()) {
     EXPECT_GT(t.offered, 0u);
     EXPECT_EQ(t.offered, t.admitted + t.rejected_entry);
   }
-  EXPECT_GT(r.app->MergedAvgTotalGoodput(1.0), 0.0);
+  EXPECT_GT(r.sharded->MergedAvgTotalGoodput(1.0), 0.0);
 }
 
 TEST(ShardedAppTest, FixedShardCountIsBitIdenticalAcrossRunsAndExecModes) {
@@ -414,28 +419,27 @@ TEST(ShardedAppTest, SplitClusterRoutesHopsAcrossShards) {
   spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
     traffic.AddClosedLoop(exp::UniformUsers(app), workload::Schedule::Constant(200));
   };
-  exp::ShardedRunOptions options;
-  options.shards = 2;
-  options.net_latency = Millis(1);
-  const auto r = exp::RunShardedSpec(spec, options);
-  EXPECT_FALSE(r.app->plan().cluster_aligned);
-  EXPECT_GT(r.app->RemoteCalls(), 0u);
+  spec.shards = 2;
+  spec.net_latency = Millis(1);
+  const exp::RunResult r = exp::Run(spec);
+  EXPECT_FALSE(r.sharded->plan().cluster_aligned);
+  EXPECT_GT(r.sharded->RemoteCalls(), 0u);
   // A split plan keeps net_latency windows.
-  EXPECT_EQ(r.app->engine().lookahead(), Millis(1));
-  EXPECT_EQ(r.app->engine().Rounds(),
+  EXPECT_EQ(r.sharded->engine().lookahead(), Millis(1));
+  EXPECT_EQ(r.sharded->engine().Rounds(),
             static_cast<std::uint64_t>(Seconds(spec.duration_s) / Millis(1)));
-  const auto totals = r.app->MergedTotals();
+  const auto totals = r.sharded->MergedTotals();
   ASSERT_EQ(totals.size(), 1u);
   EXPECT_GT(totals[0].completed, 0u);
   // Repeatability with remote calls in play.
-  const auto r2 = exp::RunShardedSpec(spec, options);
-  EXPECT_EQ(SerializeMerged(*r.app, r.fault_log),
-            SerializeMerged(*r2.app, r2.fault_log));
+  const exp::RunResult r2 = exp::Run(spec);
+  EXPECT_EQ(SerializeMerged(*r.sharded, r.fault_log),
+            SerializeMerged(*r2.sharded, r2.fault_log));
   // And threaded == sequential.
-  options.threaded = false;
-  const auto r3 = exp::RunShardedSpec(spec, options);
-  EXPECT_EQ(SerializeMerged(*r.app, r.fault_log),
-            SerializeMerged(*r3.app, r3.fault_log));
+  spec.threaded = false;
+  const exp::RunResult r3 = exp::Run(spec);
+  EXPECT_EQ(SerializeMerged(*r.sharded, r.fault_log),
+            SerializeMerged(*r3.sharded, r3.fault_log));
 }
 
 /// Runs TwoClusterSpec on 2 aligned shards with a TSDB plane (SLO burn
@@ -461,12 +465,11 @@ TsdbRun RunTwoClusterWithTsdb(obs::LivePlane* live) {
   exp::RunSpec spec = TwoClusterSpec();
   spec.tsdb = &plane;
   spec.live = live;
-  exp::ShardedRunOptions options;
-  options.shards = 2;
-  const exp::ShardedRunResult r = exp::RunShardedSpec(spec, options);
-  EXPECT_TRUE(r.app->plan().cluster_aligned);
+  spec.shards = 2;
+  const exp::RunResult r = exp::Run(spec);
+  EXPECT_TRUE(r.sharded->plan().cluster_aligned);
   return {obs::TsdbJson(plane.tsdb()), plane.rules().AlertsJson(),
-          plane.rules().transitions().size(), r.app->engine().Rounds()};
+          plane.rules().transitions().size(), r.sharded->engine().Rounds()};
 }
 
 TEST(ShardedAppTest, AlignedShardsDriftOnlyBetweenQuiescentPoints) {
@@ -493,17 +496,16 @@ TEST(ShardedAppTest, AlignedShardsDriftOnlyBetweenQuiescentPoints) {
 TEST(ShardedAppTest, FaultsAreArmedOnTheOwningShardOnly) {
   exp::RunSpec spec = TwoClusterSpec();
   spec.faults.CrashPods("svc-2", Seconds(2), 1, Seconds(2));
-  exp::ShardedRunOptions options;
-  options.shards = 2;
-  const auto r = exp::RunShardedSpec(spec, options);
+  spec.shards = 2;
+  const exp::RunResult r = exp::Run(spec);
   // The crash happened exactly once, on whichever shard owns svc-2.
   int crashes = 0;
   for (const auto& rec : r.fault_log) {
     if (rec.action == fault::FaultRecord::Action::kApply) ++crashes;
   }
   EXPECT_EQ(crashes, 1);
-  const int owner = r.app->plan().OwnerOf(r.app->app(0).FindService("svc-2"));
-  EXPECT_GT(r.app->app(owner).HopTimeouts() + 1, 0u);  // owner shard exists
+  const int owner = r.sharded->plan().OwnerOf(r.sharded->app(0).FindService("svc-2"));
+  EXPECT_GT(r.sharded->app(owner).HopTimeouts() + 1, 0u);  // owner shard exists
 }
 
 TEST(ShardedAppTest, ReplicatedAlibabaShardsRunAligned) {
@@ -519,14 +521,120 @@ TEST(ShardedAppTest, ReplicatedAlibabaShardsRunAligned) {
     traffic.AddClosedLoop(exp::UniformUsers(app),
                           workload::Schedule::Constant(2000));
   };
-  exp::ShardedRunOptions options;
-  options.shards = 2;
-  const auto r = exp::RunShardedSpec(spec, options);
-  EXPECT_TRUE(r.app->plan().cluster_aligned);
-  EXPECT_EQ(r.app->RemoteCalls(), 0u);
-  EXPECT_GT(r.app->app(0).sim().EventsProcessed(), 1000u);
-  EXPECT_GT(r.app->app(1).sim().EventsProcessed(), 1000u);
-  EXPECT_GT(r.app->MergedAvgTotalGoodput(1.0), 0.0);
+  spec.shards = 2;
+  const exp::RunResult r = exp::Run(spec);
+  EXPECT_TRUE(r.sharded->plan().cluster_aligned);
+  EXPECT_EQ(r.sharded->RemoteCalls(), 0u);
+  EXPECT_GT(r.sharded->app(0).sim().EventsProcessed(), 1000u);
+  EXPECT_GT(r.sharded->app(1).sim().EventsProcessed(), 1000u);
+  EXPECT_GT(r.sharded->MergedAvgTotalGoodput(1.0), 0.0);
+}
+
+TEST(ShardedAppTest, StaticLimitCapsEveryShardCount) {
+  constexpr double kRate = 30.0;
+  exp::RunSpec spec = TwoClusterSpec();
+  spec.variant = exp::Variant::kStaticLimit;
+  spec.static_rate = kRate;
+
+  // Two shards: every API's entry bucket lives on its origin shard, so the
+  // merged goodput stays within the per-API rate plus the initial burst.
+  spec.shards = 2;
+  const exp::RunResult two = exp::Run(spec);
+  const core::TopFullConfig config;
+  const double burst = std::max(config.min_burst, kRate * config.burst_fraction);
+  const int apis = two.app().NumApis();
+  EXPECT_LE(two.sharded->MergedAvgTotalGoodput(),
+            apis * (kRate + burst / spec.duration_s));
+  std::uint64_t rejected = 0;
+  for (const auto& t : two.sharded->MergedTotals()) rejected += t.rejected_entry;
+  EXPECT_GT(rejected, 0u) << "the limit never bit";
+
+  // One shard: identical to attaching the limiter by hand on a plain app.
+  spec.shards = 1;
+  const exp::RunResult one = exp::Run(spec);
+  auto plain = MakeTwoClusterApp();
+  exp::Controllers controllers;
+  controllers.Attach(exp::Variant::kStaticLimit, *plain, nullptr, config, kRate);
+  workload::TrafficDriver traffic(plain.get());
+  spec.traffic(traffic, *plain);
+  plain->RunFor(Seconds(spec.duration_s));
+  for (sim::ApiId a = 0; a < apis; ++a) {
+    const auto& got = one.app().metrics().Totals()[static_cast<std::size_t>(a)];
+    const auto& want = plain->metrics().Totals()[static_cast<std::size_t>(a)];
+    EXPECT_EQ(got.offered, want.offered) << "api " << a;
+    EXPECT_EQ(got.admitted, want.admitted) << "api " << a;
+    EXPECT_EQ(got.good, want.good) << "api " << a;
+  }
+  EXPECT_DOUBLE_EQ(one.app().metrics().AvgTotalGoodput(),
+                   plain->metrics().AvgTotalGoodput());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ShardedAppTest, TsdbEnvWritesRunLevelArtifacts) {
+  const std::string dir = testing::TempDir() + "sharded_tsdb";
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(setenv("TOPFULL_TSDB", "1", 1), 0);
+  exp::RunSpec spec = TwoClusterSpec();
+  spec.shards = 2;
+  spec.telemetry.dir = dir;
+  const exp::RunResult r = exp::Run(spec);
+  unsetenv("TOPFULL_TSDB");
+
+  // Per-shard telemetry, plus the shared store once under the run name.
+  EXPECT_FALSE(ReadFile(dir + "/two-cluster.shard0.metrics.prom").empty());
+  EXPECT_FALSE(ReadFile(dir + "/two-cluster.shard1.metrics.prom").empty());
+  EXPECT_FALSE(ReadFile(dir + "/two-cluster.alerts.json").empty());
+  const std::string tsdb_json = ReadFile(dir + "/two-cluster.tsdb.json");
+  ASSERT_FALSE(tsdb_json.empty());
+  ASSERT_EQ(r.telemetry.size(), 2u);
+  const std::vector<std::string>& paths = r.telemetry[0].paths;
+  EXPECT_NE(std::find(paths.begin(), paths.end(), dir + "/two-cluster.tsdb.json"),
+            paths.end());
+
+  // The reloaded artifact answers queries (what `topfull query --dir`
+  // does), with both shards' series in it.
+  std::string error;
+  const auto tsdb = obs::TsdbFromJson(tsdb_json, &error);
+  ASSERT_NE(tsdb, nullptr) << error;
+  obs::HttpRequest request;
+  request.method = "GET";
+  request.target = "/query?expr=sum%20by(shard)%20(topfull_requests_good_total)";
+  const obs::HttpResponse response = obs::HandleQueryRequest(request, *tsdb);
+  EXPECT_EQ(response.status, 200) << response.body;
+  EXPECT_NE(response.body.find("\"shard\":\"1\""), std::string::npos)
+      << response.body;
+}
+
+TEST(ShardedAppTest, TimelineCsvFromTheMergedTimeline) {
+  const std::string dir = testing::TempDir();
+  exp::RunSpec spec = TwoClusterSpec();
+  // One shard: the merged timeline is the app's own, byte for byte.
+  const exp::RunResult one = exp::Run(spec);
+  ASSERT_TRUE(exp::WriteTimelineCsv(one.app(), one.app().metrics().Timeline(),
+                                    dir + "/single.csv"));
+  ASSERT_TRUE(exp::WriteTimelineCsv(one.app(), one.sharded->MergedTimeline(),
+                                    dir + "/merged1.csv"));
+  const std::string single = ReadFile(dir + "/single.csv");
+  ASSERT_FALSE(single.empty());
+  EXPECT_EQ(ReadFile(dir + "/merged1.csv"), single);
+
+  // Two shards: one row per window, both APIs present.
+  spec.shards = 2;
+  const exp::RunResult two = exp::Run(spec);
+  ASSERT_TRUE(exp::WriteTimelineCsv(two.app(), two.sharded->MergedTimeline(),
+                                    dir + "/merged2.csv"));
+  std::ifstream in(dir + "/merged2.csv");
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("good_left"), std::string::npos);
+  EXPECT_NE(line.find("good_right"), std::string::npos);
+  int rows = 0;
+  while (std::getline(in, line)) ++rows;
+  EXPECT_EQ(rows, static_cast<int>(spec.duration_s));
 }
 
 }  // namespace

@@ -1,30 +1,16 @@
-// topfull — command-line driver for the simulator and controller.
-//
-//   topfull run    --app <boutique|trainticket|alibaba>
-//                  [--controller <topfull|topfull-bw|mimd|dagor|breakwater|none>]
-//                  [--users N | --rps R] [--duration S] [--surge T:N]
-//                  [--priorities] [--probe-failures] [--hpa] [--seed S]
-//                  [--csv FILE] [--threads N]
-//                  [--trace-dir DIR] [--trace-sample R]
-//                  [--fault-profile SPEC] [--fault-seed S]
-//                  [--hop-timeout S] [--retries N] [--retry-backoff S]
-//   topfull inspect --app <...>            # print topology + capacities
-//   topfull train   [--episodes N] [--out FILE] [--threads N]   # pre-train
-//   topfull report  [run options] [--out DIR]   # run + HTML report + summary
-//   topfull compare BASELINE.json CANDIDATE.json [--rel-tol R] [--abs-tol A]
-//   topfull serve   --dir DIR [--name NAME] [--port N] [--linger S]
-//   topfull scenario list [--profile FILE]
-//   topfull scenario run  [--controllers a,b,c] [--scenario NAME]
-//                         [--profile FILE] [--json FILE] [--smoke]
+// topfull — command-line driver for the simulator and controller. Run it
+// without arguments for the full usage.
 //
 // Examples:
 //   topfull run --app boutique --controller topfull --users 2600 --duration 120
 //   topfull run --app trainticket --controller dagor --users 800 --surge 40:3500
 //   topfull run --app boutique --users 2600 --duration 60 --serve-port 9090
+//   topfull run --app alibaba --replicas 4 --shards 4 --controller mimd
 //   topfull inspect --app alibaba
 //   topfull report --app boutique --users 2600 --surge 30:5200 --duration 90
 //   topfull compare baseline.summary.json candidate.summary.json
 //   topfull serve --dir topfull-report --port 9090
+//   topfull scenario run --smoke
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -47,20 +33,17 @@
 #include "apps/alibaba_demo.hpp"
 #include "apps/online_boutique.hpp"
 #include "apps/train_ticket.hpp"
-#include "autoscale/hpa.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/csv.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
-#include "exp/sharded_run.hpp"
+#include "exp/run_executor.hpp"
 #include "fault/profile.hpp"
 #include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/profile.hpp"
-#include "obs/query.hpp"
 #include "obs/report.hpp"
-#include "obs/rules.hpp"
 #include "obs/tsdb_plane.hpp"
 #include "scenario/library.hpp"
 #include "scenario/profile.hpp"
@@ -232,24 +215,6 @@ std::unique_ptr<obs::LivePlane> MakeLivePlane(const Args& args,
   return live;
 }
 
-/// Builds the time-series plane when --tsdb / --alert-floor (or the
-/// TOPFULL_TSDB env var) asks for one; null otherwise. Rules: the default
-/// multi-window SLO burn pair, plus goodput_floor_burn when --alert-floor
-/// gives a positive floor.
-std::unique_ptr<obs::TsdbPlane> MakeTsdbPlane(const Args& args) {
-  const char* env = std::getenv("TOPFULL_TSDB");
-  const bool env_on =
-      env != nullptr && *env != '\0' && std::string(env) != "0";
-  if (!args.Has("tsdb") && !args.Has("alert-floor") && !env_on) return nullptr;
-  auto plane = std::make_unique<obs::TsdbPlane>();
-  for (obs::AlertRule& rule : obs::SloBurnRules()) {
-    plane->rules().AddAlert(std::move(rule));
-  }
-  const double floor = args.Num("alert-floor", 0.0);
-  if (floor > 0) plane->rules().AddAlert(obs::GoodputFloorRule(floor));
-  return plane;
-}
-
 /// Minimal HTTP GET against the embedded observability server (numeric
 /// IPv4 hosts only — the server binds 127.0.0.1). Fills the status code
 /// and response body; false on connect/transport errors.
@@ -325,24 +290,6 @@ std::string PercentEncode(const std::string& text) {
   return out;
 }
 
-/// Resolves --controller via the shared exp name table; unknown names are
-/// an explicit error instead of silently running uncontrolled.
-bool ResolveVariant(const std::string& name, exp::Variant* variant) {
-  const auto resolved = exp::VariantFromName(name);
-  if (!resolved.has_value()) {
-    std::fprintf(stderr, "unknown --controller '%s'\n", name.c_str());
-    return false;
-  }
-  *variant = *resolved;
-  return true;
-}
-
-bool VariantNeedsPolicy(exp::Variant variant) {
-  return variant == exp::Variant::kTopFull ||
-         variant == exp::Variant::kTopFullNoCluster ||
-         variant == exp::Variant::kTopFullBw;
-}
-
 int CmdInspect(const Args& args) {
   auto app = MakeApp(args);
   if (!app) return Usage();
@@ -374,29 +321,83 @@ int CmdInspect(const Args& args) {
   return 0;
 }
 
-/// `run --shards N` (N > 1): the same run sharded across N engine shards
-/// via the conservative-lookahead parallel DES. Supports the core run
-/// options (--controller/--users/--rps/--surge/--duration/--seed/--replicas,
-/// fault profiles, RPC knobs); HPA/CSV are unsharded-only for now.
-int CmdRunSharded(const Args& args) {
-  obs::ScopedTimer run_timer("cli/run-sharded");
-  const int shards = static_cast<int>(args.Num("shards", 1));
-  if (args.Has("hpa") || args.Has("csv")) {
-    std::fprintf(stderr, "--hpa/--csv are not supported with --shards\n");
-    return 2;
+/// Prints what the fault injectors did (nothing when no fault ran).
+void PrintFaultLog(const std::vector<fault::FaultRecord>& log,
+                   std::size_t scheduled) {
+  if (log.empty()) return;
+  int injected = 0;
+  for (const auto& r : log) {
+    if (r.action != fault::FaultRecord::Action::kSkipped) ++injected;
   }
+  std::printf("faults: %d state changes from %zu scheduled events\n", injected,
+              scheduled);
+  for (const auto& r : log) {
+    std::printf("  t=%7.2fs %-20s %-8s %s%s%s severity=%.2f count=%d\n",
+                ToSeconds(r.at), fault::FaultTypeName(r.type),
+                fault::FaultActionName(r.action), r.service.empty() ? "" : "svc=",
+                r.service.c_str(), r.service.empty() ? "(cluster)" : "",
+                r.severity, r.count);
+  }
+}
 
+/// The shard plan, the sync lookahead and per-shard engine stats.
+void PrintShardStats(const sim::ShardedApp& app) {
+  const auto& plan = app.plan();
+  std::printf("shard plan: %d clusters over %d shards (%s)\n",
+              plan.num_clusters, app.num_shards(),
+              plan.cluster_aligned ? "cluster-aligned"
+                                   : "split clusters: cross-shard RPC in play");
+  const SimTime lookahead = app.engine().lookahead();
+  if (lookahead == des::ShardedSimulation::kUnboundedLookahead) {
+    std::printf("sync lookahead: unbounded (cluster-aligned)\n");
+  } else {
+    std::printf("sync lookahead: %.1f ms\n", ToMillis(lookahead));
+  }
+  std::printf("cross-shard RPCs: %llu, sync rounds: %llu\n",
+              static_cast<unsigned long long>(app.RemoteCalls()),
+              static_cast<unsigned long long>(app.engine().Rounds()));
+  Table table("per-shard engine stats");
+  table.SetHeader({"shard", "events", "busy (s)", "blocked (s)", "msgs out",
+                   "msgs in"});
+  const auto& stats = app.engine().Stats();
+  for (int i = 0; i < app.num_shards(); ++i) {
+    const auto& s = stats[static_cast<std::size_t>(i)];
+    table.AddRow({std::to_string(i),
+                  std::to_string(app.app(i).sim().EventsProcessed()),
+                  Fmt(s.busy_s, 2), Fmt(s.blocked_s, 2),
+                  std::to_string(s.messages_sent),
+                  std::to_string(s.messages_delivered)});
+  }
+  table.Print();
+}
+
+/// `run`: maps the flags onto an exp::RunSpec, runs it with exp::Run and
+/// prints the result. `--shards N` (N > 1) runs one simulation across N
+/// engine shards with merged results.
+int CmdRun(const Args& args) {
+  obs::ScopedTimer run_timer("cli/run");
+  // A probe app validates --app, names the run and parses the faults.
+  const auto probe = MakeApp(args);
+  if (!probe) return Usage();
   exp::RunSpec spec;
-  spec.label = args.Get("app", "boutique");
+  spec.label = probe->name();
   spec.duration_s = args.Num("duration", 120);
-  if (!ResolveVariant(args.Get("controller", "topfull"), &spec.variant)) {
+  // Unknown names are an error rather than a silently uncontrolled run.
+  const std::string controller = args.Get("controller", "topfull");
+  const auto variant = exp::VariantFromName(controller);
+  if (!variant.has_value()) {
+    std::fprintf(stderr, "unknown --controller '%s'\n", controller.c_str());
     return 2;
   }
+  spec.variant = *variant;
   spec.static_rate = args.Num("static-rate", 0.0);
-  std::shared_ptr<rl::GaussianPolicy> policy;
-  if (VariantNeedsPolicy(spec.variant)) {
-    policy = exp::GetPretrainedPolicy();
-    spec.policy = policy.get();
+  spec.hpa = args.Has("hpa");
+  spec.shards = std::max(1, static_cast<int>(args.Num("shards", 1)));
+  spec.net_latency = Millis(args.Num("net-latency-ms", 1.0));
+  spec.threaded = !args.Has("sequential");
+  if (spec.hpa && spec.shards > 1) {
+    std::fprintf(stderr, "--hpa is not supported with --shards\n");
+    return 2;
   }
   spec.make_app = [args] {
     auto app = MakeApp(args);
@@ -409,6 +410,7 @@ int CmdRunSharded(const Args& args) {
     return app;
   };
 
+  // --surge T:N switches the user count / rate to N at time T.
   double surge_t = -1, surge_value = 0;
   if (args.Has("surge")) {
     const std::string surge = args.Get("surge");
@@ -437,8 +439,6 @@ int CmdRunSharded(const Args& args) {
   };
 
   if (args.Has("fault-profile")) {
-    const auto probe = MakeApp(args);
-    if (!probe) return Usage();
     std::string error;
     const auto parsed =
         fault::ParseFaultProfile(args.Get("fault-profile"), *probe, &error);
@@ -451,67 +451,66 @@ int CmdRunSharded(const Args& args) {
   if (args.Has("fault-seed")) {
     spec.fault_seed = static_cast<std::uint64_t>(args.Num("fault-seed", 0));
   }
-
-  exp::ShardedRunOptions options;
-  options.shards = shards;
-  options.net_latency = Millis(args.Num("net-latency-ms", 1.0));
-  options.threaded = !args.Has("sequential");
-
-  // The sharded runner reads telemetry config from the environment (it
-  // builds one Telemetry per shard internally), so forward the CLI flags.
-  if (args.Has("trace-dir")) {
-    ::setenv("TOPFULL_TRACE_DIR", args.Get("trace-dir").c_str(), 1);
-  }
+  if (args.Has("trace-dir")) spec.telemetry.dir = args.Get("trace-dir");
   if (args.Has("trace-sample")) {
-    ::setenv("TOPFULL_TRACE_SAMPLE", args.Get("trace-sample").c_str(), 1);
+    spec.telemetry.sample_rate = args.Num("trace-sample", 1.0);
   }
 
-  std::unique_ptr<obs::TsdbPlane> tsdb = MakeTsdbPlane(args);
+  std::shared_ptr<rl::GaussianPolicy> policy;
+  if (exp::VariantNeedsPolicy(spec.variant)) {
+    policy = exp::GetPretrainedPolicy();
+    spec.policy = policy.get();
+  }
+  // --tsdb, --alert-floor F or TOPFULL_TSDB: the SLO burn pair, plus
+  // goodput_floor_burn for a positive floor.
+  std::unique_ptr<obs::TsdbPlane> tsdb;
+  if (args.Has("tsdb") || args.Has("alert-floor") || exp::TsdbFromEnv()) {
+    tsdb = exp::MakeSloTsdbPlane(args.Num("alert-floor", 0.0));
+  }
   spec.tsdb = tsdb.get();
   int live_rc = 0;
   std::unique_ptr<obs::LivePlane> live = MakeLivePlane(args, tsdb.get(), &live_rc);
   if (live_rc != 0) return live_rc;
   spec.live = live.get();
 
-  std::printf("running %s with %s for %.0f s across %d shards "
-              "(net latency %.1f ms, %s)...\n",
-              spec.label.c_str(), exp::VariantName(spec.variant).c_str(),
-              spec.duration_s, shards, ToMillis(options.net_latency),
-              options.threaded ? "threaded" : "sequential");
-  exp::ShardedRunResult result = exp::RunShardedSpec(spec, options);
-  sim::ShardedApp& app = *result.app;
+  const int shards = spec.shards;
+  std::printf("running %s with %s for %.0f s", spec.label.c_str(),
+              exp::VariantName(spec.variant).c_str(), spec.duration_s);
+  if (shards > 1) {
+    std::printf(" across %d shards (net latency %.1f ms, %s)", shards,
+                ToMillis(spec.net_latency),
+                spec.threaded ? "threaded" : "sequential");
+  }
+  std::printf("...\n");
+  exp::RunResult result = exp::Run(spec);
+  const sim::ShardedApp& app = *result.sharded;
 
-  if (!result.fault_log.empty()) {
-    std::printf("faults: %zu state changes\n", result.fault_log.size());
-    for (const auto& r : result.fault_log) {
-      std::printf("  t=%7.2fs %-20s %-8s %s%s%s severity=%.2f count=%d\n",
-                  ToSeconds(r.at), fault::FaultTypeName(r.type),
-                  fault::FaultActionName(r.action), r.service.empty() ? "" : "svc=",
-                  r.service.c_str(), r.service.empty() ? "(cluster)" : "",
-                  r.severity, r.count);
+  PrintFaultLog(result.fault_log, spec.faults.size());
+
+  // Each API row comes from the API's origin shard.
+  Table table(shards > 1 ? "per-API results (whole run, merged across shards)"
+                         : "per-API results (whole run)");
+  std::vector<std::string> header = {"API", "avg offered", "avg goodput",
+                                     "final p95 (ms)", "rate limit"};
+  if (shards > 1) header.insert(header.begin() + 1, "shard");
+  table.SetHeader(header);
+  for (sim::ApiId a = 0; a < app.app(0).NumApis(); ++a) {
+    const int origin = app.plan().OriginOf(a);
+    const sim::Application& owner = app.app(origin);
+    std::string limit = "-";
+    if (core::TopFullController* controller =
+            result.controllers[static_cast<std::size_t>(origin)].topfull()) {
+      const auto value = controller->RateLimit(a);
+      limit = value ? Fmt(*value, 0) : "uncapped";
     }
-  }
-
-  const auto& plan = app.plan();
-  std::printf("shard plan: %d clusters over %d shards (%s)\n",
-              plan.num_clusters, shards,
-              plan.cluster_aligned ? "cluster-aligned"
-                                   : "split clusters: cross-shard RPC in play");
-  const SimTime lookahead = app.engine().lookahead();
-  if (lookahead == des::ShardedSimulation::kUnboundedLookahead) {
-    std::printf("sync lookahead: unbounded (cluster-aligned)\n");
-  } else {
-    std::printf("sync lookahead: %.1f ms\n", ToMillis(lookahead));
-  }
-
-  Table table("per-API results (whole run, merged across shards)");
-  table.SetHeader({"API", "shard", "avg offered", "avg goodput"});
-  const auto totals = app.MergedTotals();
-  const sim::Application& app0 = app.app(0);
-  for (sim::ApiId a = 0; a < app0.NumApis(); ++a) {
-    table.AddRow({app0.api(a).name(), std::to_string(plan.OriginOf(a)),
-                  Fmt(static_cast<double>(totals[a].offered) / spec.duration_s, 0),
-                  Fmt(static_cast<double>(totals[a].good) / spec.duration_s, 0)});
+    std::vector<std::string> row = {
+        owner.api(a).name(),
+        Fmt(static_cast<double>(owner.metrics().Totals()[a].offered) /
+                spec.duration_s, 0),
+        Fmt(owner.metrics().AvgGoodput(a), 0),
+        Fmt(owner.metrics().Latest().apis[a].latency_p95_ms, 0), limit};
+    if (shards > 1) row.insert(row.begin() + 1, std::to_string(origin));
+    table.AddRow(row);
   }
   table.Print();
   std::printf("total avg goodput: %.0f rps\n", app.MergedAvgTotalGoodput());
@@ -520,185 +519,9 @@ int CmdRunSharded(const Args& args) {
                 tsdb->rules().rule_count(),
                 tsdb->rules().transitions().size());
   }
-  std::printf("cross-shard RPCs: %llu, sync rounds: %llu\n",
-              static_cast<unsigned long long>(app.RemoteCalls()),
-              static_cast<unsigned long long>(app.engine().Rounds()));
+  if (shards > 1) PrintShardStats(app);
 
-  Table shard_table("per-shard engine stats");
-  shard_table.SetHeader({"shard", "events", "busy (s)", "blocked (s)",
-                         "msgs out", "msgs in"});
-  const auto& stats = app.engine().Stats();
-  for (int i = 0; i < shards; ++i) {
-    const auto& s = stats[static_cast<std::size_t>(i)];
-    shard_table.AddRow({std::to_string(i),
-                        std::to_string(app.app(i).sim().EventsProcessed()),
-                        Fmt(s.busy_s, 2), Fmt(s.blocked_s, 2),
-                        std::to_string(s.messages_sent),
-                        std::to_string(s.messages_delivered)});
-  }
-  shard_table.Print();
-  return 0;
-}
-
-int CmdRun(const Args& args) {
-  if (args.Num("shards", 1) > 1) return CmdRunSharded(args);
-  obs::ScopedTimer run_timer("cli/run");
-  auto app = MakeApp(args);
-  if (!app) return Usage();
-  const std::string controller_name = args.Get("controller", "topfull");
-  exp::Variant variant;
-  if (!ResolveVariant(controller_name, &variant)) return 2;
-
-  if (args.Has("hop-timeout") || args.Has("retries") || args.Has("retry-backoff")) {
-    app->ConfigureRpc(Seconds(args.Num("hop-timeout", 0)),
-                      static_cast<int>(args.Num("retries", 0)),
-                      Seconds(args.Num("retry-backoff", 0)));
-  }
-
-  fault::FaultSchedule faults;
-  if (args.Has("fault-profile")) {
-    std::string error;
-    const auto parsed = fault::ParseFaultProfile(args.Get("fault-profile"), *app, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "bad --fault-profile: %s\n", error.c_str());
-      return 2;
-    }
-    faults = *parsed;
-  }
-
-  exp::TelemetryOptions trace_options = exp::TelemetryOptions::FromEnv();
-  if (args.Has("trace-dir")) trace_options.dir = args.Get("trace-dir");
-  if (args.Has("trace-sample")) {
-    trace_options.sample_rate = args.Num("trace-sample", 1.0);
-  }
-  exp::Telemetry telemetry(trace_options);
-  telemetry.Attach(*app);
-
-  // The TSDB feeder chains after the SLO monitor, so it attaches second.
-  std::unique_ptr<obs::TsdbPlane> tsdb = MakeTsdbPlane(args);
-  if (tsdb != nullptr) {
-    tsdb->Attach(*app);
-    telemetry.SetTsdb(tsdb.get());
-  }
-
-  std::shared_ptr<rl::GaussianPolicy> policy;
-  if (VariantNeedsPolicy(variant)) policy = exp::GetPretrainedPolicy();
-  exp::Controllers controllers;
-  controllers.Attach(variant, *app, policy.get(), {},
-                     /*mimd_decrease=*/0.05, /*mimd_increase=*/0.01,
-                     args.Num("static-rate", 0.0));
-  if (controllers.topfull() != nullptr) telemetry.Attach(*controllers.topfull());
-
-  std::unique_ptr<autoscale::Cluster> cluster;
-  std::unique_ptr<autoscale::HorizontalPodAutoscaler> hpa;
-  if (args.Has("hpa")) {
-    cluster = std::make_unique<autoscale::Cluster>(&app->sim(),
-                                                   autoscale::ClusterConfig{});
-    hpa = std::make_unique<autoscale::HorizontalPodAutoscaler>(
-        app.get(), cluster.get(), autoscale::HpaConfig{});
-    hpa->Start();
-  }
-
-  const double duration = args.Num("duration", 120);
-  workload::TrafficDriver traffic(app.get());
-  // --surge T:N switches the user count / rate to N at time T.
-  double surge_t = -1, surge_value = 0;
-  if (args.Has("surge")) {
-    const std::string surge = args.Get("surge");
-    const auto colon = surge.find(':');
-    if (colon == std::string::npos) return Usage();
-    surge_t = std::atof(surge.substr(0, colon).c_str());
-    surge_value = std::atof(surge.substr(colon + 1).c_str());
-  }
-  if (args.Has("rps")) {
-    const double per_api = args.Num("rps", 1000) / app->NumApis();
-    for (sim::ApiId a = 0; a < app->NumApis(); ++a) {
-      workload::Schedule schedule = workload::Schedule::Constant(per_api);
-      if (surge_t >= 0) schedule.Then(Seconds(surge_t), surge_value / app->NumApis());
-      traffic.AddOpenLoop(a, std::move(schedule));
-    }
-  } else {
-    workload::Schedule schedule = workload::Schedule::Constant(args.Num("users", 1000));
-    if (surge_t >= 0) schedule.Then(Seconds(surge_t), surge_value);
-    traffic.AddClosedLoop(exp::UniformUsers(*app), std::move(schedule));
-  }
-
-  fault::FaultInjector injector(
-      app.get(), faults,
-      args.Has("fault-seed")
-          ? static_cast<std::uint64_t>(args.Num("fault-seed", 0))
-          : fault::FaultInjector::kDefaultSeed);
-  if (cluster != nullptr) injector.AttachCluster(cluster.get());
-  if (!faults.empty()) injector.Arm();
-
-  int live_rc = 0;
-  std::unique_ptr<obs::LivePlane> live = MakeLivePlane(args, tsdb.get(), &live_rc);
-  if (live_rc != 0) return live_rc;
-
-  std::printf("running %s with %s for %.0f s...\n", app->name().c_str(),
-              exp::VariantName(variant).c_str(), duration);
-  {
-    obs::ScopedTimer timer("cli/simulate");
-    if (live == nullptr) {
-      app->RunFor(Seconds(duration));
-    } else {
-      obs::LiveSources sources;
-      sources.shards.push_back(
-          {app.get(), telemetry.tracer(), telemetry.monitor()});
-      sources.label = app->name();
-      sources.duration_s = duration;
-      const SimTime end = app->sim().Now() + Seconds(duration);
-      live->MaybePublish(sources);
-      while (app->sim().Now() < end) {
-        app->RunUntil(std::min(app->sim().Now() + Millis(100), end));
-        live->MaybePublish(sources);
-      }
-      live->Publish(sources, /*finished=*/true);
-    }
-  }
-  if (tsdb != nullptr) tsdb->FinishRules(ToSeconds(app->sim().Now()));
-
-  if (!injector.Log().empty()) {
-    std::printf("faults: %d state changes from %zu scheduled events\n",
-                injector.InjectionCount(), injector.schedule().size());
-    for (const auto& r : injector.Log()) {
-      std::printf("  t=%7.2fs %-20s %-8s %s%s%s severity=%.2f count=%d\n",
-                  ToSeconds(r.at), fault::FaultTypeName(r.type),
-                  fault::FaultActionName(r.action), r.service.empty() ? "" : "svc=",
-                  r.service.c_str(), r.service.empty() ? "(cluster)" : "",
-                  r.severity, r.count);
-    }
-  }
-
-  Table table("per-API results (whole run)");
-  table.SetHeader({"API", "avg offered", "avg goodput", "final p95 (ms)",
-                   "rate limit"});
-  const auto& snap = app->metrics().Latest();
-  for (sim::ApiId a = 0; a < app->NumApis(); ++a) {
-    const auto& totals = app->metrics().Totals()[a];
-    std::string limit = "-";
-    if (controllers.topfull() != nullptr) {
-      const auto value = controllers.topfull()->RateLimit(a);
-      limit = value ? Fmt(*value, 0) : "uncapped";
-    }
-    table.AddRow({app->api(a).name(),
-                  Fmt(static_cast<double>(totals.offered) / duration, 0),
-                  Fmt(app->metrics().AvgGoodput(a), 0),
-                  Fmt(snap.apis[a].latency_p95_ms, 0), limit});
-  }
-  table.Print();
-  std::printf("total avg goodput: %.0f rps\n", app->metrics().AvgTotalGoodput());
-  if (tsdb != nullptr) {
-    std::printf("alerts: %zu rules, %zu transitions\n",
-                tsdb->rules().rule_count(),
-                tsdb->rules().transitions().size());
-  }
-
-  if (telemetry.enabled()) {
-    const exp::TelemetrySummary summary = telemetry.Export(
-        *app, exp::SanitizeFileName(app->name()), controllers.topfull(),
-        injector.Log().empty() ? nullptr : &injector.Log(),
-        /*log_stderr=*/false);
+  for (const exp::TelemetrySummary& summary : result.telemetry) {
     std::string paths;
     for (const std::string& path : summary.paths) {
       if (!paths.empty()) paths += " ";
@@ -715,7 +538,7 @@ int CmdRun(const Args& args) {
 
   if (args.Has("csv")) {
     const std::string path = args.Get("csv");
-    if (exp::WriteTimelineCsv(*app, path)) {
+    if (exp::WriteTimelineCsv(app.app(0), app.MergedTimeline(), path)) {
       std::printf("timeline written to %s\n", path.c_str());
     } else {
       std::fprintf(stderr, "failed to write %s\n", path.c_str());
@@ -754,6 +577,38 @@ int CmdReport(const Args& args) {
   return rc;
 }
 
+/// Reads a whole file; false when it cannot be opened.
+bool ReadFile(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream text;
+  text << in.rdbuf();
+  *out = text.str();
+  return true;
+}
+
+/// The run whose artifacts `dir` holds: --name, or else the
+/// lexicographically first `*<suffix>` file. Empty, with a message on
+/// stderr, when there is none.
+std::string RunName(const Args& args, const std::string& dir,
+                    const std::string& suffix) {
+  if (args.Has("name")) return args.Get("name");
+  std::vector<std::string> found;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string file = entry.path().filename().string();
+    if (file.size() > suffix.size() &&
+        file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      found.push_back(file.substr(0, file.size() - suffix.size()));
+    }
+  }
+  if (found.empty()) {
+    std::fprintf(stderr, "no *%s under %s\n", suffix.c_str(), dir.c_str());
+    return "";
+  }
+  return *std::min_element(found.begin(), found.end());
+}
+
 // `serve` replays a finished run's exported artifacts over HTTP so the same
 // scrape targets work after the simulation has exited. `--name` picks a run
 // inside the directory (default: lexicographically first *.metrics.prom).
@@ -761,47 +616,22 @@ int CmdServe(const Args& args) {
   const std::string dir =
       args.Get("dir", args.positional.empty() ? "topfull-report"
                                               : args.positional[0]);
-  std::string name = args.Get("name");
-  if (name.empty()) {
-    const std::string suffix = ".metrics.prom";
-    std::vector<std::string> found;
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-      const std::string file = entry.path().filename().string();
-      if (file.size() > suffix.size() &&
-          file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
-        found.push_back(file.substr(0, file.size() - suffix.size()));
-      }
-    }
-    if (found.empty()) {
-      std::fprintf(stderr, "no *.metrics.prom under %s\n", dir.c_str());
-      return 2;
-    }
-    std::sort(found.begin(), found.end());
-    name = found.front();
-  }
-  const auto slurp = [](const std::string& path, std::string* out) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream text;
-    text << in.rdbuf();
-    *out = text.str();
-    return true;
-  };
+  const std::string name = RunName(args, dir, ".metrics.prom");
+  if (name.empty()) return 2;
   std::string metrics, summary, alerts;
-  if (!slurp(dir + "/" + name + ".metrics.prom", &metrics)) {
+  if (!ReadFile(dir + "/" + name + ".metrics.prom", &metrics)) {
     std::fprintf(stderr, "cannot read %s/%s.metrics.prom\n", dir.c_str(),
                  name.c_str());
     return 2;
   }
-  const bool have_summary = slurp(dir + "/" + name + ".summary.json", &summary);
+  const bool have_summary = ReadFile(dir + "/" + name + ".summary.json", &summary);
   // Replay the time-series artifacts when the run wrote them: /query
   // evaluates against the reloaded store (samples are %.17g, so responses
   // match the live server byte for byte); /alerts serves the saved body.
-  const bool have_alerts = slurp(dir + "/" + name + ".alerts.json", &alerts);
+  const bool have_alerts = ReadFile(dir + "/" + name + ".alerts.json", &alerts);
   std::unique_ptr<obs::Tsdb> tsdb;
   std::string tsdb_text;
-  if (slurp(dir + "/" + name + ".tsdb.json", &tsdb_text)) {
+  if (ReadFile(dir + "/" + name + ".tsdb.json", &tsdb_text)) {
     std::string error;
     tsdb = obs::TsdbFromJson(tsdb_text, &error);
     if (tsdb == nullptr) {
@@ -860,40 +690,39 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
-/// Shared --dir plumbing for `query`/`alerts`: resolves the run name (the
-/// lexicographically first `*<suffix>` file when --name is absent) and
-/// slurps `<dir>/<name><suffix>`. False with a message on stderr.
+/// Shared --dir plumbing for `query`/`alerts`: reads
+/// `<dir>/<name><suffix>`. False with a message on stderr.
 bool LoadRunArtifact(const Args& args, const std::string& suffix,
                      std::string* out) {
   const std::string dir = args.Get("dir");
-  std::string name = args.Get("name");
-  if (name.empty()) {
-    std::vector<std::string> found;
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-      const std::string file = entry.path().filename().string();
-      if (file.size() > suffix.size() &&
-          file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
-        found.push_back(file.substr(0, file.size() - suffix.size()));
-      }
-    }
-    if (found.empty()) {
-      std::fprintf(stderr, "no *%s under %s\n", suffix.c_str(), dir.c_str());
-      return false;
-    }
-    std::sort(found.begin(), found.end());
-    name = found.front();
-  }
+  const std::string name = RunName(args, dir, suffix);
+  if (name.empty()) return false;
   const std::string path = dir + "/" + name + suffix;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  if (!ReadFile(path, out)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return false;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  *out = text.str();
   return true;
+}
+
+/// Shared --url plumbing for `query`/`alerts`: prints the body of GET
+/// `target` on the live server; 0 on HTTP 200.
+int PrintFromServer(const Args& args, const std::string& target) {
+  std::string host;
+  int port = 0;
+  if (!ParseServerUrl(args.Get("url"), &host, &port)) {
+    std::fprintf(stderr, "bad --url '%s' (want http://HOST:PORT)\n",
+                 args.Get("url").c_str());
+    return 2;
+  }
+  int status = 0;
+  std::string body;
+  if (!HttpGet(host, port, target, &status, &body)) {
+    std::fprintf(stderr, "cannot reach %s:%d\n", host.c_str(), port);
+    return 1;
+  }
+  std::fputs(body.c_str(), stdout);
+  return status == 200 ? 0 : 1;
 }
 
 // `topfull query EXPR` evaluates a PromQL-subset expression against a live
@@ -916,23 +745,7 @@ int CmdQuery(const Args& args) {
     target += "&time=" + args.Get("time");
   }
 
-  if (args.Has("url")) {
-    std::string host;
-    int port = 0;
-    if (!ParseServerUrl(args.Get("url"), &host, &port)) {
-      std::fprintf(stderr, "bad --url '%s' (want http://HOST:PORT)\n",
-                   args.Get("url").c_str());
-      return 2;
-    }
-    int status = 0;
-    std::string body;
-    if (!HttpGet(host, port, target, &status, &body)) {
-      std::fprintf(stderr, "cannot reach %s:%d\n", host.c_str(), port);
-      return 1;
-    }
-    std::fputs(body.c_str(), stdout);
-    return status == 200 ? 0 : 1;
-  }
+  if (args.Has("url")) return PrintFromServer(args, target);
 
   if (!args.Has("dir")) {
     std::fprintf(stderr, "query needs --url or --dir\n");
@@ -958,23 +771,7 @@ int CmdQuery(const Args& args) {
 // `topfull alerts` prints a run's alert states + transitions: --url asks a
 // live server's /alerts endpoint, --dir prints the saved .alerts.json.
 int CmdAlerts(const Args& args) {
-  if (args.Has("url")) {
-    std::string host;
-    int port = 0;
-    if (!ParseServerUrl(args.Get("url"), &host, &port)) {
-      std::fprintf(stderr, "bad --url '%s' (want http://HOST:PORT)\n",
-                   args.Get("url").c_str());
-      return 2;
-    }
-    int status = 0;
-    std::string body;
-    if (!HttpGet(host, port, "/alerts", &status, &body)) {
-      std::fprintf(stderr, "cannot reach %s:%d\n", host.c_str(), port);
-      return 1;
-    }
-    std::fputs(body.c_str(), stdout);
-    return status == 200 ? 0 : 1;
-  }
+  if (args.Has("url")) return PrintFromServer(args, "/alerts");
   if (!args.Has("dir")) {
     std::fprintf(stderr, "alerts needs --url or --dir\n");
     return 2;
