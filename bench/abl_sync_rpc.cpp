@@ -14,6 +14,7 @@
 #include "common/table.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 #include "sim/app.hpp"
 
 using namespace topfull;
@@ -57,23 +58,20 @@ std::unique_ptr<sim::Application> MakeApp(bool blocking) {
   return app;
 }
 
-struct Row {
-  double buy, browse, viewcart;
-};
-
-Row Run(bool blocking, bool topfull, const rl::GaussianPolicy* policy) {
-  auto app = MakeApp(blocking);
-  exp::Controllers controllers;
-  controllers.Attach(topfull ? exp::Variant::kTopFull : exp::Variant::kNoControl,
-                     *app, policy);
-  workload::TrafficDriver traffic(app.get());
-  traffic.AddOpenLoop(0, workload::Schedule::Constant(1200));  // 3x checkout
-  traffic.AddOpenLoop(1, workload::Schedule::Constant(800));   // healthy
-  traffic.AddOpenLoop(2, workload::Schedule::Constant(800));   // healthy
-  app->RunFor(Seconds(kEndS));
-  return {app->metrics().AvgGoodput(0, 30, kEndS),
-          app->metrics().AvgGoodput(1, 30, kEndS),
-          app->metrics().AvgGoodput(2, 30, kEndS)};
+exp::RunSpec Spec(bool blocking, bool topfull, const rl::GaussianPolicy* policy) {
+  exp::RunSpec spec;
+  spec.label = std::string(blocking ? "blocking" : "async") +
+               (topfull ? "/TopFull" : "/none");
+  spec.duration_s = kEndS;
+  spec.variant = topfull ? exp::Variant::kTopFull : exp::Variant::kNoControl;
+  spec.policy = policy;
+  spec.make_app = [blocking] { return MakeApp(blocking); };
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application&) {
+    traffic.AddOpenLoop(0, workload::Schedule::Constant(1200));  // 3x checkout
+    traffic.AddOpenLoop(1, workload::Schedule::Constant(800));   // healthy
+    traffic.AddOpenLoop(2, workload::Schedule::Constant(800));   // healthy
+  };
+  return spec;
 }
 
 }  // namespace
@@ -93,13 +91,22 @@ int main() {
     const char* model;
     const char* control;
   };
-  for (const Config& config :
-       {Config{false, false, "async", "none"}, Config{false, true, "async", "TopFull"},
-        Config{true, false, "blocking", "none"},
-        Config{true, true, "blocking", "TopFull"}}) {
-    const Row row = Run(config.blocking, config.topfull, policy.get());
-    table.AddRow({config.model, config.control, Fmt(row.buy, 0),
-                  Fmt(row.browse, 0), Fmt(row.viewcart, 0)});
+  const Config configs[] = {Config{false, false, "async", "none"},
+                            Config{false, true, "async", "TopFull"},
+                            Config{true, false, "blocking", "none"},
+                            Config{true, true, "blocking", "TopFull"}};
+  std::vector<exp::RunSpec> specs;
+  for (const Config& config : configs) {
+    specs.push_back(Spec(config.blocking, config.topfull, policy.get()));
+  }
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(specs);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const sim::Application& app = results[i].app();
+    std::vector<std::string> row = {configs[i].model, configs[i].control};
+    for (sim::ApiId a = 0; a < 3; ++a) {
+      row.push_back(Fmt(app.metrics().AvgGoodput(a, 30, kEndS), 0));
+    }
+    table.AddRow(row);
   }
   table.Print();
   std::printf(

@@ -13,6 +13,7 @@
 #include "common/table.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 
 using namespace topfull;
 
@@ -21,28 +22,28 @@ namespace {
 constexpr double kSurgeStartS = 20.0;
 constexpr double kEndS = 140.0;
 
-struct RunResult {
-  std::unique_ptr<sim::Application> app;
-};
-
-std::unique_ptr<sim::Application> Run(exp::Variant variant,
-                                      const rl::GaussianPolicy* policy) {
-  apps::BoutiqueOptions options;
-  options.seed = 31;
-  auto app = apps::MakeOnlineBoutique(options);
-  exp::Controllers controllers;
-  controllers.Attach(variant, *app, policy);
-  workload::TrafficDriver traffic(app.get());
-  // Background load on every API; the surge hits getproduct + postcheckout.
-  for (sim::ApiId a = 0; a < app->NumApis(); ++a) {
-    traffic.AddOpenLoop(a, workload::Schedule::Constant(120));
-  }
-  traffic.AddOpenLoop(apps::kGetProduct,
-                      workload::Schedule::Constant(0).Then(Seconds(kSurgeStartS), 1400));
-  traffic.AddOpenLoop(apps::kPostCheckout,
-                      workload::Schedule::Constant(0).Then(Seconds(kSurgeStartS), 700));
-  app->RunFor(Seconds(kEndS));
-  return app;
+exp::RunSpec Spec(exp::Variant variant, const rl::GaussianPolicy* policy) {
+  exp::RunSpec spec;
+  spec.label = exp::VariantName(variant);
+  spec.duration_s = kEndS;
+  spec.variant = variant;
+  spec.policy = policy;
+  spec.make_app = [] {
+    apps::BoutiqueOptions options;
+    options.seed = 31;
+    return apps::MakeOnlineBoutique(options);
+  };
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    // Background load on every API; the surge hits getproduct + postcheckout.
+    for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
+      traffic.AddOpenLoop(a, workload::Schedule::Constant(120));
+    }
+    traffic.AddOpenLoop(apps::kGetProduct,
+                        workload::Schedule::Constant(0).Then(Seconds(kSurgeStartS), 1400));
+    traffic.AddOpenLoop(apps::kPostCheckout,
+                        workload::Schedule::Constant(0).Then(Seconds(kSurgeStartS), 700));
+  };
+  return spec;
 }
 
 }  // namespace
@@ -53,8 +54,11 @@ int main() {
               "starves Get Product; TopFull avoids the waste.");
   auto policy = exp::GetPretrainedPolicy();
 
-  auto dagor_app = Run(exp::Variant::kDagor, nullptr);
-  auto topfull_app = Run(exp::Variant::kTopFull, policy.get());
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(
+      {Spec(exp::Variant::kDagor, nullptr),
+       Spec(exp::Variant::kTopFull, policy.get())});
+  const sim::Application& dagor_app = results[0].app();
+  const sim::Application& topfull_app = results[1].app();
 
   Table timeline("goodput timeline (rps, 10 s bins after surge)");
   timeline.SetHeader({"t(s)", "DAGOR getproduct", "DAGOR postcheckout",
@@ -62,23 +66,23 @@ int main() {
   for (double t = kSurgeStartS; t + 10.0 <= kEndS; t += 10.0) {
     timeline.AddRow(
         Fmt(t + 10.0, 0),
-        {dagor_app->metrics().AvgGoodput(apps::kGetProduct, t, t + 10),
-         dagor_app->metrics().AvgGoodput(apps::kPostCheckout, t, t + 10),
-         topfull_app->metrics().AvgGoodput(apps::kGetProduct, t, t + 10),
-         topfull_app->metrics().AvgGoodput(apps::kPostCheckout, t, t + 10)},
+        {dagor_app.metrics().AvgGoodput(apps::kGetProduct, t, t + 10),
+         dagor_app.metrics().AvgGoodput(apps::kPostCheckout, t, t + 10),
+         topfull_app.metrics().AvgGoodput(apps::kGetProduct, t, t + 10),
+         topfull_app.metrics().AvgGoodput(apps::kPostCheckout, t, t + 10)},
         0);
   }
   timeline.Print();
 
   const double from = kSurgeStartS + 20.0;
   const double dagor_gp =
-      dagor_app->metrics().AvgGoodput(apps::kGetProduct, from, kEndS);
+      dagor_app.metrics().AvgGoodput(apps::kGetProduct, from, kEndS);
   const double topfull_gp =
-      topfull_app->metrics().AvgGoodput(apps::kGetProduct, from, kEndS);
+      topfull_app.metrics().AvgGoodput(apps::kGetProduct, from, kEndS);
   const double dagor_pc =
-      dagor_app->metrics().AvgGoodput(apps::kPostCheckout, from, kEndS);
+      dagor_app.metrics().AvgGoodput(apps::kPostCheckout, from, kEndS);
   const double topfull_pc =
-      topfull_app->metrics().AvgGoodput(apps::kPostCheckout, from, kEndS);
+      topfull_app.metrics().AvgGoodput(apps::kPostCheckout, from, kEndS);
   std::printf("\nGet Product:   TopFull %.0f rps vs DAGOR %.0f rps -> %.2fx "
               "(paper: ~1.9x)\n",
               topfull_gp, dagor_gp, topfull_gp / dagor_gp);

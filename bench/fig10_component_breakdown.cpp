@@ -5,8 +5,12 @@
 // clustering (sequential control), DAGOR, and full TopFull. Paper: MIMD
 // costs 11-34 % goodput and removing clustering costs 2.6-22.5 % depending
 // on how many independent clusters the application forms.
+//
+// The 3 apps x 5 variants (15 independent runs) execute concurrently on the
+// shared worker pool.
 #include <cstdio>
 #include <functional>
+#include <iterator>
 
 #include "apps/alibaba_demo.hpp"
 #include "apps/online_boutique.hpp"
@@ -14,6 +18,7 @@
 #include "common/table.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 
 using namespace topfull;
 
@@ -29,17 +34,22 @@ constexpr double kEndS = 110.0;
 // variant, which carries distinct per-API business priorities by design.
 using Factory = std::function<std::unique_ptr<sim::Application>(bool dagor)>;
 
-double RunVariant(const Factory& factory, int users, exp::Variant variant,
-                  const rl::GaussianPolicy* policy) {
-  auto app = factory(variant == exp::Variant::kDagor);
-  exp::Controllers controllers;
-  controllers.Attach(variant, *app, policy);
-  workload::TrafficDriver traffic(app.get());
-  traffic.AddClosedLoop(exp::UniformUsers(*app),
-                        workload::Schedule::Constant(users / 6)
-                            .Then(Seconds(kSurgeS), users));
-  app->RunFor(Seconds(kEndS));
-  return exp::TotalGoodput(*app, kSurgeS, kEndS);
+exp::RunSpec Spec(const char* name, const Factory& factory, int users,
+                  exp::Variant variant, const rl::GaussianPolicy* policy) {
+  exp::RunSpec spec;
+  spec.label = std::string(name) + "/" + exp::VariantName(variant);
+  spec.duration_s = kEndS;
+  spec.variant = variant;
+  spec.policy = policy;
+  spec.make_app = [factory, variant] {
+    return factory(variant == exp::Variant::kDagor);
+  };
+  spec.traffic = [users](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app),
+                          workload::Schedule::Constant(users / 6)
+                              .Then(Seconds(kSurgeS), users));
+  };
+  return spec;
 }
 
 }  // namespace
@@ -87,14 +97,25 @@ int main() {
       {exp::Variant::kTopFull, true},
   };
 
+  std::vector<exp::RunSpec> specs;
   for (const auto& benchmark : benchmarks) {
-    Table table(std::string(benchmark.name) + " (avg total goodput, rps)");
+    for (const auto& [variant, needs_policy] : variants) {
+      specs.push_back(Spec(benchmark.name, benchmark.factory, benchmark.users,
+                           variant, needs_policy ? policy.get() : nullptr));
+    }
+  }
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(specs);
+
+  const std::size_t per_benchmark = std::size(variants);
+  for (std::size_t b = 0; b < std::size(benchmarks); ++b) {
+    Table table(std::string(benchmarks[b].name) + " (avg total goodput, rps)");
     table.SetHeader({"variant", "goodput", "vs TopFull"});
     double topfull_goodput = 0.0;
     std::vector<std::pair<std::string, double>> rows;
-    for (const auto& [variant, needs_policy] : variants) {
-      const double g = RunVariant(benchmark.factory, benchmark.users, variant,
-                                  needs_policy ? policy.get() : nullptr);
+    for (std::size_t v = 0; v < per_benchmark; ++v) {
+      const exp::Variant variant = variants[v].first;
+      const double g = exp::TotalGoodput(
+          results[b * per_benchmark + v].app(), kSurgeS, kEndS);
       rows.emplace_back(exp::VariantName(variant), g);
       if (variant == exp::Variant::kTopFull) topfull_goodput = g;
     }

@@ -10,6 +10,7 @@
 #include "common/table.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 
 using namespace topfull;
 
@@ -19,18 +20,23 @@ constexpr int kUsers = 3000;
 constexpr double kWarmupS = 30.0;
 constexpr double kEndS = 150.0;
 
-std::unique_ptr<sim::Application> Run(exp::Variant variant,
-                                      const rl::GaussianPolicy* policy) {
-  apps::BoutiqueOptions options;
-  options.seed = 47;
-  options.distinct_priorities = true;
-  auto app = apps::MakeOnlineBoutique(options);
-  exp::Controllers controllers;
-  controllers.Attach(variant, *app, policy);
-  workload::TrafficDriver traffic(app.get());
-  traffic.AddClosedLoop(exp::UniformUsers(*app), workload::Schedule::Constant(kUsers));
-  app->RunFor(Seconds(kEndS));
-  return app;
+exp::RunSpec Spec(exp::Variant variant, const rl::GaussianPolicy* policy) {
+  exp::RunSpec spec;
+  spec.label = exp::VariantName(variant);
+  spec.duration_s = kEndS;
+  spec.variant = variant;
+  spec.policy = policy;
+  spec.make_app = [] {
+    apps::BoutiqueOptions options;
+    options.seed = 47;
+    options.distinct_priorities = true;
+    return apps::MakeOnlineBoutique(options);
+  };
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app),
+                          workload::Schedule::Constant(kUsers));
+  };
+  return spec;
 }
 
 }  // namespace
@@ -40,8 +46,9 @@ int main() {
               "Online Boutique with business priorities API1 > API2 > API3 > "
               "API4: per-API avg goodput (rps).");
   auto policy = exp::GetPretrainedPolicy();
-  auto dagor_app = Run(exp::Variant::kDagor, nullptr);
-  auto topfull_app = Run(exp::Variant::kTopFull, policy.get());
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(
+      {Spec(exp::Variant::kDagor, nullptr),
+       Spec(exp::Variant::kTopFull, policy.get())});
 
   Table table("avg goodput (rps)");
   table.SetHeader({"variant", "API1", "API2", "API3", "API4", "avg(1-4)"});
@@ -57,8 +64,8 @@ int main() {
     table.AddRow(name, values, 0);
     return values;
   };
-  const auto dagor_row = row("DAGOR", *dagor_app);
-  const auto topfull_row = row("TopFull", *topfull_app);
+  const auto dagor_row = row("DAGOR", results[0].app());
+  const auto topfull_row = row("TopFull", results[1].app());
   table.Print();
 
   std::printf("\nTopFull/DAGOR per API:  ");

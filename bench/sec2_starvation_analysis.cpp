@@ -11,29 +11,39 @@
 #include "apps/online_boutique.hpp"
 #include "common/table.hpp"
 #include "exp/harness.hpp"
+#include "exp/run_executor.hpp"
 #include "trace/synthetic_trace.hpp"
 
 using namespace topfull;
 
 namespace {
 
-int OverloadedServicesAfterSurge(sim::ApiId api) {
-  apps::BoutiqueOptions options;
-  options.seed = 97;
-  auto app = apps::MakeOnlineBoutique(options);
-  workload::TrafficDriver traffic(app.get());
-  // Moderate background on all APIs, then a large surge on one API.
-  for (sim::ApiId a = 0; a < app->NumApis(); ++a) {
-    traffic.AddOpenLoop(a, workload::Schedule::Constant(300));
-  }
-  traffic.AddOpenLoop(api, workload::Schedule::Constant(0).Then(Seconds(10), 4000));
-  app->RunFor(Seconds(40));
+exp::RunSpec SurgeSpec(const char* name, sim::ApiId api) {
+  exp::RunSpec spec;
+  spec.label = name;
+  spec.duration_s = 40.0;
+  spec.make_app = [] {
+    apps::BoutiqueOptions options;
+    options.seed = 97;
+    return apps::MakeOnlineBoutique(options);
+  };
+  spec.traffic = [api](workload::TrafficDriver& traffic, sim::Application& app) {
+    // Moderate background on all APIs, then a large surge on one API.
+    for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
+      traffic.AddOpenLoop(a, workload::Schedule::Constant(300));
+    }
+    traffic.AddOpenLoop(api, workload::Schedule::Constant(0).Then(Seconds(10), 4000));
+  };
+  return spec;
+}
+
+int OverloadedServices(const sim::Application& app) {
   // Utilisation averaged over the last 10 s (single 1 s snapshots are noisy
   // for services hovering right at the threshold).
-  const auto& timeline = app->metrics().Timeline();
+  const auto& timeline = app.metrics().Timeline();
   const std::size_t window = std::min<std::size_t>(10, timeline.size());
   int overloaded = 0;
-  for (int s = 0; s < app->NumServices(); ++s) {
+  for (int s = 0; s < app.NumServices(); ++s) {
     double sum = 0.0;
     for (std::size_t i = timeline.size() - window; i < timeline.size(); ++i) {
       sum += timeline[i].services[static_cast<std::size_t>(s)].cpu_utilization;
@@ -54,11 +64,14 @@ int main() {
                          "emptycart"};
   Table per_api("(a) single-API 6x surge -> # microservices with util > 0.8");
   per_api.SetHeader({"surged API", "overloaded microservices"});
+  std::vector<exp::RunSpec> specs;
+  for (sim::ApiId a = 0; a < 5; ++a) specs.push_back(SurgeSpec(names[a], a));
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(specs);
   double total = 0.0;
-  for (sim::ApiId a = 0; a < 5; ++a) {
-    const int n = OverloadedServicesAfterSurge(a);
+  for (const exp::RunResult& result : results) {
+    const int n = OverloadedServices(result.app());
     total += n;
-    per_api.AddRow({names[a], std::to_string(n)});
+    per_api.AddRow({result.label, std::to_string(n)});
   }
   per_api.Print();
   std::printf("average: %.1f (paper: 3.4)\n\n", total / 5.0);

@@ -12,6 +12,7 @@
 #include "apps/train_ticket.hpp"
 #include "common/table.hpp"
 #include "exp/harness.hpp"
+#include "exp/run_executor.hpp"
 
 using namespace topfull;
 
@@ -20,44 +21,50 @@ int main() {
               "Cluster count / membership over time as overloads appear, "
               "bridge, and resolve.");
 
-  apps::TrainTicketOptions options;
-  options.seed = 119;
-  auto app = apps::MakeTrainTicket(options);
+  exp::RunSpec spec;
+  spec.label = "recluster";
+  spec.duration_s = 140;
+  spec.make_app = [] {
+    apps::TrainTicketOptions options;
+    options.seed = 119;
+    return apps::MakeTrainTicket(options);
+  };
   // Passive observation: clustering is an analysis over the overload set
   // (Eq. 2), so we watch it evolve on the uncontrolled system — under
   // TopFull the overloads themselves would be resolved within seconds
-  // (which is the product's job, but makes a poor illustration).
-  core::ApiRegistry registry(*app);
+  // (which is the product's job, but makes a poor illustration). The
+  // custom attachment installs no controller; it only schedules phase 2.
+  spec.attach = [](sim::Application& app) -> std::shared_ptr<void> {
+    // Phase 2 (t=50..90): ts-basic — shared by BOTH ticket queries — loses
+    // 3 of its 4 pods. The shared overload bridges the two previously
+    // independent clusters into one (Eq. 2 transitivity); pods return at
+    // t=90 and the merged cluster splits back apart.
+    sim::Service* basic = &app.service(app.FindService("ts-basic"));
+    app.sim().ScheduleAt(Seconds(50), [basic]() { basic->KillPods(3); });
+    app.sim().ScheduleAt(Seconds(90), [basic]() { basic->SetPodCount(4, Seconds(1)); });
+    return nullptr;
+  };
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    // Base load everywhere.
+    for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
+      traffic.AddOpenLoop(a, workload::Schedule::Constant(120));
+    }
+    // Phase 1 (t=10): ticket queries surge; travel and travel2 overload.
+    traffic.AddOpenLoop(apps::kHighSpeedTicket,
+                        workload::Schedule::Constant(0).Then(Seconds(10), 900));
+    traffic.AddOpenLoop(apps::kNormalSpeedTicket,
+                        workload::Schedule::Constant(0).Then(Seconds(10), 500));
+  };
+  const exp::RunResult result = exp::Run(spec);
+  const sim::Application& app = result.app();
+
+  // Replay the per-second windows through the two-threshold detector.
+  core::ApiRegistry registry(app);
   core::OverloadConfig detect;
-  detect.util_exit_threshold = 0.8;  // two-threshold detector
-  std::vector<bool> flagged(static_cast<std::size_t>(app->NumServices()), false);
-  core::ClusterTracker tracker(app->NumApis());
-
-  workload::TrafficDriver traffic(app.get());
-  // Base load everywhere.
-  for (sim::ApiId a = 0; a < app->NumApis(); ++a) {
-    traffic.AddOpenLoop(a, workload::Schedule::Constant(120));
-  }
-  // Phase 1 (t=10): ticket queries surge; travel and travel2 overload.
-  traffic.AddOpenLoop(apps::kHighSpeedTicket,
-                      workload::Schedule::Constant(0).Then(Seconds(10), 900));
-  traffic.AddOpenLoop(apps::kNormalSpeedTicket,
-                      workload::Schedule::Constant(0).Then(Seconds(10), 500));
-  // Phase 2 (t=50..90): ts-basic — shared by BOTH ticket queries — loses
-  // 3 of its 4 pods. The shared overload bridges the two previously
-  // independent clusters into one (Eq. 2 transitivity); pods return at
-  // t=90 and the merged cluster splits back apart.
-  const sim::ServiceId basic = app->FindService("ts-basic");
-  app->sim().ScheduleAt(Seconds(50), [&app, basic]() {
-    app->service(basic).KillPods(3);
-  });
-  app->sim().ScheduleAt(Seconds(90), [&app, basic]() {
-    app->service(basic).SetPodCount(4, Seconds(1));
-  });
-
-  for (int t = 0; t < 140; ++t) {
-    app->RunFor(Seconds(1));
-    const auto& snap = app->metrics().Latest();
+  detect.util_exit_threshold = 0.8;
+  std::vector<bool> flagged(static_cast<std::size_t>(app.NumServices()), false);
+  core::ClusterTracker tracker(app.NumApis());
+  for (const sim::Snapshot& snap : app.metrics().Timeline()) {
     std::vector<sim::ServiceId> overloaded = core::DetectOverloaded(snap, detect);
     std::vector<bool> now(flagged.size(), false);
     for (const sim::ServiceId s : overloaded) now[s] = true;
@@ -72,7 +79,7 @@ int main() {
       if (now[s]) overloaded.push_back(static_cast<sim::ServiceId>(s));
     }
     flagged = std::move(now);
-    tracker.Record(ToSeconds(app->sim().Now()), core::BuildClusters(registry, overloaded));
+    tracker.Record(snap.t_end_s, core::BuildClusters(registry, overloaded));
   }
 
   Table table("clusters per control tick (5 s samples)");

@@ -10,54 +10,65 @@
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "core/controller.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 #include "sim/app.hpp"
-#include "workload/generators.hpp"
 
 using namespace topfull;
 
-int main() {
-  sim::Application app("priority-demo", /*seed=*/5);
+namespace {
+
+std::unique_ptr<sim::Application> MakeApp() {
+  auto app = std::make_unique<sim::Application>("priority-demo", /*seed=*/5);
 
   sim::ServiceConfig shared;
   shared.name = "shared";  // 4 threads / 5 ms = 800 rps
   shared.mean_service_ms = 5.0;
   shared.threads = 4;
   shared.initial_pods = 1;
-  const sim::ServiceId shared_id = app.AddService(shared);
+  const sim::ServiceId shared_id = app->AddService(shared);
 
   sim::ServiceConfig niche;
   niche.name = "niche";  // 2 threads / 10 ms = 200 rps: gold's second hop
   niche.mean_service_ms = 10.0;
   niche.threads = 2;
   niche.initial_pods = 1;
-  const sim::ServiceId niche_id = app.AddService(niche);
+  const sim::ServiceId niche_id = app->AddService(niche);
 
   // gold outranks silver outranks bronze (smaller value = higher priority).
   sim::ApiSpec gold("gold", 1);
   gold.AddPath(sim::ExecutionPath{sim::Chain({shared_id, niche_id}), 1.0, {}});
-  app.AddApi(std::move(gold));
+  app->AddApi(std::move(gold));
   sim::ApiSpec silver("silver", 2);
   silver.AddPath(sim::ExecutionPath{sim::Chain({shared_id}), 1.0, {}});
-  app.AddApi(std::move(silver));
+  app->AddApi(std::move(silver));
   sim::ApiSpec bronze("bronze", 3);
   bronze.AddPath(sim::ExecutionPath{sim::Chain({shared_id}), 1.0, {}});
-  app.AddApi(std::move(bronze));
-  app.Finalize();
+  app->AddApi(std::move(bronze));
+  app->Finalize();
+  return app;
+}
 
+}  // namespace
+
+int main() {
   auto policy = exp::GetPretrainedPolicy();
-  core::TopFullController controller(
-      &app, std::make_unique<core::RlRateController>(policy.get()));
-  controller.Start();
-
+  exp::RunSpec spec;
+  spec.label = "priority-demo";
+  spec.duration_s = 120;
+  spec.variant = exp::Variant::kTopFull;
+  spec.policy = policy.get();
+  spec.make_app = MakeApp;
   // Everyone offers 500 rps: "shared" sees 1500 vs its 800 capacity, and
   // gold is additionally capped by "niche" at 200.
-  workload::TrafficDriver traffic(&app);
-  for (sim::ApiId a = 0; a < 3; ++a) {
-    traffic.AddOpenLoop(a, workload::Schedule::Constant(500));
-  }
-  app.RunFor(Seconds(120));
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application&) {
+    for (sim::ApiId a = 0; a < 3; ++a) {
+      traffic.AddOpenLoop(a, workload::Schedule::Constant(500));
+    }
+  };
+  exp::RunResult result = exp::Run(spec);
+  const sim::Application& app = result.app();
+  const core::TopFullController& controller = *result.controllers[0].topfull();
 
   Table table("steady goodput under 1.9x overload of the shared service");
   table.SetHeader({"API", "priority", "offered", "goodput (60-120 s)", "rate limit"});

@@ -126,8 +126,7 @@ RunResult Run(const RunSpec& spec, const std::string& name) {
     }
 
     if (spec.hpa) {
-      shard.cluster = std::make_unique<autoscale::Cluster>(
-          &app.sim(), autoscale::ClusterConfig{});
+      shard.cluster = std::make_unique<autoscale::Cluster>(&app.sim(), *spec.hpa);
       shard.hpa = std::make_unique<autoscale::HorizontalPodAutoscaler>(
           &app, shard.cluster.get(), autoscale::HpaConfig{});
       shard.hpa->Start();

@@ -15,9 +15,11 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "autoscale/cluster.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/harness.hpp"
 #include "fault/fault.hpp"
@@ -58,9 +60,10 @@ struct RunSpec {
   /// returned object is kept alive until the run completes.
   std::function<std::shared_ptr<void>(sim::Application&)> attach;
 
-  /// Horizontal pod autoscaler on its own VM cluster, which the fault
-  /// injector's VM outages hit. Each shard replica scales independently.
-  bool hpa = false;
+  /// Horizontal pod autoscaler (default HpaConfig) on a VM cluster of this
+  /// shape, which the fault injector's VM outages hit; nullopt = none. Each
+  /// shard replica scales independently.
+  std::optional<autoscale::ClusterConfig> hpa;
 
   /// Faults injected during the run (empty = none; zero perturbation),
   /// each armed on the shard owning its service. The injector draws only

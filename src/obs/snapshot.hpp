@@ -183,13 +183,6 @@ std::string SnapshotJson(const MetricsSnapshot& snapshot);
 /// `/runs`: run-state JSON (label, progress, SLO events, per-shard stats).
 std::string RunStateJson(const MetricsSnapshot& snapshot);
 
-/// Structural check of Prometheus text-exposition output: every sample line
-/// parses (name, optional balanced label set, numeric value) and belongs to
-/// a family announced by a preceding # TYPE line. Used by tests and the CI
-/// scrape smoke. Returns false and describes the first offending line in
-/// `error` (when non-null).
-bool ValidatePromText(const std::string& text, std::string* error = nullptr);
-
 /// Prometheus label-value escaping (backslash, double-quote, newline).
 std::string PromEscapeLabel(const std::string& s);
 /// Prometheus HELP-text escaping (backslash, newline).

@@ -12,6 +12,7 @@
 #include "exp/run_executor.hpp"
 #include "fault/profile.hpp"
 #include "obs/snapshot.hpp"
+#include "obs/text_buffer.hpp"
 #include "obs/tsdb_plane.hpp"
 
 namespace topfull::scenario {
@@ -166,35 +167,29 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
   return verdict;
 }
 
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
 std::string Quote(const std::string& s) { return "\"" + obs::JsonEscape(s) + "\""; }
 
 std::string Bool(bool b) { return b ? "true" : "false"; }
 
 void AppendInvariantJson(std::string* out, const InvariantResult& result) {
   *out += "{\"kind\":" + std::string(Quote(InvariantKindName(result.invariant.kind)));
-  *out += ",\"value\":" + Num(result.invariant.value);
-  *out += ",\"from_s\":" + Num(result.invariant.from_s);
+  *out += ",\"value\":" + obs::Num(result.invariant.value);
+  *out += ",\"from_s\":" + obs::Num(result.invariant.from_s);
   if (!result.invariant.param.empty()) {
     *out += ",\"param\":" + Quote(result.invariant.param);
   }
   *out += ",\"ok\":" + std::string(Bool(result.ok));
   *out += ",\"expected_violation\":" + std::string(Bool(result.expected_violation));
   *out += ",\"conforms\":" + std::string(Bool(result.ok == !result.expected_violation));
-  *out += ",\"measured\":" + Num(result.measured);
+  *out += ",\"measured\":" + obs::Num(result.measured);
   *out += ",\"detail\":" + Quote(result.detail);
   if (result.witness.has_value()) {
     const obs::SloEvent& ev = *result.witness;
-    *out += ",\"witness\":{\"t_s\":" + Num(ev.t_s);
+    *out += ",\"witness\":{\"t_s\":" + obs::Num(ev.t_s);
     *out += ",\"type\":" + Quote(obs::SloEventTypeName(ev.type));
     *out += ",\"subject\":" + Quote(ev.subject);
-    *out += ",\"value\":" + Num(ev.value);
-    *out += ",\"threshold\":" + Num(ev.threshold) + "}";
+    *out += ",\"value\":" + obs::Num(ev.value);
+    *out += ",\"threshold\":" + obs::Num(ev.threshold) + "}";
   }
   *out += "}";
 }
@@ -234,21 +229,21 @@ std::string MatrixReportJson(const std::vector<CellVerdict>& verdicts) {
     out += ",\"pass\":" + std::string(Bool(cell.pass));
     out += ",\"conforms\":" + std::string(Bool(cell.conforms));
     if (!cell.error.empty()) out += ",\"error\":" + Quote(cell.error);
-    out += ",\"goodput_rps\":" + Num(cell.goodput_rps);
+    out += ",\"goodput_rps\":" + obs::Num(cell.goodput_rps);
     out += ",\"slo_events\":" + std::to_string(cell.slo_events);
-    out += ",\"amplification\":{\"hop\":" + Num(cell.amplification.hop_amplification);
-    out += ",\"client\":" + Num(cell.amplification.client_amplification);
-    out += ",\"total\":" + Num(cell.amplification.total);
+    out += ",\"amplification\":{\"hop\":" + obs::Num(cell.amplification.hop_amplification);
+    out += ",\"client\":" + obs::Num(cell.amplification.client_amplification);
+    out += ",\"total\":" + obs::Num(cell.amplification.total);
     out += ",\"hop_attempts\":" + std::to_string(cell.amplification.hop_attempts);
     out += ",\"server_retries\":" + std::to_string(cell.amplification.server_retries);
     out += ",\"client_attempts\":" + std::to_string(cell.amplification.client_attempts);
     out += ",\"client_intents\":" + std::to_string(cell.amplification.client_intents) + "}";
     out += ",\"fairness\":{\"users\":" + std::to_string(cell.fairness.users);
-    out += ",\"jain\":" + Num(cell.fairness.jain);
-    out += ",\"mean\":" + Num(cell.fairness.mean);
-    out += ",\"variance\":" + Num(cell.fairness.variance);
-    out += ",\"min\":" + Num(cell.fairness.min);
-    out += ",\"max\":" + Num(cell.fairness.max) + "}";
+    out += ",\"jain\":" + obs::Num(cell.fairness.jain);
+    out += ",\"mean\":" + obs::Num(cell.fairness.mean);
+    out += ",\"variance\":" + obs::Num(cell.fairness.variance);
+    out += ",\"min\":" + obs::Num(cell.fairness.min);
+    out += ",\"max\":" + obs::Num(cell.fairness.max) + "}";
     out += ",\"invariants\":[";
     for (std::size_t j = 0; j < cell.invariants.size(); ++j) {
       if (j != 0) out += ",";

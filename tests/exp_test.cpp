@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 
 #include "apps/online_boutique.hpp"
+#include "autoscale/hpa.hpp"
 #include "exp/harness.hpp"
 #include "exp/csv.hpp"
 #include "exp/microservice_env.hpp"
+#include "exp/run_executor.hpp"
 
 namespace topfull::exp {
 namespace {
@@ -162,6 +165,97 @@ TEST(ExternalActionControllerTest, SharesSlotAcrossClones) {
   *slot = -0.4;
   EXPECT_DOUBLE_EQ(controller.DecideStep(state), -0.4);
   EXPECT_DOUBLE_EQ(clone->DecideStep(state), -0.4);
+}
+
+/// Per-window counts, p95 latency, utilisation and pod counts at full
+/// precision: equal digests mean the two runs evolved identically.
+std::string TimelineDigest(const sim::Application& app) {
+  std::string out;
+  char buf[256];
+  for (const sim::Snapshot& snap : app.metrics().Timeline()) {
+    std::snprintf(buf, sizeof buf, "t=%.17g\n", snap.t_end_s);
+    out += buf;
+    for (const sim::ApiWindow& a : snap.apis) {
+      std::snprintf(buf, sizeof buf, "o=%llu a=%llu g=%llu p95=%.17g\n",
+                    static_cast<unsigned long long>(a.offered),
+                    static_cast<unsigned long long>(a.admitted),
+                    static_cast<unsigned long long>(a.good), a.latency_p95_ms);
+      out += buf;
+    }
+    for (const sim::ServiceWindow& s : snap.services) {
+      std::snprintf(buf, sizeof buf, "u=%.17g pods=%d\n", s.cpu_utilization,
+                    s.running_pods);
+      out += buf;
+    }
+  }
+  return out;
+}
+
+// RunSpec::hpa carries the cluster shape; exp::Run must match a run that
+// wires the autoscaler by hand in the order the figure benches used: cluster
+// and HPA first, then the controller, then the traffic.
+TEST(ExpTest, HpaClusterConfigMatchesHandWiredRun) {
+  constexpr double kEndS = 60.0;
+  // Small, fast-booting VMs: the surge exhausts the first one and the run
+  // depends on every field of the shape (the default is 48 vCPUs, 40 s).
+  autoscale::ClusterConfig cluster_config;
+  cluster_config.vcpus_per_vm = 24.0;
+  cluster_config.initial_vms = 1;
+  cluster_config.max_vms = 3;
+  cluster_config.vm_startup = Seconds(10);
+  const auto make_app = [] {
+    apps::BoutiqueOptions options;
+    options.seed = 67;
+    options.probe_failures = true;
+    return apps::MakeOnlineBoutique(options);
+  };
+  const auto add_traffic = [](workload::TrafficDriver& traffic,
+                              sim::Application& app) {
+    traffic.AddClosedLoop(UniformUsers(app), workload::Schedule::Constant(600)
+                                                 .Then(Seconds(10), 4200));
+  };
+
+  const auto probe_kills = [](const sim::Application& a) {
+    return a.service(a.FindService("recommendation")).ProbeKills();
+  };
+
+  // Uncontrolled, recommendation crash-loops (the Fig. 15 failure mode);
+  // with a controller, its ticks share timestamps with the HPA's.
+  for (const Variant variant : {Variant::kNoControl, Variant::kTopFullBw}) {
+    SCOPED_TRACE(VariantName(variant));
+    RunSpec spec;
+    spec.label = "hpa";
+    spec.duration_s = kEndS;
+    spec.variant = variant;
+    spec.make_app = make_app;
+    spec.traffic = add_traffic;
+    spec.hpa = cluster_config;
+    const RunResult result = exp::Run(spec);
+
+    auto app = make_app();
+    autoscale::Cluster cluster(&app->sim(), cluster_config);
+    autoscale::HorizontalPodAutoscaler hpa(app.get(), &cluster, {});
+    hpa.Start();
+    Controllers controllers;
+    controllers.Attach(variant, *app, nullptr);
+    workload::TrafficDriver traffic(app.get());
+    add_traffic(traffic, *app);
+    app->RunFor(Seconds(kEndS));
+
+    EXPECT_EQ(TimelineDigest(result.app()), TimelineDigest(*app));
+    EXPECT_EQ(probe_kills(result.app()), probe_kills(*app));
+    if (variant == Variant::kNoControl) {
+      EXPECT_GT(probe_kills(*app), 0);
+    }
+    // The autoscaler acted: some service ends with more pods than it began.
+    const auto& first = app->metrics().Timeline().front();
+    const auto& last = app->metrics().Latest();
+    int grown = 0;
+    for (std::size_t s = 0; s < last.services.size(); ++s) {
+      if (last.services[s].running_pods > first.services[s].running_pods) ++grown;
+    }
+    EXPECT_GT(grown, 0);
+  }
 }
 
 }  // namespace

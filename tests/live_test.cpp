@@ -25,6 +25,7 @@
 #include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/profile.hpp"
+#include "obs/prom_parser.hpp"
 #include "obs/rules.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/tsdb_plane.hpp"
@@ -32,6 +33,12 @@
 
 namespace topfull {
 namespace {
+
+/// True when `text` is a well-formed exposition to the strict parser.
+bool ParsesAsProm(const std::string& text, std::string* error = nullptr) {
+  obs::PromScrape scrape;
+  return obs::ParsePromText(text, &scrape, error);
+}
 
 // --- Request parsing ---------------------------------------------------------
 
@@ -248,7 +255,7 @@ TEST(SnapshotTest, RegistryAndSnapshotRenderingsAgree) {
       obs::PromTextFromSnapshot(*builder.Finish());
   EXPECT_EQ(direct, via_snapshot);
   std::string error;
-  EXPECT_TRUE(obs::ValidatePromText(direct, &error)) << error;
+  EXPECT_TRUE(ParsesAsProm(direct, &error)) << error;
   EXPECT_NE(direct.find("live_latency_ms_bucket"), std::string::npos);
 }
 
@@ -286,14 +293,13 @@ TEST(SnapshotTest, JsonRenderersProduceParsableJson) {
 
 TEST(SnapshotTest, ValidatePromTextRejectsMalformedExpositions) {
   std::string error;
-  EXPECT_FALSE(obs::ValidatePromText("x_total 1\n", &error));  // no # TYPE
-  EXPECT_NE(error.find("without preceding # TYPE"), std::string::npos);
-  EXPECT_FALSE(obs::ValidatePromText(
-      "# TYPE x_total counter\nx_total{api=\"a\" 1\n", nullptr));
-  EXPECT_FALSE(obs::ValidatePromText(
-      "# TYPE x_total counter\nx_total one\n", nullptr));
-  EXPECT_FALSE(obs::ValidatePromText("# TYPE x_total banana\n", nullptr));
-  EXPECT_TRUE(obs::ValidatePromText(
+  EXPECT_FALSE(ParsesAsProm("x_total 1\n", &error));  // no # TYPE
+  EXPECT_NE(error.find("sample before # TYPE"), std::string::npos) << error;
+  EXPECT_FALSE(ParsesAsProm("# TYPE x_total counter\nx_total{api=\"a\" 1\n"));
+  EXPECT_FALSE(ParsesAsProm("# TYPE x_total counter\nx_total one\n"));
+  EXPECT_FALSE(ParsesAsProm("# TYPE x_total banana\n"));
+  error.clear();
+  EXPECT_TRUE(ParsesAsProm(
       "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\n",
       &error))
       << error;
@@ -414,7 +420,7 @@ TEST(LivePlaneTest, FinalSnapshotEqualsTheOfflinePrometheusDump) {
   EXPECT_EQ(obs::PromTextFromSnapshot(*snapshot), offline)
       << "live /metrics at end of run must equal the offline dump";
   std::string error;
-  EXPECT_TRUE(obs::ValidatePromText(offline, &error)) << error;
+  EXPECT_TRUE(ParsesAsProm(offline, &error)) << error;
 }
 
 TEST(LivePlaneTest, PublishingIsAPureObserver) {
@@ -465,7 +471,7 @@ TEST(LivePlaneTest, ConcurrentScrapesDuringARunningSimulation) {
         }
         const std::string body = reply.substr(reply.find("\r\n\r\n") + 4);
         if (target == std::string("/metrics")) {
-          if (!obs::ValidatePromText(body)) ++bad;
+          if (!ParsesAsProm(body)) ++bad;
         } else {
           obs::JsonValue doc;
           std::string parse_error;
@@ -533,8 +539,7 @@ TEST(LivePlaneTest, ShardedRunExposesSchedulerMetricsPerShard) {
   EXPECT_NE(runs.find("\"mailbox_depth_hwm\":"), std::string::npos);
 
   std::string prom_error;
-  EXPECT_TRUE(obs::ValidatePromText(obs::PromTextFromSnapshot(*snapshot),
-                                    &prom_error))
+  EXPECT_TRUE(ParsesAsProm(obs::PromTextFromSnapshot(*snapshot), &prom_error))
       << prom_error;
   (void)result;
 }

@@ -126,6 +126,7 @@ TEST(PromParserTest, MalformedCorpusIsRejectedWithLineNumbers) {
       {"no_type.prom", "line 1: sample before # TYPE for 'x_total'"},
       {"bad_value.prom", "line 2: bad sample value 'one'"},
       {"unterminated_label.prom", "line 2: unterminated label value"},
+      {"unclosed_label_set.prom", "line 2: expected ',' or '}' after label value"},
       {"duplicate_type.prom", "line 2: duplicate # TYPE for 'x_total'"},
       {"type_after_samples.prom", "line 3: # TYPE after samples for 'x_total'"},
       {"unknown_directive.prom", "line 3: unknown comment directive"},

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,6 +54,19 @@ using namespace topfull;
 
 namespace {
 
+/// `text` as a finite number, or exit 2 naming `flag`: atof would read
+/// "abc" as 0 and "10x" as 10 without a word.
+double NumOrExit(const std::string& flag, const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(value)) {
+    std::fprintf(stderr, "bad --%s '%s': expected a finite number\n",
+                 flag.c_str(), text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -64,7 +78,7 @@ struct Args {
   }
   double Num(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
+    return it == options.end() ? fallback : NumOrExit(key, it->second);
   }
 };
 
@@ -382,6 +396,11 @@ int CmdRun(const Args& args) {
   exp::RunSpec spec;
   spec.label = probe->name();
   spec.duration_s = args.Num("duration", 120);
+  if (spec.duration_s <= 0) {
+    std::fprintf(stderr, "bad --duration '%s': must be > 0\n",
+                 args.Get("duration").c_str());
+    return 2;
+  }
   // Unknown names are an error rather than a silently uncontrolled run.
   const std::string controller = args.Get("controller", "topfull");
   const auto variant = exp::VariantFromName(controller);
@@ -391,7 +410,7 @@ int CmdRun(const Args& args) {
   }
   spec.variant = *variant;
   spec.static_rate = args.Num("static-rate", 0.0);
-  spec.hpa = args.Has("hpa");
+  if (args.Has("hpa")) spec.hpa = autoscale::ClusterConfig{};
   spec.shards = std::max(1, static_cast<int>(args.Num("shards", 1)));
   spec.net_latency = Millis(args.Num("net-latency-ms", 1.0));
   spec.threaded = !args.Has("sequential");
@@ -399,14 +418,16 @@ int CmdRun(const Args& args) {
     std::fprintf(stderr, "--hpa is not supported with --shards\n");
     return 2;
   }
-  spec.make_app = [args] {
+  // Every numeric flag is read here, before the run, so a bad value exits
+  // before any simulation starts.
+  const bool rpc = args.Has("hop-timeout") || args.Has("retries") ||
+                   args.Has("retry-backoff");
+  const SimTime hop_timeout = Seconds(args.Num("hop-timeout", 0));
+  const int retries = static_cast<int>(args.Num("retries", 0));
+  const SimTime retry_backoff = Seconds(args.Num("retry-backoff", 0));
+  spec.make_app = [args, rpc, hop_timeout, retries, retry_backoff] {
     auto app = MakeApp(args);
-    if (args.Has("hop-timeout") || args.Has("retries") ||
-        args.Has("retry-backoff")) {
-      app->ConfigureRpc(Seconds(args.Num("hop-timeout", 0)),
-                        static_cast<int>(args.Num("retries", 0)),
-                        Seconds(args.Num("retry-backoff", 0)));
-    }
+    if (rpc) app->ConfigureRpc(hop_timeout, retries, retry_backoff);
     return app;
   };
 
@@ -416,13 +437,15 @@ int CmdRun(const Args& args) {
     const std::string surge = args.Get("surge");
     const auto colon = surge.find(':');
     if (colon == std::string::npos) return Usage();
-    surge_t = std::atof(surge.substr(0, colon).c_str());
-    surge_value = std::atof(surge.substr(colon + 1).c_str());
+    surge_t = NumOrExit("surge", surge.substr(0, colon));
+    surge_value = NumOrExit("surge", surge.substr(colon + 1));
   }
-  spec.traffic = [args, surge_t, surge_value](workload::TrafficDriver& traffic,
-                                              sim::Application& app) {
-    if (args.Has("rps")) {
-      const double per_api = args.Num("rps", 1000) / app.NumApis();
+  const bool open_loop = args.Has("rps");
+  const double rate = open_loop ? args.Num("rps", 1000) : args.Num("users", 1000);
+  spec.traffic = [open_loop, rate, surge_t, surge_value](
+                     workload::TrafficDriver& traffic, sim::Application& app) {
+    if (open_loop) {
+      const double per_api = rate / app.NumApis();
       for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
         workload::Schedule schedule = workload::Schedule::Constant(per_api);
         if (surge_t >= 0) {
@@ -431,8 +454,7 @@ int CmdRun(const Args& args) {
         traffic.AddOpenLoop(a, std::move(schedule));
       }
     } else {
-      workload::Schedule schedule =
-          workload::Schedule::Constant(args.Num("users", 1000));
+      workload::Schedule schedule = workload::Schedule::Constant(rate);
       if (surge_t >= 0) schedule.Then(Seconds(surge_t), surge_value);
       traffic.AddClosedLoop(exp::UniformUsers(app), std::move(schedule));
     }
