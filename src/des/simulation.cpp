@@ -19,6 +19,7 @@ std::uint32_t Simulation::AllocSlot() {
   }
   const std::uint32_t id = free_slots_.back();
   free_slots_.pop_back();
+  assert((id & kHandlerTag) == 0 && "slot ids must stay below the handler tag");
   return id;
 }
 
@@ -103,6 +104,21 @@ Simulation::TimerHandle Simulation::SchedulePeriodic(SimTime start, SimTime peri
   return handle;
 }
 
+std::uint32_t Simulation::AddHandler(EventHandler fn) {
+  const auto id = static_cast<std::uint32_t>(handlers_.size());
+  assert(id < (kNoSlot & ~kHandlerTag) && "too many handlers");
+  handlers_.push_back(std::move(fn));
+  return id;
+}
+
+void Simulation::ScheduleHandlerAt(SimTime when, std::uint32_t handler,
+                                   std::uint32_t arg) {
+  assert(when >= now_ && "cannot schedule in the past");
+  assert(handler < handlers_.size() && "unknown handler");
+  HeapPush(HeapEntry{when < now_ ? now_ : when, next_seq_++, handler | kHandlerTag, arg});
+  ++events_scheduled_;
+}
+
 bool Simulation::Cancel(TimerHandle handle) {
   const std::uint32_t id = Resolve(handle);
   if (id == kNoSlot) return false;
@@ -139,9 +155,16 @@ bool Simulation::Reschedule(TimerHandle handle, SimTime when) {
 
 void Simulation::RunFront() {
   const std::uint32_t id = heap_[0].id;
-  Slot& s = SlotAt(id);
   now_ = heap_[0].when;
   ++events_processed_;
+  if ((id & kHandlerTag) != 0) {
+    // Handler event: nothing to free, nothing to re-arm.
+    const std::uint32_t arg = heap_[0].arg;
+    HeapRemove(0);
+    handlers_[id & ~kHandlerTag](arg);
+    return;
+  }
+  Slot& s = SlotAt(id);
   if (s.period == 0) {
     // One-shot: free the slot before running so the callback can observe a
     // consistent queue (its own handle is already dead, like the old
@@ -184,17 +207,22 @@ bool Simulation::Step() {
 
 bool Simulation::CheckHeapInvariant() const {
   const std::size_t total = slabs_.size() * kSlabSize;
-  if (heap_.size() + free_slots_.size() != total) return false;
+  std::size_t slot_events = 0;
   for (std::uint32_t pos = 0; pos < heap_.size(); ++pos) {
     const HeapEntry& e = heap_[pos];
+    if (e.seq >= next_seq_) return false;
+    if (pos > 0 && Earlier(e, heap_[(pos - 1) >> 2])) return false;
+    if ((e.id & kHandlerTag) != 0) {
+      if ((e.id & ~kHandlerTag) >= handlers_.size()) return false;
+      continue;
+    }
+    ++slot_events;
     if (e.id >= total) return false;
     const Slot& s = SlotAt(e.id);
     if (s.heap_pos != pos) return false;
     if (!s.fn) return false;
-    if (e.seq >= next_seq_) return false;
-    if (pos > 0 && Earlier(e, heap_[(pos - 1) >> 2])) return false;
   }
-  return true;
+  return slot_events + free_slots_.size() == total;
 }
 
 }  // namespace topfull::des

@@ -6,23 +6,36 @@
 // design — determinism and reproducibility outrank parallel speed for the
 // reproduction experiments.
 //
-// The queue is a keyed, indexed 4-ary min-heap over stable slot storage.
-// Every scheduled event has a pool slot whose address never moves; the heap
-// array holds {when, seq, slot id} entries, so sifts compare keys in one
-// contiguous array and touch a slot only to write its heap_pos back-pointer.
+// The queue is a keyed, indexed 4-ary min-heap holding two kinds of event,
+// both ordered by (when, seq) with seq drawn from one counter:
+//
+//  - Slot events (ScheduleAt/ScheduleAfter/SchedulePeriodic) own a pool
+//    slot whose address never moves. The slot carries the InlineEvent and a
+//    heap_pos back-pointer that every sift keeps current; the back-pointer
+//    is what buys O(log n) cancellation — ScheduleAt returns a
+//    generation-counted TimerHandle, and Cancel/Reschedule locate the
+//    event's heap entry through its slot. Producers: hop and client
+//    timeouts, periodic ticks, hop retries, the client-retry backoff and
+//    cross-shard message delivery.
+//  - Handler events (ScheduleHandlerAt/ScheduleHandlerAfter) are for work
+//    that is never cancelled. A handler is registered once (AddHandler);
+//    an event is just {when, seq, handler, arg} in the heap entry, with no
+//    slot, no callback move and no back-pointer writes, and it cannot be
+//    cancelled or moved. Producers: closed-loop think timers (arg = user),
+//    open-loop arrivals, and pod service completions (arg = the pod's
+//    in-service record).
+//
 // The key lives in the heap entry alone (a slot carries no copy of it).
-// The back-pointer is what buys O(log n) cancellation — ScheduleAt returns
-// a generation-counted TimerHandle, and Cancel/Reschedule locate the
-// event's heap entry through its slot instead of leaving a dead event to
-// fire as a no-op. seq is unique, so (when, seq) is a strict total order
-// and the pop order does not depend on the heap's internal layout.
-// Callbacks are InlineEvents (fixed inline storage, no heap), so scheduling
-// costs zero allocations once the slot pool and heap have reached their
-// high-water marks.
+// seq is unique, so (when, seq) is a strict total order and the pop order
+// does not depend on the heap's internal layout or on an event's kind.
+// Callbacks are inline (fixed storage, no heap), so scheduling costs zero
+// allocations once the slot pool and heap have reached their high-water
+// marks.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -31,11 +44,14 @@
 
 namespace topfull::des {
 
-/// Event callback with guaranteed-inline capture storage. 112 bytes fits
-/// the fattest sim-internal capture (a pod completion event carrying its
-/// 64-byte DoneFn) with room for a std::function-based test callback;
-/// anything larger is a compile error at the schedule site.
+/// Slot-event callback with guaranteed-inline capture storage. 112 bytes
+/// leaves room for a std::function-based test callback; anything larger is
+/// a compile error at the schedule site.
 using InlineEvent = InlineFunction<void(), 112>;
+
+/// Handler-event callback: registered once, invoked with the `arg` of each
+/// event scheduled for it. 16 bytes holds a `this` capture.
+using EventHandler = InlineFunction<void(std::uint32_t arg), 16>;
 
 class Simulation {
  public:
@@ -67,6 +83,22 @@ class Simulation {
   /// stays valid across firings.
   TimerHandle SchedulePeriodic(SimTime start, SimTime period, Callback fn);
 
+  /// Registers a handler for ScheduleHandlerAt and returns its id. The
+  /// handler lives as long as the Simulation; it may be registered at any
+  /// time, including from inside a running event.
+  std::uint32_t AddHandler(EventHandler fn);
+
+  /// Schedules handler `handler` to run with `arg` at absolute time `when`
+  /// (>= Now()). Same (when, seq) order and counters as ScheduleAt, but the
+  /// event has no slot and no handle: it cannot be cancelled or moved.
+  void ScheduleHandlerAt(SimTime when, std::uint32_t handler, std::uint32_t arg);
+
+  /// Schedules handler `handler` with `arg` after `delay` (>= 0) from now.
+  void ScheduleHandlerAfter(SimTime delay, std::uint32_t handler,
+                            std::uint32_t arg) {
+    ScheduleHandlerAt(now_ + delay, handler, arg);
+  }
+
   /// Cancels a pending event in O(log n). Returns false when the handle is
   /// stale (already fired, already cancelled, or one-shot currently
   /// executing). Cancelling a periodic event from inside its own callback
@@ -94,11 +126,12 @@ class Simulation {
   /// Number of events cancelled before firing.
   std::uint64_t EventsCancelled() const { return events_cancelled_; }
 
-  /// Number of ScheduleAt/ScheduleAfter/SchedulePeriodic calls (periodic
-  /// re-arms not included).
+  /// Number of ScheduleAt/ScheduleAfter/SchedulePeriodic and
+  /// ScheduleHandlerAt/ScheduleHandlerAfter calls (periodic re-arms not
+  /// included).
   std::uint64_t EventsScheduled() const { return events_scheduled_; }
 
-  /// Pending event count (for tests).
+  /// Pending event count, slot and handler events alike.
   std::size_t PendingEvents() const { return heap_.size(); }
 
   /// Timer slot slab pool occupancy (for the live telemetry plane): total
@@ -107,8 +140,9 @@ class Simulation {
   std::size_t SlotCapacity() const { return slabs_.size() * kSlabSize; }
   std::size_t SlotsFree() const { return free_slots_.size(); }
 
-  /// Verifies the 4-ary heap order, the slot back-pointers, and the
-  /// free-list accounting. O(n); for tests.
+  /// Verifies the 4-ary heap order, the slot back-pointers, the handler
+  /// ids, and the free-list accounting (every slot is either free or held
+  /// by exactly one slot event in the heap). O(n); for tests.
   bool CheckHeapInvariant() const;
 
  private:
@@ -121,14 +155,20 @@ class Simulation {
     InlineEvent fn;
   };
 
-  /// One heap element: the event's ordering key plus its slot id.
+  /// One heap element: the event's ordering key plus its slot id, or, with
+  /// kHandlerTag set, its handler id and argument. 24 bytes either way:
+  /// `arg` fills what would otherwise be padding.
   struct HeapEntry {
     SimTime when = 0;
     std::uint64_t seq = 0;
     std::uint32_t id = kNoSlot;
+    std::uint32_t arg = 0;
   };
+  static_assert(sizeof(HeapEntry) == 24, "heap entries stay 24 bytes");
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// Set in HeapEntry::id for a handler event; slot ids stay below it.
+  static constexpr std::uint32_t kHandlerTag = 0x80000000u;
   static constexpr std::size_t kSlabShift = 8;  ///< 256 slots per slab
   static constexpr std::size_t kSlabSize = std::size_t{1} << kSlabShift;
 
@@ -148,10 +188,10 @@ class Simulation {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
-  /// Stores `e` at `pos` and points its slot back at it.
+  /// Stores `e` at `pos` and, for a slot event, points its slot back at it.
   void Place(std::uint32_t pos, const HeapEntry& e) {
     heap_[pos] = e;
-    SlotAt(e.id).heap_pos = pos;
+    if ((e.id & kHandlerTag) == 0) SlotAt(e.id).heap_pos = pos;
   }
   void HeapPush(const HeapEntry& e);
   void HeapRemove(std::uint32_t pos);
@@ -171,6 +211,9 @@ class Simulation {
   std::vector<std::unique_ptr<Slot[]>> slabs_;  ///< stable slot storage
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;  ///< 4-ary min-heap on (when, seq)
+  /// Registered handlers; a deque so registering one from inside a running
+  /// handler never moves the callable being executed.
+  std::deque<EventHandler> handlers_;
   /// Slot id of the periodic event currently executing (kNoSlot otherwise);
   /// lets Cancel/Reschedule from inside the callback interact with the
   /// re-arm correctly.

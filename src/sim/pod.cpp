@@ -7,7 +7,11 @@
 namespace topfull::sim {
 
 Pod::Pod(des::Simulation* sim, int threads, int max_queue)
-    : sim_(sim), threads_(threads), max_queue_(max_queue) {}
+    : sim_(sim),
+      done_handler_(sim->AddHandler(
+          [this](std::uint32_t record) { OnServiceDone(record); })),
+      threads_(threads),
+      max_queue_(max_queue) {}
 
 bool Pod::Enqueue(SimTime service_time, DoneFn done) {
   if (state_ != PodState::kRunning) return false;
@@ -71,19 +75,28 @@ void Pod::StartNext() {
     ++window_.started;
     window_.queue_delay_sum_s += qdelay;
     window_.queue_delay_max_s = std::max(window_.queue_delay_max_s, qdelay);
-    const std::uint64_t epoch = epoch_;
-    const SimTime service_time = job.service_time;
-    HoldHandle* hold = job.hold;
-    sim_->ScheduleAfter(service_time,
-                        [this, epoch, service_time, hold,
-                         done = std::move(job.done)]() mutable {
-                          OnServiceDone(epoch, service_time, std::move(done), hold);
-                        });
+    std::uint32_t record;
+    if (free_records_.empty()) {
+      record = static_cast<std::uint32_t>(in_service_.size());
+      in_service_.emplace_back();
+    } else {
+      record = free_records_.back();
+      free_records_.pop_back();
+    }
+    in_service_[record] = ServiceRecord{epoch_, job.service_time, job.hold, std::move(job.done)};
+    sim_->ScheduleHandlerAfter(job.service_time, done_handler_, record);
   }
 }
 
-void Pod::OnServiceDone(std::uint64_t epoch, SimTime service_time, DoneFn done,
-                        HoldHandle* hold) {
+void Pod::OnServiceDone(std::uint32_t record) {
+  // Take everything out and free the record first: `done` may re-enter the
+  // pod (Enqueue, Release) and reuse it.
+  ServiceRecord& job = in_service_[record];
+  const std::uint64_t epoch = job.epoch;
+  const SimTime service_time = job.service_time;
+  HoldHandle* hold = job.hold;
+  DoneFn done = std::move(job.done);
+  free_records_.push_back(record);
   if (epoch != epoch_) {
     // The pod was killed while this job was in service; the job already
     // failed via Kill()'s sweep of queued jobs or is simply lost.

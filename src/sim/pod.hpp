@@ -9,13 +9,18 @@
 // mark state); in-flight completion events are invalidated by an epoch
 // counter when the pod is killed.
 //
-// Completion callbacks are InlineFunctions (64 bytes of capture storage:
-// the request engine captures {app, attempt record, generation}) and the
-// job queue is a recycling ring buffer, so the enqueue → serve → complete
-// cycle performs no heap allocations in steady state.
+// Completion callbacks are InlineFunctions (48 bytes of capture storage:
+// the request engine captures {app, attempt record, generation}). A job in
+// service lives in a recycled in-service record, and its completion is a
+// handler event of the pod's one registered handler whose argument is the
+// record index, so completions never take a timer slot. With the job queue
+// a recycling ring buffer, the enqueue → serve → complete cycle performs no
+// heap allocations in steady state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/inline_function.hpp"
 #include "common/ring_queue.hpp"
@@ -53,6 +58,9 @@ class Pod {
   };
 
   Pod(des::Simulation* sim, int threads, int max_queue);
+  /// The completion handler captures `this`.
+  Pod(const Pod&) = delete;
+  Pod& operator=(const Pod&) = delete;
 
   /// Attempts to enqueue a job with the given service duration. Returns
   /// false (and does not take the callback) when the queue is full or the
@@ -105,6 +113,13 @@ class Pod {
   /// Cumulative busy seconds (for whole-run accounting).
   double TotalBusySeconds() const { return total_busy_seconds_; }
 
+  /// In-service records ever allocated (the table's high-water mark) and
+  /// how many are free. A record is taken when a job enters service and
+  /// returned when its completion event fires, so a pod that is never
+  /// killed holds at most threads() of them.
+  std::size_t ServiceRecordCapacity() const { return in_service_.size(); }
+  std::size_t FreeServiceRecords() const { return free_records_.size(); }
+
  private:
   struct Job {
     SimTime service_time = 0;
@@ -113,11 +128,19 @@ class Pod {
     HoldHandle* hold = nullptr;  ///< non-null => keep the slot until Release
   };
 
+  /// A job between entering service and its completion event.
+  struct ServiceRecord {
+    std::uint64_t epoch = 0;  ///< pod epoch when service began
+    SimTime service_time = 0;
+    HoldHandle* hold = nullptr;
+    DoneFn done;
+  };
+
   void StartNext();
-  void OnServiceDone(std::uint64_t epoch, SimTime service_time, DoneFn done,
-                     HoldHandle* hold);
+  void OnServiceDone(std::uint32_t record);
 
   des::Simulation* sim_;
+  std::uint32_t done_handler_;  ///< OnServiceDone(arg = record index)
   int threads_;
   int max_queue_;
   int offline_threads_ = 0;
@@ -125,6 +148,8 @@ class Pod {
   int busy_ = 0;
   std::uint64_t epoch_ = 0;  ///< Bumped on Kill to invalidate in-flight events.
   RingQueue<Job> queue_;
+  std::vector<ServiceRecord> in_service_;
+  std::vector<std::uint32_t> free_records_;  ///< LIFO: the last freed is reused first
   PodWindowStats window_;
   double total_busy_seconds_ = 0.0;
 };

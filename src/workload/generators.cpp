@@ -31,7 +31,9 @@ ClosedLoopPool::ClosedLoopPool(sim::Application* app, ClosedLoopConfig config,
       config_(std::move(config)),
       mix_cumulative_(config_.mix.Cumulative()),
       users_(std::move(users)),
-      rng_(rng) {}
+      rng_(rng),
+      think_handler_(app_->sim().AddHandler(
+          [this](std::uint32_t user) { UserLoop(static_cast<int>(user)); })) {}
 
 void ClosedLoopPool::Start() {
   if (started_) return;
@@ -136,12 +138,20 @@ void ClosedLoopPool::UserThink(int user_index) {
   const double jitter = 1.0 + config_.think_jitter * rng_.Uniform(-1.0, 1.0);
   const auto think = static_cast<SimTime>(
       std::max(0.0, static_cast<double>(config_.think) * jitter));
-  app_->sim().ScheduleAfter(think, [this, user_index]() { UserLoop(user_index); });
+  app_->sim().ScheduleHandlerAfter(think, think_handler_,
+                                   static_cast<std::uint32_t>(user_index));
 }
 
 OpenLoopGenerator::OpenLoopGenerator(sim::Application* app, sim::ApiId api,
                                      Schedule rate, Rng rng)
-    : app_(app), api_(api), rate_(std::move(rate)), rng_(rng) {}
+    : app_(app),
+      api_(api),
+      rate_(std::move(rate)),
+      rng_(rng),
+      handler_(app_->sim().AddHandler([this](std::uint32_t what) {
+        if (what == kArrival) app_->Submit(api_);
+        ScheduleNext();
+      })) {}
 
 void OpenLoopGenerator::Start() { ScheduleNext(); }
 
@@ -149,14 +159,11 @@ void OpenLoopGenerator::ScheduleNext() {
   const double rate = rate_.At(app_->sim().Now());
   if (rate <= 0.0) {
     // Idle; poll for the schedule turning on.
-    app_->sim().ScheduleAfter(Millis(100), [this]() { ScheduleNext(); });
+    app_->sim().ScheduleHandlerAfter(Millis(100), handler_, kPoll);
     return;
   }
   const SimTime gap = std::max<SimTime>(1, Seconds(rng_.Exponential(1.0 / rate)));
-  app_->sim().ScheduleAfter(gap, [this]() {
-    app_->Submit(api_);
-    ScheduleNext();
-  });
+  app_->sim().ScheduleHandlerAfter(gap, handler_, kArrival);
 }
 
 ClosedLoopPool& TrafficDriver::AddClosedLoop(ClosedLoopConfig config, Schedule users) {

@@ -79,11 +79,15 @@ struct UserOutcomes {
   }
 };
 
-/// A pool of closed-loop users whose size follows a Schedule.
+/// A pool of closed-loop users whose size follows a Schedule. Think timers
+/// are handler events (arg = user index); the pool registers its handler
+/// with `this` captured, so it must not be copied or moved.
 class ClosedLoopPool {
  public:
   ClosedLoopPool(sim::Application* app, ClosedLoopConfig config, Schedule users,
                  Rng rng);
+  ClosedLoopPool(const ClosedLoopPool&) = delete;
+  ClosedLoopPool& operator=(const ClosedLoopPool&) = delete;
 
   /// Begins spawning users at the current sim time.
   void Start();
@@ -126,6 +130,8 @@ class ClosedLoopPool {
   std::vector<double> mix_cumulative_;
   Schedule users_;
   Rng rng_;
+  /// Handler id of the think timer: UserLoop(arg).
+  std::uint32_t think_handler_;
   std::vector<UserState> states_;
   std::vector<UserOutcomes> outcomes_;
   int live_users_ = 0;
@@ -134,19 +140,27 @@ class ClosedLoopPool {
 };
 
 /// Open-loop Poisson arrivals for one API at a scheduled rate (rps).
+/// Arrivals and idle polls are handler events of one handler that captures
+/// `this`, so a generator must not be copied or moved.
 class OpenLoopGenerator {
  public:
   OpenLoopGenerator(sim::Application* app, sim::ApiId api, Schedule rate, Rng rng);
+  OpenLoopGenerator(const OpenLoopGenerator&) = delete;
+  OpenLoopGenerator& operator=(const OpenLoopGenerator&) = delete;
 
   void Start();
 
  private:
+  /// Handler-event argument: what the due event does.
+  enum : std::uint32_t { kPoll = 0, kArrival = 1 };
+
   void ScheduleNext();
 
   sim::Application* app_;
   sim::ApiId api_;
   Schedule rate_;
   Rng rng_;
+  std::uint32_t handler_;
 };
 
 /// Convenience owner for a set of generators driving one Application.

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine: ordering, determinism, periodic
-// scheduling, run-until semantics, timer cancellation, and a randomized
-// property test of the indexed heap against a std::multimap reference model.
+// scheduling, run-until semantics, timer cancellation, handler events, and a
+// randomized property test of the indexed heap against a std::multimap
+// reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -235,14 +236,67 @@ TEST(TimerCancelTest, HandleStaysValidAcrossPeriodicRearms) {
   EXPECT_EQ(fires, 2);
 }
 
+// --- Handler events ----------------------------------------------------------
+
+TEST(HandlerEventTest, InterleavesWithSlotEventsInScheduleOrder) {
+  Simulation sim;
+  std::vector<int> order;
+  const std::uint32_t handler = sim.AddHandler(
+      [&order](std::uint32_t arg) { order.push_back(static_cast<int>(arg)); });
+  sim.ScheduleAt(Seconds(1), [&]() { order.push_back(0); });
+  sim.ScheduleHandlerAt(Seconds(1), handler, 1);
+  sim.ScheduleAt(Seconds(1), [&]() { order.push_back(2); });
+  sim.ScheduleHandlerAfter(Millis(500), handler, 3);
+  EXPECT_EQ(sim.PendingEvents(), 4u);
+  EXPECT_EQ(sim.EventsScheduled(), 4u);
+  ASSERT_TRUE(sim.CheckHeapInvariant());
+  sim.RunUntil(Seconds(2));
+  EXPECT_EQ(order, (std::vector<int>{3, 0, 1, 2}));
+  EXPECT_EQ(sim.EventsProcessed(), 4u);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+TEST(HandlerEventTest, TakesNoTimerSlot) {
+  Simulation sim;
+  int fires = 0;
+  const std::uint32_t handler =
+      sim.AddHandler([&fires](std::uint32_t) { ++fires; });
+  for (std::uint32_t i = 0; i < 1000; ++i) sim.ScheduleHandlerAt(Seconds(1), handler, i);
+  EXPECT_EQ(sim.SlotCapacity(), 0u);
+  ASSERT_TRUE(sim.CheckHeapInvariant());
+  sim.RunUntil(Seconds(1));
+  EXPECT_EQ(fires, 1000);
+}
+
+TEST(HandlerEventTest, HandlerRegisteredFromInsideAHandlerKeepsRunning) {
+  Simulation sim;
+  std::vector<std::uint32_t> seen;
+  std::function<void(std::uint32_t)> body = [&](std::uint32_t arg) {
+    // Registering grows the handler table while this handler executes.
+    std::uint32_t added = 0;
+    for (int i = 0; i < 64; ++i) {
+      added = sim.AddHandler([&seen](std::uint32_t a) { seen.push_back(a); });
+    }
+    seen.push_back(arg);
+    sim.ScheduleHandlerAfter(1, added, arg + 1);
+  };
+  const std::uint32_t first =
+      sim.AddHandler([&body](std::uint32_t arg) { body(arg); });
+  sim.ScheduleHandlerAt(Seconds(1), first, 7);
+  sim.RunUntil(Seconds(2));
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{7, 8}));
+}
+
 // --- Property test: random interleavings vs a reference model ---------------
 
 // The engine's pending set must behave exactly like an ordered map keyed by
 // (when, insertion order): schedule inserts at the back of its time's tie
 // range, cancel erases, reschedule erases + re-inserts at the back, a
 // periodic event re-inserts itself one period later after it fires, and
-// RunUntil pops in key order. The 4-ary heap invariant is checked after
-// every mutation.
+// RunUntil pops in key order. Handler events share that order with slot
+// events: they are scheduled directly, spawned by periodic events, and
+// spawn one more handler event at their own time when they fire. The 4-ary
+// heap invariant is checked after every mutation.
 struct QueueModelParams {
   int rounds;
   /// Pending events topped up before each round's random operations.
@@ -261,26 +315,53 @@ void CheckAgainstReferenceModel(const QueueModelParams& p) {
   using Key = std::pair<SimTime, std::uint64_t>;
   std::map<Key, int> model;  // keys are unique: order never repeats
   struct Event {
-    Simulation::TimerHandle handle;
+    Simulation::TimerHandle handle;  ///< slot events only
     Key key;               ///< the model's key; set by the model side
+    bool handler = false;  ///< a handler event (no handle, never cancelled)
+    bool spawns = false;   ///< handler: schedules a child handler event when fired
     SimTime period = 0;    ///< 0 = one-shot
     int cancel_after = 0;  ///< periodic: cancels itself on this firing (0 = never)
     int engine_fires = 0;
     int model_fires = 0;
-    std::vector<int> children;  ///< one-shots spawned on odd firings
+    /// Periodic: a slot one-shot on firings 1, 5, 9, ... and a handler
+    /// event on firings 3, 7, 11, ...; spawning handler: its one child.
+    std::vector<int> children;
   };
   std::vector<Event> events;  // indexed by token
-  std::vector<int> live;      // live tokens, for random picks
+  std::vector<int> live;      // live slot-event tokens, for random picks
+  std::size_t handlers_pending = 0;  // handler events in the model
+  int handler_fires = 0;
   std::vector<int> fired;
   std::uint64_t order = 0;  // mirrors the engine's seq allocation order
 
   // Engine side: schedules an event and records it under a fresh token.
   // Callbacks index `events` at fire time because spawning may grow it.
+  std::function<int(SimTime, bool)> add_handler_event;
+  std::function<void(std::uint32_t)> on_handler = [&](std::uint32_t arg) {
+    const auto self = static_cast<std::size_t>(arg);
+    fired.push_back(static_cast<int>(self));
+    ++handler_fires;
+    if (!events[self].spawns) return;
+    // Due now, so it lands at the back of the current tie range. (Spawning
+    // grows `events`: take no reference into it across the call.)
+    const int child = add_handler_event(sim.Now(), false);
+    events[self].children.push_back(child);
+  };
+  const std::uint32_t handler =
+      sim.AddHandler([&on_handler](std::uint32_t arg) { on_handler(arg); });
+  add_handler_event = [&](SimTime when, bool spawns) {
+    const int token = static_cast<int>(events.size());
+    events.push_back(Event{});
+    events.back().handler = true;
+    events.back().spawns = spawns;
+    sim.ScheduleHandlerAt(when, handler, static_cast<std::uint32_t>(token));
+    return token;
+  };
   std::function<int(SimTime, SimTime, int)> add_event =
       [&](SimTime when, SimTime period, int cancel_after) {
         const int token = static_cast<int>(events.size());
         const auto self = static_cast<std::size_t>(token);
-        auto fire = [&sim, &events, &fired, &add_event, self]() {
+        auto fire = [&sim, &events, &fired, &add_event, &add_handler_event, self]() {
           fired.push_back(static_cast<int>(self));
           if (events[self].period == 0) return;
           const int fires = ++events[self].engine_fires;
@@ -289,7 +370,9 @@ void CheckAgainstReferenceModel(const QueueModelParams& p) {
           if (fires % 2 == 1) {
             // Due exactly when this event re-arms, but scheduled first: the
             // re-arm takes its seq only after the callback returns.
-            const int child = add_event(sim.Now() + events[self].period, 0, 0);
+            const SimTime due = sim.Now() + events[self].period;
+            const int child = fires % 4 == 1 ? add_event(due, 0, 0)
+                                             : add_handler_event(due, false);
             events[self].children.push_back(child);
           }
           if (fires == events[self].cancel_after) {
@@ -313,27 +396,69 @@ void CheckAgainstReferenceModel(const QueueModelParams& p) {
     return static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
   };
+  // Model side: inserts `token` at the back of `when`'s tie range.
+  const auto model_insert = [&](int token, SimTime when) {
+    Event& ev = events[static_cast<std::size_t>(token)];
+    ev.key = Key{when, order++};
+    model.emplace(ev.key, token);
+    if (ev.handler) ++handlers_pending;
+  };
   const auto schedule = [&](bool periodic) {
     // Small time range on purpose: dense tie collisions.
     const SimTime when = sim.Now() + rng.UniformInt(0, p.when_span);
     const SimTime period = periodic ? rng.UniformInt(20, 200) : 0;
     const int cancel_after = periodic ? static_cast<int>(rng.UniformInt(0, 3)) : 0;
-    const int token = add_event(when, period, cancel_after);
-    const Key key{when, order++};
-    events[static_cast<std::size_t>(token)].key = key;
-    model.emplace(key, token);
+    model_insert(add_event(when, period, cancel_after), when);
+  };
+  const auto schedule_handler = [&]() {
+    const SimTime when = sim.Now() + rng.UniformInt(0, p.when_span);
+    model_insert(add_handler_event(when, rng.NextDouble() < 0.3), when);
+  };
+  // Pops the model up to `horizon` as the engine would, re-arms and
+  // spawned children included, and returns the expected firing tokens.
+  const auto model_run_until = [&](SimTime horizon) {
+    std::vector<int> expected;
+    while (!model.empty() && model.begin()->first.first <= horizon) {
+      const auto [key, token] = *model.begin();
+      model.erase(model.begin());
+      expected.push_back(token);
+      Event& ev = events[static_cast<std::size_t>(token)];
+      if (ev.handler) {
+        --handlers_pending;
+        if (ev.spawns) model_insert(ev.children.at(0), key.first);
+        continue;
+      }
+      if (ev.period == 0) continue;
+      const SimTime next = key.first + ev.period;
+      const int fires = ++ev.model_fires;
+      if (fires % 2 == 1) {
+        model_insert(ev.children[static_cast<std::size_t>(fires / 2)], next);
+      }
+      if (fires == ev.cancel_after) continue;
+      ev.key = Key{next, order++};
+      model.emplace(ev.key, token);
+    }
+    return expected;
   };
 
   std::size_t min_seen_pending = SIZE_MAX;
   for (int round = 0; round < p.rounds; ++round) {
-    while (live.size() < p.min_pending) schedule(/*periodic=*/false);
+    while (live.size() + handlers_pending < p.min_pending) {
+      if (rng.NextDouble() < 0.3) {
+        schedule_handler();
+      } else {
+        schedule(/*periodic=*/false);
+      }
+    }
     ASSERT_TRUE(sim.CheckHeapInvariant());
     min_seen_pending = std::min(min_seen_pending, sim.PendingEvents());
     const int ops = static_cast<int>(rng.UniformInt(1, p.max_ops));
     for (int k = 0; k < ops; ++k) {
       const double u = rng.NextDouble();
-      if (u < 0.45 || live.empty()) {
+      if (u < 0.3 || live.empty()) {
         schedule(/*periodic=*/false);
+      } else if (u < 0.45) {
+        schedule_handler();
       } else if (u < 0.55) {
         schedule(/*periodic=*/true);
       } else if (u < 0.8) {
@@ -351,38 +476,18 @@ void CheckAgainstReferenceModel(const QueueModelParams& p) {
         const SimTime when = sim.Now() + rng.UniformInt(0, p.when_span);
         ASSERT_TRUE(sim.Reschedule(ev.handle, when));
         model.erase(ev.key);
-        ev.key = Key{when, order++};
-        model.emplace(ev.key, token);
+        model_insert(token, when);
       }
       ASSERT_TRUE(sim.CheckHeapInvariant());
     }
 
     // Advance to a random horizon and compare the fired tokens with the
-    // model's expected pop order, re-arms included.
+    // model's expected pop order.
     const SimTime horizon = sim.Now() + rng.UniformInt(0, p.horizon_span);
     fired.clear();
     sim.RunUntil(horizon);
     ASSERT_TRUE(sim.CheckHeapInvariant());
-    std::vector<int> expected;
-    while (!model.empty() && model.begin()->first.first <= horizon) {
-      const auto [key, token] = *model.begin();
-      model.erase(model.begin());
-      expected.push_back(token);
-      Event& ev = events[static_cast<std::size_t>(token)];
-      if (ev.period == 0) continue;
-      const SimTime next = key.first + ev.period;
-      const int fires = ++ev.model_fires;
-      if (fires % 2 == 1) {
-        const int child = ev.children[static_cast<std::size_t>(fires / 2)];
-        const Key child_key{next, order++};
-        events[static_cast<std::size_t>(child)].key = child_key;
-        model.emplace(child_key, child);
-      }
-      if (fires == ev.cancel_after) continue;
-      ev.key = Key{next, order++};
-      model.emplace(ev.key, token);
-    }
-    ASSERT_EQ(fired, expected) << "divergence in round " << round;
+    ASSERT_EQ(fired, model_run_until(horizon)) << "divergence in round " << round;
     for (std::size_t idx = live.size(); idx-- > 0;) {
       const Event& ev = events[static_cast<std::size_t>(live[idx])];
       const bool done = ev.period == 0 ? ev.key.first <= horizon
@@ -393,9 +498,11 @@ void CheckAgainstReferenceModel(const QueueModelParams& p) {
       remove_live(idx);
     }
     EXPECT_EQ(sim.PendingEvents(), model.size());
-    EXPECT_EQ(live.size(), model.size());
+    EXPECT_EQ(live.size() + handlers_pending, model.size());
+    EXPECT_EQ(sim.EventsScheduled(), events.size());
   }
   EXPECT_GE(min_seen_pending, p.min_pending);
+  EXPECT_GE(handler_fires, p.rounds / 2);  // the mix really interleaves kinds
 
   // Cancel the periodic events (they would re-arm forever), then drain
   // everything left and compare the tail.
@@ -407,10 +514,11 @@ void CheckAgainstReferenceModel(const QueueModelParams& p) {
     remove_live(idx);
   }
   fired.clear();
-  sim.RunUntil(sim.Now() + Seconds(10));
-  std::vector<int> expected;
-  for (const auto& [key, token] : model) expected.push_back(token);
-  EXPECT_EQ(fired, expected);
+  const SimTime end = sim.Now() + Seconds(10);
+  sim.RunUntil(end);
+  EXPECT_EQ(fired, model_run_until(end));
+  EXPECT_TRUE(model.empty());
+  EXPECT_EQ(handlers_pending, 0u);
   EXPECT_EQ(sim.PendingEvents(), 0u);
   ASSERT_TRUE(sim.CheckHeapInvariant());
 }

@@ -457,9 +457,12 @@ TEST(LivePlaneTest, ConcurrentScrapesDuringARunningSimulation) {
 
   std::atomic<bool> done{false};
   std::atomic<int> bad{0};
+  // Mid-run /metrics scrapes that carried every family a dashboard of the
+  // run needs (requests, engine, latency histogram).
+  std::atomic<int> complete_scrapes{0};
   std::vector<std::thread> scrapers;
   for (int t = 0; t < 3; ++t) {
-    scrapers.emplace_back([port, &done, &bad, t] {
+    scrapers.emplace_back([port, &done, &bad, &complete_scrapes, t] {
       const char* targets[] = {"/metrics", "/runs", "/snapshot.json"};
       while (!done.load(std::memory_order_relaxed)) {
         const std::string target = targets[t % 3];
@@ -471,7 +474,19 @@ TEST(LivePlaneTest, ConcurrentScrapesDuringARunningSimulation) {
         }
         const std::string body = reply.substr(reply.find("\r\n\r\n") + 4);
         if (target == std::string("/metrics")) {
-          if (!ParsesAsProm(body)) ++bad;
+          obs::PromScrape scrape;
+          if (!obs::ParsePromText(body, &scrape)) {
+            ++bad;
+            continue;
+          }
+          if (scrape.families.empty()) continue;  // before the first publish
+          bool complete = true;
+          for (const char* family :
+               {"topfull_requests_offered_total", "topfull_engine_pending_events",
+                "topfull_request_latency_ms"}) {
+            if (scrape.FindFamily(family) == nullptr) complete = false;
+          }
+          ++(complete ? complete_scrapes : bad);
         } else {
           obs::JsonValue doc;
           std::string parse_error;
@@ -487,6 +502,7 @@ TEST(LivePlaneTest, ConcurrentScrapesDuringARunningSimulation) {
   done.store(true, std::memory_order_relaxed);
   for (std::thread& thread : scrapers) thread.join();
   EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(complete_scrapes.load(), 0);
   EXPECT_GE(live.publishes(), 2u);
   EXPECT_TRUE(live.board().Read()->run.finished);
 }

@@ -2,6 +2,10 @@
 // services, metrics, and the Application request engine.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "sim/app.hpp"
 #include "sim/call_graph.hpp"
 #include "sim/pod.hpp"
@@ -154,6 +158,80 @@ TEST(PodTest, WindowStatsAccounting) {
   EXPECT_NEAR(w.queue_delay_max_s, 0.1, 1e-9);  // second job waited 100 ms
   // Drained: next window is empty.
   EXPECT_EQ(pod.DrainWindowStats().started, 0u);
+}
+
+// --- Pod in-service records ---------------------------------------------------
+
+TEST(PodRecordTest, KillMidServiceFailsEachInFlightJobExactlyOnce) {
+  des::Simulation sim;
+  Pod pod(&sim, /*threads=*/3, /*max_queue=*/10);
+  pod.Start();
+  std::vector<int> fails(5, 0);
+  std::vector<int> oks(5, 0);
+  for (std::size_t i = 0; i < fails.size(); ++i) {
+    // Three jobs enter service at once; two wait in the queue.
+    pod.Enqueue(Millis(100 + 10 * static_cast<int>(i)),
+                [&fails, &oks, i](bool ok) { ++(ok ? oks : fails)[i]; });
+  }
+  ASSERT_EQ(pod.InService(), 3);
+  sim.ScheduleAt(Millis(50), [&]() { pod.Kill(); });
+  sim.RunUntil(Seconds(1));
+  EXPECT_EQ(fails, std::vector<int>(5, 1));
+  EXPECT_EQ(oks, std::vector<int>(5, 0));
+  // Every in-flight completion still fired and handed its record back.
+  EXPECT_EQ(pod.ServiceRecordCapacity(), 3u);
+  EXPECT_EQ(pod.FreeServiceRecords(), 3u);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+TEST(PodRecordTest, NeverHoldsMoreRecordsThanThreads) {
+  des::Simulation sim;
+  Pod pod(&sim, /*threads=*/4, /*max_queue=*/1000);
+  pod.Start();
+  Rng rng(7);
+  std::vector<Pod::HoldHandle> holds(64);
+  std::size_t next_hold = 0;
+  int completed = 0;
+  // A random mix of plain and held jobs, arriving faster than they are
+  // served, with held slots released a little after local completion.
+  for (int i = 0; i < 400; ++i) {
+    sim.ScheduleAt(rng.UniformInt(0, Millis(200)), [&]() {
+      const SimTime service = rng.UniformInt(100, Millis(3));  // us
+      if (rng.NextDouble() < 0.3) {
+        Pod::HoldHandle* hold = &holds[next_hold++ % holds.size()];
+        pod.EnqueueHeld(service, [&, hold](bool) {
+          ++completed;
+          sim.ScheduleAfter(Millis(0.5), [&pod, hold]() { pod.Release(*hold); });
+        }, hold);
+      } else {
+        pod.Enqueue(service, [&completed](bool) { ++completed; });
+      }
+    });
+  }
+  sim.RunUntil(Seconds(10));
+  EXPECT_EQ(completed, 400);
+  EXPECT_EQ(pod.ServiceRecordCapacity(), 4u);  // a high-water mark
+  EXPECT_EQ(pod.FreeServiceRecords(), 4u);
+}
+
+TEST(PodRecordTest, EnqueueFromDoneReusesTheFreedRecord) {
+  des::Simulation sim;
+  Pod pod(&sim, /*threads=*/2, /*max_queue=*/10);
+  pod.Start();
+  int rounds = 0;
+  std::function<void(bool)> again = [&](bool ok) {
+    ASSERT_TRUE(ok);
+    // The finished job's record is already free when `done` runs.
+    EXPECT_EQ(pod.FreeServiceRecords(), 1u);
+    if (++rounds < 5) {
+      ASSERT_TRUE(pod.Enqueue(Millis(10), again));
+    }
+  };
+  ASSERT_TRUE(pod.Enqueue(Millis(10), again));
+  sim.RunUntil(Seconds(1));
+  EXPECT_EQ(rounds, 5);
+  // One record served all five jobs although the pod has two threads.
+  EXPECT_EQ(pod.ServiceRecordCapacity(), 1u);
 }
 
 // --- Services ---------------------------------------------------------------

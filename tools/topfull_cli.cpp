@@ -26,6 +26,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -70,15 +71,25 @@ double NumOrExit(const std::string& flag, const std::string& text) {
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
+  /// Flags given without a value ("--priorities"): present for Has, but
+  /// Get and Num have nothing to read.
+  std::set<std::string> bare;
   std::vector<std::string> positional;
   bool Has(const std::string& key) const { return options.count(key) > 0; }
+  /// The flag's value, or `fallback` when it is absent. Exits 2 when the
+  /// flag is given without a value.
   std::string Get(const std::string& key, const std::string& fallback = "") const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
+    if (it == options.end()) return fallback;
+    if (bare.count(key) > 0) {
+      std::fprintf(stderr, "missing value for --%s\n", key.c_str());
+      std::exit(2);
+    }
+    return it->second;
   }
+  /// Get as a finite number; exits 2 when it does not parse.
   double Num(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : NumOrExit(key, it->second);
+    return Has(key) ? NumOrExit(key, Get(key)) : fallback;
   }
 };
 
@@ -92,11 +103,13 @@ Args Parse(int argc, char** argv) {
       continue;
     }
     key = key.substr(2);
-    std::string value = "1";
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      value = argv[++i];
+      args.options[key] = argv[++i];
+      args.bare.erase(key);
+    } else {
+      args.options[key] = "";
+      args.bare.insert(key);
     }
-    args.options[key] = value;
   }
   return args;
 }
