@@ -9,7 +9,6 @@
 //
 //   --smoke   1 seed, short horizon (CI fault-path crash check)
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
 #include "fault/fault.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -72,11 +72,8 @@ fault::FaultSchedule MakeFault(const FaultCell& cell, double severity,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+int topfull::bench::AblChaosMatrix(const BenchArgs& args) {
+  const bool smoke = args.smoke;
   const Phase phase = smoke ? Phase{10.0, 20.0, 30.0} : Phase{20.0, 40.0, 70.0};
   const std::vector<std::uint64_t> seeds =
       smoke ? std::vector<std::uint64_t>{17} : std::vector<std::uint64_t>{17, 18};

@@ -18,6 +18,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -56,7 +57,7 @@ exp::RunSpec Spec(const Cell& cell, const rl::GaussianPolicy* policy) {
 
 }  // namespace
 
-int main() {
+int topfull::bench::AblControllerDesign(const BenchArgs&) {
   PrintBanner("Controller-design ablations",
               "Online Boutique surge: avg total goodput (rps) while varying "
               "one controller knob at a time (all else = defaults).");

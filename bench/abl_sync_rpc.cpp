@@ -16,6 +16,7 @@
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
 #include "sim/app.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -76,7 +77,7 @@ exp::RunSpec Spec(bool blocking, bool topfull, const rl::GaussianPolicy* policy)
 
 }  // namespace
 
-int main() {
+int topfull::bench::AblSyncRpc(const BenchArgs&) {
   PrintBanner("Sync-RPC ablation",
               "Only 'buy' overloads its Checkout dependency (3x). Async "
               "servers contain the damage; blocking servers let it eat the "

@@ -14,6 +14,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -48,7 +49,7 @@ exp::RunSpec Spec(exp::Variant variant, const rl::GaussianPolicy* policy) {
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig04StarvationDemo(const BenchArgs&) {
   PrintBanner("Figure 4 (+ Fig. 3 scenario)",
               "Online Boutique: Get Product + Post Checkout surge. DAGOR "
               "starves Get Product; TopFull avoids the waste.");

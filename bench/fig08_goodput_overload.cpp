@@ -14,6 +14,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -76,7 +77,7 @@ double ReduceVariant(exp::Variant variant,
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig08GoodputOverload(const BenchArgs&) {
   PrintBanner("Figure 8",
               "Online Boutique, 2600 closed-loop users: average goodput per "
               "API and total (rps) under overload.");

@@ -14,6 +14,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -47,7 +48,7 @@ exp::RunSpec MakePoint(exp::Variant variant, const rl::GaussianPolicy* policy,
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig09DemandSweep(const BenchArgs&) {
   PrintBanner("Figure 9",
               "Online Boutique: total goodput (rps) vs. user demand for "
               "Breakwater / DAGOR / TopFull.");

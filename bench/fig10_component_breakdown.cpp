@@ -19,6 +19,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -54,7 +55,7 @@ exp::RunSpec Spec(const char* name, const Factory& factory, int users,
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig10ComponentBreakdown(const BenchArgs&) {
   PrintBanner("Figure 10",
               "Component breakdown: avg total goodput (rps) under overload, "
               "and loss vs. full TopFull.");

@@ -11,6 +11,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -41,7 +42,7 @@ exp::RunSpec Spec(exp::Variant variant, const rl::GaussianPolicy* policy) {
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig11PriorityStarvation(const BenchArgs&) {
   PrintBanner("Figure 11",
               "Online Boutique with business priorities API1 > API2 > API3 > "
               "API4: per-API avg goodput (rps).");

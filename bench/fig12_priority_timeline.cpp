@@ -14,6 +14,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -45,7 +46,7 @@ exp::RunSpec Spec(exp::Variant variant, const rl::GaussianPolicy* policy) {
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig12PriorityTimeline(const BenchArgs&) {
   PrintBanner("Figure 12",
               "Per-second goodput timeline of API1 (postcheckout) and API2 "
               "(getproduct), DAGOR vs TopFull.");

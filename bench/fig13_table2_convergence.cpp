@@ -22,6 +22,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -69,7 +70,7 @@ double ConvergenceSeconds(const sim::Application& app, double bar) {
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig13Table2Convergence(const BenchArgs&) {
   PrintBanner("Figure 13 / Table 2",
               "Single Post Checkout overload: convergence speed of DAGOR "
               "(alpha = 0.05 / 0.1 / 0.5) vs TopFull (RL).");

@@ -13,6 +13,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -52,7 +53,7 @@ exp::RunSpec Spec(exp::Variant variant, const rl::GaussianPolicy* policy) {
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig14TrainTicketSurge(const BenchArgs&) {
   PrintBanner("Figure 14",
               "Train Ticket + HPA, surge " + std::to_string(kBaseUsers) + " -> " +
                   std::to_string(kSurgeUsers) +

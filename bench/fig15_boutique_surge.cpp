@@ -11,6 +11,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -48,7 +49,7 @@ exp::RunSpec Spec(exp::Variant variant, const rl::GaussianPolicy* policy) {
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig15BoutiqueSurge(const BenchArgs&) {
   PrintBanner("Figure 15",
               "Online Boutique + HPA with liveness-probe pod failures, surge "
               "at t=40 s: per-API goodput and total timeline.");

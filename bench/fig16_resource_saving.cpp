@@ -17,6 +17,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -105,7 +106,7 @@ void Sweep(const char* name, const std::vector<int>& vcpus,
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig16ResourceSaving(const BenchArgs&) {
   PrintBanner("Figure 16",
               "Two-minute traffic spike; goodput vs pre-provisioned vCPUs on "
               "critical microservices, with/without TopFull.");

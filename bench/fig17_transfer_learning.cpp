@@ -18,6 +18,7 @@
 #include "exp/microservice_env.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -92,7 +93,7 @@ exp::RunSpec SurgeSpec(const std::string& label, const rl::GaussianPolicy* polic
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig17TransferLearning(const BenchArgs&) {
   PrintBanner("Figure 17",
               "Train Ticket surge with HPA: avg total goodput of base vs "
               "transfer-learned RL models.");

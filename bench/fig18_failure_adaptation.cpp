@@ -32,6 +32,7 @@
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
 #include "fault/fault.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -100,7 +101,7 @@ double RecoveryTime(const sim::Application& app, double from_s, double target) {
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig18FailureAdaptation(const BenchArgs&) {
   PrintBanner("Figure 18",
               "Train Ticket: 30/35 ts-station pods killed at t=50 s, rolling "
               "re-create from t=110 s (fault engine). Goodput timelines, "

@@ -16,6 +16,7 @@
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -56,7 +57,7 @@ exp::RunSpec Spec(exp::Variant variant, const rl::GaussianPolicy* policy,
 
 }  // namespace
 
-int main() {
+int topfull::bench::Fig19VmStartupSensitivity(const BenchArgs&) {
   PrintBanner("Figure 19",
               "Online Boutique surge with HPA: avg goodput vs emulated VM "
               "startup time (20/40/60 s).");

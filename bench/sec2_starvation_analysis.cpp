@@ -13,6 +13,7 @@
 #include "exp/harness.hpp"
 #include "exp/run_executor.hpp"
 #include "trace/synthetic_trace.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -55,7 +56,7 @@ int OverloadedServices(const sim::Application& app) {
 
 }  // namespace
 
-int main() {
+int topfull::bench::Sec2StarvationAnalysis(const BenchArgs&) {
   PrintBanner("Section 2 analysis",
               "(a) overloaded microservices per single-API surge on Online "
               "Boutique; (b) starvation vulnerability in the trace.");

@@ -13,10 +13,11 @@
 #include "common/table.hpp"
 #include "exp/harness.hpp"
 #include "exp/run_executor.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
-int main() {
+int topfull::bench::Sec42ReclusterDynamics(const BenchArgs&) {
   PrintBanner("Section 4.2 re-clustering dynamics",
               "Cluster count / membership over time as overloads appear, "
               "bridge, and resolve.");

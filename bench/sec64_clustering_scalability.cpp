@@ -5,18 +5,16 @@
 // 59 % of them share no API with any other overloaded microservice; the
 // sharing ones form groups of 2.38 on average; the 68 constraints decompose
 // into 57 independent clusters with 1.19 constraints each.
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "common/partition.hpp"
 #include "common/table.hpp"
 #include "trace/synthetic_trace.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
-int main(int argc, char** argv) {
+int topfull::bench::Sec64ClusteringScalability(const BenchArgs&) {
   PrintBanner("Section 6.4 clustering",
               "Clustering the overloaded microservices of the synthetic "
               "Alibaba trace into independent sub-problems.");
@@ -24,11 +22,8 @@ int main(int argc, char** argv) {
   const trace::TraceConfig config;
   const trace::SyntheticTrace synthetic = trace::GenerateTrace(config, 20210701);
 
-  const auto start = std::chrono::steady_clock::now();
   const trace::ClusteringAnalysis analysis =
       trace::AnalyzeClustering(synthetic, config.util_threshold);
-  const auto elapsed = std::chrono::duration<double, std::milli>(
-      std::chrono::steady_clock::now() - start);
 
   Table table("clustering of the overload snapshot");
   table.SetHeader({"metric", "measured", "paper"});
@@ -43,49 +38,9 @@ int main(int argc, char** argv) {
                 Fmt(100.0 * analysis.isolated_fraction, 0) + "%", "59%"});
   table.AddRow({"avg sharing-group size", Fmt(analysis.avg_sharing_group, 2),
                 "2.38"});
-  table.AddRow({"analysis wall time", Fmt(elapsed.count(), 1) + " ms", "-"});
   table.Print();
 
   std::printf("\nEach cluster is an independent sub-problem, so TopFull runs "
               "one rate controller per cluster in parallel.\n");
-
-  // The same decomposition drives the sharded DES: pack the independent
-  // clusters onto engine shards (LPT by constraint count) and emit the
-  // cluster -> shard map as JSON for tooling and the sharded-run docs.
-  const int kShards = 8;
-  std::vector<double> cluster_weight(static_cast<std::size_t>(analysis.clusters),
-                                     0.0);
-  for (const int c : analysis.service_cluster) {
-    cluster_weight[static_cast<std::size_t>(c)] += 1.0;
-  }
-  const std::vector<int> cluster_shard = PackBinsLpt(cluster_weight, kShards);
-  const char* out_path =
-      argc > 1 ? argv[1] : "SEC64_cluster_shard_map.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::string json = "{\n";
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "  \"clusters\": %d, \"shards\": %d,\n  \"services\": [\n",
-                  analysis.clusters, kShards);
-    json += buf;
-    for (std::size_t i = 0; i < analysis.overloaded_ids.size(); ++i) {
-      const int cluster = analysis.service_cluster[i];
-      std::snprintf(buf, sizeof buf,
-                    "    {\"service\": %d, \"cluster\": %d, \"shard\": %d}%s\n",
-                    analysis.overloaded_ids[i], cluster,
-                    cluster_shard[static_cast<std::size_t>(cluster)],
-                    i + 1 == analysis.overloaded_ids.size() ? "" : ",");
-      json += buf;
-    }
-    json += "  ]\n}\n";
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("cluster -> shard map (%d clusters over %d shards) written to "
-                "%s\n",
-                analysis.clusters, kShards, out_path);
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
   return 0;
 }

@@ -40,6 +40,7 @@
 
 #include "des/sharded_simulation.hpp"
 #include "obs/live.hpp"
+#include "obs/text_buffer.hpp"
 #include "sim/app.hpp"
 #include "sim/call_graph.hpp"
 #include "sim/sharded_app.hpp"
@@ -559,13 +560,10 @@ int main(int argc, char** argv) {
                   /*last=*/i + 1 == std::size(shard_counts), extra);
   }
   json += "]\n";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path);
-  } else {
+  if (!obs::WriteTextFile(out_path, json)) {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }
+  std::printf("wrote %s\n", out_path);
   return 0;
 }

@@ -194,6 +194,33 @@ void AppendInvariantJson(std::string* out, const InvariantResult& result) {
   *out += "}";
 }
 
+/// Renders the per-cell verdict table to stdout.
+void PrintMatrixReport(const std::vector<CellVerdict>& verdicts) {
+  Table table("Scenario conformance matrix (cell = scenario x controller)");
+  table.SetHeader({"scenario", "controller", "verdict", "goodput", "amp",
+                   "jain", "events", "detail"});
+  for (const CellVerdict& cell : verdicts) {
+    std::string note;
+    if (!cell.error.empty()) {
+      note = cell.error;
+    } else {
+      for (const InvariantResult& result : cell.invariants) {
+        if (result.ok == !result.expected_violation) continue;
+        note = std::string(InvariantKindName(result.invariant.kind)) + ": " +
+               result.detail;
+        if (result.expected_violation) note += " (expected a violation)";
+        break;
+      }
+      if (note.empty() && !cell.pass) note = "violations all expected";
+    }
+    table.AddRow({cell.scenario, cell.controller,
+                  cell.conforms ? "conform" : "FAIL", Fmt(cell.goodput_rps, 1),
+                  Fmt(cell.amplification.total, 2), Fmt(cell.fairness.jain, 3),
+                  std::to_string(cell.slo_events), note});
+  }
+  table.Print();
+}
+
 }  // namespace
 
 CellVerdict RunScenarioCell(const ScenarioSpec& spec,
@@ -255,37 +282,33 @@ std::string MatrixReportJson(const std::vector<CellVerdict>& verdicts) {
   return out;
 }
 
-void PrintMatrixReport(const std::vector<CellVerdict>& verdicts) {
-  Table table("Scenario conformance matrix (cell = scenario x controller)");
-  table.SetHeader({"scenario", "controller", "verdict", "goodput", "amp",
-                   "jain", "events", "detail"});
-  for (const CellVerdict& cell : verdicts) {
-    std::string note;
-    if (!cell.error.empty()) {
-      note = cell.error;
-    } else {
-      for (const InvariantResult& result : cell.invariants) {
-        if (result.ok == !result.expected_violation) continue;
-        note = std::string(InvariantKindName(result.invariant.kind)) + ": " +
-               result.detail;
-        if (result.expected_violation) note += " (expected a violation)";
-        break;
-      }
-      if (note.empty() && !cell.pass) note = "violations all expected";
-    }
-    table.AddRow({cell.scenario, cell.controller,
-                  cell.conforms ? "conform" : "FAIL", Fmt(cell.goodput_rps, 1),
-                  Fmt(cell.amplification.total, 2), Fmt(cell.fairness.jain, 3),
-                  std::to_string(cell.slo_events), note});
-  }
-  table.Print();
-}
-
 bool AllConform(const std::vector<CellVerdict>& verdicts) {
   for (const CellVerdict& cell : verdicts) {
     if (!cell.conforms) return false;
   }
   return true;
+}
+
+int RunConformanceMatrix(std::vector<ScenarioSpec> specs,
+                         const MatrixOptions& options, bool smoke,
+                         const std::string& json_path) {
+  if (smoke) {
+    for (ScenarioSpec& spec : specs) spec = spec.TimeScaled(0.25);
+  }
+  const std::vector<CellVerdict> verdicts = RunScenarioMatrix(specs, options);
+  PrintMatrixReport(verdicts);
+  if (!json_path.empty()) {
+    if (!obs::WriteTextFile(json_path, MatrixReportJson(verdicts))) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      return 2;
+    }
+    std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  }
+  for (const CellVerdict& cell : verdicts) {
+    if (!cell.error.empty()) return 2;
+  }
+  if (smoke) return 0;  // validity run; thresholds need full duration
+  return AllConform(verdicts) ? 0 : 1;
 }
 
 }  // namespace topfull::scenario

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -50,6 +51,7 @@
 #include "scenario/library.hpp"
 #include "scenario/profile.hpp"
 #include "scenario/runner.hpp"
+#include "suite.hpp"
 
 using namespace topfull;
 
@@ -71,21 +73,12 @@ double NumOrExit(const std::string& flag, const std::string& text) {
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
-  /// Flags given without a value ("--priorities"): present for Has, but
-  /// Get and Num have nothing to read.
-  std::set<std::string> bare;
   std::vector<std::string> positional;
   bool Has(const std::string& key) const { return options.count(key) > 0; }
-  /// The flag's value, or `fallback` when it is absent. Exits 2 when the
-  /// flag is given without a value.
+  /// The flag's value, or `fallback` when it is absent.
   std::string Get(const std::string& key, const std::string& fallback = "") const {
     const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    if (bare.count(key) > 0) {
-      std::fprintf(stderr, "missing value for --%s\n", key.c_str());
-      std::exit(2);
-    }
-    return it->second;
+    return it == options.end() ? fallback : it->second;
   }
   /// Get as a finite number; exits 2 when it does not parse.
   double Num(const std::string& key, double fallback) const {
@@ -93,7 +86,26 @@ struct Args {
   }
 };
 
-Args Parse(int argc, char** argv) {
+/// The flags one verb reads. A value flag takes the next argument; a switch
+/// is presence-only and never takes one.
+struct Flags {
+  std::set<std::string> values;
+  std::set<std::string> switches;
+  Flags With(const Flags& more) const {
+    Flags out = *this;
+    out.values.insert(more.values.begin(), more.values.end());
+    out.switches.insert(more.switches.begin(), more.switches.end());
+    return out;
+  }
+};
+
+/// `--threads N` sizes the worker pool for every verb.
+constexpr const char* kGlobalFlag = "threads";
+
+/// Exits 2 on a flag `flags` does not declare ("unknown flag --x") and on a
+/// value flag given without a value ("missing value for --x"), so a typo
+/// never runs with a default in its place.
+Args Parse(int argc, char** argv, const Flags& flags) {
   Args args;
   if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
@@ -103,13 +115,19 @@ Args Parse(int argc, char** argv) {
       continue;
     }
     key = key.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[key] = argv[++i];
-      args.bare.erase(key);
-    } else {
+    if (flags.switches.count(key) > 0) {
       args.options[key] = "";
-      args.bare.insert(key);
+      continue;
     }
+    if (flags.values.count(key) == 0 && key != kGlobalFlag) {
+      std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+      std::exit(2);
+    }
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      std::fprintf(stderr, "missing value for --%s\n", key.c_str());
+      std::exit(2);
+    }
+    args.options[key] = argv[++i];
   }
   return args;
 }
@@ -152,6 +170,10 @@ int Usage() {
       "                       [--profile FILE] [--json FILE] [--smoke]\n"
       "                   run the scenario x controller conformance matrix;\n"
       "                   exit 0 = every cell conforms to its invariants\n"
+      "  topfull bench --list | NAME [--smoke] | --all\n"
+      "                   the paper-reproduction suite: list its entries, run\n"
+      "                   one (--smoke: abl_chaos_matrix, scenario_matrix), or\n"
+      "                   run them all in table order\n"
       "\n"
       "  --static-rate R  (run) per-API entry rate for --controller static\n"
       "  --serve-port N   (run) embedded observability server on 127.0.0.1:N\n"
@@ -818,8 +840,9 @@ int CmdAlerts(const Args& args) {
 }
 
 // `scenario list` prints the built-in pathology library; `scenario run`
-// executes the scenario x controller conformance matrix (same engine as
-// bench/scenario_matrix) and exits non-zero when a cell does not conform.
+// executes the scenario x controller conformance matrix (the suite's
+// scenario_matrix entry runs the same function) and exits non-zero when a
+// cell does not conform.
 int CmdScenario(const Args& args) {
   const std::string sub =
       args.positional.empty() ? "list" : args.positional.front();
@@ -864,15 +887,7 @@ int CmdScenario(const Args& args) {
     table.Print();
     return 0;
   }
-  if (sub != "run") {
-    std::fprintf(stderr, "unknown scenario subcommand '%s'\n", sub.c_str());
-    return Usage();
-  }
 
-  const bool smoke = args.Has("smoke");
-  if (smoke) {
-    for (scenario::ScenarioSpec& spec : specs) spec = spec.TimeScaled(0.25);
-  }
   scenario::MatrixOptions options;
   if (args.Has("controllers")) {
     options.controllers.clear();
@@ -882,22 +897,8 @@ int CmdScenario(const Args& args) {
       if (!item.empty()) options.controllers.push_back(item);
     }
   }
-  const std::vector<scenario::CellVerdict> verdicts =
-      scenario::RunScenarioMatrix(specs, options);
-  scenario::PrintMatrixReport(verdicts);
-  if (args.Has("json")) {
-    std::ofstream out(args.Get("json"));
-    out << scenario::MatrixReportJson(verdicts);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.Get("json").c_str());
-      return 2;
-    }
-  }
-  for (const scenario::CellVerdict& cell : verdicts) {
-    if (!cell.error.empty()) return 2;
-  }
-  if (smoke) return 0;
-  return scenario::AllConform(verdicts) ? 0 : 1;
+  return scenario::RunConformanceMatrix(std::move(specs), options,
+                                        args.Has("smoke"), args.Get("json"));
 }
 
 int CmdCompare(const Args& args) {
@@ -936,21 +937,102 @@ int CmdCompare(const Args& args) {
   return 0;
 }
 
+// `bench` runs the paper-reproduction suite: one entry per figure, section
+// analysis or ablation, each printing what the paper reports.
+// bench/manifest.sha256 pins every entry's stdout.
+int CmdBench(const Args& args) {
+  const std::span<const bench::BenchEntry> suite = bench::Suite();
+  if (args.Has("list")) {
+    for (const bench::BenchEntry& entry : suite) {
+      std::printf("%-30s %s\n", entry.name, entry.summary);
+    }
+    return 0;
+  }
+  if (args.Has("all")) {
+    if (args.Has("smoke") || !args.positional.empty()) {
+      std::fprintf(stderr, "bench --all takes no entry name and no --smoke\n");
+      return 2;
+    }
+    // One entry after another; each frees its runs before the next starts.
+    int rc = 0;
+    for (const bench::BenchEntry& entry : suite) {
+      rc = std::max(rc, entry.run({}));
+      std::fflush(stdout);
+    }
+    return rc;
+  }
+  if (args.positional.size() != 1) return Usage();
+  const std::string& name = args.positional.front();
+  const auto entry = std::find_if(
+      suite.begin(), suite.end(),
+      [&name](const bench::BenchEntry& e) { return name == e.name; });
+  if (entry == suite.end()) {
+    std::fprintf(stderr, "unknown bench '%s' (topfull bench --list names them)\n",
+                 name.c_str());
+    return 2;
+  }
+  if (args.Has("smoke") && !entry->smoke) {
+    std::fprintf(stderr, "unknown flag --smoke (bench %s has no smoke scale)\n",
+                 entry->name);
+    return 2;
+  }
+  return entry->run({.smoke = args.Has("smoke")});
+}
+
+/// A verb and the flags it reads. `scenario list` and `scenario run` are
+/// separate verbs; a bare `scenario` is `scenario list`.
+struct Verb {
+  const char* name;
+  int (*run)(const Args&);
+  Flags flags;
+};
+
+std::vector<Verb> Verbs() {
+  const Flags app = {{"app", "seed", "replicas"}, {"priorities", "probe-failures"}};
+  const Flags run = app.With(
+      {{"duration", "controller", "static-rate", "shards", "net-latency-ms",
+        "hop-timeout", "retries", "retry-backoff", "surge", "rps", "users",
+        "fault-profile", "fault-seed", "trace-dir", "trace-sample",
+        "alert-floor", "serve-port", "publish-ms", "csv"},
+       {"hpa", "sequential", "tsdb"}});
+  const Flags scenarios = {{"profile", "scenario"}, {}};
+  return {
+      {"run", CmdRun, run},
+      {"inspect", CmdInspect, app},
+      {"train", CmdTrain, {{"episodes", "out"}, {}}},
+      {"report", CmdReport, run.With({{"out"}, {}})},
+      {"compare", CmdCompare, {{"rel-tol", "abs-tol"}, {}}},
+      {"serve", CmdServe, {{"dir", "name", "port", "linger"}, {}}},
+      {"query", CmdQuery, {{"url", "dir", "name", "time", "start", "end", "step"}, {}}},
+      {"alerts", CmdAlerts, {{"url", "dir", "name"}, {}}},
+      {"scenario list", CmdScenario, scenarios},
+      {"scenario run", CmdScenario,
+       scenarios.With({{"controllers", "json"}, {"smoke"}})},
+      {"bench", CmdBench, {{}, {"list", "all", "smoke"}}},
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = Parse(argc, argv);
-  if (args.Has("threads")) {
-    ThreadPool::SetGlobalThreads(static_cast<int>(args.Num("threads", 0)));
+  std::string name = argc >= 2 ? argv[1] : "";
+  if (name == "scenario") {
+    name += argc >= 3 && std::strncmp(argv[2], "--", 2) != 0
+                ? std::string(" ") + argv[2]
+                : std::string(" list");
   }
-  if (args.command == "run") return CmdRun(args);
-  if (args.command == "inspect") return CmdInspect(args);
-  if (args.command == "train") return CmdTrain(args);
-  if (args.command == "report") return CmdReport(args);
-  if (args.command == "compare") return CmdCompare(args);
-  if (args.command == "serve") return CmdServe(args);
-  if (args.command == "query") return CmdQuery(args);
-  if (args.command == "alerts") return CmdAlerts(args);
-  if (args.command == "scenario") return CmdScenario(args);
-  return Usage();
+  const std::vector<Verb> verbs = Verbs();
+  const auto verb = std::find_if(verbs.begin(), verbs.end(),
+                                 [&name](const Verb& v) { return name == v.name; });
+  if (verb == verbs.end()) {
+    if (name.rfind("scenario ", 0) == 0) {
+      std::fprintf(stderr, "unknown scenario subcommand '%s'\n", argv[2]);
+    }
+    return Usage();
+  }
+  const Args args = Parse(argc, argv, verb->flags);
+  if (args.Has(kGlobalFlag)) {
+    ThreadPool::SetGlobalThreads(static_cast<int>(args.Num(kGlobalFlag, 0)));
+  }
+  return verb->run(args);
 }
