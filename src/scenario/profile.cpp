@@ -1,7 +1,10 @@
 #include "scenario/profile.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 
@@ -9,6 +12,7 @@ namespace topfull::scenario {
 namespace {
 
 using KeyValues = std::map<std::string, std::string>;
+using Keys = std::vector<std::string>;
 
 std::string Trim(const std::string& s) {
   const auto first = s.find_first_not_of(" \t\r");
@@ -41,66 +45,21 @@ bool ParseKeyValues(const std::string& body, int line, KeyValues* out,
   return true;
 }
 
-/// Rejects any key outside `allowed`; the parser never guesses at typos.
-bool CheckAllowedKeys(const KeyValues& kv,
-                      std::initializer_list<const char*> allowed,
-                      const std::string& directive, int line,
-                      std::string* error) {
-  for (const auto& [key, value] : kv) {
-    bool ok = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      return Fail(error, line,
-                  "unknown key '" + key + "' in '" + directive + "' directive");
-    }
-  }
-  return true;
-}
-
-bool RequireKeys(const KeyValues& kv, std::initializer_list<const char*> keys,
-                 const std::string& directive, int line, std::string* error) {
-  for (const char* key : keys) {
-    if (kv.find(key) == kv.end()) {
-      return Fail(error, line,
-                  "'" + directive + "' directive missing required key '" +
-                      std::string(key) + "'");
-    }
-  }
-  return true;
-}
-
-/// Every key except the listed text-valued ones must parse fully as a
-/// number; junk like `users=many` is rejected rather than read as 0.
-bool CheckNumericValues(const KeyValues& kv,
-                        std::initializer_list<const char*> text_keys, int line,
-                        std::string* error) {
-  for (const auto& [key, value] : kv) {
-    bool text = false;
-    for (const char* t : text_keys) {
-      if (key == t) {
-        text = true;
-        break;
-      }
-    }
-    if (text) continue;
-    char* end = nullptr;
-    std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      return Fail(error, line,
-                  "non-numeric value '" + value + "' for key '" + key + "'");
-    }
-  }
-  return true;
-}
-
 double GetNum(const KeyValues& kv, const std::string& key, double fallback) {
   const auto it = kv.find(key);
   return it == kv.end() ? fallback : std::atof(it->second.c_str());
+}
+
+/// Counts and seeds: numbers are >= 0 by ParseNumber; the caps keep the
+/// casts defined for absurd values.
+int GetInt(const KeyValues& kv, const std::string& key, int fallback) {
+  return static_cast<int>(std::min(GetNum(kv, key, fallback), 1e9));
+}
+
+std::uint64_t GetSeed(const KeyValues& kv, const std::string& key,
+                      std::uint64_t fallback) {
+  return static_cast<std::uint64_t>(
+      std::min(GetNum(kv, key, static_cast<double>(fallback)), 1e18));
 }
 
 std::string GetStr(const KeyValues& kv, const std::string& key,
@@ -109,211 +68,290 @@ std::string GetStr(const KeyValues& kv, const std::string& key,
   return it == kv.end() ? fallback : it->second;
 }
 
-/// Parses a `prio=LO-HI` band (or a single `prio=P`).
-bool ParsePriorityBand(const std::string& value, int line, int* lo, int* hi,
-                       std::string* error) {
+/// Parses a `prio=LO-HI` band (or a single `prio=P`); false on junk or an
+/// empty band.
+bool ParsePriorityBand(const std::string& value, int* lo, int* hi) {
   const auto dash = value.find('-');
-  char* end = nullptr;
-  if (dash == std::string::npos) {
-    *lo = *hi = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-    if (end == value.c_str() || *end != '\0') {
-      return Fail(error, line, "malformed priority '" + value + "'");
-    }
-    return true;
-  }
   const std::string lo_s = value.substr(0, dash);
-  const std::string hi_s = value.substr(dash + 1);
-  *lo = static_cast<int>(std::strtol(lo_s.c_str(), &end, 10));
-  if (end == lo_s.c_str() || *end != '\0') {
-    return Fail(error, line, "malformed priority band '" + value + "'");
+  const std::string hi_s = dash == std::string::npos ? lo_s : value.substr(dash + 1);
+  char* lo_end = nullptr;
+  char* hi_end = nullptr;
+  *lo = static_cast<int>(std::strtol(lo_s.c_str(), &lo_end, 10));
+  *hi = static_cast<int>(std::strtol(hi_s.c_str(), &hi_end, 10));
+  return lo_end != lo_s.c_str() && *lo_end == '\0' && hi_end != hi_s.c_str() &&
+         *hi_end == '\0' && *lo >= 0 && *hi >= *lo;
+}
+
+/// One directive of the grammar: the keys it takes and what it does to the
+/// spec. `apply` runs once the keys passed the check and returns why it
+/// rejects the values, or "".
+struct Directive {
+  const char* name;
+  Keys allowed;
+  Keys required;
+  Keys text;  ///< text-valued keys; every other key is a number
+  std::function<std::string(const KeyValues&, ScenarioSpec*)> apply;
+  bool fault = false;
+};
+
+/// A fault directive other than chaos: one fault event of `type`.
+Directive FaultEventDirective(const char* name, fault::FaultType type,
+                              Keys allowed, Keys required) {
+  const auto apply = [type](const KeyValues& kv, ScenarioSpec* spec) {
+    fault::FaultEvent event;
+    event.type = type;
+    event.service = GetStr(kv, "svc");
+    event.at = Seconds(GetNum(kv, "at", 0.0));
+    event.duration = Seconds(GetNum(kv, "for", 0.0));
+    event.pods = GetInt(kv, type == fault::FaultType::kVmOutage ? "vms" : "pods", 1);
+    event.restart_delay = Seconds(GetNum(kv, "restart", 0.0));
+    event.restart_stagger = Seconds(GetNum(kv, "stagger", 0.0));
+    event.severity = GetNum(
+        kv, type == fault::FaultType::kErrorBurst ? "p" : "factor", event.severity);
+    spec->Fault({event, std::nullopt});
+    return std::string();
+  };
+  return {name, std::move(allowed), std::move(required), {"svc"}, apply, true};
+}
+
+const std::vector<Directive>& Directives() {
+  using fault::FaultType;
+  static const std::vector<Directive> directives = {
+      {"scenario",
+       {"name", "app", "duration", "seed", "static", "distinct_prio",
+        "probe_failures", "replicas", "hpa", "fault_seed"},
+       {"name"},
+       {"name", "app"},
+       [](const KeyValues& kv, ScenarioSpec* spec) {
+         *spec = ScenarioSpec::Make(GetStr(kv, "name"), GetStr(kv, "app", "boutique"));
+         spec->duration_s = GetNum(kv, "duration", spec->duration_s);
+         spec->seed = GetSeed(kv, "seed", spec->seed);
+         spec->static_rate = GetNum(kv, "static", 0.0);
+         spec->distinct_priorities = GetNum(kv, "distinct_prio", 0.0) != 0.0;
+         spec->probe_failures = GetNum(kv, "probe_failures", 0.0) != 0.0;
+         spec->replicas = GetInt(kv, "replicas", spec->replicas);
+         spec->hpa = GetNum(kv, "hpa", 0.0) != 0.0;
+         spec->fault_seed = GetSeed(kv, "fault_seed", spec->fault_seed);
+         return std::string();
+       }},
+      {"phase", {"at", "users", "rps", "ramp"}, {"at"}, {},
+       [](const KeyValues& kv, ScenarioSpec* spec) -> std::string {
+         const bool rps = kv.count("rps") != 0;
+         if (rps == (kv.count("users") != 0)) {
+           return "'phase' directive takes one of 'users' or 'rps'";
+         }
+         if (!spec->phases.empty() && rps != spec->open_loop) {
+           return "phases mix 'users' and 'rps'";
+         }
+         spec->open_loop = rps;
+         spec->Phase(GetNum(kv, "at", 0.0), GetNum(kv, rps ? "rps" : "users", 0.0),
+                     GetNum(kv, "ramp", 0.0));
+         return "";
+       }},
+      {"tenant", {"name", "weight", "prio"}, {"name", "weight"}, {"name", "prio"},
+       [](const KeyValues& kv, ScenarioSpec* spec) -> std::string {
+         TenantSpec tenant;
+         tenant.name = GetStr(kv, "name");
+         tenant.weight = GetNum(kv, "weight", 1.0);
+         if (kv.count("prio") != 0 &&
+             !ParsePriorityBand(kv.at("prio"), &tenant.priority_lo,
+                                &tenant.priority_hi)) {
+           return "malformed priority band '" + kv.at("prio") + "'";
+         }
+         spec->Tenant(std::move(tenant));
+         return "";
+       }},
+      {"client", {"timeout", "retries", "backoff", "think"}, {}, {},
+       [](const KeyValues& kv, ScenarioSpec* spec) {
+         spec->Client(GetNum(kv, "timeout", spec->client_timeout_s),
+                      GetInt(kv, "retries", spec->client_retries),
+                      GetNum(kv, "backoff", spec->client_retry_backoff_s),
+                      GetNum(kv, "think", spec->think_s));
+         return std::string();
+       }},
+      {"rpc", {"timeout", "retries", "backoff"}, {}, {},
+       [](const KeyValues& kv, ScenarioSpec* spec) {
+         spec->Rpc(GetNum(kv, "timeout", spec->hop_timeout_s),
+                   GetInt(kv, "retries", spec->hop_retries),
+                   GetNum(kv, "backoff", spec->hop_retry_backoff_s));
+         return std::string();
+       }},
+      {"diurnal", {"low", "high", "period"}, {"low", "high", "period"}, {},
+       [](const KeyValues& kv, ScenarioSpec* spec) {
+         spec->Diurnal(GetNum(kv, "low", 0.0), GetNum(kv, "high", 0.0),
+                       GetNum(kv, "period", 0.0));
+         return std::string();
+       }},
+      {"invariant", {"kind", "value", "from", "param"}, {"kind"}, {"kind", "param"},
+       [](const KeyValues& kv, ScenarioSpec* spec) -> std::string {
+         const auto kind = InvariantKindFromName(GetStr(kv, "kind"));
+         if (!kind.has_value()) {
+           return "unknown invariant kind '" + GetStr(kv, "kind") + "'";
+         }
+         spec->Require(*kind, GetNum(kv, "value", 0.0), GetNum(kv, "from", 0.0),
+                       GetStr(kv, "param"));
+         return "";
+       }},
+      {"expect_violation", {"controller", "invariant"}, {"controller", "invariant"},
+       {"controller", "invariant"},
+       [](const KeyValues& kv, ScenarioSpec* spec) -> std::string {
+         const auto kind = InvariantKindFromName(GetStr(kv, "invariant"));
+         if (!kind.has_value()) {
+           return "unknown invariant kind '" + GetStr(kv, "invariant") + "'";
+         }
+         spec->ExpectViolation(GetStr(kv, "controller"), *kind);
+         return "";
+       }},
+      FaultEventDirective("crash", FaultType::kPodCrash,
+                 {"svc", "at", "pods", "restart", "stagger"}, {"svc", "at", "pods"}),
+      FaultEventDirective("degrade", FaultType::kCapacityDegrade,
+                 {"svc", "at", "for", "factor"}, {"svc", "at", "factor"}),
+      FaultEventDirective("inflate", FaultType::kServiceTimeInflate,
+                 {"svc", "at", "for", "factor"}, {"svc", "at", "factor"}),
+      FaultEventDirective("blackhole", FaultType::kBlackhole, {"svc", "at", "for"},
+                 {"svc", "at"}),
+      FaultEventDirective("errors", FaultType::kErrorBurst, {"svc", "at", "for", "p"},
+                 {"svc", "at", "p"}),
+      FaultEventDirective("vmout", FaultType::kVmOutage, {"at", "for", "vms"}, {"at", "vms"}),
+      {"chaos", {"seed", "events", "horizon", "start", "blackhole"}, {}, {},
+       [](const KeyValues& kv, ScenarioSpec* spec) {
+         fault::ChaosOptions chaos;
+         chaos.seed = GetSeed(kv, "seed", chaos.seed);
+         chaos.events = GetInt(kv, "events", chaos.events);
+         chaos.horizon_s = GetNum(kv, "horizon", chaos.horizon_s);
+         chaos.start_s = GetNum(kv, "start", chaos.start_s);
+         chaos.allow_blackhole = GetNum(kv, "blackhole", 0.0) != 0.0;
+         spec->Fault({{}, chaos});
+         return std::string();
+       },
+       true},
+  };
+  return directives;
+}
+
+bool Contains(const Keys& keys, const std::string& key) {
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
+}
+
+/// Applies one `name: body` entry to `spec`, then CheckScenario, all
+/// rejections blamed on `line`. Keys outside the directive's list are
+/// rejected (the parser never guesses at typos), required ones must be
+/// present, and every number must pass ParseNumber, so junk like
+/// `users=many`, `nan` or `-5` is rejected rather than read.
+bool Apply(const std::string& name, const std::string& body, int line,
+           bool faults_only, ScenarioSpec* spec, std::string* error) {
+  const auto& all = Directives();
+  const auto d = std::find_if(all.begin(), all.end(),
+                              [&name](const Directive& d) { return name == d.name; });
+  if (d == all.end()) return Fail(error, line, "unknown directive '" + name + "'");
+  if (faults_only && !d->fault) {
+    return Fail(error, line, "'" + name + "' is not a fault directive");
   }
-  *hi = static_cast<int>(std::strtol(hi_s.c_str(), &end, 10));
-  if (end == hi_s.c_str() || *end != '\0') {
-    return Fail(error, line, "malformed priority band '" + value + "'");
+  KeyValues kv;
+  if (!ParseKeyValues(body, line, &kv, error)) return false;
+  for (const auto& [key, value] : kv) {
+    std::string reason;
+    if (!Contains(d->allowed, key)) {
+      return Fail(error, line, "unknown key '" + key + "' in '" + name + "' directive");
+    }
+    if (!Contains(d->text, key) && !ParseNumber(value, &reason)) {
+      return Fail(error, line,
+                  "value '" + value + "' for key '" + key + "' is " + reason);
+    }
   }
-  if (*lo < 0 || *hi < *lo) {
-    return Fail(error, line, "empty priority band '" + value + "'");
+  for (const std::string& key : d->required) {
+    if (kv.count(key) == 0) {
+      return Fail(error, line,
+                  "'" + name + "' directive missing required key '" + key + "'");
+    }
+  }
+  std::string problem = d->apply(kv, spec);
+  if (problem.empty()) problem = CheckScenario(*spec);
+  return problem.empty() || Fail(error, line, problem);
+}
+
+/// Calls `apply(directive, body, line)` for every entry of `text` split at
+/// `separator`, with `#` comments and blank entries dropped; `line` counts
+/// entries from 1, blank ones included. Stops at the first failure.
+template <typename Fn>
+bool ForEachDirective(const std::string& text, char separator,
+                      std::string* error, int* line, Fn apply) {
+  std::stringstream stream(text);
+  std::string raw;
+  while (std::getline(stream, raw, separator)) {
+    ++*line;
+    raw = Trim(raw.substr(0, raw.find('#')));
+    if (raw.empty()) continue;
+    const auto colon = raw.find(':');
+    if (colon == std::string::npos) {
+      return Fail(error, *line, "directive '" + raw + "' has no ':'");
+    }
+    if (!apply(Trim(raw.substr(0, colon)), Trim(raw.substr(colon + 1)), *line)) {
+      return false;
+    }
   }
   return true;
 }
 
 }  // namespace
 
+std::optional<double> ParseNumber(const std::string& text, std::string* reason) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  const char* why = "not a finite number >= 0";
+  if (end == text.c_str() || *end != '\0') {
+    why = "non-numeric";
+  } else if (std::isfinite(value) && value >= 0.0) {
+    return value;
+  }
+  if (reason != nullptr) *reason = why;
+  return std::nullopt;
+}
+
 std::optional<std::vector<ScenarioSpec>> ParseScenarioProfile(
     const std::string& text, std::string* error) {
   std::vector<ScenarioSpec> specs;
-  ScenarioSpec* current = nullptr;
-
-  std::stringstream stream(text);
-  std::string raw;
   int line = 0;
-  while (std::getline(stream, raw)) {
-    ++line;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw = raw.substr(0, hash);
-    raw = Trim(raw);
-    if (raw.empty()) continue;
-
-    const auto colon = raw.find(':');
-    if (colon == std::string::npos) {
-      Fail(error, line, "directive '" + raw + "' has no ':'");
-      return std::nullopt;
-    }
-    const std::string directive = Trim(raw.substr(0, colon));
-    const std::string body = Trim(raw.substr(colon + 1));
-
-    if (directive == "scenario") {
-      KeyValues kv;
-      if (!ParseKeyValues(body, line, &kv, error)) return std::nullopt;
-      if (!CheckAllowedKeys(kv,
-                            {"name", "app", "duration", "seed", "static",
-                             "distinct_prio"},
-                            directive, line, error)) {
-        return std::nullopt;
-      }
-      if (!RequireKeys(kv, {"name"}, directive, line, error)) return std::nullopt;
-      if (!CheckNumericValues(kv, {"name", "app"}, line, error)) {
-        return std::nullopt;
-      }
-      const std::string name = GetStr(kv, "name");
-      for (const ScenarioSpec& s : specs) {
-        if (s.name == name) {
-          Fail(error, line, "duplicate scenario name '" + name + "'");
-          return std::nullopt;
+  const bool ok = ForEachDirective(
+      text, '\n', error, &line,
+      [&specs, error](const std::string& directive, const std::string& body,
+                      int at) {
+        // Every directive after a `scenario:` line configures that scenario.
+        if (directive == "scenario") {
+          specs.emplace_back();
+        } else if (specs.empty()) {
+          return Fail(error, at,
+                      "'" + directive + "' directive before the first 'scenario:'");
         }
-      }
-      ScenarioSpec spec = ScenarioSpec::Make(name, GetStr(kv, "app", "boutique"));
-      spec.duration_s = GetNum(kv, "duration", spec.duration_s);
-      spec.seed = static_cast<std::uint64_t>(GetNum(kv, "seed", 42.0));
-      spec.static_rate = GetNum(kv, "static", 0.0);
-      spec.distinct_priorities = GetNum(kv, "distinct_prio", 0.0) != 0.0;
-      specs.push_back(std::move(spec));
-      current = &specs.back();
-      continue;
-    }
-
-    if (current == nullptr) {
-      Fail(error, line,
-           "'" + directive + "' directive before the first 'scenario:'");
-      return std::nullopt;
-    }
-
-    if (directive == "fault") {
-      // Opaque fault-profile string, validated against the app at run time
-      // (the services it names do not exist yet at parse time).
-      if (body.empty()) {
-        Fail(error, line, "'fault' directive with empty profile");
-        return std::nullopt;
-      }
-      if (!current->fault_profile.empty()) current->fault_profile += ";";
-      current->fault_profile += body;
-      continue;
-    }
-
-    KeyValues kv;
-    if (!ParseKeyValues(body, line, &kv, error)) return std::nullopt;
-
-    if (directive == "phase") {
-      if (!CheckAllowedKeys(kv, {"at", "users", "ramp"}, directive, line,
-                            error) ||
-          !RequireKeys(kv, {"at", "users"}, directive, line, error) ||
-          !CheckNumericValues(kv, {}, line, error)) {
-        return std::nullopt;
-      }
-      WorkloadPhase phase{GetNum(kv, "at", 0.0), GetNum(kv, "users", 0.0),
-                          GetNum(kv, "ramp", 0.0)};
-      if (!current->phases.empty() && phase.at_s < current->phases.back().at_s) {
-        Fail(error, line, "phase times must be nondecreasing");
-        return std::nullopt;
-      }
-      current->phases.push_back(phase);
-    } else if (directive == "tenant") {
-      if (!CheckAllowedKeys(kv, {"name", "weight", "prio"}, directive, line,
-                            error) ||
-          !RequireKeys(kv, {"name", "weight"}, directive, line, error) ||
-          !CheckNumericValues(kv, {"name", "prio"}, line, error)) {
-        return std::nullopt;
-      }
-      TenantSpec tenant;
-      tenant.name = GetStr(kv, "name");
-      tenant.weight = GetNum(kv, "weight", 1.0);
-      if (kv.count("prio") != 0 &&
-          !ParsePriorityBand(kv.at("prio"), line, &tenant.priority_lo,
-                             &tenant.priority_hi, error)) {
-        return std::nullopt;
-      }
-      current->tenants.push_back(std::move(tenant));
-    } else if (directive == "client") {
-      if (!CheckAllowedKeys(kv, {"timeout", "retries", "backoff", "think"},
-                            directive, line, error) ||
-          !CheckNumericValues(kv, {}, line, error)) {
-        return std::nullopt;
-      }
-      current->client_timeout_s = GetNum(kv, "timeout", current->client_timeout_s);
-      current->client_retries =
-          static_cast<int>(GetNum(kv, "retries", current->client_retries));
-      current->client_retry_backoff_s =
-          GetNum(kv, "backoff", current->client_retry_backoff_s);
-      current->think_s = GetNum(kv, "think", current->think_s);
-    } else if (directive == "rpc") {
-      if (!CheckAllowedKeys(kv, {"timeout", "retries", "backoff"}, directive,
-                            line, error) ||
-          !CheckNumericValues(kv, {}, line, error)) {
-        return std::nullopt;
-      }
-      current->hop_timeout_s = GetNum(kv, "timeout", current->hop_timeout_s);
-      current->hop_retries =
-          static_cast<int>(GetNum(kv, "retries", current->hop_retries));
-      current->hop_retry_backoff_s =
-          GetNum(kv, "backoff", current->hop_retry_backoff_s);
-    } else if (directive == "diurnal") {
-      if (!CheckAllowedKeys(kv, {"low", "high", "period"}, directive, line,
-                            error) ||
-          !RequireKeys(kv, {"low", "high", "period"}, directive, line, error) ||
-          !CheckNumericValues(kv, {}, line, error)) {
-        return std::nullopt;
-      }
-      current->diurnal_low = GetNum(kv, "low", 0.0);
-      current->diurnal_high = GetNum(kv, "high", 0.0);
-      current->diurnal_period_s = GetNum(kv, "period", 0.0);
-    } else if (directive == "invariant") {
-      if (!CheckAllowedKeys(kv, {"kind", "value", "from", "param"}, directive,
-                            line, error) ||
-          !RequireKeys(kv, {"kind"}, directive, line, error) ||
-          !CheckNumericValues(kv, {"kind", "param"}, line, error)) {
-        return std::nullopt;
-      }
-      const auto kind = InvariantKindFromName(GetStr(kv, "kind"));
-      if (!kind.has_value()) {
-        Fail(error, line, "unknown invariant kind '" + GetStr(kv, "kind") + "'");
-        return std::nullopt;
-      }
-      current->Require(*kind, GetNum(kv, "value", 0.0), GetNum(kv, "from", 0.0),
-                       GetStr(kv, "param"));
-    } else if (directive == "expect_violation") {
-      if (!CheckAllowedKeys(kv, {"controller", "invariant"}, directive, line,
-                            error) ||
-          !RequireKeys(kv, {"controller", "invariant"}, directive, line,
-                       error)) {
-        return std::nullopt;
-      }
-      const auto kind = InvariantKindFromName(GetStr(kv, "invariant"));
-      if (!kind.has_value()) {
-        Fail(error, line,
-             "unknown invariant kind '" + GetStr(kv, "invariant") + "'");
-        return std::nullopt;
-      }
-      current->ExpectViolation(GetStr(kv, "controller"), *kind);
-    } else {
-      Fail(error, line, "unknown directive '" + directive + "'");
-      return std::nullopt;
-    }
-  }
+        if (!Apply(directive, body, at, /*faults_only=*/false, &specs.back(), error)) {
+          return false;
+        }
+        const std::string& name = specs.back().name;
+        const bool duplicate =
+            directive == "scenario" &&
+            std::any_of(specs.begin(), specs.end() - 1,
+                        [&name](const ScenarioSpec& s) { return s.name == name; });
+        return !duplicate || Fail(error, at, "duplicate scenario name '" + name + "'");
+      });
+  if (!ok) return std::nullopt;
   if (specs.empty()) {
     Fail(error, line, "profile declares no scenarios");
     return std::nullopt;
   }
   return specs;
+}
+
+std::optional<std::vector<FaultDirective>> ParseFaultProfile(
+    const std::string& text, std::string* error) {
+  ScenarioSpec spec;
+  int entry = 0;
+  const bool ok = ForEachDirective(
+      text, ';', error, &entry,
+      [&spec, error](const std::string& directive, const std::string& body, int at) {
+        return Apply(directive, body, at, /*faults_only=*/true, &spec, error);
+      });
+  if (!ok) return std::nullopt;
+  return spec.faults;
 }
 
 std::optional<std::vector<ScenarioSpec>> LoadScenarioProfile(

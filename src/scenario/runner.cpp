@@ -10,13 +10,11 @@
 #include "common/table.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
-#include "fault/profile.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/text_buffer.hpp"
 #include "obs/tsdb_plane.hpp"
 
 namespace topfull::scenario {
-namespace {
 
 std::unique_ptr<sim::Application> MakeApp(const ScenarioSpec& spec,
                                           std::string* error) {
@@ -24,67 +22,67 @@ std::unique_ptr<sim::Application> MakeApp(const ScenarioSpec& spec,
     apps::BoutiqueOptions options;
     options.seed = spec.seed;
     options.distinct_priorities = spec.distinct_priorities;
+    options.probe_failures = spec.probe_failures;
     return apps::MakeOnlineBoutique(options);
   }
   if (spec.app == "trainticket") {
     apps::TrainTicketOptions options;
     options.seed = spec.seed;
     options.distinct_priorities = spec.distinct_priorities;
+    options.probe_failures = spec.probe_failures;
     return apps::MakeTrainTicket(options);
   }
   if (spec.app == "alibaba") {
     apps::AlibabaDemoOptions options;
     options.seed = spec.seed;
+    options.replicas = spec.replicas;
     return apps::MakeAlibabaDemo(options).app;
   }
   *error = "unknown app '" + spec.app + "'";
   return nullptr;
 }
 
-/// `name` names the cell's telemetry files (default: scenario_controller).
-CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
-                    const std::string& name = {}) {
-  CellVerdict verdict;
-  verdict.scenario = spec.name;
-  verdict.controller = controller;
-
-  const auto variant = exp::VariantFromName(controller);
-  if (!variant.has_value()) {
-    verdict.error = "unknown controller '" + controller + "'";
-    return verdict;
+std::optional<ScenarioRun> MakeScenarioRun(const ScenarioSpec& spec,
+                                           exp::Variant variant,
+                                           std::string* error) {
+  if (const std::string problem = CheckScenario(spec); !problem.empty()) {
+    *error = problem;
+    return std::nullopt;
   }
-  // A probe app validates the app name and the fault profile before
-  // anything runs, so a bad cell yields an error rather than a half-run
-  // scenario.
-  const auto probe = MakeApp(spec, &verdict.error);
-  if (probe == nullptr) return verdict;
+  // A probe app checks the app name, names the run and expands the faults
+  // before anything runs, so a bad spec yields an error, not a half run.
+  const auto probe = MakeApp(spec, error);
+  if (probe == nullptr) return std::nullopt;
+  auto faults = ExpandFaults(spec, *probe, error);
+  if (!faults.has_value()) return std::nullopt;
 
-  exp::RunSpec run;
-  run.label = spec.name + "_" + controller;
+  ScenarioRun result;
+  exp::RunSpec& run = result.spec;
+  run.label = probe->name();
   run.duration_s = spec.duration_s;
-  if (!spec.fault_profile.empty()) {
-    std::string fault_error;
-    const auto parsed =
-        fault::ParseFaultProfile(spec.fault_profile, *probe, &fault_error);
-    if (!parsed.has_value()) {
-      verdict.error = "fault profile: " + fault_error;
-      return verdict;
-    }
-    run.faults = *parsed;
-  }
-  run.make_app = [&spec] {
-    std::string error;
-    auto app = MakeApp(spec, &error);
-    if (spec.hop_timeout_s > 0.0) {
-      app->ConfigureRpc(Seconds(spec.hop_timeout_s), spec.hop_retries,
-                        Seconds(spec.hop_retry_backoff_s));
-    }
+  run.faults = std::move(*faults);
+  run.fault_seed = spec.fault_seed;
+  if (spec.hpa) run.hpa = autoscale::ClusterConfig{};
+  // Every app starts with no hop timeout and no retries, so configuring
+  // the spec's zeros changes nothing.
+  run.make_app = [spec] {
+    std::string unused;
+    auto app = MakeApp(spec, &unused);
+    app->ConfigureRpc(Seconds(spec.hop_timeout_s), spec.hop_retries,
+                      Seconds(spec.hop_retry_backoff_s));
     return app;
   };
-  // One closed-loop pool per tenant, splitting the scheduled population by
-  // weight. A scenario without tenants runs one anonymous pool over the
-  // full schedule (the legacy uniform-users setup).
-  run.traffic = [&spec](workload::TrafficDriver& traffic, sim::Application& app) {
+  // Open loop: the phases' rate split evenly over the APIs. Closed loop:
+  // one pool per tenant, splitting the scheduled population by weight; a
+  // scenario without tenants runs one anonymous pool over the full
+  // schedule.
+  run.traffic = [spec](workload::TrafficDriver& traffic, sim::Application& app) {
+    if (spec.open_loop) {
+      for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
+        traffic.AddOpenLoop(a, spec.BuildUserSchedule(app.NumApis()));
+      }
+      return;
+    }
     std::vector<TenantSpec> tenants = spec.tenants;
     if (tenants.empty()) tenants.push_back(TenantSpec{});
     double total_weight = 0.0;
@@ -100,16 +98,34 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
       config.client_retry_backoff = Seconds(spec.client_retry_backoff_s);
       config.user_priority_lo = tenant.priority_lo;
       config.user_priority_hi = tenant.priority_hi;
-      config.tenant = tenant.name;
       traffic.AddClosedLoop(std::move(config),
                             users.Scaled(tenant.weight / total_weight));
     }
   };
-  run.variant = *variant;
-  std::shared_ptr<rl::GaussianPolicy> policy;
-  if (exp::VariantNeedsPolicy(*variant)) policy = exp::GetPretrainedPolicy();
-  run.policy = policy.get();
+  run.variant = variant;
+  if (exp::VariantNeedsPolicy(variant)) result.policy = exp::GetPretrainedPolicy();
+  run.policy = result.policy.get();
   run.static_rate = spec.static_rate;
+  return result;
+}
+
+CellVerdict RunScenarioCell(const ScenarioSpec& spec,
+                            const std::string& controller,
+                            const std::string& name) {
+  CellVerdict verdict;
+  verdict.scenario = spec.name;
+  verdict.controller = controller;
+
+  const auto variant = exp::VariantFromName(controller);
+  if (!variant.has_value()) {
+    verdict.error = "unknown controller '" + controller + "'";
+    return verdict;
+  }
+  std::optional<ScenarioRun> scenario_run =
+      MakeScenarioRun(spec, *variant, &verdict.error);
+  if (!scenario_run.has_value()) return verdict;
+  exp::RunSpec& run = scenario_run->spec;
+  run.label = spec.name + "_" + controller;
 
   // Every cell gets a time-series plane with the standard burn-rate rules
   // plus a goodput-floor alert derived from the scenario's own floor
@@ -167,6 +183,8 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
   return verdict;
 }
 
+namespace {
+
 std::string Quote(const std::string& s) { return "\"" + obs::JsonEscape(s) + "\""; }
 
 std::string Bool(bool b) { return b ? "true" : "false"; }
@@ -223,11 +241,6 @@ void PrintMatrixReport(const std::vector<CellVerdict>& verdicts) {
 
 }  // namespace
 
-CellVerdict RunScenarioCell(const ScenarioSpec& spec,
-                            const std::string& controller) {
-  return RunCell(spec, controller);
-}
-
 std::vector<CellVerdict> RunScenarioMatrix(
     const std::vector<ScenarioSpec>& scenarios, const MatrixOptions& options) {
   const std::size_t cols = options.controllers.size();
@@ -241,8 +254,9 @@ std::vector<CellVerdict> RunScenarioMatrix(
     // the naming is pool-size independent.
     char prefix[16];
     std::snprintf(prefix, sizeof(prefix), "%03zu_", i);
-    return RunCell(spec, controller,
-                   prefix + exp::SanitizeFileName(spec.name + "_" + controller));
+    return RunScenarioCell(
+        spec, controller,
+        prefix + exp::SanitizeFileName(spec.name + "_" + controller));
   });
 }
 

@@ -1,4 +1,5 @@
-// The scenario x controller conformance matrix.
+// Scenario specs as runs (MakeScenarioRun, shared by `topfull run` and
+// every matrix cell), and the scenario x controller conformance matrix.
 //
 // Runs every scenario under every requested controller, evaluates the
 // scenario's invariants against the finished run, and folds in the
@@ -10,15 +11,41 @@
 // with tracing on or off.
 #pragma once
 
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "exp/run_executor.hpp"
 #include "obs/fairness.hpp"
 #include "scenario/invariant.hpp"
 #include "scenario/scenario.hpp"
 
 namespace topfull::scenario {
+
+/// The one app factory: builds `spec.app` ("boutique", "trainticket" or
+/// "alibaba") with the spec's seed and app options. Null with *error set
+/// for an unknown app.
+std::unique_ptr<sim::Application> MakeApp(const ScenarioSpec& spec,
+                                          std::string* error);
+
+/// A run built from a scenario, and the policy its `spec.policy` points to.
+struct ScenarioRun {
+  exp::RunSpec spec;
+  std::shared_ptr<rl::GaussianPolicy> policy;
+};
+
+/// Translates `spec` under `variant` into a run: app factory with the RPC
+/// policy, traffic (one closed-loop pool per tenant, or open-loop rps split
+/// evenly over the APIs), expanded faults, HPA and the controller. The run
+/// is labelled with the app's name; execution and observation settings
+/// (shards, telemetry, TSDB, live plane) keep their RunSpec defaults for the
+/// caller to set. Nullopt with *error when CheckScenario rejects the spec,
+/// the app is unknown or a fault names an unknown service.
+std::optional<ScenarioRun> MakeScenarioRun(const ScenarioSpec& spec,
+                                           exp::Variant variant,
+                                           std::string* error);
 
 /// One scenario x controller cell of the matrix.
 struct CellVerdict {
@@ -36,8 +63,8 @@ struct CellVerdict {
   obs::AmplificationStats amplification;
   std::size_t slo_events = 0;
 
-  /// Non-empty when the cell could not run (bad app name, bad fault
-  /// profile); a cell with an error never conforms.
+  /// Non-empty when the cell could not run (bad app name, unknown fault
+  /// service); a cell with an error never conforms.
   std::string error;
 };
 
@@ -49,9 +76,11 @@ struct MatrixOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// Runs one cell on the calling thread.
+/// Runs one cell on the calling thread. `name` names the cell's telemetry
+/// files (default: scenario_controller).
 CellVerdict RunScenarioCell(const ScenarioSpec& spec,
-                            const std::string& controller);
+                            const std::string& controller,
+                            const std::string& name = {});
 
 /// Runs the full matrix (scenarios x options.controllers, scenario-major
 /// order) on the worker pool.

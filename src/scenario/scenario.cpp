@@ -85,8 +85,8 @@ ScenarioSpec& ScenarioSpec::Rpc(double timeout_s, int retries,
   return *this;
 }
 
-ScenarioSpec& ScenarioSpec::Faults(std::string profile) {
-  fault_profile = std::move(profile);
+ScenarioSpec& ScenarioSpec::Fault(FaultDirective fault) {
+  faults.push_back(std::move(fault));
   return *this;
 }
 
@@ -118,9 +118,10 @@ ScenarioSpec& ScenarioSpec::ExpectViolation(std::string controller,
   return *this;
 }
 
-workload::Schedule ScenarioSpec::BuildUserSchedule() const {
+workload::Schedule ScenarioSpec::BuildUserSchedule(double divisor) const {
   if (diurnal_period_s > 0.0) {
-    return workload::Schedule::Diurnal(diurnal_low, diurnal_high,
+    return workload::Schedule::Diurnal(diurnal_low / divisor,
+                                       diurnal_high / divisor,
                                        Seconds(diurnal_period_s),
                                        Seconds(duration_s));
   }
@@ -137,10 +138,10 @@ workload::Schedule ScenarioSpec::BuildUserSchedule() const {
       for (int i = 1; i <= steps; ++i) {
         const double frac = static_cast<double>(i) / static_cast<double>(steps);
         schedule.Then(at + i * step,
-                      prev_users + (phase.users - prev_users) * frac);
+                      (prev_users + (phase.users - prev_users) * frac) / divisor);
       }
     } else {
-      schedule.Then(at, phase.users);
+      schedule.Then(at, phase.users / divisor);
     }
     prev_users = phase.users;
   }
@@ -170,6 +171,50 @@ ScenarioSpec ScenarioSpec::TimeScaled(double factor) const {
     if (inv.kind == InvariantKind::kEscapesOverloadBy) inv.value *= factor;
   }
   return scaled;
+}
+
+std::string CheckScenario(const ScenarioSpec& spec, int shards) {
+  if (!(spec.duration_s > 0.0)) return "duration must be > 0";
+  for (std::size_t i = 1; i < spec.phases.size(); ++i) {
+    if (spec.phases[i].at_s < spec.phases[i - 1].at_s) {
+      return "phase times must be nondecreasing";
+    }
+  }
+  if (spec.open_loop && !spec.tenants.empty()) {
+    return "tenants need closed-loop users, not rps phases";
+  }
+  if (spec.replicas < 1) return "replicas must be >= 1";
+  if (spec.replicas != 1 && spec.app != "alibaba") {
+    return "replicas=" + std::to_string(spec.replicas) +
+           " needs app=alibaba: only the Alibaba demo has copies";
+  }
+  if (spec.hpa && shards > 1) {
+    return "hpa is not supported across " + std::to_string(shards) +
+           " shards: each shard builds its own VM cluster, so the shards "
+           "would autoscale separate clusters";
+  }
+  return "";
+}
+
+std::optional<fault::FaultSchedule> ExpandFaults(const ScenarioSpec& spec,
+                                                 const sim::Application& app,
+                                                 std::string* error) {
+  fault::FaultSchedule schedule;
+  for (const FaultDirective& f : spec.faults) {
+    if (f.chaos.has_value()) {
+      const fault::FaultSchedule chaos = fault::MakeChaosSchedule(app, *f.chaos);
+      for (const fault::FaultEvent& e : chaos.events()) schedule.Add(e);
+      continue;
+    }
+    if (f.event.type != fault::FaultType::kVmOutage &&
+        app.FindService(f.event.service) == sim::kNoService) {
+      *error = "unknown service '" + f.event.service + "' in " +
+               fault::FaultTypeName(f.event.type) + " fault";
+      return std::nullopt;
+    }
+    schedule.Add(f.event);
+  }
+  return schedule;
 }
 
 }  // namespace topfull::scenario

@@ -20,12 +20,15 @@
 #include <string>
 #include <vector>
 
+#include "fault/chaos.hpp"
+#include "fault/fault.hpp"
 #include "workload/schedule.hpp"
 
 namespace topfull::scenario {
 
-/// One breakpoint of the user-population schedule: `users` from `at_s`
-/// onward, reached by a linear ramp of `ramp_s` seconds (0 = step).
+/// One breakpoint of the load schedule: `users` (requests per second when
+/// the spec is open-loop) from `at_s` onward, reached by a linear ramp of
+/// `ramp_s` seconds (0 = step).
 struct WorkloadPhase {
   double at_s = 0.0;
   double users = 0.0;
@@ -45,6 +48,15 @@ struct TenantSpec {
   int priority_hi = -1;
   /// Per-API mix weights (empty = uniform over the app's APIs).
   std::vector<double> api_weights;
+};
+
+/// One fault directive (`crash:`, `degrade:`, `inflate:`, `blackhole:`,
+/// `errors:`, `vmout:` or `chaos:`), kept as written. Every kind but chaos
+/// is one fault event; chaos is a seeded draw over the app's services, so
+/// it stays options until ExpandFaults sees the app.
+struct FaultDirective {
+  fault::FaultEvent event;
+  std::optional<fault::ChaosOptions> chaos;
 };
 
 /// The machine-checkable invariant kinds (see invariant.hpp for the exact
@@ -95,6 +107,12 @@ struct ScenarioSpec {
   double duration_s = 120.0;
   /// Give the app's APIs distinct business priorities (DAGOR-style mixes).
   bool distinct_priorities = false;
+  /// Liveness-probe pod failures (boutique and trainticket).
+  bool probe_failures = false;
+  /// Independent copies of the app (alibaba only).
+  int replicas = 1;
+  /// Horizontal pod autoscaler on a default VM cluster.
+  bool hpa = false;
 
   // --- Client behaviour -----------------------------------------------------
   double think_s = 1.0;
@@ -109,6 +127,9 @@ struct ScenarioSpec {
 
   // --- Workload -------------------------------------------------------------
   std::vector<WorkloadPhase> phases;  ///< sorted by at_s
+  /// Phases give requests per second, split evenly over the APIs, instead
+  /// of closed-loop users.
+  bool open_loop = false;
   /// Diurnal replay: when period > 0 the user schedule is a raised-cosine
   /// oscillation between low and high (phases are ignored).
   double diurnal_low = 0.0;
@@ -116,9 +137,10 @@ struct ScenarioSpec {
   double diurnal_period_s = 0.0;
   std::vector<TenantSpec> tenants;
 
-  /// Fault profile string (fault/profile.hpp grammar), expanded against
-  /// the app when the cell runs. Empty = no faults.
-  std::string fault_profile;
+  /// Faults in directive order, expanded against the app by ExpandFaults.
+  std::vector<FaultDirective> faults;
+  /// Seed of the fault injector's own RNG stream.
+  std::uint64_t fault_seed = fault::FaultInjector::kDefaultSeed;
 
   /// Per-API rate of the "static" matrix controller (<= 0 = uncapped).
   double static_rate = 0.0;
@@ -137,7 +159,7 @@ struct ScenarioSpec {
   ScenarioSpec& Client(double timeout_s, int retries, double backoff_s,
                        double think_s = 1.0);
   ScenarioSpec& Rpc(double timeout_s, int retries, double backoff_s);
-  ScenarioSpec& Faults(std::string profile);
+  ScenarioSpec& Fault(FaultDirective fault);
   ScenarioSpec& StaticRate(double rate);
   ScenarioSpec& DistinctPriorities(bool on = true);
   ScenarioSpec& Require(InvariantKind kind, double value, double from_s = 0.0);
@@ -145,16 +167,34 @@ struct ScenarioSpec {
                         std::string param);
   ScenarioSpec& ExpectViolation(std::string controller, InvariantKind kind);
 
-  /// The user-population schedule implied by the phases / diurnal fields.
-  workload::Schedule BuildUserSchedule() const;
+  /// The load schedule implied by the phases / diurnal fields, every
+  /// level divided by `divisor` (the API count splits an open-loop rate).
+  workload::Schedule BuildUserSchedule(double divisor = 1.0) const;
 
   /// Whether `controller` is expected to violate `kind` here.
   bool ExpectsViolation(const std::string& controller, InvariantKind kind) const;
 
   /// Multiplies every time in the spec (duration, phase times and ramps,
   /// diurnal period, time-valued invariant fields) by `factor` — the
-  /// smoke-mode shrink. Thresholds that are not times are untouched.
+  /// smoke-mode shrink. Thresholds that are not times, and fault times,
+  /// are untouched.
   ScenarioSpec TimeScaled(double factor) const;
 };
+
+/// The validity check of a run description, shared by the profile parser
+/// (after every directive, so a rejection names its line) and `topfull
+/// run`: a positive duration, nondecreasing phases, no tenants on rps
+/// phases, `replicas` only on alibaba, and no HPA across `shards` > 1 (each
+/// shard would build its own VM cluster). Single values are checked as
+/// they are read, by the grammar's ParseNumber. Returns the reason, or ""
+/// when the spec is valid.
+std::string CheckScenario(const ScenarioSpec& spec, int shards = 1);
+
+/// The spec's faults as a schedule for `app`: checks every service name
+/// and draws each chaos directive against the app's services. Returns
+/// nullopt and sets *error on an unknown service.
+std::optional<fault::FaultSchedule> ExpandFaults(const ScenarioSpec& spec,
+                                                 const sim::Application& app,
+                                                 std::string* error);
 
 }  // namespace topfull::scenario

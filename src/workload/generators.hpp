@@ -60,9 +60,6 @@ struct ClosedLoopConfig {
   /// behaviour (a fresh random priority per request at the gateway).
   int user_priority_lo = -1;
   int user_priority_hi = -1;
-
-  /// Tenant-class label for fairness reporting ("" = unnamed).
-  std::string tenant;
 };
 
 /// Whole-lifetime outcome counters of one closed-loop user.

@@ -1,8 +1,9 @@
 // Tests for the deterministic fault-injection engine (src/fault): the
-// no-perturbation contract, every fault type end to end, the textual
-// profile parser, seeded chaos schedules, and the acceptance bar of the
-// subsystem — byte-identical metrics timelines for a fixed fault profile
-// across thread-pool sizes and with tracing on/off.
+// no-perturbation contract, every fault type end to end, seeded chaos
+// schedules (the fault directives' grammar is tested in scenario_test),
+// and the acceptance bar of the subsystem — byte-identical metrics
+// timelines for a fixed fault profile across thread-pool sizes and with
+// tracing on/off.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,7 +16,6 @@
 #include "exp/run_executor.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault.hpp"
-#include "fault/profile.hpp"
 #include "obs/trace.hpp"
 #include "sim/app.hpp"
 #include "workload/generators.hpp"
@@ -443,63 +443,6 @@ TEST(FaultDeterminismTest, ByteIdenticalWithTracingOnAndOff) {
   EXPECT_EQ(off_sampled, 0u);
   EXPECT_GT(on_sampled, 0u);  // the tracer really observed the run
   EXPECT_EQ(off_digest, on_digest);
-}
-
-// --- Profile parser ----------------------------------------------------------
-
-TEST(FaultProfileTest, ParsesEveryKind) {
-  auto app = MakeTwoTierApp();
-  std::string error;
-  const auto schedule = fault::ParseFaultProfile(
-      "crash:svc=back,at=50,pods=3,restart=60,stagger=1;"
-      "degrade:svc=front,at=30,for=40,factor=0.5;"
-      "inflate:svc=back,at=30,for=40,factor=2.5;"
-      "blackhole:svc=back,at=20,for=10;"
-      "errors:svc=front,at=20,for=15,p=0.3;"
-      "vmout:at=40,for=30,vms=2",
-      *app, &error);
-  ASSERT_TRUE(schedule.has_value()) << error;
-  ASSERT_EQ(schedule->size(), 6u);
-  const auto& events = schedule->events();
-  EXPECT_EQ(events[0].type, fault::FaultType::kPodCrash);
-  EXPECT_EQ(events[0].service, "back");
-  EXPECT_EQ(events[0].at, Seconds(50));
-  EXPECT_EQ(events[0].pods, 3);
-  EXPECT_EQ(events[0].restart_delay, Seconds(60));
-  EXPECT_EQ(events[0].restart_stagger, Seconds(1));
-  EXPECT_EQ(events[1].type, fault::FaultType::kCapacityDegrade);
-  EXPECT_DOUBLE_EQ(events[1].severity, 0.5);
-  EXPECT_EQ(events[1].duration, Seconds(40));
-  EXPECT_EQ(events[2].type, fault::FaultType::kServiceTimeInflate);
-  EXPECT_EQ(events[3].type, fault::FaultType::kBlackhole);
-  EXPECT_EQ(events[4].type, fault::FaultType::kErrorBurst);
-  EXPECT_DOUBLE_EQ(events[4].severity, 0.3);
-  EXPECT_EQ(events[5].type, fault::FaultType::kVmOutage);
-  EXPECT_EQ(events[5].pods, 2);
-}
-
-TEST(FaultProfileTest, ExpandsChaosProfiles) {
-  auto app = MakeTwoTierApp();
-  std::string error;
-  const auto schedule =
-      fault::ParseFaultProfile("chaos:seed=7,events=5,horizon=60", *app, &error);
-  ASSERT_TRUE(schedule.has_value()) << error;
-  EXPECT_EQ(schedule->size(), 5u);
-}
-
-TEST(FaultProfileTest, RejectsMalformedSpecs) {
-  auto app = MakeTwoTierApp();
-  for (const char* bad : {
-           "explode:svc=back,at=1",          // unknown kind
-           "crash:svc=nosuch,at=1",          // unknown service
-           "crash:svc=back,at=",             // missing value
-           "crash:svc=back,when=1",          // unknown key
-           "degrade:svc=back,at=1,factor=x", // non-numeric
-       }) {
-    std::string error;
-    EXPECT_FALSE(fault::ParseFaultProfile(bad, *app, &error).has_value()) << bad;
-    EXPECT_FALSE(error.empty()) << bad;
-  }
 }
 
 // --- Chaos schedules ---------------------------------------------------------

@@ -1,13 +1,17 @@
 // Scenario engine tests: spec builder and schedules, the invariant
 // checker over synthetic SLO-event streams, fairness/amplification
 // statistics, the text-profile parser (good path, inline malformed
-// inputs, the on-disk corpus, and a seeded fuzz sweep), the built-in
-// library's internal consistency, and the conformance matrix itself —
-// byte-identical JSON across pool sizes and tracing modes, the
-// metastable trap/escape demonstration, and sharded self-consistency.
+// inputs, the on-disk corpus, and a seeded fuzz sweep over both the
+// profile and the `--fault-profile` form), the validity check and fault
+// expansion, the ScenarioSpec -> RunSpec translation against hand-built
+// runs, the built-in library's internal consistency, and the conformance
+// matrix itself — byte-identical JSON across pool sizes and tracing modes,
+// the metastable trap/escape demonstration, and sharded self-consistency.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +35,15 @@
 namespace topfull::scenario {
 namespace {
 
+fault::FaultEvent CrashEvent(const std::string& service, double at_s, int pods) {
+  fault::FaultEvent event;
+  event.type = fault::FaultType::kPodCrash;
+  event.service = service;
+  event.at = Seconds(at_s);
+  event.pods = pods;
+  return event;
+}
+
 // --- Spec builder -------------------------------------------------------------
 
 TEST(ScenarioSpecTest, BuilderPopulatesEveryField) {
@@ -50,7 +63,7 @@ TEST(ScenarioSpecTest, BuilderPopulatesEveryField) {
           .Client(/*timeout_s=*/2.5, /*retries=*/3, /*backoff_s=*/0.3,
                   /*think_s=*/0.5)
           .Rpc(/*timeout_s=*/0.7, /*retries=*/2, /*backoff_s=*/0.1)
-          .Faults("crash s0 at=10 for=5")
+          .Fault({CrashEvent("ts-station", 10.0, 3), std::nullopt})
           .StaticRate(450.0)
           .DistinctPriorities()
           .Require(InvariantKind::kGoodputFloor, 200.0, 10.0)
@@ -71,7 +84,9 @@ TEST(ScenarioSpecTest, BuilderPopulatesEveryField) {
   EXPECT_DOUBLE_EQ(spec.think_s, 0.5);
   EXPECT_DOUBLE_EQ(spec.hop_timeout_s, 0.7);
   EXPECT_EQ(spec.hop_retries, 2);
-  EXPECT_EQ(spec.fault_profile, "crash s0 at=10 for=5");
+  ASSERT_EQ(spec.faults.size(), 1u);
+  EXPECT_EQ(spec.faults[0].event.service, "ts-station");
+  EXPECT_EQ(spec.faults[0].event.pods, 3);
   EXPECT_DOUBLE_EQ(spec.static_rate, 450.0);
   EXPECT_TRUE(spec.distinct_priorities);
   ASSERT_EQ(spec.invariants.size(), 1u);
@@ -378,8 +393,13 @@ tenant: name=premium, weight=0.4, prio=0-15
 tenant: name=free, weight=0.6, prio=50
 client: timeout=2, retries=2, backoff=0.2, think=0.5
 rpc: timeout=0.5, retries=1, backoff=0.05
-fault: crash s0 at=30 for=10
-fault: slow s1 at=50 for=20
+crash: svc=ts-station, at=30, pods=5, restart=10, stagger=1
+degrade: svc=ts-order, at=40, for=20, factor=0.5
+inflate: svc=ts-route, at=40, for=20, factor=2.5
+blackhole: svc=ts-food, at=50, for=5
+errors: svc=ts-order, at=60, for=15, p=0.3
+vmout: at=70, for=10, vms=2
+chaos: seed=7, events=3, horizon=80, start=5, blackhole=1
 invariant: kind=max_retry_amplification, value=4
 invariant: kind=goodput_floor, value=200, from=20
 expect_violation: controller=static, invariant=goodput_floor
@@ -387,11 +407,15 @@ expect_violation: controller=static, invariant=goodput_floor
 scenario: name=daynight
 diurnal: low=200, high=1500, period=60
 invariant: kind=goodput_floor, value=100
+
+scenario: name=open, app=alibaba, replicas=2, hpa=1, probe_failures=1, fault_seed=9
+phase: at=0, rps=3000
+phase: at=20, rps=6000
 )";
   std::string error;
   const auto specs = ParseScenarioProfile(text, &error);
   ASSERT_TRUE(specs.has_value()) << error;
-  ASSERT_EQ(specs->size(), 2u);
+  ASSERT_EQ(specs->size(), 3u);
 
   const ScenarioSpec& storm = (*specs)[0];
   EXPECT_EQ(storm.name, "storm");
@@ -410,8 +434,31 @@ invariant: kind=goodput_floor, value=100
   EXPECT_EQ(storm.client_retries, 2);
   EXPECT_DOUBLE_EQ(storm.think_s, 0.5);
   EXPECT_DOUBLE_EQ(storm.hop_timeout_s, 0.5);
-  // Multiple fault lines join with ';' (the fault-profile separator).
-  EXPECT_EQ(storm.fault_profile, "crash s0 at=30 for=10;slow s1 at=50 for=20");
+  // Fault directives stay in order, as data.
+  ASSERT_EQ(storm.faults.size(), 7u);
+  const fault::FaultEvent& crash = storm.faults[0].event;
+  EXPECT_EQ(crash.type, fault::FaultType::kPodCrash);
+  EXPECT_EQ(crash.service, "ts-station");
+  EXPECT_EQ(crash.at, Seconds(30));
+  EXPECT_EQ(crash.pods, 5);
+  EXPECT_EQ(crash.restart_delay, Seconds(10));
+  EXPECT_EQ(crash.restart_stagger, Seconds(1));
+  EXPECT_EQ(storm.faults[1].event.type, fault::FaultType::kCapacityDegrade);
+  EXPECT_EQ(storm.faults[1].event.duration, Seconds(20));
+  EXPECT_DOUBLE_EQ(storm.faults[1].event.severity, 0.5);
+  EXPECT_EQ(storm.faults[2].event.type, fault::FaultType::kServiceTimeInflate);
+  EXPECT_DOUBLE_EQ(storm.faults[2].event.severity, 2.5);
+  EXPECT_EQ(storm.faults[3].event.type, fault::FaultType::kBlackhole);
+  EXPECT_EQ(storm.faults[4].event.type, fault::FaultType::kErrorBurst);
+  EXPECT_DOUBLE_EQ(storm.faults[4].event.severity, 0.3);
+  EXPECT_EQ(storm.faults[5].event.type, fault::FaultType::kVmOutage);
+  EXPECT_EQ(storm.faults[5].event.pods, 2);
+  ASSERT_TRUE(storm.faults[6].chaos.has_value());
+  EXPECT_EQ(storm.faults[6].chaos->seed, 7u);
+  EXPECT_EQ(storm.faults[6].chaos->events, 3);
+  EXPECT_DOUBLE_EQ(storm.faults[6].chaos->horizon_s, 80.0);
+  EXPECT_DOUBLE_EQ(storm.faults[6].chaos->start_s, 5.0);
+  EXPECT_TRUE(storm.faults[6].chaos->allow_blackhole);
   ASSERT_EQ(storm.invariants.size(), 2u);
   EXPECT_EQ(storm.invariants[0].kind, InvariantKind::kMaxRetryAmplification);
   EXPECT_TRUE(storm.ExpectsViolation("static", InvariantKind::kGoodputFloor));
@@ -419,6 +466,18 @@ invariant: kind=goodput_floor, value=100
   const ScenarioSpec& daynight = (*specs)[1];
   EXPECT_EQ(daynight.app, "boutique");  // default
   EXPECT_DOUBLE_EQ(daynight.diurnal_period_s, 60.0);
+  EXPECT_FALSE(daynight.open_loop);
+  EXPECT_EQ(daynight.replicas, 1);
+  EXPECT_EQ(daynight.fault_seed, fault::FaultInjector::kDefaultSeed);
+
+  const ScenarioSpec& open = (*specs)[2];
+  EXPECT_TRUE(open.open_loop);
+  ASSERT_EQ(open.phases.size(), 2u);
+  EXPECT_DOUBLE_EQ(open.phases[1].users, 6000.0);
+  EXPECT_EQ(open.replicas, 2);
+  EXPECT_TRUE(open.hpa);
+  EXPECT_TRUE(open.probe_failures);
+  EXPECT_EQ(open.fault_seed, 9u);
 }
 
 struct MalformedCase {
@@ -439,7 +498,25 @@ TEST(ScenarioProfileTest, RejectsMalformedInputWithLineNumbers) {
        "unknown invariant kind"},
       {"scenario: name=x\nclient: retires=3\n", "unknown key"},
       {"scenario: name=x\ntenant: weight=1\n", "missing required key"},
-      {"scenario: name=x\nfault:\n", "empty profile"},
+      {"scenario: name=x\nfault: crash s0 at=30\n", "unknown directive 'fault'"},
+      {"scenario: name=a, duration=-5\n", "not a finite number >= 0"},
+      {"scenario: name=a, duration=0\n", "duration must be > 0"},
+      {"scenario: name=x\nphase: at=0, users=nan\n", "not a finite number"},
+      {"scenario: name=x\nclient: timeout=inf\n", "not a finite number"},
+      {"scenario: name=x\nclient: retries=-2\n", "not a finite number >= 0"},
+      {"scenario: name=x\nphase: at=0, rps=-1\n", "not a finite number >= 0"},
+      {"scenario: name=x\nphase: at=0, users=1\nphase: at=5, rps=2\n",
+       "phases mix"},
+      {"scenario: name=x\nphase: at=0, users=1, rps=2\n", "one of 'users'"},
+      {"scenario: name=x\ncrash: svc=cart, at=5, pods=1, restrat=5\n",
+       "unknown key 'restrat' in 'crash'"},
+      {"scenario: name=x\ncrash: svc=cart, at=5\n", "missing required key 'pods'"},
+      {"scenario: name=x\ndegrade: svc=cart, at=5, factor=-0.5\n",
+       "not a finite number >= 0"},
+      {"scenario: name=x\nvmout: svc=cart, at=5, vms=1\n", "unknown key 'svc'"},
+      {"scenario: name=x, app=boutique, replicas=2\n", "needs app=alibaba"},
+      {"scenario: name=x\nphase: at=0, rps=100\ntenant: name=t, weight=1\n",
+       "tenants need closed-loop users"},
       {"scenario: name=x\ntenant: name=t, weight=1, prio=20-5\n",
        "priority band"},
       {"scenario: name=x\ndiurnal: low=1, high=2\n", "missing required key"},
@@ -457,6 +534,52 @@ TEST(ScenarioProfileTest, RejectsMalformedInputWithLineNumbers) {
         << "input: " << c.text << "\nerror: " << error;
     EXPECT_NE(error.find("line "), std::string::npos) << error;
   }
+}
+
+TEST(ScenarioSpecTest, CheckScenarioJudgesSpecsBuiltInCode) {
+  ScenarioSpec spec = ScenarioSpec::Make("ok").Phase(0.0, 100.0);
+  EXPECT_EQ(CheckScenario(spec), "");
+  spec.hpa = true;
+  EXPECT_EQ(CheckScenario(spec, /*shards=*/1), "");
+  EXPECT_NE(CheckScenario(spec, /*shards=*/2).find("its own VM cluster"),
+            std::string::npos);
+
+  const ScenarioSpec nan_duration = ScenarioSpec::Make("nan").Duration(std::nan(""));
+  EXPECT_EQ(CheckScenario(nan_duration), "duration must be > 0");
+  const ScenarioSpec unordered =
+      ScenarioSpec::Make("order").Phase(10.0, 1.0).Phase(5.0, 2.0);
+  EXPECT_EQ(CheckScenario(unordered), "phase times must be nondecreasing");
+  ScenarioSpec replicas = ScenarioSpec::Make("copies");
+  replicas.replicas = 0;
+  EXPECT_EQ(CheckScenario(replicas), "replicas must be >= 1");
+  replicas.replicas = 3;
+  EXPECT_NE(CheckScenario(replicas).find("needs app=alibaba"), std::string::npos);
+  replicas.app = "alibaba";
+  EXPECT_EQ(CheckScenario(replicas), "");
+}
+
+TEST(ScenarioSpecTest, ExpandFaultsChecksServicesAndDrawsChaos) {
+  const auto app = apps::MakeOnlineBoutique({});
+  ScenarioSpec spec = ScenarioSpec::Make("faults")
+                          .Fault({CrashEvent("cart", 5.0, 1), std::nullopt})
+                          .Fault({{}, fault::ChaosOptions{.seed = 7, .events = 4}});
+  std::string error;
+  const auto schedule = ExpandFaults(spec, *app, &error);
+  ASSERT_TRUE(schedule.has_value()) << error;
+  ASSERT_EQ(schedule->size(), 5u);
+  EXPECT_EQ(schedule->events()[0].service, "cart");
+  // The chaos draw is the one fault::MakeChaosSchedule makes.
+  const fault::FaultSchedule chaos =
+      fault::MakeChaosSchedule(*app, fault::ChaosOptions{.seed = 7, .events = 4});
+  for (std::size_t i = 0; i < chaos.size(); ++i) {
+    EXPECT_EQ(schedule->events()[i + 1].service, chaos.events()[i].service);
+    EXPECT_EQ(schedule->events()[i + 1].at, chaos.events()[i].at);
+  }
+
+  spec.Fault({CrashEvent("ProductCatalog", 5.0, 1), std::nullopt});
+  EXPECT_FALSE(ExpandFaults(spec, *app, &error).has_value());
+  EXPECT_NE(error.find("unknown service 'ProductCatalog'"), std::string::npos)
+      << error;
 }
 
 TEST(ScenarioProfileTest, CorpusFilesParseAsLabelled) {
@@ -478,6 +601,14 @@ TEST(ScenarioProfileTest, CorpusFilesParseAsLabelled) {
       if (specs.has_value()) {
         EXPECT_FALSE(specs->empty()) << stem;
       }
+      // "Good" means runnable: every scenario's faults expand against its
+      // own app.
+      for (const ScenarioSpec& spec : specs.value_or(std::vector<ScenarioSpec>{})) {
+        const auto app = MakeApp(spec, &error);
+        ASSERT_NE(app, nullptr) << stem << ": " << error;
+        EXPECT_TRUE(ExpandFaults(spec, *app, &error).has_value())
+            << stem << " scenario " << spec.name << ": " << error;
+      }
     } else {
       ADD_FAILURE() << "corpus file without bad_/good_ prefix: " << stem;
     }
@@ -491,13 +622,17 @@ TEST(ScenarioProfileTest, FuzzNeverCrashesAndAlwaysExplains) {
   // and junk. The parser must never crash and every rejection must carry a
   // line-numbered message.
   const std::vector<std::string> fragments = {
-      "scenario", "phase", "tenant", "client", "rpc", "fault", "diurnal",
+      "scenario", "phase", "tenant", "client", "rpc", "diurnal",
       "invariant", "expect_violation", "bogus", ":", "=", ",", "name", "x",
-      "at", "users", "kind", "goodput_floor", "1e9", "-3", "0.5", "NaN",
-      "many", "#", "prio", "0-15", "15-0", "\t", "scenario: name=ok",
+      "at", "users", "rps", "kind", "goodput_floor", "1e9", "-3", "0.5",
+      "NaN", "many", "#", "prio", "0-15", "15-0", "\t", "scenario: name=ok",
+      "crash", "degrade", "inflate", "blackhole", "errors", "vmout", "chaos",
+      "svc", "pods", "restart", "factor", "p", "vms", "seed", "events",
+      "horizon", ";", "crash:svc=cart,at=1,pods=1",
   };
   Rng rng(20240808);
   int parsed_ok = 0;
+  int faults_ok = 0;
   for (int iter = 0; iter < 300; ++iter) {
     std::string text;
     const int lines = static_cast<int>(rng.UniformInt(1, 12));
@@ -520,9 +655,19 @@ TEST(ScenarioProfileTest, FuzzNeverCrashesAndAlwaysExplains) {
       EXPECT_FALSE(error.empty()) << text;
       EXPECT_NE(error.find("line "), std::string::npos) << error;
     }
+    // The same text as a `--fault-profile` value: lines joined by ';'.
+    std::string joined = text;
+    std::replace(joined.begin(), joined.end(), '\n', ';');
+    error.clear();
+    if (ParseFaultProfile(joined, &error).has_value()) {
+      ++faults_ok;
+    } else {
+      EXPECT_NE(error.find("line "), std::string::npos) << joined << "\n" << error;
+    }
   }
   // The grammar fragments make some inputs valid; most must be rejected.
   EXPECT_LT(parsed_ok, 300);
+  EXPECT_LT(faults_ok, 300);
 }
 
 TEST(ScenarioProfileTest, LoadReportsUnreadableFiles) {
@@ -531,6 +676,170 @@ TEST(ScenarioProfileTest, LoadReportsUnreadableFiles) {
       LoadScenarioProfile("/nonexistent/scenarios.profile", &error);
   EXPECT_FALSE(specs.has_value());
   EXPECT_NE(error.find("cannot open"), std::string::npos);
+}
+
+// --- The `--fault-profile` form ----------------------------------------------
+
+/// The schedule `text` (the `;`-separated form) expands to on `app`.
+std::optional<fault::FaultSchedule> FaultProfileSchedule(
+    const std::string& text, const sim::Application& app, std::string* error) {
+  const auto faults = ParseFaultProfile(text, error);
+  if (!faults.has_value()) return std::nullopt;
+  ScenarioSpec spec = ScenarioSpec::Make("faults");
+  spec.faults = *faults;
+  return ExpandFaults(spec, app, error);
+}
+
+TEST(FaultProfileTest, ParsesEveryKind) {
+  const auto app = apps::MakeOnlineBoutique({});
+  std::string error;
+  const auto schedule = FaultProfileSchedule(
+      "crash:svc=cart,at=50,pods=3,restart=60,stagger=1;"
+      "degrade:svc=frontend,at=30,for=40,factor=0.5;"
+      "inflate:svc=cart,at=30,for=40,factor=2.5;"
+      "blackhole:svc=cart,at=20,for=10;"
+      "errors:svc=frontend,at=20,for=15,p=0.3;"
+      "vmout:at=40,for=30,vms=2",
+      *app, &error);
+  ASSERT_TRUE(schedule.has_value()) << error;
+  ASSERT_EQ(schedule->size(), 6u);
+  const auto& events = schedule->events();
+  EXPECT_EQ(events[0].type, fault::FaultType::kPodCrash);
+  EXPECT_EQ(events[0].service, "cart");
+  EXPECT_EQ(events[0].at, Seconds(50));
+  EXPECT_EQ(events[0].pods, 3);
+  EXPECT_EQ(events[0].restart_delay, Seconds(60));
+  EXPECT_EQ(events[0].restart_stagger, Seconds(1));
+  EXPECT_EQ(events[1].type, fault::FaultType::kCapacityDegrade);
+  EXPECT_DOUBLE_EQ(events[1].severity, 0.5);
+  EXPECT_EQ(events[1].duration, Seconds(40));
+  EXPECT_EQ(events[2].type, fault::FaultType::kServiceTimeInflate);
+  EXPECT_EQ(events[3].type, fault::FaultType::kBlackhole);
+  EXPECT_EQ(events[4].type, fault::FaultType::kErrorBurst);
+  EXPECT_DOUBLE_EQ(events[4].severity, 0.3);
+  EXPECT_EQ(events[5].type, fault::FaultType::kVmOutage);
+  EXPECT_EQ(events[5].pods, 2);
+}
+
+TEST(FaultProfileTest, ExpandsChaosProfiles) {
+  const auto app = apps::MakeOnlineBoutique({});
+  std::string error;
+  const auto schedule =
+      FaultProfileSchedule("chaos:seed=7,events=5,horizon=60", *app, &error);
+  ASSERT_TRUE(schedule.has_value()) << error;
+  EXPECT_EQ(schedule->size(), 5u);
+}
+
+TEST(FaultProfileTest, RejectsMalformedSpecs) {
+  const auto app = apps::MakeOnlineBoutique({});
+  for (const char* bad : {
+           "explode:svc=cart,at=1",               // unknown kind
+           "crash:svc=nosuch,at=1,pods=1",        // unknown service
+           "crash:svc=cart,at=",                  // missing value
+           "crash:svc=cart,when=1,pods=1",        // unknown key
+           "crash:svc=cart,at=5,pods=1,restrat=5",  // misspelt key
+           "degrade:svc=cart,at=1,factor=x",      // non-numeric
+           "degrade:svc=cart,at=1,factor=-2",     // negative
+           "phase:at=0,users=5",                  // not a fault directive
+           "crash svc=cart",                      // no ':'
+       }) {
+    std::string error;
+    EXPECT_FALSE(FaultProfileSchedule(bad, *app, &error).has_value()) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+}
+
+// --- ScenarioSpec -> RunSpec ---------------------------------------------------
+
+/// Every window's per-API counts and latency digests, at full precision.
+std::string Fingerprint(const sim::Application& app) {
+  std::string out;
+  char line[160];
+  for (const sim::Snapshot& window : app.metrics().Timeline()) {
+    for (const sim::ApiWindow& api : window.apis) {
+      std::snprintf(line, sizeof(line), "%.17g %llu %llu %llu %.17g %.17g\n",
+                    window.t_end_s, static_cast<unsigned long long>(api.offered),
+                    static_cast<unsigned long long>(api.completed),
+                    static_cast<unsigned long long>(api.good),
+                    api.latency_p50_ms, api.latency_p95_ms);
+      out += line;
+    }
+  }
+  return out;
+}
+
+// `topfull run --users 1200 --surge 6:2500 --hop-timeout 0.5 --retries 1
+// --fault-profile crash:...` as a spec must run exactly the RunSpec the
+// CLI used to build by hand.
+TEST(ScenarioRunTest, ClosedLoopMatchesHandBuiltRun) {
+  ScenarioSpec spec = ScenarioSpec::Make("cli").Seed(17).Duration(12.0);
+  spec.Phase(0.0, 1200.0).Phase(6.0, 2500.0).Rpc(0.5, 1, 0.0);
+  spec.faults = *ParseFaultProfile("crash:svc=productcatalog,at=3,pods=1,restart=4");
+  std::string error;
+  const auto translated =
+      MakeScenarioRun(spec, exp::Variant::kTopFullMimd, &error);
+  ASSERT_TRUE(translated.has_value()) << error;
+  EXPECT_EQ(translated->spec.label, "online-boutique");
+
+  exp::RunSpec by_hand;
+  by_hand.duration_s = 12.0;
+  by_hand.variant = exp::Variant::kTopFullMimd;
+  by_hand.make_app = [] {
+    apps::BoutiqueOptions options;
+    options.seed = 17;
+    auto app = apps::MakeOnlineBoutique(options);
+    app->ConfigureRpc(Seconds(0.5), 1, 0);
+    return app;
+  };
+  by_hand.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app),
+                          workload::Schedule::Constant(1200).Then(Seconds(6), 2500));
+  };
+  by_hand.faults.CrashPods("productcatalog", Seconds(3), 1, Seconds(4));
+
+  const exp::RunResult a = exp::Run(translated->spec);
+  const exp::RunResult b = exp::Run(by_hand);
+  EXPECT_EQ(Fingerprint(a.app()), Fingerprint(b.app()));
+  EXPECT_EQ(a.fault_log.size(), b.fault_log.size());
+  EXPECT_GT(a.fault_log.size(), 0u);
+}
+
+// `topfull run --rps 3000 --surge 5:6000` as a spec: the rate splits evenly
+// over the APIs, exactly as the CLI's hand-built open-loop generators did.
+TEST(ScenarioRunTest, OpenLoopMatchesHandBuiltRun) {
+  ScenarioSpec spec = ScenarioSpec::Make("cli").Duration(10.0);
+  spec.open_loop = true;
+  spec.Phase(0.0, 3000.0).Phase(5.0, 6000.0);
+  std::string error;
+  const auto translated =
+      MakeScenarioRun(spec, exp::Variant::kDagor, &error);
+  ASSERT_TRUE(translated.has_value()) << error;
+
+  exp::RunSpec by_hand;
+  by_hand.duration_s = 10.0;
+  by_hand.variant = exp::Variant::kDagor;
+  by_hand.make_app = [] { return apps::MakeOnlineBoutique({}); };
+  by_hand.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
+      traffic.AddOpenLoop(a, workload::Schedule::Constant(3000.0 / app.NumApis())
+                                 .Then(Seconds(5), 6000.0 / app.NumApis()));
+    }
+  };
+  const exp::RunResult a = exp::Run(translated->spec);
+  const exp::RunResult b = exp::Run(by_hand);
+  EXPECT_EQ(Fingerprint(a.app()), Fingerprint(b.app()));
+}
+
+TEST(ScenarioRunTest, RejectsWhatCheckScenarioRejects) {
+  std::string error;
+  ScenarioSpec spec = ScenarioSpec::Make("bad").Phase(0.0, 10.0);
+  spec.duration_s = 0.0;
+  EXPECT_FALSE(MakeScenarioRun(spec, exp::Variant::kNoControl, &error));
+  EXPECT_NE(error.find("duration"), std::string::npos) << error;
+  spec.duration_s = 5.0;
+  spec.app = "nosuch";
+  EXPECT_FALSE(MakeScenarioRun(spec, exp::Variant::kNoControl, &error));
+  EXPECT_NE(error.find("unknown app 'nosuch'"), std::string::npos) << error;
 }
 
 // --- Built-in library ---------------------------------------------------------
@@ -629,9 +938,14 @@ TEST(ScenarioMatrixTest, ErrorCellsNeverConform) {
   EXPECT_NE(unknown_app.error.find("unknown app"), std::string::npos);
 
   ScenarioSpec bad_faults = MiniStorm();
-  bad_faults.fault_profile = "explode everything at=1";
+  bad_faults.Fault({CrashEvent("ProductCatalog", 1.0, 1), std::nullopt});
   const CellVerdict bad_fault_cell = RunScenarioCell(bad_faults, "static");
-  EXPECT_NE(bad_fault_cell.error.find("fault profile"), std::string::npos);
+  EXPECT_NE(bad_fault_cell.error.find("unknown service"), std::string::npos);
+
+  ScenarioSpec bad_spec = MiniStorm();
+  bad_spec.replicas = 2;
+  const CellVerdict bad_spec_cell = RunScenarioCell(bad_spec, "static");
+  EXPECT_NE(bad_spec_cell.error.find("needs app=alibaba"), std::string::npos);
 
   EXPECT_FALSE(AllConform({unknown_controller}));
 }

@@ -33,16 +33,12 @@
 #include <thread>
 #include <vector>
 
-#include "apps/alibaba_demo.hpp"
-#include "apps/online_boutique.hpp"
-#include "apps/train_ticket.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/csv.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
-#include "fault/profile.hpp"
 #include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/profile.hpp"
@@ -57,18 +53,25 @@ using namespace topfull;
 
 namespace {
 
-/// `text` as a finite number, or exit 2 naming `flag`: atof would read
-/// "abc" as 0 and "10x" as 10 without a word.
-double NumOrExit(const std::string& flag, const std::string& text) {
+/// `text` as a finite number, or exit 2 naming `source` (a flag or an
+/// environment variable): atof would read "abc" as 0 and "10x" as 10
+/// without a word. A value that describes the run (`run`) must also pass
+/// the scenario grammar's number rule (>= 0), so a flag accepts exactly
+/// what the matching directive key accepts.
+double NumOrExit(const std::string& source, const std::string& text,
+                 bool run = false) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(value)) {
-    std::fprintf(stderr, "bad --%s '%s': expected a finite number\n",
-                 flag.c_str(), text.c_str());
+  if (run ? !scenario::ParseNumber(text)
+          : text.empty() || end != text.c_str() + text.size() || !std::isfinite(value)) {
+    std::fprintf(stderr, "bad %s '%s': expected a finite number%s\n",
+                 source.c_str(), text.c_str(), run ? " >= 0" : "");
     std::exit(2);
   }
   return value;
 }
+
+constexpr bool kRun = true;  ///< NumOrExit/Num: a value describing the run
 
 struct Args {
   std::string command;
@@ -80,9 +83,9 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  /// Get as a finite number; exits 2 when it does not parse.
-  double Num(const std::string& key, double fallback) const {
-    return Has(key) ? NumOrExit(key, Get(key)) : fallback;
+  /// Get as a finite number (NumOrExit); exits 2 when it does not parse.
+  double Num(const std::string& key, double fallback, bool run = false) const {
+    return Has(key) ? NumOrExit("--" + key, Get(key), run) : fallback;
   }
 };
 
@@ -195,7 +198,11 @@ int Usage() {
       "                   DIR (overrides TOPFULL_TRACE_DIR)\n"
       "  --trace-sample R fraction of requests traced, 0..1 (default 1;\n"
       "                   overrides TOPFULL_TRACE_SAMPLE)\n"
-      "  --fault-profile  ';'-separated fault events, e.g.\n"
+      "  --fault-profile  ';'-separated fault directives of the scenario grammar,\n"
+      "                   keys in [] optional: crash:svc,at,pods[,restart,stagger]\n"
+      "                   degrade|inflate:svc,at,factor[,for] blackhole:svc,at[,for]\n"
+      "                   errors:svc,at,p[,for] vmout:at,vms[,for]\n"
+      "                   chaos:[seed,events,horizon,start,blackhole], e.g.\n"
       "                   'crash:svc=ts-station,at=50,pods=25,restart=60;\n"
       "                    degrade:svc=frontend,at=30,for=40,factor=0.5' or\n"
       "                   'chaos:seed=7,events=6,horizon=120' (seeded random)\n"
@@ -212,30 +219,17 @@ int Usage() {
   return 2;
 }
 
-std::unique_ptr<sim::Application> MakeApp(const Args& args) {
-  const std::string app_name = args.Get("app", "boutique");
-  const auto seed = static_cast<std::uint64_t>(args.Num("seed", 42));
-  if (app_name == "boutique") {
-    apps::BoutiqueOptions options;
-    options.seed = seed;
-    options.distinct_priorities = args.Has("priorities");
-    options.probe_failures = args.Has("probe-failures");
-    return apps::MakeOnlineBoutique(options);
-  }
-  if (app_name == "trainticket") {
-    apps::TrainTicketOptions options;
-    options.seed = seed;
-    options.distinct_priorities = args.Has("priorities");
-    options.probe_failures = args.Has("probe-failures");
-    return apps::MakeTrainTicket(options);
-  }
-  if (app_name == "alibaba") {
-    apps::AlibabaDemoOptions options;
-    options.seed = seed == 42 ? 2021 : seed;
-    options.replicas = static_cast<int>(args.Num("replicas", 1));
-    return apps::MakeAlibabaDemo(options).app;
-  }
-  return nullptr;
+/// The app part of a run description, shared by `run` and `inspect`.
+/// Alibaba's default seed is its own 2021, so --seed 42 maps to it.
+scenario::ScenarioSpec AppFromFlags(const Args& args) {
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::Make("", args.Get("app", "boutique"));
+  spec.seed = static_cast<std::uint64_t>(args.Num("seed", 42, kRun));
+  if (spec.app == "alibaba" && spec.seed == 42) spec.seed = 2021;
+  spec.distinct_priorities = args.Has("priorities");
+  spec.probe_failures = args.Has("probe-failures");
+  spec.replicas = static_cast<int>(args.Num("replicas", 1, kRun));
+  return spec;
 }
 
 /// Builds and starts the live observability plane when --serve-port was
@@ -340,8 +334,12 @@ std::string PercentEncode(const std::string& text) {
 }
 
 int CmdInspect(const Args& args) {
-  auto app = MakeApp(args);
-  if (!app) return Usage();
+  std::string error;
+  const auto app = scenario::MakeApp(AppFromFlags(args), &error);
+  if (!app) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return Usage();
+  }
   std::printf("application: %s — %d microservices, %d external APIs\n\n",
               app->name().c_str(), app->NumServices(), app->NumApis());
   Table services("microservices");
@@ -420,22 +418,44 @@ void PrintShardStats(const sim::ShardedApp& app) {
   table.Print();
 }
 
-/// `run`: maps the flags onto an exp::RunSpec, runs it with exp::Run and
-/// prints the result. `--shards N` (N > 1) runs one simulation across N
-/// engine shards with merged results.
+/// `run`: fills a scenario::ScenarioSpec from the flags that describe the
+/// run, translates it with scenario::MakeScenarioRun, sets the flags that
+/// say how to execute and observe it, runs it with exp::Run and prints the
+/// result. `--shards N` (N > 1) runs one simulation across N engine
+/// shards with merged results.
 int CmdRun(const Args& args) {
   obs::ScopedTimer run_timer("cli/run");
-  // A probe app validates --app, names the run and parses the faults.
-  const auto probe = MakeApp(args);
-  if (!probe) return Usage();
-  exp::RunSpec spec;
-  spec.label = probe->name();
-  spec.duration_s = args.Num("duration", 120);
-  if (spec.duration_s <= 0) {
-    std::fprintf(stderr, "bad --duration '%s': must be > 0\n",
-                 args.Get("duration").c_str());
-    return 2;
+  // Every numeric flag is read here, before the run, so a bad value exits
+  // before any simulation starts.
+  scenario::ScenarioSpec scenario = AppFromFlags(args);
+  scenario.duration_s = args.Num("duration", 120, kRun);
+  scenario.static_rate = args.Num("static-rate", 0.0, kRun);
+  scenario.hpa = args.Has("hpa");
+  scenario.Rpc(args.Num("hop-timeout", 0, kRun),
+               static_cast<int>(args.Num("retries", 0, kRun)),
+               args.Num("retry-backoff", 0, kRun));
+  // --users N (or --rps R) from t = 0; --surge T:N switches to N at T.
+  scenario.open_loop = args.Has("rps");
+  scenario.Phase(0, scenario.open_loop ? args.Num("rps", 1000, kRun)
+                                       : args.Num("users", 1000, kRun));
+  if (args.Has("surge")) {
+    const std::string surge = args.Get("surge");
+    const auto colon = surge.find(':');
+    if (colon == std::string::npos) return Usage();
+    scenario.Phase(NumOrExit("--surge", surge.substr(0, colon), kRun),
+                   NumOrExit("--surge", surge.substr(colon + 1), kRun));
   }
+  if (args.Has("fault-profile")) {
+    std::string error;
+    const auto faults = scenario::ParseFaultProfile(args.Get("fault-profile"), &error);
+    if (!faults) {
+      std::fprintf(stderr, "bad --fault-profile: %s\n", error.c_str());
+      return 2;
+    }
+    scenario.faults = *faults;
+  }
+  scenario.fault_seed = static_cast<std::uint64_t>(
+      args.Num("fault-seed", static_cast<double>(scenario.fault_seed), kRun));
   // Unknown names are an error rather than a silently uncontrolled run.
   const std::string controller = args.Get("controller", "topfull");
   const auto variant = exp::VariantFromName(controller);
@@ -443,81 +463,23 @@ int CmdRun(const Args& args) {
     std::fprintf(stderr, "unknown --controller '%s'\n", controller.c_str());
     return 2;
   }
-  spec.variant = *variant;
-  spec.static_rate = args.Num("static-rate", 0.0);
-  if (args.Has("hpa")) spec.hpa = autoscale::ClusterConfig{};
-  spec.shards = std::max(1, static_cast<int>(args.Num("shards", 1)));
-  spec.net_latency = Millis(args.Num("net-latency-ms", 1.0));
-  spec.threaded = !args.Has("sequential");
-  if (spec.hpa && spec.shards > 1) {
-    std::fprintf(stderr, "--hpa is not supported with --shards\n");
+  const int shards = std::max(1, static_cast<int>(args.Num("shards", 1)));
+  std::string error = scenario::CheckScenario(scenario, shards);
+  std::optional<scenario::ScenarioRun> scenario_run;
+  if (error.empty()) scenario_run = scenario::MakeScenarioRun(scenario, *variant, &error);
+  if (!scenario_run.has_value()) {
+    std::fprintf(stderr, "bad run: %s\n", error.c_str());
     return 2;
   }
-  // Every numeric flag is read here, before the run, so a bad value exits
-  // before any simulation starts.
-  const bool rpc = args.Has("hop-timeout") || args.Has("retries") ||
-                   args.Has("retry-backoff");
-  const SimTime hop_timeout = Seconds(args.Num("hop-timeout", 0));
-  const int retries = static_cast<int>(args.Num("retries", 0));
-  const SimTime retry_backoff = Seconds(args.Num("retry-backoff", 0));
-  spec.make_app = [args, rpc, hop_timeout, retries, retry_backoff] {
-    auto app = MakeApp(args);
-    if (rpc) app->ConfigureRpc(hop_timeout, retries, retry_backoff);
-    return app;
-  };
-
-  // --surge T:N switches the user count / rate to N at time T.
-  double surge_t = -1, surge_value = 0;
-  if (args.Has("surge")) {
-    const std::string surge = args.Get("surge");
-    const auto colon = surge.find(':');
-    if (colon == std::string::npos) return Usage();
-    surge_t = NumOrExit("surge", surge.substr(0, colon));
-    surge_value = NumOrExit("surge", surge.substr(colon + 1));
-  }
-  const bool open_loop = args.Has("rps");
-  const double rate = open_loop ? args.Num("rps", 1000) : args.Num("users", 1000);
-  spec.traffic = [open_loop, rate, surge_t, surge_value](
-                     workload::TrafficDriver& traffic, sim::Application& app) {
-    if (open_loop) {
-      const double per_api = rate / app.NumApis();
-      for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
-        workload::Schedule schedule = workload::Schedule::Constant(per_api);
-        if (surge_t >= 0) {
-          schedule.Then(Seconds(surge_t), surge_value / app.NumApis());
-        }
-        traffic.AddOpenLoop(a, std::move(schedule));
-      }
-    } else {
-      workload::Schedule schedule = workload::Schedule::Constant(rate);
-      if (surge_t >= 0) schedule.Then(Seconds(surge_t), surge_value);
-      traffic.AddClosedLoop(exp::UniformUsers(app), std::move(schedule));
-    }
-  };
-
-  if (args.Has("fault-profile")) {
-    std::string error;
-    const auto parsed =
-        fault::ParseFaultProfile(args.Get("fault-profile"), *probe, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "bad --fault-profile: %s\n", error.c_str());
-      return 2;
-    }
-    spec.faults = *parsed;
-  }
-  if (args.Has("fault-seed")) {
-    spec.fault_seed = static_cast<std::uint64_t>(args.Num("fault-seed", 0));
-  }
+  exp::RunSpec& spec = scenario_run->spec;
+  spec.shards = shards;
+  spec.net_latency = Millis(args.Num("net-latency-ms", 1.0));
+  spec.threaded = !args.Has("sequential");
   if (args.Has("trace-dir")) spec.telemetry.dir = args.Get("trace-dir");
   if (args.Has("trace-sample")) {
     spec.telemetry.sample_rate = args.Num("trace-sample", 1.0);
   }
 
-  std::shared_ptr<rl::GaussianPolicy> policy;
-  if (exp::VariantNeedsPolicy(spec.variant)) {
-    policy = exp::GetPretrainedPolicy();
-    spec.policy = policy.get();
-  }
   // --tsdb, --alert-floor F or TOPFULL_TSDB: the SLO burn pair, plus
   // goodput_floor_burn for a positive floor.
   std::unique_ptr<obs::TsdbPlane> tsdb;
@@ -530,7 +492,6 @@ int CmdRun(const Args& args) {
   if (live_rc != 0) return live_rc;
   spec.live = live.get();
 
-  const int shards = spec.shards;
   std::printf("running %s with %s for %.0f s", spec.label.c_str(),
               exp::VariantName(spec.variant).c_str(), spec.duration_s);
   if (shards > 1) {
@@ -953,6 +914,13 @@ int CmdBench(const Args& args) {
       std::fprintf(stderr, "bench --all takes no entry name and no --smoke\n");
       return 2;
     }
+    if (exp::TelemetryOptions::FromEnv().enabled()) {
+      std::fprintf(stderr,
+                   "bench --all with TOPFULL_TRACE_DIR set: every entry names "
+                   "its runs from 000_, so later entries would overwrite "
+                   "earlier ones' artifacts; export one entry at a time\n");
+      return 2;
+    }
     // One entry after another; each frees its runs before the next starts.
     int rc = 0;
     for (const bench::BenchEntry& entry : suite) {
@@ -1033,6 +1001,11 @@ int main(int argc, char** argv) {
   const Args args = Parse(argc, argv, verb->flags);
   if (args.Has(kGlobalFlag)) {
     ThreadPool::SetGlobalThreads(static_cast<int>(args.Num(kGlobalFlag, 0)));
+  } else if (const char* env = std::getenv("TOPFULL_THREADS");
+             env != nullptr && *env != '\0') {
+    // The pool reads the variable itself and falls back to its default
+    // size on junk; checked here, it fails like --threads does.
+    NumOrExit("TOPFULL_THREADS", env);
   }
   return verb->run(args);
 }
