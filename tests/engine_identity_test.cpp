@@ -17,6 +17,7 @@
 // the goldens (see DESIGN.md §10).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -195,6 +196,40 @@ std::vector<exp::RunSpec> BlockingSpecs() {
   return specs;
 }
 
+/// Every timeout path at once: Train Ticket under DAGOR with hop timeouts,
+/// two retries and a backoff, 12 ts-station pods crashed at t = 3 s, and the
+/// hop timeout shortened at t = 5 s while timeouts of the old delay are
+/// still pending; closed-loop users whose 1.2 s client timeouts both fire
+/// and get cancelled, with one client retry after a backoff.
+std::vector<exp::RunSpec> TimeoutSpecs() {
+  exp::RunSpec spec;
+  spec.label = "trainticket-timeouts";
+  spec.duration_s = 10.0;
+  spec.variant = exp::Variant::kDagor;
+  spec.make_app = [] {
+    apps::TrainTicketOptions options;
+    options.seed = 91;
+    auto app = apps::MakeTrainTicket(options);
+    app->ConfigureRpc(Millis(700), /*max_retries=*/2, Millis(30));
+    sim::Application* raw = app.get();
+    app->sim().ScheduleAt(Seconds(5), [raw] {
+      raw->ConfigureRpc(Millis(250), /*max_retries=*/2, Millis(30));
+    });
+    return app;
+  };
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    workload::ClosedLoopConfig users = exp::UniformUsers(app);
+    users.client_timeout = Millis(1200);
+    users.max_client_retries = 1;
+    users.client_retry_backoff = Millis(150);
+    traffic.AddClosedLoop(users, workload::Schedule::Constant(3000));
+  };
+  spec.faults.CrashPods("ts-station", Seconds(3), 12, Seconds(4), Seconds(1));
+  std::vector<exp::RunSpec> specs;
+  specs.push_back(std::move(spec));
+  return specs;
+}
+
 std::uint64_t SweepDigest(const std::vector<exp::RunSpec>& specs, int pool_size) {
   ThreadPool pool(pool_size);
   const std::vector<exp::RunResult> results = exp::RunExecutor(&pool).Execute(specs);
@@ -243,6 +278,61 @@ TEST(EngineIdentityTest, Fig18TrainTicketWithFaultsMatchesSeedEngine) {
 
 TEST(EngineIdentityTest, BlockingChainTimeoutsMatchSeedEngine) {
   CheckCase(BlockingSpecs, 0x36cd526757bf7b35ull);
+}
+
+// Golden minted at commit 41045f5, where hop and client timeouts were
+// cancellable slot events; the per-delay timer queues must not move a
+// byte. Besides the timeline it pins every closed-loop user's outcome
+// counters, so client timeouts and client retries are in the digest.
+TEST(EngineIdentityTest, TimeoutsAndRetriesMatchParent) {
+  const auto digest = [](int pool_size) {
+    ThreadPool pool(pool_size);
+    const std::vector<exp::RunResult> results =
+        exp::RunExecutor(&pool).Execute(TimeoutSpecs());
+    const exp::RunResult& r = results.at(0);
+    std::string all = Serialize(r.app(), &r.fault_log);
+    workload::UserOutcomes sum;
+    for (const auto& pool_ptr : r.traffic.at(0)->pools()) {
+      for (const workload::UserOutcomes& u : pool_ptr->Outcomes()) {
+        sum.intents += u.intents;
+        sum.attempts += u.attempts;
+        sum.ok += u.ok;
+        sum.failed += u.failed;
+      }
+    }
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "users intents=%llu attempts=%llu ok=%llu failed=%llu\n",
+                  static_cast<unsigned long long>(sum.intents),
+                  static_cast<unsigned long long>(sum.attempts),
+                  static_cast<unsigned long long>(sum.ok),
+                  static_cast<unsigned long long>(sum.failed));
+    all += buf;
+    // The case must really take each path: hop timeouts fire, hops retry,
+    // and clients both give up (failed transactions) and retry.
+    EXPECT_GT(r.app().HopTimeouts(), 0u);
+    EXPECT_GT(r.app().Retries(), 0u);
+    EXPECT_GT(sum.failed, 0u);
+    EXPECT_GT(sum.attempts, sum.intents);
+    EXPECT_GT(sum.ok, 0u);
+    // Some completions outlive the client timeout, so those clients gave up
+    // (their timeouts fired) while faster responses cancelled theirs.
+    double worst_p99_ms = 0.0;
+    for (const auto& snap : r.app().metrics().Timeline()) {
+      for (const auto& a : snap.apis) {
+        worst_p99_ms = std::max(worst_p99_ms, a.latency_p99_ms);
+      }
+    }
+    EXPECT_GT(worst_p99_ms, 1200.0);
+    return Fnv1a(all);
+  };
+  const std::uint64_t d1 = digest(1);
+  EXPECT_EQ(d1, digest(4)) << "run digest depends on ThreadPool size";
+  if (StrictGolden()) {
+    EXPECT_EQ(d1, 0xa45f80393e740912ull)
+        << "timeout paths diverged from the parent engine "
+        << "(set TOPFULL_STRICT_GOLDEN=0 on a foreign libm)";
+  }
 }
 
 // --- Sharded engine identity -------------------------------------------------
