@@ -7,10 +7,15 @@
 // and are handed back, still constructed, by the next Alloc — the caller
 // re-initialises the fields it uses and owns any generation counter that
 // guards against stale handles (see sim::Application's attempt records).
+//
+// A record type with a `pool_index` member gets its index written once, when
+// its slab is carved; At(index) finds the record again in O(1), so a 32-bit
+// event argument can name it.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -41,6 +46,12 @@ class SlabPool {
     free_.push_back(p);
   }
 
+  /// The record whose `pool_index` is `index`.
+  T* At(std::uint32_t index) {
+    assert(index < capacity());
+    return &slabs_[index / slab_size_][index % slab_size_];
+  }
+
   /// Records currently handed out.
   std::size_t live() const { return live_; }
   /// Total records ever created (live + free).
@@ -48,9 +59,15 @@ class SlabPool {
 
  private:
   void Grow() {
+    const std::size_t base = capacity();
     slabs_.push_back(std::make_unique<T[]>(slab_size_));
     free_.reserve(capacity());
     T* slab = slabs_.back().get();
+    if constexpr (requires { slab->pool_index; }) {
+      for (std::size_t i = 0; i < slab_size_; ++i) {
+        slab[i].pool_index = static_cast<std::uint32_t>(base + i);
+      }
+    }
     // Pushed in reverse so the free list hands out records in slab order.
     for (std::size_t i = slab_size_; i > 0; --i) free_.push_back(&slab[i - 1]);
   }

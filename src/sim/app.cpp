@@ -49,13 +49,38 @@ struct Application::AttemptRec {
   SimTime hop_start = 0;
   SimTime hop_service_time = 0;
   des::Simulation::TimerHandle timeout{};
+  std::uint32_t pool_index = 0;   // set by the SlabPool; the timeout's arg
   std::uint32_t next_child = 0;   // sequential-children cursor
   int join_remaining = 0;         // parallel join
   bool join_all_ok = true;
 };
 
 Application::Application(std::string name, std::uint64_t seed, AppConfig config)
-    : name_(std::move(name)), config_(config), rng_(seed) {}
+    : name_(std::move(name)), config_(config), rng_(seed) {
+  SelectHopTimeoutQueue();
+}
+
+void Application::ConfigureRpc(SimTime hop_timeout, int max_retries,
+                               SimTime retry_backoff) {
+  config_.hop_timeout = hop_timeout;
+  config_.max_retries = max_retries < 0 ? 0 : max_retries;
+  config_.retry_backoff = retry_backoff;
+  SelectHopTimeoutQueue();
+}
+
+void Application::SelectHopTimeoutQueue() {
+  if (config_.hop_timeout <= 0) return;
+  for (const auto& [delay, queue] : hop_timeout_queues_) {
+    if (delay == config_.hop_timeout) {
+      hop_timeout_queue_ = queue;
+      return;
+    }
+  }
+  hop_timeout_queue_ = sim_.AddTimerQueue(config_.hop_timeout, [this](std::uint32_t i) {
+    OnHopTimeout(attempt_pool_.At(i));
+  });
+  hop_timeout_queues_.emplace_back(config_.hop_timeout, hop_timeout_queue_);
+}
 
 Application::~Application() = default;
 
@@ -335,8 +360,7 @@ void Application::StartAttempt(RequestRec* req, const CallNode* node, int attemp
     // event sequence (and thus every tie-break) must not depend on
     // observation. Cancelled when the hop settles first.
     ++a->pending;
-    a->timeout = sim_.ScheduleAfter(config_.hop_timeout,
-                                    [this, a, gen]() { OnHopTimeout(a, gen); });
+    a->timeout = sim_.ArmTimer(hop_timeout_queue_, a->pool_index);
   }
 }
 
@@ -373,9 +397,9 @@ void Application::OnLocalDone(AttemptRec* a, std::uint32_t gen, bool ok) {
   ReleaseAttempt(a);  // the dispatch-callback reference
 }
 
-void Application::OnHopTimeout(AttemptRec* a, std::uint32_t gen) {
-  assert(a->gen == gen);  // the timer reference pins the record
-  (void)gen;
+void Application::OnHopTimeout(AttemptRec* a) {
+  // The timer reference pins the record, so the pool index still names
+  // this attempt.
   if (!a->settled) {
     a->settled = true;
     a->timed_out = true;

@@ -11,8 +11,9 @@
 // closures: one RequestRec per admitted request and one AttemptRec per hop
 // attempt, both slab-allocated and recycled, with generation counters
 // guarding every callback that might outlive its attempt. Hop timeouts are
-// cancellable timers that are withdrawn when the hop settles, so the
-// steady-state per-hop path performs zero heap allocations.
+// queue timers (one des::Simulation timer queue per distinct delay) that are
+// cancelled when the hop settles, so the steady-state per-hop path performs
+// zero heap allocations.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/object_pool.hpp"
@@ -70,7 +72,10 @@ struct AppConfig {
   SimTime metrics_period = Seconds(1);
   /// Per-hop RPC timeout; 0 disables (a hop waits forever — required to be
   /// > 0 for blackhole faults to resolve). The timed-out job keeps running
-  /// on its server: the partial work stays spent.
+  /// on its server: the partial work stays spent. Each distinct value gets
+  /// one des::Simulation timer queue, whose timeouts expire in the order
+  /// they were armed; a value changed mid-run (ConfigureRpc) arms new hops
+  /// on another queue while the old queue's timeouts stay pending.
   SimTime hop_timeout = 0;
   /// Bounded retries per hop after a shed, error, or timeout. Each retry
   /// re-picks a pod and re-samples the service time (retry amplification).
@@ -171,11 +176,7 @@ class Application {
   /// Reconfigures the per-hop timeout/retry policy (callable any time; new
   /// dispatches pick it up immediately). Convenience for benches/CLI so app
   /// factories need not thread the knobs through.
-  void ConfigureRpc(SimTime hop_timeout, int max_retries, SimTime retry_backoff) {
-    config_.hop_timeout = hop_timeout;
-    config_.max_retries = max_retries < 0 ? 0 : max_retries;
-    config_.retry_backoff = retry_backoff;
-  }
+  void ConfigureRpc(SimTime hop_timeout, int max_retries, SimTime retry_backoff);
 
   /// Cumulative hop timeouts fired / retry attempts dispatched.
   std::uint64_t HopTimeouts() const { return hop_timeouts_; }
@@ -247,7 +248,10 @@ class Application {
   /// Origin side: response message arrived — settle the proxy attempt.
   void OnRemoteResponse(AttemptRec* proxy, std::uint32_t proxy_gen, bool ok);
   void OnLocalDone(AttemptRec* a, std::uint32_t gen, bool ok);
-  void OnHopTimeout(AttemptRec* a, std::uint32_t gen);
+  void OnHopTimeout(AttemptRec* a);
+  /// Points new hops at the timer queue for config_.hop_timeout, reusing
+  /// the queue of an earlier equal delay or adding one.
+  void SelectHopTimeoutQueue();
   /// Shed/error/pod-death/timeout: bounded retry, else resolve(false).
   void FailAttempt(AttemptRec* a);
   /// Local service succeeded: run children (or resolve a leaf).
@@ -306,6 +310,10 @@ class Application {
   std::uint64_t remote_calls_in_ = 0;
   SlabPool<RequestRec> request_pool_;
   SlabPool<AttemptRec> attempt_pool_;
+  /// Hop-timeout timer queues, one per distinct delay: (delay, queue id).
+  /// The queues' arg is the attempt record's pool index.
+  std::vector<std::pair<SimTime, std::uint32_t>> hop_timeout_queues_;
+  std::uint32_t hop_timeout_queue_ = 0;  ///< the queue for config_.hop_timeout
   std::unordered_map<std::string, ServiceId> service_index_;  // built at Finalize
   std::unordered_map<std::string, ApiId> api_index_;
   /// Reused per metrics window; reallocating it every second was measurable.

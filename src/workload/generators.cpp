@@ -33,7 +33,10 @@ ClosedLoopPool::ClosedLoopPool(sim::Application* app, ClosedLoopConfig config,
       users_(std::move(users)),
       rng_(rng),
       think_handler_(app_->sim().AddHandler(
-          [this](std::uint32_t user) { UserLoop(static_cast<int>(user)); })) {}
+          [this](std::uint32_t user) { UserLoop(static_cast<int>(user)); })),
+      timeout_queue_(app_->sim().AddTimerQueue(
+          config_.client_timeout,
+          [this](std::uint32_t user) { OnClientTimeout(static_cast<int>(user)); })) {}
 
 void ClosedLoopPool::Start() {
   if (started_) return;
@@ -100,14 +103,18 @@ void ClosedLoopPool::IssueAttempt(int user_index) {
                });
   UserState& after = states_[static_cast<std::size_t>(user_index)];
   if (after.epoch != epoch || !after.waiting) return;  // resolved synchronously
-  after.timeout = app_->sim().ScheduleAfter(
-      config_.client_timeout, [this, user_index, epoch]() {
-        UserState& s = states_[static_cast<std::size_t>(user_index)];
-        if (s.epoch != epoch || !s.waiting) return;
-        s.waiting = false;  // client gives up; a late response is ignored
-        s.timeout = des::Simulation::TimerHandle{};
-        OnAttemptDone(user_index, false);
-      });
+  after.timeout =
+      app_->sim().ArmTimer(timeout_queue_, static_cast<std::uint32_t>(user_index));
+}
+
+void ClosedLoopPool::OnClientTimeout(int user_index) {
+  // A response cancels the timer, so a firing timer's user is still
+  // waiting on the attempt that armed it.
+  UserState& s = states_[static_cast<std::size_t>(user_index)];
+  assert(s.waiting);
+  s.waiting = false;  // client gives up; a late response is ignored
+  s.timeout = des::Simulation::TimerHandle{};
+  OnAttemptDone(user_index, false);
 }
 
 void ClosedLoopPool::OnAttemptDone(int user_index, bool ok) {

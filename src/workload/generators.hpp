@@ -77,8 +77,9 @@ struct UserOutcomes {
 };
 
 /// A pool of closed-loop users whose size follows a Schedule. Think timers
-/// are handler events (arg = user index); the pool registers its handler
-/// with `this` captured, so it must not be copied or moved.
+/// are handler events and client timeouts are timers of the pool's own
+/// timer queue (arg = user index in both); the pool registers both with
+/// `this` captured, so it must not be copied or moved.
 class ClosedLoopPool {
  public:
   ClosedLoopPool(sim::Application* app, ClosedLoopConfig config, Schedule users,
@@ -118,6 +119,7 @@ class ClosedLoopPool {
   void Reconcile();
   void UserLoop(int user_index);
   void IssueAttempt(int user_index);
+  void OnClientTimeout(int user_index);
   void OnAttemptDone(int user_index, bool ok);
   void UserThink(int user_index);
 
@@ -129,6 +131,8 @@ class ClosedLoopPool {
   Rng rng_;
   /// Handler id of the think timer: UserLoop(arg).
   std::uint32_t think_handler_;
+  /// Timer queue of the client timeouts: OnClientTimeout(arg).
+  std::uint32_t timeout_queue_;
   std::vector<UserState> states_;
   std::vector<UserOutcomes> outcomes_;
   int live_users_ = 0;
