@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace topfull {
 
@@ -14,6 +15,13 @@ using SimTime = std::int64_t;
 
 inline constexpr SimTime kMicrosPerSec = 1'000'000;
 inline constexpr SimTime kMicrosPerMilli = 1'000;
+
+/// The largest time, in seconds, that a configuration may set: its
+/// microseconds fit SimTime with room left to add a second such time (an
+/// injection time plus a duration). About 146,000 years.
+inline constexpr double kMaxConfigSeconds =
+    static_cast<double>(std::numeric_limits<SimTime>::max() / 2) /
+    static_cast<double>(kMicrosPerSec);
 
 /// Converts whole seconds to SimTime.
 constexpr SimTime Seconds(double s) {

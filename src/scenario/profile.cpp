@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -233,11 +234,18 @@ bool Contains(const Keys& keys, const std::string& key) {
   return std::find(keys.begin(), keys.end(), key) != keys.end();
 }
 
+/// Keys whose value is a time in seconds, in every directive that takes
+/// them; ParseTime checks them, so no time overflows SimTime.
+const Keys kTimeKeys = {"duration", "at",      "ramp",    "timeout", "backoff",
+                        "think",    "period",  "from",    "for",     "restart",
+                        "stagger",  "horizon", "start"};
+
 /// Applies one `name: body` entry to `spec`, then CheckScenario, all
 /// rejections blamed on `line`. Keys outside the directive's list are
 /// rejected (the parser never guesses at typos), required ones must be
-/// present, and every number must pass ParseNumber, so junk like
-/// `users=many`, `nan` or `-5` is rejected rather than read.
+/// present, and every number must pass ParseNumber (ParseTime for a time),
+/// so junk like `users=many`, `nan`, `-5` or `at=1e300` is rejected rather
+/// than read.
 bool Apply(const std::string& name, const std::string& body, int line,
            bool faults_only, ScenarioSpec* spec, std::string* error) {
   const auto& all = Directives();
@@ -254,7 +262,10 @@ bool Apply(const std::string& name, const std::string& body, int line,
     if (!Contains(d->allowed, key)) {
       return Fail(error, line, "unknown key '" + key + "' in '" + name + "' directive");
     }
-    if (!Contains(d->text, key) && !ParseNumber(value, &reason)) {
+    if (Contains(d->text, key)) continue;
+    const bool ok = Contains(kTimeKeys, key) ? ParseTime(value, &reason).has_value()
+                                             : ParseNumber(value, &reason).has_value();
+    if (!ok) {
       return Fail(error, line,
                   "value '" + value + "' for key '" + key + "' is " + reason);
     }
@@ -305,6 +316,17 @@ std::optional<double> ParseNumber(const std::string& text, std::string* reason) 
     return value;
   }
   if (reason != nullptr) *reason = why;
+  return std::nullopt;
+}
+
+std::optional<double> ParseTime(const std::string& text, std::string* reason) {
+  const std::optional<double> value = ParseNumber(text, reason);
+  if (!value.has_value() || *value <= kMaxConfigSeconds) return value;
+  if (reason != nullptr) {
+    char max[32];
+    std::snprintf(max, sizeof max, "%.3g", kMaxConfigSeconds);
+    *reason = std::string("too large a time (at most ") + max + " s)";
+  }
   return std::nullopt;
 }
 

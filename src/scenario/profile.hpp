@@ -23,7 +23,8 @@
 // services, fault/chaos.hpp); Directives() in profile.cpp lists each one's
 // allowed and required keys. Phases are all `users` or all `rps`. The
 // parser is strict — unknown directives or keys, missing required keys,
-// numbers ParseNumber rejects, duplicate scenario names, directives before
+// numbers ParseNumber rejects, times ParseTime rejects (every key named in
+// kTimeKeys, profile.cpp), duplicate scenario names, directives before
 // the first `scenario:`, and specs CheckScenario rejects all fail with a
 // line-numbered message, never a crash; malformed input is a first-class
 // test fixture (tests/data/scenarios/). Service names are checked when
@@ -48,6 +49,12 @@ std::optional<std::vector<ScenarioSpec>> ParseScenarioProfile(
 /// *reason (if non-null) "non-numeric" or "not a finite number >= 0".
 std::optional<double> ParseNumber(const std::string& text,
                                   std::string* reason = nullptr);
+
+/// The number rule for a time in seconds: ParseNumber, and at most
+/// kMaxConfigSeconds, so the time converts to SimTime without overflow.
+/// Otherwise nullopt, with *reason as ParseNumber's or "too large a time".
+std::optional<double> ParseTime(const std::string& text,
+                                std::string* reason = nullptr);
 
 /// Parses `;`-separated fault directives, the `--fault-profile` form:
 ///   crash:svc=ts-station,at=50,pods=25,restart=60;chaos:seed=7,events=6

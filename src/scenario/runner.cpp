@@ -307,7 +307,7 @@ int RunConformanceMatrix(std::vector<ScenarioSpec> specs,
                          const MatrixOptions& options, bool smoke,
                          const std::string& json_path) {
   if (smoke) {
-    for (ScenarioSpec& spec : specs) spec = spec.TimeScaled(0.25);
+    for (ScenarioSpec& spec : specs) spec = spec.TimeScaled(kSmokeTimeScale);
   }
   const std::vector<CellVerdict> verdicts = RunScenarioMatrix(specs, options);
   PrintMatrixReport(verdicts);

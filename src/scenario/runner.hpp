@@ -94,11 +94,14 @@ std::string MatrixReportJson(const std::vector<CellVerdict>& verdicts);
 /// True when every cell conforms (the CI gate).
 bool AllConform(const std::vector<CellVerdict>& verdicts);
 
+/// The smoke-mode shrink: ScenarioSpec::TimeScaled by this factor.
+inline constexpr double kSmokeTimeScale = 0.25;
+
 /// The one front end of the matrix, shared by `topfull scenario run` and
 /// the suite's scenario_matrix entry: runs `specs`, prints the verdict
 /// table to stdout and, when `json_path` is non-empty, writes the JSON
-/// report there. `smoke` time-scales every scenario to 25 % for a quick
-/// validity check; conformance is then reported but not enforced (the
+/// report there. `smoke` time-scales every scenario by kSmokeTimeScale for
+/// a quick validity check; conformance is then reported but not enforced (the
 /// thresholds are calibrated for full length). Returns the exit code: 2
 /// when a cell could not run or the report could not be written, 1 when a
 /// full-length cell does not conform, else 0.

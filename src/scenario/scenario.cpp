@@ -170,6 +170,21 @@ ScenarioSpec ScenarioSpec::TimeScaled(double factor) const {
     // rate/ratio threshold and survives the shrink untouched.
     if (inv.kind == InvariantKind::kEscapesOverloadBy) inv.value *= factor;
   }
+  const auto scale = [factor](SimTime t) {
+    return static_cast<SimTime>(static_cast<double>(t) * factor);
+  };
+  for (FaultDirective& f : scaled.faults) {
+    f.event.at = scale(f.event.at);
+    f.event.duration = scale(f.event.duration);
+    f.event.restart_delay = scale(f.event.restart_delay);
+    f.event.restart_stagger = scale(f.event.restart_stagger);
+    if (f.chaos.has_value()) {
+      f.chaos->start_s *= factor;
+      f.chaos->horizon_s *= factor;
+      f.chaos->min_duration_s *= factor;
+      f.chaos->max_duration_s *= factor;
+    }
+  }
   return scaled;
 }
 

@@ -175,9 +175,9 @@ struct ScenarioSpec {
   bool ExpectsViolation(const std::string& controller, InvariantKind kind) const;
 
   /// Multiplies every time in the spec (duration, phase times and ramps,
-  /// diurnal period, time-valued invariant fields) by `factor` — the
-  /// smoke-mode shrink. Thresholds that are not times, and fault times,
-  /// are untouched.
+  /// diurnal period, time-valued invariant fields, fault times and
+  /// durations, the chaos window and duration bounds) by `factor` — the
+  /// smoke-mode shrink. Thresholds that are not times are untouched.
   ScenarioSpec TimeScaled(double factor) const;
 };
 

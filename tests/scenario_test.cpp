@@ -157,7 +157,7 @@ TEST(ScenarioSpecTest, UserScheduleDiurnalRidesTheCosine) {
 }
 
 TEST(ScenarioSpecTest, TimeScaledShrinksTimesButNotThresholds) {
-  const ScenarioSpec spec =
+  ScenarioSpec spec =
       ScenarioSpec::Make("scale")
           .Duration(100.0)
           .Phase(0.0, 100.0)
@@ -165,6 +165,27 @@ TEST(ScenarioSpecTest, TimeScaledShrinksTimesButNotThresholds) {
           .Diurnal(100.0, 900.0, 60.0)
           .Require(InvariantKind::kGoodputFloor, 300.0, 40.0)
           .Require(InvariantKind::kEscapesOverloadBy, 20.0, 50.0);
+  fault::FaultEvent crash;
+  crash.service = "cart";
+  crash.at = Seconds(30);
+  crash.pods = 3;
+  crash.restart_delay = Seconds(10);
+  crash.restart_stagger = Seconds(2);
+  spec.Fault({crash, std::nullopt});
+  fault::FaultEvent inflate;
+  inflate.type = fault::FaultType::kServiceTimeInflate;
+  inflate.service = "checkout";
+  inflate.at = Seconds(50);
+  inflate.duration = Seconds(20);
+  inflate.severity = 3.0;
+  spec.Fault({inflate, std::nullopt});
+  fault::ChaosOptions chaos;
+  chaos.events = 6;
+  chaos.start_s = 10.0;
+  chaos.horizon_s = 80.0;
+  chaos.min_duration_s = 4.0;
+  chaos.max_duration_s = 12.0;
+  spec.Fault({{}, chaos});
   const ScenarioSpec half = spec.TimeScaled(0.5);
   EXPECT_DOUBLE_EQ(half.duration_s, 50.0);
   EXPECT_DOUBLE_EQ(half.phases[1].at_s, 20.0);
@@ -178,6 +199,50 @@ TEST(ScenarioSpecTest, TimeScaledShrinksTimesButNotThresholds) {
   // escape budget: the value itself is a time, both scale.
   EXPECT_DOUBLE_EQ(half.invariants[1].value, 10.0);
   EXPECT_DOUBLE_EQ(half.invariants[1].from_s, 25.0);
+  // Fault times and durations scale; pod counts and severities do not.
+  ASSERT_EQ(half.faults.size(), 3u);
+  EXPECT_EQ(half.faults[0].event.at, Seconds(15));
+  EXPECT_EQ(half.faults[0].event.restart_delay, Seconds(5));
+  EXPECT_EQ(half.faults[0].event.restart_stagger, Seconds(1));
+  EXPECT_EQ(half.faults[0].event.pods, 3);
+  EXPECT_EQ(half.faults[1].event.at, Seconds(25));
+  EXPECT_EQ(half.faults[1].event.duration, Seconds(10));
+  EXPECT_DOUBLE_EQ(half.faults[1].event.severity, 3.0);
+  // The chaos window and duration bounds are times; the event count is not.
+  ASSERT_TRUE(half.faults[2].chaos.has_value());
+  EXPECT_DOUBLE_EQ(half.faults[2].chaos->start_s, 5.0);
+  EXPECT_DOUBLE_EQ(half.faults[2].chaos->horizon_s, 40.0);
+  EXPECT_DOUBLE_EQ(half.faults[2].chaos->min_duration_s, 2.0);
+  EXPECT_DOUBLE_EQ(half.faults[2].chaos->max_duration_s, 6.0);
+  EXPECT_EQ(half.faults[2].chaos->events, 6);
+}
+
+// The smoke matrix shrinks a scenario's faults with its duration: in
+// good_two_scenarios.profile's daynight (120 s, crash at 30 s with a 10 s
+// restart, inflate over [50, 70) s) every fault still lands inside the
+// 30 s smoke run, instead of after its end.
+TEST(ScenarioSpecTest, SmokeRunAppliesEveryFaultOfTheProfile) {
+  std::string error;
+  const auto specs = LoadScenarioProfile(
+      std::string(TOPFULL_SCENARIO_DATA_DIR) + "/good_two_scenarios.profile", &error);
+  ASSERT_TRUE(specs.has_value()) << error;
+  ASSERT_EQ(specs->size(), 2u);
+  const ScenarioSpec smoke = (*specs)[1].TimeScaled(kSmokeTimeScale);
+  ASSERT_EQ(smoke.name, "daynight");
+  const auto run = MakeScenarioRun(smoke, exp::Variant::kNoControl, &error);
+  ASSERT_TRUE(run.has_value()) << error;
+  const exp::RunResult result = exp::Run(run->spec);
+  std::vector<std::string> log;
+  for (const fault::FaultRecord& r : result.fault_log) {
+    log.push_back(std::to_string(r.at) + " " + fault::FaultTypeName(r.type) + " " +
+                  fault::FaultActionName(r.action) + " " + r.service);
+  }
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "7500000 pod_crash apply productcatalog",
+                     "10000000 pod_crash restart productcatalog",
+                     "12500000 service_time_inflate apply checkout",
+                     "17500000 service_time_inflate revert checkout",
+                 }));
 }
 
 // --- Invariant checker over synthetic event streams ---------------------------
@@ -615,6 +680,33 @@ TEST(ScenarioProfileTest, CorpusFilesParseAsLabelled) {
   }
   EXPECT_GE(bad, 10) << "malformed corpus shrank";
   EXPECT_GE(good, 1);
+}
+
+// A time whose microseconds would overflow SimTime is rejected where it is
+// read, with its line, instead of wrapping to a negative time.
+TEST(ScenarioProfileTest, RejectsTimesThatOverflowSimTime) {
+  std::string error;
+  EXPECT_FALSE(ParseFaultProfile("crash:svc=cart,at=1e300,pods=1", &error));
+  EXPECT_NE(error.find("line 1: value '1e300' for key 'at' is too large a time"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(ParseFaultProfile("crash:svc=cart,at=5,pods=1;"
+                                 "inflate:svc=cart,at=1,for=1e13,factor=2",
+                                 &error));
+  EXPECT_NE(error.find("line 2: value '1e13' for key 'for'"), std::string::npos) << error;
+  EXPECT_FALSE(ParseScenarioProfile("scenario: name=a\nphase: at=0, users=5\n"
+                                    "phase: at=1e20, users=9",
+                                    &error));
+  EXPECT_NE(error.find("line 3: value '1e20' for key 'at'"), std::string::npos) << error;
+  EXPECT_FALSE(ParseScenarioProfile("scenario: name=a, duration=1e300", &error));
+  EXPECT_NE(error.find("line 1: "), std::string::npos) << error;
+  // Non-time keys keep the plain number rule; the bound is inclusive.
+  EXPECT_TRUE(ParseScenarioProfile("scenario: name=a\nphase: at=0, users=1e20", &error))
+      << error;
+  EXPECT_TRUE(ParseTime("4.6e12").has_value());
+  EXPECT_FALSE(ParseTime("4.7e12").has_value());
+  EXPECT_DOUBLE_EQ(*ParseTime(std::to_string(kMaxConfigSeconds)), kMaxConfigSeconds);
+  EXPECT_LE(kMaxConfigSeconds * 2 * 1e6, 9.3e18);  // two such times still fit
 }
 
 TEST(ScenarioProfileTest, FuzzNeverCrashesAndAlwaysExplains) {

@@ -53,25 +53,44 @@ using namespace topfull;
 
 namespace {
 
-/// `text` as a finite number, or exit 2 naming `source` (a flag or an
-/// environment variable): atof would read "abc" as 0 and "10x" as 10
-/// without a word. A value that describes the run (`run`) must also pass
-/// the scenario grammar's number rule (>= 0), so a flag accepts exactly
-/// what the matching directive key accepts.
+/// What a numeric flag must be: any finite number, a value that describes
+/// the run (the scenario grammar's number rule, >= 0), or a time of the
+/// run (its time rule, ParseTime: also small enough to convert to SimTime).
+/// A flag accepts exactly what the matching directive key accepts.
+enum class NumRule { kFinite, kRun, kTime };
+constexpr NumRule kRun = NumRule::kRun;
+constexpr NumRule kTime = NumRule::kTime;
+
+/// `text` as a number under `rule`, or exit 2 naming `source` (a flag or
+/// an environment variable): atof would read "abc" as 0 and "10x" as 10
+/// without a word.
 double NumOrExit(const std::string& source, const std::string& text,
-                 bool run = false) {
+                 NumRule rule = NumRule::kFinite) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (run ? !scenario::ParseNumber(text)
-          : text.empty() || end != text.c_str() + text.size() || !std::isfinite(value)) {
-    std::fprintf(stderr, "bad %s '%s': expected a finite number%s\n",
-                 source.c_str(), text.c_str(), run ? " >= 0" : "");
+  std::string reason;
+  bool ok = false;
+  switch (rule) {
+    case NumRule::kFinite:
+      ok = !text.empty() && end == text.c_str() + text.size() && std::isfinite(value);
+      break;
+    case NumRule::kRun:
+      ok = scenario::ParseNumber(text).has_value();
+      break;
+    case NumRule::kTime:
+      ok = scenario::ParseTime(text, &reason).has_value();
+      break;
+  }
+  if (!ok) {
+    std::string expected = "a finite number";
+    if (rule != NumRule::kFinite) expected += " >= 0";
+    if (rule == NumRule::kTime) expected += " of seconds: " + reason;
+    std::fprintf(stderr, "bad %s '%s': expected %s\n", source.c_str(), text.c_str(),
+                 expected.c_str());
     std::exit(2);
   }
   return value;
 }
-
-constexpr bool kRun = true;  ///< NumOrExit/Num: a value describing the run
 
 struct Args {
   std::string command;
@@ -84,8 +103,9 @@ struct Args {
     return it == options.end() ? fallback : it->second;
   }
   /// Get as a finite number (NumOrExit); exits 2 when it does not parse.
-  double Num(const std::string& key, double fallback, bool run = false) const {
-    return Has(key) ? NumOrExit("--" + key, Get(key), run) : fallback;
+  double Num(const std::string& key, double fallback,
+             NumRule rule = NumRule::kFinite) const {
+    return Has(key) ? NumOrExit("--" + key, Get(key), rule) : fallback;
   }
 };
 
@@ -428,12 +448,12 @@ int CmdRun(const Args& args) {
   // Every numeric flag is read here, before the run, so a bad value exits
   // before any simulation starts.
   scenario::ScenarioSpec scenario = AppFromFlags(args);
-  scenario.duration_s = args.Num("duration", 120, kRun);
+  scenario.duration_s = args.Num("duration", 120, kTime);
   scenario.static_rate = args.Num("static-rate", 0.0, kRun);
   scenario.hpa = args.Has("hpa");
-  scenario.Rpc(args.Num("hop-timeout", 0, kRun),
+  scenario.Rpc(args.Num("hop-timeout", 0, kTime),
                static_cast<int>(args.Num("retries", 0, kRun)),
-               args.Num("retry-backoff", 0, kRun));
+               args.Num("retry-backoff", 0, kTime));
   // --users N (or --rps R) from t = 0; --surge T:N switches to N at T.
   scenario.open_loop = args.Has("rps");
   scenario.Phase(0, scenario.open_loop ? args.Num("rps", 1000, kRun)
@@ -442,7 +462,7 @@ int CmdRun(const Args& args) {
     const std::string surge = args.Get("surge");
     const auto colon = surge.find(':');
     if (colon == std::string::npos) return Usage();
-    scenario.Phase(NumOrExit("--surge", surge.substr(0, colon), kRun),
+    scenario.Phase(NumOrExit("--surge", surge.substr(0, colon), kTime),
                    NumOrExit("--surge", surge.substr(colon + 1), kRun));
   }
   if (args.Has("fault-profile")) {
