@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/alibaba_demo.hpp"
 #include "apps/online_boutique.hpp"
 #include "apps/train_ticket.hpp"
 #include "common/thread_pool.hpp"
@@ -230,6 +231,28 @@ std::vector<exp::RunSpec> TimeoutSpecs() {
   return specs;
 }
 
+/// A deep event queue: the Alibaba demo under MIMD with 20k closed-loop
+/// users, so about 2e4 think timers are pending 0.9-1.1 s ahead at any
+/// time. Two pods of the first overloadable service crash at t = 10 s and
+/// restart from t = 11 s: the injector schedules the crash when it is armed
+/// at t = 0, more than 8.4 s ahead of every other pending event.
+std::vector<exp::RunSpec> DeepQueueSpecs() {
+  exp::RunSpec spec;
+  spec.label = "alibaba-deep-queue";
+  spec.duration_s = 14.0;
+  spec.variant = exp::Variant::kTopFullMimd;
+  spec.make_app = [] { return apps::MakeAlibabaDemo().app; };
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app), workload::Schedule::Constant(20000));
+  };
+  const apps::AlibabaDemo demo = apps::MakeAlibabaDemo();
+  spec.faults.CrashPods(demo.app->service(demo.overloadable.at(0)).name(), Seconds(10),
+                        2, Seconds(1), Seconds(1));
+  std::vector<exp::RunSpec> specs;
+  specs.push_back(std::move(spec));
+  return specs;
+}
+
 std::uint64_t SweepDigest(const std::vector<exp::RunSpec>& specs, int pool_size) {
   ThreadPool pool(pool_size);
   const std::vector<exp::RunResult> results = exp::RunExecutor(&pool).Execute(specs);
@@ -278,6 +301,17 @@ TEST(EngineIdentityTest, Fig18TrainTicketWithFaultsMatchesSeedEngine) {
 
 TEST(EngineIdentityTest, BlockingChainTimeoutsMatchSeedEngine) {
   CheckCase(BlockingSpecs, 0x36cd526757bf7b35ull);
+}
+
+// Golden minted at commit c8a8155, where every pending event sat in one
+// 4-ary heap; splitting the queue into a near heap and a far calendar ring
+// must not move a byte.
+TEST(EngineIdentityTest, AlibabaDeepQueueMatchesParent) {
+  CheckCase(DeepQueueSpecs, 0x7cf5722549daa9f1ull);
+  // The case really keeps a deep queue and applies the late fault.
+  const exp::RunResult r = exp::Run(DeepQueueSpecs().at(0));
+  EXPECT_GT(r.app().sim().PendingEvents(), 15000u);
+  EXPECT_FALSE(r.fault_log.empty());
 }
 
 // Golden minted at commit 41045f5, where hop and client timeouts were
