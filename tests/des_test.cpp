@@ -358,6 +358,28 @@ TEST(HandlerEventTest, HandlerRegisteredFromInsideAHandlerKeepsRunning) {
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{7, 8}));
 }
 
+// A refill that leaves a shallow far part moves the near/far boundary ahead
+// past empty buckets; the ring's span moves with it, and an event that was
+// beyond the old span (scheduled 8.5 s out at t = 0) must move into the ring.
+TEST(CalendarRingTest, BoundarySkipPullsOverflowIntoTheRing) {
+  Simulation sim;
+  std::vector<std::uint32_t> seen;
+  const std::uint32_t handler =
+      sim.AddHandler([&seen](std::uint32_t arg) { seen.push_back(arg); });
+  for (std::uint32_t i = 0; i < 40; ++i) sim.ScheduleHandlerAt(i, handler, i);
+  sim.ScheduleHandlerAt(Millis(100), handler, 100);
+  sim.ScheduleHandlerAt(Millis(8500), handler, 200);
+  ASSERT_TRUE(sim.CheckHeapInvariant());
+  sim.RunUntil(0);
+  ASSERT_TRUE(sim.CheckHeapInvariant());
+  sim.RunUntil(Seconds(10));
+  ASSERT_TRUE(sim.CheckHeapInvariant());
+  ASSERT_EQ(seen.size(), 42u);
+  EXPECT_EQ(seen[40], 100u);
+  EXPECT_EQ(seen[41], 200u);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
 // --- Property test: random interleavings vs a reference model ---------------
 
 // The engine's pending set must behave exactly like an ordered map keyed by
@@ -386,6 +408,11 @@ struct QueueModelParams {
   SimTime when_span;
   /// Each round advances RunUntil by [0, horizon_span].
   SimTime horizon_span;
+  /// Periodic events have a period in [min_period, max_period].
+  SimTime min_period = 20;
+  SimTime max_period = 200;
+  /// Closure and handler events are due on multiples of `when_grain`.
+  SimTime when_grain = 1;
 };
 
 void CheckAgainstReferenceModel(const QueueModelParams& p) {
@@ -553,8 +580,10 @@ void CheckAgainstReferenceModel(const QueueModelParams& p) {
     model_insert(token, now + queues[ev.queue].delay);
   };
   const auto random_when = [&]() {
-    // Small time range on purpose: dense tie collisions.
-    return sim.Now() + rng.UniformInt(0, p.when_span);
+    // A small range or a coarse grain gives dense tie collisions; a large
+    // range spreads events over the far part.
+    const SimTime when = sim.Now() + rng.UniformInt(0, p.when_span);
+    return (when + p.when_grain - 1) / p.when_grain * p.when_grain;
   };
   const auto random_queue = [&]() {
     return static_cast<std::size_t>(
@@ -562,7 +591,7 @@ void CheckAgainstReferenceModel(const QueueModelParams& p) {
   };
   const auto schedule_closure = [&](bool periodic) {
     const SimTime when = random_when();
-    const SimTime period = periodic ? rng.UniformInt(20, 200) : 0;
+    const SimTime period = periodic ? rng.UniformInt(p.min_period, p.max_period) : 0;
     model_insert(add_event(when, period), when);
   };
   const auto schedule_handler = [&]() {
@@ -722,6 +751,38 @@ TEST(TimerQueueProperty, MatchesMultimapReferenceModelAtDepth) {
   CheckAgainstReferenceModel({/*rounds=*/120, /*min_pending=*/6000,
                               /*max_ops=*/64, /*when_span=*/2000,
                               /*horizon_span=*/12});
+}
+
+// 4000 events due on a 256 us grid within 8 ms: over a hundred share each
+// `when`, and every fourth grid line is a bucket boundary of the calendar
+// ring, so ties straddle the near/far boundary as it moves. The far part
+// stays deep, so every refill pours one bucket at a time.
+TEST(TimerQueueProperty, MatchesMultimapReferenceModelOnACoarseGrid) {
+  QueueModelParams p{/*rounds=*/150, /*min_pending=*/4000, /*max_ops=*/32,
+                     /*when_span=*/Millis(8), /*horizon_span=*/1000};
+  p.when_grain = 256;
+  CheckAgainstReferenceModel(p);
+}
+
+// Times well past the calendar ring's ~8.4 s span: events up to 30 s out,
+// a 7.5 s and a 30 s timer queue, periods of 0.2-12 s, few pending events
+// and rounds that advance up to 20 s. Entries go through the near heap, the
+// ring and the overflow heap; periodic re-arms and queue re-keys land in
+// all three; long idle gaps leave the ring empty while the overflow heap is
+// not, so refills jump the ring forward.
+TEST(TimerQueueProperty, MatchesMultimapReferenceModelPastTheRing) {
+  CheckAgainstReferenceModel({/*rounds=*/400, /*min_pending=*/0, /*max_ops=*/6,
+                              /*when_span=*/Seconds(30), /*horizon_span=*/Seconds(20),
+                              /*min_period=*/Millis(200), /*max_period=*/Seconds(12)});
+}
+
+// A few hundred events over 30 s: each refill fills its batch from the
+// ring's first seconds and leaves a shallow far part, so the boundary then
+// skips ahead while overflow entries move into the ring behind it.
+TEST(TimerQueueProperty, MatchesMultimapReferenceModelPastTheRingShallow) {
+  CheckAgainstReferenceModel({/*rounds=*/200, /*min_pending=*/300, /*max_ops=*/16,
+                              /*when_span=*/Seconds(30), /*horizon_span=*/Seconds(2),
+                              /*min_period=*/Millis(200), /*max_period=*/Seconds(12)});
 }
 
 }  // namespace
