@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace topfull::workload {
 
@@ -50,9 +51,20 @@ void ClosedLoopPool::Reconcile() {
   target_users_ = static_cast<int>(users_.At(app_->sim().Now()));
   // Ramp-down is gradual: excess users terminate at their next loop
   // boundary (a user whose index >= target exits instead of re-issuing).
+  // A user above the target that has not left yet simply carries on when
+  // the target rises again; only users that left are started again, in
+  // index order, before users never started.
   if (static_cast<int>(states_.size()) < target_users_) states_.resize(target_users_);
-  while (live_users_ < target_users_) {
-    const int index = live_users_++;
+  while (!left_.empty() && left_.front() < target_users_) {
+    std::pop_heap(left_.begin(), left_.end(), std::greater<>());
+    const int index = left_.back();
+    left_.pop_back();
+    ++live_users_;
+    UserLoop(index);
+  }
+  while (spawned_users_ < target_users_) {
+    const int index = spawned_users_++;
+    ++live_users_;
     UserLoop(index);
   }
 }
@@ -67,6 +79,8 @@ int ClosedLoopPool::UserPriority(int user_index) const {
 void ClosedLoopPool::UserLoop(int user_index) {
   if (user_index >= target_users_) {
     --live_users_;
+    left_.push_back(user_index);
+    std::push_heap(left_.begin(), left_.end(), std::greater<>());
     return;
   }
   const sim::ApiId api =

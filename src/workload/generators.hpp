@@ -135,7 +135,10 @@ class ClosedLoopPool {
   std::uint32_t timeout_queue_;
   std::vector<UserState> states_;
   std::vector<UserOutcomes> outcomes_;
-  int live_users_ = 0;
+  /// Indices of users that left at a loop boundary, as a min-heap.
+  std::vector<int> left_;
+  int spawned_users_ = 0;  ///< users [0, spawned_users_) were ever started
+  int live_users_ = 0;     ///< users running a loop
   int target_users_ = 0;
   bool started_ = false;
 };

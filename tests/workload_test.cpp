@@ -212,6 +212,39 @@ TEST(ClosedLoopTest, PoolGrowsWithSchedule) {
   EXPECT_EQ(pool.LiveUsers(), 50);
 }
 
+// Users above a lowered target leave at their next loop boundary. When the
+// target rises again before all of them have left, every user of the
+// restored range must run exactly one loop: those that left start again,
+// those still running carry on, and none gets a second loop.
+TEST(ClosedLoopTest, TargetRisingBeforeExcessUsersLeftRunsEachUserOnce) {
+  auto app = OneServiceApp();
+  TrafficDriver traffic(app.get());
+  ClosedLoopConfig config;
+  config.mix.weights = {1.0};
+  auto& pool = traffic.AddClosedLoop(
+      config, Schedule::Constant(400).Then(Seconds(10), 200).Then(Seconds(11), 400));
+  app->RunFor(Millis(10500));
+  // Half-way through the 1 s think time, some excess users have left.
+  EXPECT_GT(pool.LiveUsers(), 200);
+  EXPECT_LT(pool.LiveUsers(), 400);
+  app->RunFor(Millis(1000));
+  const std::vector<UserOutcomes> before = pool.Outcomes();
+  app->RunFor(Seconds(20));
+  const std::vector<UserOutcomes>& after = pool.Outcomes();
+  ASSERT_EQ(after.size(), 400u);
+  // ~1 ms responses and a 0.9-1.1 s think time: about 20 intents per user.
+  int idle = 0;
+  int doubled = 0;
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const std::uint64_t issued = after[i].intents - before[i].intents;
+    if (issued < 17) ++idle;
+    if (issued > 23) ++doubled;
+  }
+  EXPECT_EQ(idle, 0);
+  EXPECT_EQ(doubled, 0);
+  EXPECT_EQ(pool.LiveUsers(), 400);
+}
+
 TEST(ClosedLoopTest, EntryRejectionDoesNotKillUsers) {
   class DenyAll : public sim::EntryAdmission {
    public:
