@@ -508,8 +508,12 @@ int main(int argc, char** argv) {
                   /*last=*/false);
   }
 
-  // Queue depth: closed-loop users, one pending timer each. Not in the
-  // committed baseline, so CI reports these rows but does not gate them.
+  // Queue depth: closed-loop users, one pending timer each. CI gates the
+  // 20k and 200k rows, which keep the far calendar ring deep: the ring's
+  // chunk pool reaches its high-water mark during the 3 s warm-up, so the
+  // measured seconds allocate nothing in the engine. The 2.6k row's
+  // long measurement (192 s) shows the metrics timeline's growth, about
+  // two allocations per simulated second, so it is reported only.
   for (const int users : {2600, 20000, 200000}) {
     const ClosedLoopMeasurement r = RunClosedLoop(users);
     const double eps = static_cast<double>(r.m.events) / r.m.wall_s;
