@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,8 @@
 #include "common/thread_pool.hpp"
 #include "exp/harness.hpp"
 #include "exp/run_executor.hpp"
+#include "fault/fault.hpp"
+#include "obs/trace.hpp"
 #include "sim/app.hpp"
 #include "sim/sharded_app.hpp"
 #include "workload/generators.hpp"
@@ -366,6 +369,165 @@ TEST(EngineIdentityTest, TimeoutsAndRetriesMatchParent) {
     EXPECT_EQ(d1, 0xa45f80393e740912ull)
         << "timeout paths diverged from the parent engine "
         << "(set TOPFULL_STRICT_GOLDEN=0 on a foreign libm)";
+  }
+}
+
+// --- Hop-path faults ---------------------------------------------------------
+
+/// Five services under open-loop overload, with every way a pod can end a
+/// job other than a plain completion:
+///   * "gate" holds its worker slot while "store" and "audit" run (blocking
+///     RPC);
+///   * "work" is overloaded, and one of its pods is crashed at t = 4 s while
+///     it has queued jobs and jobs in service;
+///   * "store" is degraded to half its threads at 2-6 s (busy servers above
+///     the effective count) and injects errors at 8-10 s;
+///   * "cache" is blackholed at 6-8 s, so only the 150 ms hop timeout and
+///     one retry resolve its hops;
+///   * "audit" is overloaded, so its liveness probes kill its pods.
+struct HopFaultRun {
+  std::unique_ptr<sim::Application> app;
+  std::unique_ptr<obs::RequestTracer> tracer;
+  std::unique_ptr<fault::FaultInjector> injector;
+  std::unique_ptr<workload::TrafficDriver> traffic;
+  int crash_queued = -1;      ///< queue length of the crashed pod at the crash
+  int crash_in_service = -1;  ///< its jobs in service at the crash
+};
+
+sim::ServiceConfig HopSvc(const char* name, double mean_ms, int threads, int pods,
+                          int max_queue) {
+  sim::ServiceConfig config;
+  config.name = name;
+  config.mean_service_ms = mean_ms;
+  config.threads = threads;
+  config.initial_pods = pods;
+  config.max_queue = max_queue;
+  return config;
+}
+
+HopFaultRun RunHopFaults(bool traced) {
+  HopFaultRun run;
+  run.app = std::make_unique<sim::Application>("hop-faults", 53);
+  sim::Application& app = *run.app;
+  sim::ServiceConfig gate = HopSvc("gate", 1.0, 32, 2, 128);
+  gate.blocking_rpc = true;
+  sim::ServiceConfig audit = HopSvc("audit", 8.0, 2, 2, 100);
+  audit.probe_failures_enabled = true;
+  audit.probe_period = Seconds(1);
+  audit.probe_queue_threshold = 20;
+  audit.probe_failure_count = 2;
+  audit.restart_delay = Millis(1500);
+  const sim::ServiceId g = app.AddService(gate);
+  const sim::ServiceId w = app.AddService(HopSvc("work", 10.0, 4, 3, 40));
+  const sim::ServiceId s = app.AddService(HopSvc("store", 4.0, 4, 2, 64));
+  const sim::ServiceId c = app.AddService(HopSvc("cache", 2.0, 2, 2, 64));
+  const sim::ServiceId a = app.AddService(audit);
+  sim::ApiSpec browse("browse", 1);
+  browse.AddPath(sim::ExecutionPath{sim::Chain({g, s, a}), 1.0, {}});
+  const sim::ApiId browse_id = app.AddApi(std::move(browse));
+  sim::ApiSpec compute("compute", 2);
+  compute.AddPath(sim::ExecutionPath{sim::FanOut(w, {s, c}), 1.0, {}});
+  const sim::ApiId compute_id = app.AddApi(std::move(compute));
+  app.Finalize();
+  app.ConfigureRpc(Millis(150), /*max_retries=*/1, Millis(5));
+  if (traced) {
+    obs::TraceConfig config;
+    config.sample_rate = 1.0;
+    run.tracer = std::make_unique<obs::RequestTracer>(config);
+    app.SetObserver(run.tracer.get());
+  }
+
+  fault::FaultSchedule faults;
+  faults.CrashPods("work", Seconds(4), 1, Seconds(2))
+      .DegradeCapacity("store", Seconds(2), Seconds(4), 0.5)
+      .Blackhole("cache", Seconds(6), Seconds(2))
+      .ErrorBurst("store", Seconds(8), Seconds(2), 0.2);
+  run.injector = std::make_unique<fault::FaultInjector>(&app, std::move(faults));
+  run.injector->Arm();
+  // Just before the crash, record the pod it will take: the first running
+  // pod of "work".
+  HopFaultRun* out = &run;
+  app.sim().ScheduleAt(Seconds(4) - 1, [out, w] {
+    sim::Service& svc = out->app->service(w);
+    for (int i = 0; i < svc.PodCount(); ++i) {
+      if (!svc.pod(i).running()) continue;
+      out->crash_queued = svc.pod(i).QueueLength();
+      out->crash_in_service = svc.pod(i).InService();
+      return;
+    }
+  });
+
+  run.traffic = std::make_unique<workload::TrafficDriver>(&app);
+  run.traffic->AddOpenLoop(browse_id, workload::Schedule::Constant(600));
+  run.traffic->AddOpenLoop(compute_id, workload::Schedule::Constant(1500));
+  app.RunFor(Seconds(12));
+  return run;
+}
+
+/// Every finished trace, span by span.
+std::string SerializeTraces(const obs::RequestTracer& tracer) {
+  std::string out;
+  char buf[256];
+  for (const obs::RequestTrace& t : tracer.finished()) {
+    std::snprintf(buf, sizeof buf, "trace id=%llu api=%d %lld-%lld out=%d slo=%d\n",
+                  static_cast<unsigned long long>(t.id), static_cast<int>(t.api),
+                  static_cast<long long>(t.start), static_cast<long long>(t.end),
+                  static_cast<int>(t.outcome), t.slo_ok ? 1 : 0);
+    out += buf;
+    for (const obs::HopSpan& h : t.spans) {
+      std::snprintf(buf, sizeof buf, " span s=%d %lld-%lld q=%lld st=%lld ok=%d shed=%d\n",
+                    static_cast<int>(h.service), static_cast<long long>(h.start),
+                    static_cast<long long>(h.end), static_cast<long long>(h.queue_wait),
+                    static_cast<long long>(h.service_time), h.ok ? 1 : 0,
+                    h.shed ? 1 : 0);
+      out += buf;
+    }
+  }
+  std::snprintf(buf, sizeof buf, "active=%zu sampled=%llu dropped=%llu\n",
+                tracer.ActiveCount(),
+                static_cast<unsigned long long>(tracer.counters().sampled),
+                static_cast<unsigned long long>(tracer.counters().dropped));
+  out += buf;
+  return out;
+}
+
+// Golden minted at commit 0c371a7, where pods completed jobs through
+// per-job InlineFunction callbacks; completion by attempt token must not
+// move a byte of the timeline, the fault log or any finished trace.
+TEST(EngineIdentityTest, HopPathFaultsMatchParent) {
+  const HopFaultRun run = RunHopFaults(/*traced=*/true);
+  const sim::Application& app = *run.app;
+  std::string all = Serialize(app, &run.injector->Log());
+  char buf[160];
+  for (int s = 0; s < app.NumServices(); ++s) {
+    const sim::Service& svc = app.service(s);
+    std::snprintf(buf, sizeof buf, "%s blackholed=%llu errors=%llu probe_kills=%d\n",
+                  svc.name().c_str(),
+                  static_cast<unsigned long long>(svc.BlackholedDispatches()),
+                  static_cast<unsigned long long>(svc.InjectedErrors()),
+                  svc.ProbeKills());
+    all += buf;
+  }
+  all += SerializeTraces(*run.tracer);
+
+  // The case really takes every path.
+  EXPECT_GT(run.crash_queued, 0);
+  EXPECT_GT(run.crash_in_service, 0);
+  EXPECT_GT(app.service(4).ProbeKills(), 0);
+  EXPECT_GT(app.service(3).BlackholedDispatches(), 0u);
+  EXPECT_GT(app.service(2).InjectedErrors(), 0u);
+  EXPECT_GT(app.HopTimeouts(), 0u);
+  EXPECT_GT(app.Retries(), 0u);
+  EXPECT_GT(run.tracer->finished().size(), 10000u);
+  // Tracing is pass-through: the untraced run has the same timeline.
+  const HopFaultRun plain = RunHopFaults(/*traced=*/false);
+  EXPECT_EQ(Serialize(*plain.app, &plain.injector->Log()),
+            Serialize(app, &run.injector->Log()));
+
+  const std::uint64_t digest = Fnv1a(all);
+  if (StrictGolden()) {
+    EXPECT_EQ(digest, 0x96687cc54625bc2full) << "hop path diverged from the parent engine "
+                              << "(set TOPFULL_STRICT_GOLDEN=0 on a foreign libm)";
   }
 }
 
