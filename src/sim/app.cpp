@@ -18,6 +18,8 @@ struct Application::RequestRec {
   DoneFn on_done;
   std::uint32_t gen = 0;
   bool finalized = false;
+  /// The observer's Tracing() verdict, asked once after OnAdmitted.
+  bool traced = false;
   /// Remote-subtree records (allocated by BeginRemoteSubtree on behalf of
   /// another shard) reply to `remote_origin` instead of finalising API
   /// metrics; -1 marks an ordinary local root request.
@@ -30,9 +32,9 @@ struct Application::RequestRec {
 // web (shared_ptr<Request> + shared_ptr<bool> settled + shared_ptr<SimTime>
 // + shared_ptr<HeldDispatch> + std::function captures) with a single
 // recycled struct. `pending` counts the references that may still touch the
-// record: the attempt logic itself, the dispatch completion callback, and
-// the hop-timeout timer; the record is freed (generation bumped) when all
-// are gone.
+// record: the attempt logic itself, the dispatched job (whose token the pod
+// reports exactly once), and the hop-timeout timer; the record is freed
+// (generation bumped) when all are gone.
 struct Application::AttemptRec {
   RequestRec* req = nullptr;
   const CallNode* node = nullptr;
@@ -49,14 +51,19 @@ struct Application::AttemptRec {
   SimTime hop_start = 0;
   SimTime hop_service_time = 0;
   des::Simulation::TimerHandle timeout{};
-  std::uint32_t pool_index = 0;   // set by the SlabPool; the timeout's arg
+  std::uint32_t pool_index = 0;   // set by the SlabPool; the job token and timeout arg
   std::uint32_t next_child = 0;   // sequential-children cursor
   int join_remaining = 0;         // parallel join
   bool join_all_ok = true;
 };
 
 Application::Application(std::string name, std::uint64_t seed, AppConfig config)
-    : name_(std::move(name)), config_(config), rng_(seed) {
+    : name_(std::move(name)),
+      config_(config),
+      rng_(seed),
+      done_sink_([this](std::uint32_t token, bool ok) {
+        OnLocalDone(attempt_pool_.At(token), ok);
+      }) {
   SelectHopTimeoutQueue();
 }
 
@@ -88,7 +95,8 @@ ServiceId Application::AddService(ServiceConfig config) {
   assert(!finalized_ && "cannot add services after Finalize()");
   const auto id = static_cast<ServiceId>(services_.size());
   Rng service_rng = rng_.Fork(HashLabel(config.name) ^ static_cast<std::uint64_t>(id));
-  services_.push_back(std::make_unique<Service>(&sim_, id, std::move(config), service_rng));
+  services_.push_back(
+      std::make_unique<Service>(&sim_, id, std::move(config), service_rng, &done_sink_));
   return id;
 }
 
@@ -297,7 +305,11 @@ void Application::Submit(ApiId api, const SubmitOptions& options, DoneFn on_done
   req->remote_proxy = nullptr;
   req->remote_proxy_gen = 0;
   ++inflight_;
-  if (observer_ != nullptr) observer_->OnAdmitted(req->info.id, api, sim_.Now());
+  req->traced = false;
+  if (observer_ != nullptr) {
+    observer_->OnAdmitted(req->info.id, api, sim_.Now());
+    req->traced = observer_->Tracing(req->info.id);
+  }
 
   StartAttempt(req, &req->path->root, /*attempt=*/0, ContRef{});
 }
@@ -323,7 +335,7 @@ void Application::StartAttempt(RequestRec* req, const CallNode* node, int attemp
   a->pending = 1;  // the attempt logic itself
   a->settled = false;
   a->timed_out = false;
-  a->traced = observer_ != nullptr && observer_->Tracing(req->info.id);
+  a->traced = req->traced;
   a->held = Service::HeldDispatch{};
   a->hop_start = sim_.Now();
   a->hop_service_time = 0;
@@ -337,24 +349,21 @@ void Application::StartAttempt(RequestRec* req, const CallNode* node, int attemp
   // resolves (success or failure). A fresh handle per attempt: a retried
   // hop lands on a (possibly) different pod.
   const bool blocking = svc.config().blocking_rpc && !node->children.empty();
-  const std::uint32_t gen = a->gen;
   // The service-time slot is written unconditionally (a dead store when the
   // request is untraced) so the dispatch call — and thus the RNG stream —
   // is identical with and without tracing.
-  bool callback_retained = false;
+  bool token_retained = false;
   const bool dispatched =
-      blocking ? svc.DispatchHeld(req->info, node->work,
-                                  [this, a, gen](bool ok) { OnLocalDone(a, gen, ok); },
-                                  &a->held, &a->hop_service_time, &callback_retained)
-               : svc.Dispatch(req->info, node->work,
-                              [this, a, gen](bool ok) { OnLocalDone(a, gen, ok); },
-                              &a->hop_service_time, &callback_retained);
+      blocking ? svc.DispatchHeld(req->info, node->work, a->pool_index, &a->held,
+                                  &a->hop_service_time, &token_retained)
+               : svc.Dispatch(req->info, node->work, a->pool_index,
+                              &a->hop_service_time, &token_retained);
   if (!dispatched) {
     if (a->traced) observer_->OnHopShed(req->info.id, node->service, sim_.Now());
     FailAttempt(a);  // consumes the logic reference
     return;
   }
-  if (callback_retained) ++a->pending;
+  if (token_retained) ++a->pending;
   if (config_.hop_timeout > 0) {
     // Scheduled identically whether or not the request is traced — the
     // event sequence (and thus every tie-break) must not depend on
@@ -364,12 +373,9 @@ void Application::StartAttempt(RequestRec* req, const CallNode* node, int attemp
   }
 }
 
-void Application::OnLocalDone(AttemptRec* a, std::uint32_t gen, bool ok) {
-  // The dispatch-callback reference pins the record, so the generation can
-  // only match; the check documents (and guards, in debug builds) the
-  // lifetime contract.
-  assert(a->gen == gen);
-  (void)gen;
+void Application::OnLocalDone(AttemptRec* a, bool ok) {
+  // The dispatched job's reference pins the record, so the token still
+  // names this attempt.
   if (a->settled) {
     // The hop timed out earlier; the server just finished the wasted
     // work. A blocking attempt's slot is freed here (nobody else will);
@@ -394,7 +400,7 @@ void Application::OnLocalDone(AttemptRec* a, std::uint32_t gen, bool ok) {
   } else {
     AfterLocalSuccess(a);
   }
-  ReleaseAttempt(a);  // the dispatch-callback reference
+  ReleaseAttempt(a);  // the dispatched job's reference
 }
 
 void Application::OnHopTimeout(AttemptRec* a) {
@@ -516,7 +522,7 @@ void Application::FinalizeRequest(RequestRec* req, bool ok) {
   --inflight_;
   const SimTime latency = sim_.Now() - req->start;
   const ApiId api = req->info.api;
-  if (observer_ != nullptr && observer_->Tracing(req->info.id)) {
+  if (req->traced) {
     observer_->OnRequestDone(req->info.id, req->info.api, req->start, sim_.Now(),
                              ok ? Outcome::kCompleted : Outcome::kRejectedService,
                              ok && latency <= config_.slo);
@@ -597,6 +603,9 @@ void Application::BeginRemoteSubtree(const RequestInfo& info,
   req->path_index = path_index;
   req->on_done = nullptr;
   req->finalized = false;
+  // The owner's observer never admitted this request; its spans belong to
+  // the origin shard's observer.
+  req->traced = false;
   req->remote_origin = origin_shard;
   req->remote_proxy = proxy;
   req->remote_proxy_gen = proxy_gen;

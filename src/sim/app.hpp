@@ -10,10 +10,12 @@
 // The request engine runs on pooled records instead of shared_ptr-chained
 // closures: one RequestRec per admitted request and one AttemptRec per hop
 // attempt, both slab-allocated and recycled, with generation counters
-// guarding every callback that might outlive its attempt. Hop timeouts are
-// queue timers (one des::Simulation timer queue per distinct delay) that are
-// cancelled when the hop settles, so the steady-state per-hop path performs
-// zero heap allocations.
+// guarding the continuations that might outlive their attempt. A hop carries
+// no closure: pods report its outcome to the Application's one
+// Pod::DoneSink by the attempt record's pool index, and hop timeouts are
+// queue timers (one des::Simulation timer queue per distinct delay) armed
+// with the same index and cancelled when the hop settles, so the
+// steady-state per-hop path performs zero heap allocations.
 #pragma once
 
 #include <cstdint>
@@ -247,7 +249,7 @@ class Application {
   void FinalizeRemoteSubtree(RequestRec* req, bool ok);
   /// Origin side: response message arrived — settle the proxy attempt.
   void OnRemoteResponse(AttemptRec* proxy, std::uint32_t proxy_gen, bool ok);
-  void OnLocalDone(AttemptRec* a, std::uint32_t gen, bool ok);
+  void OnLocalDone(AttemptRec* a, bool ok);
   void OnHopTimeout(AttemptRec* a);
   /// Points new hops at the timer queue for config_.hop_timeout, reusing
   /// the queue of an earlier equal delay or adding one.
@@ -268,6 +270,8 @@ class Application {
   AppConfig config_;
   Rng rng_;
   des::Simulation sim_;
+  /// Every pod's job outcomes: the token is the attempt record's pool index.
+  Pod::DoneSink done_sink_;
   std::vector<std::unique_ptr<Service>> services_;
   std::vector<ApiSpec> apis_;
   std::unique_ptr<MetricsCollector> metrics_;

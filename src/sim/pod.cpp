@@ -6,26 +6,34 @@
 
 namespace topfull::sim {
 
-Pod::Pod(des::Simulation* sim, int threads, int max_queue)
+Pod::Pod(des::Simulation* sim, int threads, int max_queue, DoneSink* sink)
     : sim_(sim),
+      sink_(sink),
       done_handler_(sim->AddHandler(
           [this](std::uint32_t record) { OnServiceDone(record); })),
       threads_(threads),
       max_queue_(max_queue) {}
 
-bool Pod::Enqueue(SimTime service_time, DoneFn done) {
-  if (state_ != PodState::kRunning) return false;
-  if (static_cast<int>(queue_.size()) >= max_queue_) return false;
-  queue_.push_back(Job{service_time, sim_->Now(), std::move(done), nullptr});
-  StartNext();
-  return true;
+bool Pod::Enqueue(SimTime service_time, std::uint32_t token) {
+  return Accept(service_time, token, nullptr);
 }
 
-bool Pod::EnqueueHeld(SimTime service_time, DoneFn done, HoldHandle* hold) {
+bool Pod::EnqueueHeld(SimTime service_time, std::uint32_t token, HoldHandle* hold) {
+  return Accept(service_time, token, hold);
+}
+
+bool Pod::Accept(SimTime service_time, std::uint32_t token, HoldHandle* hold) {
   if (state_ != PodState::kRunning) return false;
   if (static_cast<int>(queue_.size()) >= max_queue_) return false;
-  queue_.push_back(Job{service_time, sim_->Now(), std::move(done), hold});
-  StartNext();
+  if (queue_.empty() && busy_ < EffectiveThreads()) {
+    // Idle fast path. Every state change refills free servers from the
+    // queue, so a job is only queued while every server is busy: this job
+    // would be the one StartNext takes, after a queue delay of 0.
+    ++window_.started;
+    StartService(service_time, token, hold);
+    return true;
+  }
+  queue_.push_back(Job{service_time, sim_->Now(), hold, token});
   return true;
 }
 
@@ -49,16 +57,14 @@ void Pod::SetOfflineThreads(int n) {
 
 void Pod::Kill() {
   state_ = PodState::kKilled;
-  ++epoch_;  // orphan all in-flight completion events
+  ++epoch_;  // in-service jobs fail at their completion events
   busy_ = 0;
-  // Fail queued jobs. Move them out first: their callbacks may re-enter.
-  std::vector<DoneFn> to_fail;
+  // Fail queued jobs. Take the tokens out first: the sink may re-enter.
+  std::vector<std::uint32_t> to_fail;
   to_fail.reserve(queue_.size());
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    to_fail.push_back(std::move(queue_.at(i).done));
-  }
+  for (std::size_t i = 0; i < queue_.size(); ++i) to_fail.push_back(queue_.at(i).token);
   queue_.clear();
-  for (auto& done : to_fail) done(false);
+  for (const std::uint32_t token : to_fail) (*sink_)(token, false);
 }
 
 SimTime Pod::HeadOfLineWait() const {
@@ -68,54 +74,53 @@ SimTime Pod::HeadOfLineWait() const {
 
 void Pod::StartNext() {
   while (busy_ < EffectiveThreads() && !queue_.empty()) {
-    Job job = std::move(queue_.front());
+    const Job job = queue_.front();
     queue_.pop_front();
-    ++busy_;
     const double qdelay = ToSeconds(sim_->Now() - job.enqueued_at);
     ++window_.started;
     window_.queue_delay_sum_s += qdelay;
     window_.queue_delay_max_s = std::max(window_.queue_delay_max_s, qdelay);
-    std::uint32_t record;
-    if (free_records_.empty()) {
-      record = static_cast<std::uint32_t>(in_service_.size());
-      in_service_.emplace_back();
-    } else {
-      record = free_records_.back();
-      free_records_.pop_back();
-    }
-    in_service_[record] = ServiceRecord{epoch_, job.service_time, job.hold, std::move(job.done)};
-    sim_->ScheduleHandlerAfter(job.service_time, done_handler_, record);
+    StartService(job.service_time, job.token, job.hold);
   }
 }
 
+void Pod::StartService(SimTime service_time, std::uint32_t token, HoldHandle* hold) {
+  ++busy_;
+  std::uint32_t record;
+  if (free_records_.empty()) {
+    record = static_cast<std::uint32_t>(in_service_.size());
+    in_service_.emplace_back();
+  } else {
+    record = free_records_.back();
+    free_records_.pop_back();
+  }
+  in_service_[record] = ServiceRecord{epoch_, service_time, hold, token};
+  sim_->ScheduleHandlerAfter(service_time, done_handler_, record);
+}
+
 void Pod::OnServiceDone(std::uint32_t record) {
-  // Take everything out and free the record first: `done` may re-enter the
-  // pod (Enqueue, Release) and reuse it.
-  ServiceRecord& job = in_service_[record];
-  const std::uint64_t epoch = job.epoch;
-  const SimTime service_time = job.service_time;
-  HoldHandle* hold = job.hold;
-  DoneFn done = std::move(job.done);
+  // Copy the record out and free it first: the sink may re-enter the pod
+  // (Enqueue, Release) and reuse it.
+  const ServiceRecord job = in_service_[record];
   free_records_.push_back(record);
-  if (epoch != epoch_) {
-    // The pod was killed while this job was in service; the job already
-    // failed via Kill()'s sweep of queued jobs or is simply lost.
-    done(false);
+  if (job.epoch != epoch_) {
+    // The pod was killed while this job was in service.
+    (*sink_)(job.token, false);
     return;
   }
   ++window_.completed;
-  const double busy_s = ToSeconds(service_time);
+  const double busy_s = ToSeconds(job.service_time);
   window_.busy_seconds += busy_s;
   total_busy_seconds_ += busy_s;
-  if (hold != nullptr) {
+  if (job.hold != nullptr) {
     // Synchronous RPC: the worker stays blocked until Release().
-    hold->epoch = epoch;
-    hold->active = true;
+    job.hold->epoch = job.epoch;
+    job.hold->active = true;
   } else {
     --busy_;
     StartNext();
   }
-  done(true);
+  (*sink_)(job.token, true);
 }
 
 PodWindowStats Pod::DrainWindowStats() {

@@ -6,8 +6,9 @@
 
 namespace topfull::sim {
 
-Service::Service(des::Simulation* sim, ServiceId id, ServiceConfig config, Rng rng)
-    : sim_(sim), id_(id), config_(std::move(config)), rng_(rng) {
+Service::Service(des::Simulation* sim, ServiceId id, ServiceConfig config, Rng rng,
+                 Pod::DoneSink* sink)
+    : sim_(sim), sink_(sink), id_(id), config_(std::move(config)), rng_(rng) {
   assert(config_.mean_service_ms > 0.0);
   assert(config_.threads > 0);
   // Lognormal mu such that the mean equals mean_service_ms.
@@ -18,23 +19,44 @@ Service::Service(des::Simulation* sim, ServiceId id, ServiceConfig config, Rng r
 }
 
 int Service::PickPod() {
-  // Least-outstanding among running pods, round-robin tie-break.
-  int best = -1;
-  const int n = static_cast<int>(pods_.size());
+  // Least-outstanding among running pods, round-robin tie-break: scan from
+  // the cursor and keep the first pod with the fewest outstanding jobs. An
+  // idle pod cannot be beaten, so the scan stops there.
+  const std::size_t n = pods_.size();
   if (n == 0) return -1;
-  for (int k = 0; k < n; ++k) {
-    const int i = (rr_cursor_ + k) % n;
-    Pod* pod = pods_[i].get();
-    if (!pod->running()) continue;
-    if (best < 0 || pod->Outstanding() < pods_[best]->Outstanding()) best = i;
+  std::size_t i = static_cast<std::size_t>(rr_cursor_++ % n);
+  int best = -1;
+  int best_load = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Pod& pod = *pods_[i];
+    if (pod.running()) {
+      const int load = pod.Outstanding();
+      if (best < 0 || load < best_load) {
+        best = static_cast<int>(i);
+        best_load = load;
+        if (load == 0) break;
+      }
+    }
+    if (++i == n) i = 0;
   }
-  ++rr_cursor_;
   return best;
 }
 
-bool Service::Dispatch(const RequestInfo& info, double work, DoneFn done,
-                       SimTime* sampled_service_time, bool* callback_retained) {
-  if (callback_retained != nullptr) *callback_retained = true;
+bool Service::Dispatch(const RequestInfo& info, double work, std::uint32_t token,
+                       SimTime* sampled_service_time, bool* token_retained) {
+  return Route(info, work, token, nullptr, sampled_service_time, token_retained);
+}
+
+bool Service::DispatchHeld(const RequestInfo& info, double work, std::uint32_t token,
+                           HeldDispatch* held, SimTime* sampled_service_time,
+                           bool* token_retained) {
+  return Route(info, work, token, held, sampled_service_time, token_retained);
+}
+
+bool Service::Route(const RequestInfo& info, double work, std::uint32_t token,
+                    HeldDispatch* held, SimTime* sampled_service_time,
+                    bool* token_retained) {
+  if (token_retained != nullptr) *token_retained = true;
   const int pod_index = PickPod();
   if (pod_index < 0) return false;
   Pod* pod = pods_[pod_index].get();
@@ -44,10 +66,11 @@ bool Service::Dispatch(const RequestInfo& info, double work, DoneFn done,
   if (blackholed_) {
     // The caller sees a successful send that never completes; its hop
     // timeout (if any) converts the silence into a failure. Dropping the
-    // callback before the service-time draw keeps the workload RNG stream
-    // aligned with the post-revert run.
+    // token before the service-time draw keeps the workload RNG stream
+    // aligned with the post-revert run. A held dispatch leaves `held->pod`
+    // null, so a later ReleaseHeld is a no-op: no worker slot was taken.
     ++blackholed_dispatches_;
-    if (callback_retained != nullptr) *callback_retained = false;
+    if (token_retained != nullptr) *token_retained = false;
     return true;
   }
   if (error_rate_ > 0.0 && error_rng_.NextDouble() < error_rate_) {
@@ -55,45 +78,21 @@ bool Service::Dispatch(const RequestInfo& info, double work, DoneFn done,
     return false;
   }
   const double sigma = config_.service_sigma;
-  double ms = sigma > 0.0 ? rng_.LogNormal(log_mean_ + std::log(work), sigma)
-                          : config_.mean_service_ms * work;
-  ms *= time_factor_;
-  if (sampled_service_time != nullptr) *sampled_service_time = Millis(ms);
-  return pod->Enqueue(Millis(ms), std::move(done));
-}
-
-bool Service::DispatchHeld(const RequestInfo& info, double work, DoneFn done,
-                           HeldDispatch* held, SimTime* sampled_service_time,
-                           bool* callback_retained) {
-  if (callback_retained != nullptr) *callback_retained = true;
-  const int pod_index = PickPod();
-  if (pod_index < 0) return false;
-  Pod* pod = pods_[pod_index].get();
-  if (admission_ != nullptr) {
-    if (!admission_->Admit(info, id_, pod_index, sim_->Now())) return false;
-  }
-  if (blackholed_) {
-    // `held->pod` stays null, so a later ReleaseHeld is a no-op: no worker
-    // slot was ever taken by a blackholed dispatch.
-    ++blackholed_dispatches_;
-    if (callback_retained != nullptr) *callback_retained = false;
-    return true;
-  }
-  if (error_rate_ > 0.0 && error_rng_.NextDouble() < error_rate_) {
-    ++injected_errors_;
-    return false;
-  }
-  const double sigma = config_.service_sigma;
-  double ms = sigma > 0.0 ? rng_.LogNormal(log_mean_ + std::log(work), sigma)
-                          : config_.mean_service_ms * work;
-  ms *= time_factor_;
-  if (sampled_service_time != nullptr) *sampled_service_time = Millis(ms);
+  // log(1) is exactly 0, so skipping it for unit work changes no bit.
+  const double ms =
+      sigma > 0.0
+          ? rng_.LogNormal(work == 1.0 ? log_mean_ : log_mean_ + std::log(work), sigma)
+          : config_.mean_service_ms * work;
+  const SimTime service_time = Millis(ms * time_factor_);
+  if (sampled_service_time != nullptr) *sampled_service_time = service_time;
+  if (held == nullptr) return pod->Enqueue(service_time, token);
   held->pod = pod;
-  return pod->EnqueueHeld(Millis(ms), std::move(done), &held->handle);
+  return pod->EnqueueHeld(service_time, token, &held->handle);
 }
 
 void Service::AddPod(SimTime startup_delay) {
-  pods_.push_back(std::make_unique<Pod>(sim_, config_.threads, config_.max_queue));
+  pods_.push_back(
+      std::make_unique<Pod>(sim_, config_.threads, config_.max_queue, sink_));
   probe_strikes_.push_back(0);
   Pod* pod = pods_.back().get();
   // New pods land on the same (possibly degraded) machines as the rest of

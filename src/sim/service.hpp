@@ -5,9 +5,13 @@
 // a lognormal service time with mean `mean_service_ms` (scaled by the call
 // node's work factor), i.e. one pod sustains threads / mean_service_time
 // requests per second at 100 % CPU.
+//
+// A dispatch carries the caller's 32-bit token to the chosen pod; every pod
+// of a service reports outcomes to the one Pod::DoneSink the service was
+// built with (the Application's).
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,25 +69,26 @@ struct ServiceWindowStats {
 
 class Service {
  public:
-  using DoneFn = Pod::DoneFn;
-
-  Service(des::Simulation* sim, ServiceId id, ServiceConfig config, Rng rng);
+  /// Every pod reports job outcomes to `sink` (not owned; must outlive the
+  /// service's pending completions).
+  Service(des::Simulation* sim, ServiceId id, ServiceConfig config, Rng rng,
+          Pod::DoneSink* sink);
 
   /// Dispatches one sub-request doing `work`× the base service time.
   /// Returns false when shed (admission denied, queue full, or no running
-  /// pod); `done` is only retained on success. When `sampled_service_time`
-  /// is non-null, the sampled service duration is written to it on success
-  /// (tracing observes the queue-wait/service-time split this way; the RNG
-  /// draw is identical either way). A blackholed service returns true but
-  /// drops the callback; `*callback_retained` (when non-null) tells the
-  /// caller whether `done` will eventually fire — the request engine's
-  /// attempt records count outstanding callback references and must not
-  /// wait for one that was dropped.
-  bool Dispatch(const RequestInfo& info, double work, DoneFn done,
+  /// pod); the sink only ever hears of `token` on success. When
+  /// `sampled_service_time` is non-null, the sampled service duration is
+  /// written to it on success (tracing observes the queue-wait/service-time
+  /// split this way; the RNG draw is identical either way). A blackholed
+  /// service returns true but drops the token; `*token_retained` (when
+  /// non-null) tells the caller whether the sink will eventually report
+  /// `token` — the request engine's attempt records count outstanding
+  /// references and must not wait for one that was dropped.
+  bool Dispatch(const RequestInfo& info, double work, std::uint32_t token,
                 SimTime* sampled_service_time = nullptr,
-                bool* callback_retained = nullptr);
+                bool* token_retained = nullptr);
 
-  /// Worker-slot token for blocking-RPC dispatches; call ReleaseHeld once
+  /// Worker-slot handle for blocking-RPC dispatches; call ReleaseHeld once
   /// the request's downstream subtree has completed.
   struct HeldDispatch {
     Pod* pod = nullptr;
@@ -94,9 +99,9 @@ class Service {
   /// completes until ReleaseHeld(*held). `held` must stay at a stable
   /// address until the attempt resolves (it lives in the request engine's
   /// pooled attempt record).
-  bool DispatchHeld(const RequestInfo& info, double work, DoneFn done,
+  bool DispatchHeld(const RequestInfo& info, double work, std::uint32_t token,
                     HeldDispatch* held, SimTime* sampled_service_time = nullptr,
-                    bool* callback_retained = nullptr);
+                    bool* token_retained = nullptr);
 
   static void ReleaseHeld(HeldDispatch& held) {
     if (held.pod != nullptr) held.pod->Release(held.handle);
@@ -190,7 +195,12 @@ class Service {
 
  private:
   /// Index of the least-loaded running pod, or -1 when none is running.
+  /// Ties go to the first in round-robin order from rr_cursor_ % pods.
   int PickPod();
+  /// Dispatch and DispatchHeld (`held` null for a plain dispatch).
+  bool Route(const RequestInfo& info, double work, std::uint32_t token,
+             HeldDispatch* held, SimTime* sampled_service_time,
+             bool* token_retained);
   /// Appends one pod (starting after `startup_delay`) with the current
   /// capacity factor applied.
   void AddPod(SimTime startup_delay);
@@ -200,6 +210,7 @@ class Service {
   void RunProbe();
 
   des::Simulation* sim_;
+  Pod::DoneSink* sink_;
   ServiceId id_;
   ServiceConfig config_;
   Rng rng_;
@@ -207,7 +218,7 @@ class Service {
   std::vector<std::unique_ptr<Pod>> pods_;
   std::vector<int> probe_strikes_;  ///< consecutive failed probes per pod.
   int desired_pods_ = 0;
-  int rr_cursor_ = 0;
+  std::uint64_t rr_cursor_ = 0;  ///< advanced once per pick
   int probe_kills_ = 0;
   bool probe_loop_running_ = false;
   double log_mean_;  ///< precomputed lognormal mu for the base service time.

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "baselines/dagor.hpp"
 #include "baselines/wisp.hpp"
+#include "recording_sink.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull::baselines {
@@ -59,9 +60,10 @@ TEST(DagorTest, ThresholdOrdersByCompoundPriority) {
     dagor.Admit(info, 0, 0, 0);
   }
   // Saturate the pod so it reports overload (head-of-line wait).
-  for (int i = 0; i < 50; ++i) {
-    app->service(0).pod(0).Enqueue(Millis(100), [](bool) {});
-  }
+  sim::RecordingSink rec(&app->sim());
+  sim::Pod& pod = app->service(0).pod(0);
+  pod.SetDoneSink(rec.sink());
+  for (std::uint32_t i = 0; i < 50; ++i) pod.Enqueue(Millis(100), i);
   app->sim().RunUntil(Millis(200));  // HoL wait grows past 20 ms
   dagor.Update();
   const int threshold = dagor.Threshold(0, 0);
@@ -142,9 +144,10 @@ TEST(BreakwaterTest, CreditRateDropsUnderQueueing) {
   BreakwaterAdmission bw(app.get(), config);
   bw.Admit(sim::RequestInfo{}, 0, 0, 0);
   // Jam the pod: one long job in service, one queued forever.
-  for (int i = 0; i < 10; ++i) {
-    app->service(0).pod(0).Enqueue(Seconds(2), [](bool) {});
-  }
+  sim::RecordingSink rec(&app->sim());
+  sim::Pod& pod = app->service(0).pod(0);
+  pod.SetDoneSink(rec.sink());
+  for (std::uint32_t i = 0; i < 10; ++i) pod.Enqueue(Seconds(2), i);
   app->sim().RunUntil(Millis(500));  // HoL wait 0.5 s >> 20 ms target
   bw.Update();
   EXPECT_LT(bw.CreditRate(0, 0), 400.0);
@@ -156,9 +159,10 @@ TEST(BreakwaterTest, AqmShedsOnInstantaneousDelay) {
   config.target_delay_s = 0.02;
   config.aqm_factor = 2.0;
   BreakwaterAdmission bw(app.get(), config);
-  for (int i = 0; i < 10; ++i) {
-    app->service(0).pod(0).Enqueue(Seconds(2), [](bool) {});
-  }
+  sim::RecordingSink rec(&app->sim());
+  sim::Pod& pod = app->service(0).pod(0);
+  pod.SetDoneSink(rec.sink());
+  for (std::uint32_t i = 0; i < 10; ++i) pod.Enqueue(Seconds(2), i);
   app->sim().RunUntil(Millis(200));  // HoL 0.2 s > 0.04 s AQM threshold
   EXPECT_FALSE(bw.Admit(sim::RequestInfo{}, 0, 0, app->sim().Now()));
 }
@@ -263,14 +267,17 @@ TEST(BreakwaterTest, CreditRateNeverFallsBelowFloorUnderRandomChurn) {
     config.initial_rate = 300.0;
     BreakwaterAdmission bw(app.get(), config);
     bw.Admit(sim::RequestInfo{}, 0, 0, 0);  // create pod state
+    sim::RecordingSink rec(&app->sim());
+    sim::Pod& pod = app->service(0).pod(0);
+    pod.SetDoneSink(rec.sink());
+    std::uint32_t token = 0;
     Rng rng(seed * 10007);
     for (int step = 0; step < 200; ++step) {
       if (rng.Bernoulli(0.5)) {
         const int jobs = static_cast<int>(rng.UniformInt(1, 8));
         for (int j = 0; j < jobs; ++j) {
-          app->service(0).pod(0).Enqueue(
-              static_cast<SimTime>(rng.UniformInt(Millis(1), Seconds(1))),
-              [](bool) {});
+          pod.Enqueue(static_cast<SimTime>(rng.UniformInt(Millis(1), Seconds(1))),
+                      token++);
         }
       }
       app->sim().RunUntil(app->sim().Now() +
@@ -324,9 +331,10 @@ TEST(WispTest, LocalQueueingCutsRate) {
   config.initial_rate = 400;
   WispAdmission wisp(app.get(), config);
   wisp.Admit(sim::RequestInfo{}, 0, 0, 0);
-  for (int i = 0; i < 10; ++i) {
-    app->service(0).pod(0).Enqueue(Seconds(2), [](bool) {});
-  }
+  sim::RecordingSink rec(&app->sim());
+  sim::Pod& pod = app->service(0).pod(0);
+  pod.SetDoneSink(rec.sink());
+  for (std::uint32_t i = 0; i < 10; ++i) pod.Enqueue(Seconds(2), i);
   app->sim().RunUntil(Millis(500));
   wisp.Update();
   EXPECT_LT(wisp.RateLimit(0, 0), 400.0);

@@ -23,8 +23,10 @@
 #include "rl/nn.hpp"
 #include "sim/app.hpp"
 #include "sim/request_observer.hpp"
+#include "sim/service.hpp"
 #include "workload/generators.hpp"
 #include "workload/schedule.hpp"
+#include "recording_sink.hpp"
 
 namespace topfull {
 namespace {
@@ -138,6 +140,83 @@ TEST_P(DesOrderSweep, EventsFireInNondecreasingTimeOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DesOrderSweep, ::testing::Range<std::uint64_t>(1, 9));
+
+// --- Service: PickPod equals the per-pod-modulo scan ------------------------
+
+/// The pick of the scan that takes one modulo per pod and never stops early:
+/// among running pods, the least outstanding, first in the order
+/// (cursor + k) % n.
+int ReferencePick(const sim::Service& svc, int cursor) {
+  const int n = svc.PodCount();
+  int best = -1;
+  for (int k = 0; k < n; ++k) {
+    const int i = (cursor + k) % n;
+    const sim::Pod& pod = svc.pod(i);
+    if (!pod.running()) continue;
+    if (best < 0 || pod.Outstanding() < svc.pod(best).Outstanding()) best = i;
+  }
+  return best;
+}
+
+class PickPodSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PickPodSweep, DispatchPicksWhatThePerPodModuloScanPicks) {
+  Rng rng(GetParam() * 7919);
+  des::Simulation sim;
+  sim::RecordingSink rec(&sim);
+  sim::ServiceConfig config;
+  config.name = "s";
+  config.mean_service_ms = 5.0;
+  config.threads = static_cast<int>(rng.UniformInt(1, 4));
+  config.max_queue = 1 << 20;  // every dispatch to a running pod is accepted
+  config.initial_pods = static_cast<int>(rng.UniformInt(1, 8));
+  sim::Service svc(&sim, 0, config, Rng(GetParam()), rec.sink());
+  int cursor = 0;  // picks so far: the scan's round-robin cursor
+  std::uint32_t token = 0;
+  int picked = 0;
+  for (int step = 0; step < 2000; ++step) {
+    // Move the pods to a random state: starting (added with a delay),
+    // running, killed, with offline threads, with random outstanding jobs.
+    const int n = svc.PodCount();
+    const int some = static_cast<int>(rng.UniformInt(0, n - 1));
+    const double u = rng.NextDouble();
+    if (u < 0.04 && svc.TotalPods() < 8) {
+      svc.SetPodCount(svc.TotalPods() + 1, Millis(static_cast<double>(rng.UniformInt(0, 30))));
+    } else if (u < 0.05) {
+      svc.SetPodCount(svc.DesiredPods() - 1);
+    } else if (u < 0.065) {
+      svc.pod(some).Kill();
+    } else if (u < 0.11) {
+      svc.pod(some).SetOfflineThreads(static_cast<int>(rng.UniformInt(0, config.threads)));
+    } else if (u < 0.35) {
+      const int jobs = static_cast<int>(rng.UniformInt(1, 6));
+      for (int j = 0; j < jobs; ++j) {
+        svc.pod(some).Enqueue(Millis(static_cast<double>(rng.UniformInt(1, 20))), token++);
+      }
+    } else if (u < 0.55) {
+      sim.RunUntil(sim.Now() + rng.UniformInt(0, Millis(15)));
+    }
+
+    std::vector<int> before;
+    for (int i = 0; i < svc.PodCount(); ++i) before.push_back(svc.pod(i).Outstanding());
+    const int expected = ReferencePick(svc, cursor);
+    if (svc.PodCount() > 0) ++cursor;
+    const bool accepted = svc.Dispatch(sim::RequestInfo{}, 1.0, token++);
+    if (expected < 0) {
+      EXPECT_FALSE(accepted) << "step " << step;
+      continue;
+    }
+    ASSERT_TRUE(accepted) << "step " << step;
+    ++picked;
+    for (int i = 0; i < svc.PodCount(); ++i) {
+      ASSERT_EQ(svc.pod(i).Outstanding(), before[static_cast<std::size_t>(i)] + (i == expected))
+          << "step " << step << " pod " << i << " expected pick " << expected;
+    }
+  }
+  EXPECT_GT(picked, 1000);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PickPodSweep, ::testing::Range<std::uint64_t>(1, 17));
 
 // --- Schedule: At() equals the brute-force "last breakpoint <= t" ------------
 

@@ -9,6 +9,7 @@
 #include "sim/app.hpp"
 #include "sim/call_graph.hpp"
 #include "sim/pod.hpp"
+#include "recording_sink.hpp"
 
 namespace topfull::sim {
 namespace {
@@ -67,76 +68,106 @@ TEST(ApiSpecTest, SamplePathRespectsProbabilities) {
 
 TEST(PodTest, ServesSequentiallyPerThread) {
   des::Simulation sim;
-  Pod pod(&sim, /*threads=*/1, /*max_queue=*/10);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, /*threads=*/1, /*max_queue=*/10, rec.sink());
   pod.Start();
-  std::vector<SimTime> completions;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(pod.Enqueue(Millis(10), [&](bool ok) {
-      EXPECT_TRUE(ok);
-      completions.push_back(sim.Now());
-    }));
-  }
+  for (std::uint32_t i = 0; i < 3; ++i) ASSERT_TRUE(pod.Enqueue(Millis(10), i));
   sim.RunUntil(Seconds(1));
-  ASSERT_EQ(completions.size(), 3u);
-  EXPECT_EQ(completions[0], Millis(10));
-  EXPECT_EQ(completions[1], Millis(20));
-  EXPECT_EQ(completions[2], Millis(30));
+  const auto& done = rec.reports();
+  ASSERT_EQ(done.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(done[i].ok);
+    EXPECT_EQ(done[i].token, i);
+  }
+  EXPECT_EQ(done[0].at, Millis(10));
+  EXPECT_EQ(done[1].at, Millis(20));
+  EXPECT_EQ(done[2].at, Millis(30));
 }
 
 TEST(PodTest, ParallelThreadsServeConcurrently) {
   des::Simulation sim;
-  Pod pod(&sim, /*threads=*/4, /*max_queue=*/10);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, /*threads=*/4, /*max_queue=*/10, rec.sink());
   pod.Start();
-  int done = 0;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(pod.Enqueue(Millis(10), [&](bool ok) { done += ok ? 1 : 0; }));
-  }
+  for (std::uint32_t i = 0; i < 4; ++i) ASSERT_TRUE(pod.Enqueue(Millis(10), i));
   sim.RunUntil(Millis(11));
-  EXPECT_EQ(done, 4);
+  EXPECT_EQ(rec.Count(/*ok=*/true), 4);
 }
 
 TEST(PodTest, RejectsWhenQueueFull) {
   des::Simulation sim;
-  Pod pod(&sim, /*threads=*/1, /*max_queue=*/2);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, /*threads=*/1, /*max_queue=*/2, rec.sink());
   pod.Start();
-  auto noop = [](bool) {};
-  EXPECT_TRUE(pod.Enqueue(Millis(10), noop));  // in service
-  EXPECT_TRUE(pod.Enqueue(Millis(10), noop));  // queued (1)
-  EXPECT_TRUE(pod.Enqueue(Millis(10), noop));  // queued (2)
-  EXPECT_FALSE(pod.Enqueue(Millis(10), noop));
+  EXPECT_TRUE(pod.Enqueue(Millis(10), 0));  // in service
+  EXPECT_TRUE(pod.Enqueue(Millis(10), 1));  // queued (1)
+  EXPECT_TRUE(pod.Enqueue(Millis(10), 2));  // queued (2)
+  EXPECT_FALSE(pod.Enqueue(Millis(10), 3));
 }
 
 TEST(PodTest, RejectsWhenNotRunning) {
   des::Simulation sim;
-  Pod pod(&sim, 1, 10);  // still starting
-  EXPECT_FALSE(pod.Enqueue(Millis(1), [](bool) {}));
+  RecordingSink rec(&sim);
+  Pod pod(&sim, 1, 10, rec.sink());  // still starting
+  EXPECT_FALSE(pod.Enqueue(Millis(1), 0));
   pod.Start();
-  EXPECT_TRUE(pod.Enqueue(Millis(1), [](bool) {}));
+  EXPECT_TRUE(pod.Enqueue(Millis(1), 1));
   pod.Kill();
-  EXPECT_FALSE(pod.Enqueue(Millis(1), [](bool) {}));
+  EXPECT_FALSE(pod.Enqueue(Millis(1), 2));
 }
 
 TEST(PodTest, KillFailsQueuedAndInflightJobs) {
   des::Simulation sim;
-  Pod pod(&sim, 1, 10);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, 1, 10, rec.sink());
   pod.Start();
-  int ok_count = 0, fail_count = 0;
-  auto cb = [&](bool ok) { ok ? ++ok_count : ++fail_count; };
-  pod.Enqueue(Millis(100), cb);
-  pod.Enqueue(Millis(100), cb);
-  pod.Enqueue(Millis(100), cb);
+  pod.Enqueue(Millis(100), 0);
+  pod.Enqueue(Millis(100), 1);
+  pod.Enqueue(Millis(100), 2);
   sim.ScheduleAt(Millis(10), [&]() { pod.Kill(); });
   sim.RunUntil(Seconds(1));
-  EXPECT_EQ(ok_count, 0);
-  EXPECT_EQ(fail_count, 3);
+  EXPECT_EQ(rec.Count(/*ok=*/true), 0);
+  EXPECT_EQ(rec.Count(/*ok=*/false), 3);
+}
+
+TEST(PodTest, KillReportsQueuedTokensAtKillAndInServiceAtCompletion) {
+  des::Simulation sim;
+  RecordingSink rec(&sim);
+  Pod pod(&sim, /*threads=*/2, /*max_queue=*/10, rec.sink());
+  pod.Start();
+  // Tokens 10 and 11 enter service (done at 100 and 110 ms); 12-14 queue.
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(pod.Enqueue(Millis(100 + 10 * static_cast<int>(i)), 10 + i));
+  }
+  ASSERT_EQ(pod.InService(), 2);
+  ASSERT_EQ(pod.QueueLength(), 3);
+  sim.ScheduleAt(Millis(50), [&]() { pod.Kill(); });
+  sim.RunUntil(Seconds(1));
+  const auto& done = rec.reports();
+  ASSERT_EQ(done.size(), 5u);
+  // Queued jobs fail at Kill, in FIFO order.
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(done[i].token, 12 + i);
+    EXPECT_FALSE(done[i].ok);
+    EXPECT_EQ(done[i].at, Millis(50));
+  }
+  // Jobs in service fail at their own completion events.
+  EXPECT_EQ(done[3].token, 10u);
+  EXPECT_FALSE(done[3].ok);
+  EXPECT_EQ(done[3].at, Millis(100));
+  EXPECT_EQ(done[4].token, 11u);
+  EXPECT_FALSE(done[4].ok);
+  EXPECT_EQ(done[4].at, Millis(110));
+  EXPECT_EQ(pod.DrainWindowStats().completed, 0u);
 }
 
 TEST(PodTest, HeadOfLineWaitGrowsWhileQueued) {
   des::Simulation sim;
-  Pod pod(&sim, 1, 10);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, 1, 10, rec.sink());
   pod.Start();
-  pod.Enqueue(Millis(100), [](bool) {});
-  pod.Enqueue(Millis(100), [](bool) {});
+  pod.Enqueue(Millis(100), 0);
+  pod.Enqueue(Millis(100), 1);
   sim.RunUntil(Millis(50));
   EXPECT_EQ(pod.HeadOfLineWait(), Millis(50));
   EXPECT_EQ(pod.QueueLength(), 1);
@@ -146,10 +177,11 @@ TEST(PodTest, HeadOfLineWaitGrowsWhileQueued) {
 
 TEST(PodTest, WindowStatsAccounting) {
   des::Simulation sim;
-  Pod pod(&sim, 1, 10);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, 1, 10, rec.sink());
   pod.Start();
-  pod.Enqueue(Millis(100), [](bool) {});
-  pod.Enqueue(Millis(100), [](bool) {});
+  pod.Enqueue(Millis(100), 0);
+  pod.Enqueue(Millis(100), 1);
   sim.RunUntil(Seconds(1));
   const PodWindowStats w = pod.DrainWindowStats();
   EXPECT_EQ(w.started, 2u);
@@ -160,18 +192,61 @@ TEST(PodTest, WindowStatsAccounting) {
   EXPECT_EQ(pod.DrainWindowStats().started, 0u);
 }
 
+TEST(PodTest, IdleFastPathRecordsTheSameStatsAsTheQueuedPath) {
+  // Two pods see the same jobs. On `queued`, job 1 arrives while its only
+  // effective server is busy and waits in the queue until a server comes
+  // back online at the same instant; on `direct`, the server is back first,
+  // so job 1 finds the queue empty and enters service at once.
+  des::Simulation sim;
+  RecordingSink queued_rec(&sim);
+  RecordingSink direct_rec(&sim);
+  Pod queued(&sim, /*threads=*/2, /*max_queue=*/10, queued_rec.sink());
+  Pod direct(&sim, /*threads=*/2, /*max_queue=*/10, direct_rec.sink());
+  for (Pod* pod : {&queued, &direct}) {
+    pod->Start();
+    pod->SetOfflineThreads(1);
+    ASSERT_TRUE(pod->Enqueue(Millis(30), 0));
+  }
+  sim.ScheduleAt(Millis(5), [&]() {
+    ASSERT_TRUE(queued.Enqueue(Millis(20), 1));
+    ASSERT_EQ(queued.QueueLength(), 1);
+    queued.SetOfflineThreads(0);
+    direct.SetOfflineThreads(0);
+    ASSERT_TRUE(direct.Enqueue(Millis(20), 1));
+    ASSERT_EQ(direct.QueueLength(), 0);
+    EXPECT_EQ(queued.InService(), 2);
+    EXPECT_EQ(direct.InService(), 2);
+  });
+  sim.RunUntil(Seconds(1));
+  const PodWindowStats q = queued.DrainWindowStats();
+  const PodWindowStats d = direct.DrainWindowStats();
+  EXPECT_EQ(q.started, 2u);
+  EXPECT_EQ(d.started, q.started);
+  EXPECT_EQ(d.completed, q.completed);
+  EXPECT_EQ(d.busy_seconds, q.busy_seconds);
+  EXPECT_EQ(d.queue_delay_sum_s, q.queue_delay_sum_s);
+  EXPECT_EQ(d.queue_delay_max_s, q.queue_delay_max_s);
+  ASSERT_EQ(queued_rec.reports().size(), 2u);
+  ASSERT_EQ(direct_rec.reports().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(direct_rec.reports()[i].token, queued_rec.reports()[i].token);
+    EXPECT_EQ(direct_rec.reports()[i].at, queued_rec.reports()[i].at);
+  }
+}
+
 // --- Pod in-service records ---------------------------------------------------
 
 TEST(PodRecordTest, KillMidServiceFailsEachInFlightJobExactlyOnce) {
   des::Simulation sim;
-  Pod pod(&sim, /*threads=*/3, /*max_queue=*/10);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, /*threads=*/3, /*max_queue=*/10, rec.sink());
   pod.Start();
   std::vector<int> fails(5, 0);
   std::vector<int> oks(5, 0);
+  rec.OnReport([&](std::uint32_t token, bool ok) { ++(ok ? oks : fails)[token]; });
   for (std::size_t i = 0; i < fails.size(); ++i) {
     // Three jobs enter service at once; two wait in the queue.
-    pod.Enqueue(Millis(100 + 10 * static_cast<int>(i)),
-                [&fails, &oks, i](bool ok) { ++(ok ? oks : fails)[i]; });
+    pod.Enqueue(Millis(100 + 10 * static_cast<int>(i)), static_cast<std::uint32_t>(i));
   }
   ASSERT_EQ(pod.InService(), 3);
   sim.ScheduleAt(Millis(50), [&]() { pod.Kill(); });
@@ -186,25 +261,31 @@ TEST(PodRecordTest, KillMidServiceFailsEachInFlightJobExactlyOnce) {
 
 TEST(PodRecordTest, NeverHoldsMoreRecordsThanThreads) {
   des::Simulation sim;
-  Pod pod(&sim, /*threads=*/4, /*max_queue=*/1000);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, /*threads=*/4, /*max_queue=*/1000, rec.sink());
   pod.Start();
   Rng rng(7);
   std::vector<Pod::HoldHandle> holds(64);
   std::size_t next_hold = 0;
+  std::vector<Pod::HoldHandle*> hold_of(400, nullptr);  // by token
   int completed = 0;
+  rec.OnReport([&](std::uint32_t token, bool) {
+    ++completed;
+    Pod::HoldHandle* hold = hold_of[token];
+    if (hold != nullptr) {
+      sim.ScheduleAfter(Millis(0.5), [&pod, hold]() { pod.Release(*hold); });
+    }
+  });
   // A random mix of plain and held jobs, arriving faster than they are
   // served, with held slots released a little after local completion.
-  for (int i = 0; i < 400; ++i) {
-    sim.ScheduleAt(rng.UniformInt(0, Millis(200)), [&]() {
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    sim.ScheduleAt(rng.UniformInt(0, Millis(200)), [&, i]() {
       const SimTime service = rng.UniformInt(100, Millis(3));  // us
       if (rng.NextDouble() < 0.3) {
-        Pod::HoldHandle* hold = &holds[next_hold++ % holds.size()];
-        pod.EnqueueHeld(service, [&, hold](bool) {
-          ++completed;
-          sim.ScheduleAfter(Millis(0.5), [&pod, hold]() { pod.Release(*hold); });
-        }, hold);
+        hold_of[i] = &holds[next_hold++ % holds.size()];
+        pod.EnqueueHeld(service, i, hold_of[i]);
       } else {
-        pod.Enqueue(service, [&completed](bool) { ++completed; });
+        pod.Enqueue(service, i);
       }
     });
   }
@@ -216,18 +297,19 @@ TEST(PodRecordTest, NeverHoldsMoreRecordsThanThreads) {
 
 TEST(PodRecordTest, EnqueueFromDoneReusesTheFreedRecord) {
   des::Simulation sim;
-  Pod pod(&sim, /*threads=*/2, /*max_queue=*/10);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, /*threads=*/2, /*max_queue=*/10, rec.sink());
   pod.Start();
   int rounds = 0;
-  std::function<void(bool)> again = [&](bool ok) {
+  rec.OnReport([&](std::uint32_t, bool ok) {
     ASSERT_TRUE(ok);
-    // The finished job's record is already free when `done` runs.
+    // The finished job's record is already free when the sink runs.
     EXPECT_EQ(pod.FreeServiceRecords(), 1u);
     if (++rounds < 5) {
-      ASSERT_TRUE(pod.Enqueue(Millis(10), again));
+      ASSERT_TRUE(pod.Enqueue(Millis(10), static_cast<std::uint32_t>(rounds)));
     }
-  };
-  ASSERT_TRUE(pod.Enqueue(Millis(10), again));
+  });
+  ASSERT_TRUE(pod.Enqueue(Millis(10), 0));
   sim.RunUntil(Seconds(1));
   EXPECT_EQ(rounds, 5);
   // One record served all five jobs although the pod has two threads.
@@ -249,26 +331,27 @@ ServiceConfig TestServiceConfig(const char* name, double mean_ms, int threads,
 
 TEST(ServiceTest, CapacityRpsFormula) {
   des::Simulation sim;
-  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 4, 2), Rng(1));
+  RecordingSink rec(&sim);
+  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 4, 2), Rng(1), rec.sink());
   // 2 pods x 4 threads / 10 ms = 800 rps.
   EXPECT_DOUBLE_EQ(svc.CapacityRps(), 800.0);
 }
 
 TEST(ServiceTest, DispatchBalancesAcrossPods) {
   des::Simulation sim;
-  Service svc(&sim, 0, TestServiceConfig("s", 100.0, 1, 2), Rng(1));
-  int done = 0;
-  auto cb = [&](bool ok) { done += ok ? 1 : 0; };
-  EXPECT_TRUE(svc.Dispatch(RequestInfo{}, 1.0, cb));
-  EXPECT_TRUE(svc.Dispatch(RequestInfo{}, 1.0, cb));
+  RecordingSink rec(&sim);
+  Service svc(&sim, 0, TestServiceConfig("s", 100.0, 1, 2), Rng(1), rec.sink());
+  EXPECT_TRUE(svc.Dispatch(RequestInfo{}, 1.0, 0));
+  EXPECT_TRUE(svc.Dispatch(RequestInfo{}, 1.0, 1));
   // Both should be in service concurrently (one per pod).
   sim.RunUntil(Millis(101));
-  EXPECT_EQ(done, 2);
+  EXPECT_EQ(rec.Count(/*ok=*/true), 2);
 }
 
 TEST(ServiceTest, ScaleUpAfterStartupDelay) {
   des::Simulation sim;
-  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 1, 1), Rng(1));
+  RecordingSink rec(&sim);
+  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 1, 1), Rng(1), rec.sink());
   svc.SetPodCount(3, Seconds(5));
   EXPECT_EQ(svc.RunningPods(), 1);
   EXPECT_EQ(svc.TotalPods(), 3);
@@ -278,30 +361,33 @@ TEST(ServiceTest, ScaleUpAfterStartupDelay) {
 
 TEST(ServiceTest, ScaleDownKillsPods) {
   des::Simulation sim;
-  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 1, 4), Rng(1));
+  RecordingSink rec(&sim);
+  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 1, 4), Rng(1), rec.sink());
   svc.SetPodCount(1);
   EXPECT_EQ(svc.RunningPods(), 1);
 }
 
 TEST(ServiceTest, KillPodsFailureInjection) {
   des::Simulation sim;
-  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 1, 5), Rng(1));
+  RecordingSink rec(&sim);
+  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 1, 5), Rng(1), rec.sink());
   EXPECT_EQ(svc.KillPods(3), 3);
   EXPECT_EQ(svc.RunningPods(), 2);
   EXPECT_EQ(svc.KillPods(10), 2);
   EXPECT_EQ(svc.RunningPods(), 0);
   // With no running pods, dispatch sheds.
-  EXPECT_FALSE(svc.Dispatch(RequestInfo{}, 1.0, [](bool) {}));
+  EXPECT_FALSE(svc.Dispatch(RequestInfo{}, 1.0, 0));
+  EXPECT_TRUE(rec.reports().empty());
 }
 
 TEST(ServiceTest, UtilizationReflectsLoad) {
   des::Simulation sim;
-  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 2, 1), Rng(1));
+  RecordingSink rec(&sim);
+  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 2, 1), Rng(1), rec.sink());
   // Capacity 200 rps; submit 100 requests over 1 s => util ~0.5.
-  for (int i = 0; i < 100; ++i) {
-    sim.ScheduleAt(Millis(10 * i), [&]() {
-      svc.Dispatch(RequestInfo{}, 1.0, [](bool) {});
-    });
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    sim.ScheduleAt(Millis(10 * static_cast<int>(i)),
+                   [&, i]() { svc.Dispatch(RequestInfo{}, 1.0, i); });
   }
   sim.RunUntil(Seconds(1));
   const ServiceWindowStats w = svc.CollectWindow(Seconds(1));
@@ -311,9 +397,10 @@ TEST(ServiceTest, UtilizationReflectsLoad) {
 
 TEST(ServiceTest, ZeroRunningPodsWithArrivalsReportsSaturation) {
   des::Simulation sim;
-  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 1, 1), Rng(1));
+  RecordingSink rec(&sim);
+  Service svc(&sim, 0, TestServiceConfig("s", 10.0, 1, 1), Rng(1), rec.sink());
   svc.KillPods(1);
-  svc.Dispatch(RequestInfo{}, 1.0, [](bool) {});
+  svc.Dispatch(RequestInfo{}, 1.0, 0);
   const ServiceWindowStats w = svc.CollectWindow(Seconds(1));
   EXPECT_EQ(w.running_pods, 0);
   EXPECT_DOUBLE_EQ(w.cpu_utilization, 0.0);  // nothing started, nothing queued
@@ -493,13 +580,18 @@ TEST(ApplicationTest, BranchingApiSamplesPaths) {
 
 TEST(PodTest, HeldSlotStaysBusyUntilRelease) {
   des::Simulation sim;
-  Pod pod(&sim, /*threads=*/1, /*max_queue=*/10);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, /*threads=*/1, /*max_queue=*/10, rec.sink());
   pod.Start();
   Pod::HoldHandle hold;
   bool local_done = false;
-  ASSERT_TRUE(pod.EnqueueHeld(Millis(10), [&](bool ok) { local_done = ok; }, &hold));
   int second_done = 0;
-  ASSERT_TRUE(pod.Enqueue(Millis(10), [&](bool ok) { second_done += ok ? 1 : 0; }));
+  rec.OnReport([&](std::uint32_t token, bool ok) {
+    if (token == 0) local_done = ok;
+    if (token == 1) second_done += ok ? 1 : 0;
+  });
+  ASSERT_TRUE(pod.EnqueueHeld(Millis(10), 0, &hold));
+  ASSERT_TRUE(pod.Enqueue(Millis(10), 1));
   sim.RunUntil(Millis(100));
   EXPECT_TRUE(local_done);
   // The single worker is still held: the second job never started.
@@ -512,10 +604,11 @@ TEST(PodTest, HeldSlotStaysBusyUntilRelease) {
 
 TEST(PodTest, ReleaseAfterKillIsNoop) {
   des::Simulation sim;
-  Pod pod(&sim, 1, 10);
+  RecordingSink rec(&sim);
+  Pod pod(&sim, 1, 10, rec.sink());
   pod.Start();
   Pod::HoldHandle hold;
-  pod.EnqueueHeld(Millis(10), [](bool) {}, &hold);
+  pod.EnqueueHeld(Millis(10), 0, &hold);
   sim.RunUntil(Millis(20));
   ASSERT_TRUE(hold.active);
   pod.Kill();
