@@ -30,8 +30,10 @@ class RequestObserver {
   /// whether to trace the request's hops.
   virtual void OnAdmitted(RequestId id, ApiId api, SimTime now) = 0;
 
-  /// Whether hop-level events should be reported for `id`. The engine skips
-  /// span bookkeeping entirely for untraced requests.
+  /// Whether hop-level events should be reported for `id`. The engine asks
+  /// once per request, right after OnAdmitted, and keeps the answer for the
+  /// request's lifetime; it skips span bookkeeping entirely for untraced
+  /// requests.
   virtual bool Tracing(RequestId id) const = 0;
 
   /// A sub-request was shed at dispatch (queue full / no running pod /
@@ -44,7 +46,8 @@ class RequestObserver {
   virtual void OnHopDone(RequestId id, ServiceId service, SimTime start,
                          SimTime end, SimTime service_time, bool ok) = 0;
 
-  /// The request finalised. Only called for requests with Tracing(id) true.
+  /// The request finalised. Only called for requests whose Tracing(id) was
+  /// true at admission.
   /// `slo_ok` mirrors the metrics collector's goodput accounting.
   virtual void OnRequestDone(RequestId id, ApiId api, SimTime start, SimTime end,
                              Outcome outcome, bool slo_ok) = 0;
