@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/alibaba_demo.hpp"
@@ -35,6 +36,7 @@
 #include "obs/trace.hpp"
 #include "sim/app.hpp"
 #include "sim/sharded_app.hpp"
+#include "two_cluster_app.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull {
@@ -534,9 +536,11 @@ TEST(EngineIdentityTest, HopPathFaultsMatchParent) {
 // --- Sharded engine identity -------------------------------------------------
 
 /// Serialization of a sharded run's merged observables, mirroring
-/// Serialize() field-for-field plus the cross-shard call counter.
+/// Serialize() field-for-field, plus the cross-shard call counter when
+/// `with_remote` is set.
 std::string SerializeSharded(const sim::ShardedApp& app,
-                             const std::vector<fault::FaultRecord>& log) {
+                             const std::vector<fault::FaultRecord>& log,
+                             bool with_remote = true) {
   std::string out;
   char buf[512];
   for (const auto& snap : app.MergedTimeline()) {
@@ -563,11 +567,17 @@ std::string SerializeSharded(const sim::ShardedApp& app,
       out += buf;
     }
   }
-  std::snprintf(buf, sizeof buf,
-                "timeouts=%llu retries=%llu inflight=%d remote=%llu\n",
-                static_cast<unsigned long long>(app.HopTimeouts()),
-                static_cast<unsigned long long>(app.Retries()), app.Inflight(),
-                static_cast<unsigned long long>(app.RemoteCalls()));
+  if (with_remote) {
+    std::snprintf(buf, sizeof buf,
+                  "timeouts=%llu retries=%llu inflight=%d remote=%llu\n",
+                  static_cast<unsigned long long>(app.HopTimeouts()),
+                  static_cast<unsigned long long>(app.Retries()), app.Inflight(),
+                  static_cast<unsigned long long>(app.RemoteCalls()));
+  } else {
+    std::snprintf(buf, sizeof buf, "timeouts=%llu retries=%llu inflight=%d\n",
+                  static_cast<unsigned long long>(app.HopTimeouts()),
+                  static_cast<unsigned long long>(app.Retries()), app.Inflight());
+  }
   out += buf;
   for (const auto& r : log) {
     std::snprintf(buf, sizeof buf, "fault t=%lld %s %s %s sev=%.17g n=%d\n",
@@ -581,7 +591,7 @@ std::string SerializeSharded(const sim::ShardedApp& app,
 
 /// Digest of `specs` run at `shards` engine shards, merged observables.
 std::uint64_t ShardedSweepDigest(std::vector<exp::RunSpec> specs, int shards,
-                                 bool threaded) {
+                                 bool threaded, bool with_remote = true) {
   std::string all;
   for (auto& spec : specs) {
     spec.shards = shards;
@@ -589,9 +599,77 @@ std::uint64_t ShardedSweepDigest(std::vector<exp::RunSpec> specs, int shards,
     const exp::RunResult r = exp::Run(spec);
     all += r.label;
     all += '\n';
-    all += SerializeSharded(*r.sharded, r.fault_log);
+    all += SerializeSharded(*r.sharded, r.fault_log, with_remote);
   }
   return Fnv1a(all);
+}
+
+/// Two Alibaba copies under MIMD with a pod crash in the first copy: 62
+/// clusters, so every shard count up to 62 packs whole clusters.
+std::vector<exp::RunSpec> AlibabaReplicaSpecs() {
+  exp::RunSpec spec;
+  spec.label = "alibaba-x2";
+  spec.duration_s = 8.0;
+  spec.variant = exp::Variant::kTopFullMimd;
+  spec.make_app = [] {
+    apps::AlibabaDemoOptions options;
+    options.replicas = 2;
+    return apps::MakeAlibabaDemo(options).app;
+  };
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app), workload::Schedule::Constant(6000));
+  };
+  apps::AlibabaDemoOptions options;
+  options.replicas = 2;
+  const apps::AlibabaDemo demo = apps::MakeAlibabaDemo(options);
+  spec.faults.CrashPods(demo.app->service(demo.overloadable.at(0)).name(), Seconds(3),
+                        2, Seconds(2), Seconds(1));
+  std::vector<exp::RunSpec> specs;
+  specs.push_back(std::move(spec));
+  return specs;
+}
+
+std::vector<exp::RunSpec> TwoClusterSpecs() {
+  std::vector<exp::RunSpec> specs;
+  specs.push_back(TwoClusterSpec());
+  return specs;
+}
+
+// Minted on the engine that could still split a cluster across shards
+// (commit c667b4c). Every run here packs whole clusters onto shards, so no
+// hop ever leaves its shard and the merged observables must not change when
+// the cross-shard path goes.
+TEST(EngineIdentityTest, AlignedShardsMatchParent) {
+  // The Alibaba run is not trivial: both shards simulate, the crash lands.
+  exp::RunSpec alibaba = AlibabaReplicaSpecs()[0];
+  alibaba.shards = 2;
+  const exp::RunResult r = exp::Run(alibaba);
+  ASSERT_EQ(r.sharded->num_shards(), 2);
+  EXPECT_GT(r.sharded->app(0).sim().EventsProcessed(), 10000u);
+  EXPECT_GT(r.sharded->app(1).sim().EventsProcessed(), 10000u);
+  EXPECT_FALSE(r.fault_log.empty());
+  EXPECT_GT(r.sharded->MergedAvgTotalGoodput(1.0), 0.0);
+
+  std::string all;
+  for (const auto& [make, shards] :
+       std::vector<std::pair<std::vector<exp::RunSpec> (*)(), int>>{
+           {AlibabaReplicaSpecs, 2}, {AlibabaReplicaSpecs, 4}, {TwoClusterSpecs, 2}}) {
+    const std::uint64_t threaded =
+        ShardedSweepDigest(make(), shards, /*threaded=*/true, /*with_remote=*/false);
+    const std::uint64_t sequential =
+        ShardedSweepDigest(make(), shards, /*threaded=*/false, /*with_remote=*/false);
+    EXPECT_EQ(threaded, sequential) << shards << " shards depend on the execution mode";
+    char line[32];
+    std::snprintf(line, sizeof line, "%d:%016llx\n", shards,
+                  static_cast<unsigned long long>(threaded));
+    all += line;
+  }
+  const std::uint64_t digest = Fnv1a(all);
+  if (StrictGolden()) {
+    EXPECT_EQ(digest, 0x94aa1c7b4372358eull)
+        << "aligned sharded runs diverged from the parent engine "
+        << "(set TOPFULL_STRICT_GOLDEN=0 on a foreign libm)";
+  }
 }
 
 // Golden captured from this engine at shards=4 on the reference toolchain

@@ -26,6 +26,7 @@
 #include "sim/app.hpp"
 #include "sim/shard_plan.hpp"
 #include "sim/sharded_app.hpp"
+#include "two_cluster_app.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull {
@@ -286,27 +287,6 @@ TEST(ShardPlanTest, OneShardOwnsEverything) {
 
 // --- End-to-end sharded runs -------------------------------------------------
 
-/// Two disjoint 2-service chains -> two clusters, two APIs.
-std::unique_ptr<sim::Application> MakeTwoClusterApp() {
-  auto app = std::make_unique<sim::Application>("two-cluster", 7);
-  for (int i = 0; i < 4; ++i) {
-    sim::ServiceConfig config;
-    config.name = "svc-" + std::to_string(i);
-    config.mean_service_ms = 5.0 + i;
-    config.threads = 4;
-    config.initial_pods = 2;
-    app->AddService(config);
-  }
-  sim::ApiSpec left("left", 1);
-  left.AddPath(sim::ExecutionPath{sim::Chain({0, 1}), 1.0, {}});
-  app->AddApi(std::move(left));
-  sim::ApiSpec right("right", 1);
-  right.AddPath(sim::ExecutionPath{sim::Chain({2, 3}), 1.0, {}});
-  app->AddApi(std::move(right));
-  app->Finalize();
-  return app;
-}
-
 /// One 4-service chain -> a single cluster that must be split.
 std::unique_ptr<sim::Application> MakeChainApp() {
   auto app = std::make_unique<sim::Application>("chain", 11);
@@ -323,19 +303,6 @@ std::unique_ptr<sim::Application> MakeChainApp() {
   app->AddApi(std::move(api));
   app->Finalize();
   return app;
-}
-
-exp::RunSpec TwoClusterSpec() {
-  exp::RunSpec spec;
-  spec.label = "two-cluster";
-  spec.duration_s = 8.0;
-  spec.make_app = MakeTwoClusterApp;
-  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
-    traffic.AddClosedLoop(exp::UniformUsers(app), workload::Schedule::Constant(400));
-    traffic.AddOpenLoop(0, workload::Schedule::Constant(50));
-    traffic.AddOpenLoop(1, workload::Schedule::Constant(50));
-  };
-  return spec;
 }
 
 std::string SerializeMerged(const sim::ShardedApp& app,
