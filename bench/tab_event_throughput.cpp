@@ -234,23 +234,20 @@ Measurement RunDeepCallTree() {
 
 /// The sharded engine on a scaled deep-tree workload: 8 disjoint tree
 /// deployments (8 clusters), 16k closed-loop users, one simulation
-/// partitioned across `shards` engine shards. The plan is cluster-aligned,
-/// so the lookahead is unbounded and each RunUntil is one round. Measures
-/// aggregate events/sec over all shards, the synchronization rounds, and
-/// the barrier-blocked fraction of shard wall time (shard imbalance once
-/// rounds no longer dominate).
+/// partitioned across `shards` engine shards, whole clusters each, so each
+/// RunUntil is one round. Measures aggregate events/sec over all shards,
+/// the rounds, and the blocked fraction of shard wall time (the time a
+/// shard waits for the slowest one: shard imbalance).
 struct ShardedMeasurement {
   Measurement m;
   double blocked_frac = 0.0;
-  std::uint64_t messages = 0;
-  std::uint64_t rounds = 0;  ///< synchronization rounds in the measured span
+  std::uint64_t rounds = 0;  ///< rounds in the measured span
 };
 
 ShardedMeasurement RunShardedDeepTree(int shards) {
   constexpr int kCopies = 8;
   sim::ShardedApp::Options options;
   options.shards = shards;
-  options.net_latency = Millis(1);
   sim::ShardedApp app([] { return MakeDeepTreeApp(kCopies); }, options);
   std::vector<std::unique_ptr<workload::TrafficDriver>> traffic;
   for (int i = 0; i < shards; ++i) {
@@ -289,7 +286,6 @@ ShardedMeasurement RunShardedDeepTree(int shards) {
     const auto& s1 = stats[static_cast<std::size_t>(i)];
     busy += s1.busy_s - s0.busy_s;
     blocked += s1.blocked_s - s0.blocked_s;
-    r.messages += s1.messages_delivered;
   }
   r.blocked_frac = busy + blocked > 0 ? blocked / (busy + blocked) : 0.0;
   r.rounds = app.engine().Rounds() - rounds0;
@@ -549,17 +545,14 @@ int main(int argc, char** argv) {
     std::snprintf(name, sizeof name, "sharded_deep_tree_s%d", shards);
     std::printf(
         "%s: events=%llu wall_s=%.3f events_per_sec=%.0f allocs_per_event=%.4f "
-        "blocked_frac=%.3f msgs=%llu rounds=%llu speedup=%.2fx\n",
+        "blocked_frac=%.3f rounds=%llu speedup=%.2fx\n",
         name, static_cast<unsigned long long>(r.m.events), r.m.wall_s, eps, ape,
-        r.blocked_frac, static_cast<unsigned long long>(r.messages),
-        static_cast<unsigned long long>(r.rounds),
+        r.blocked_frac, static_cast<unsigned long long>(r.rounds),
         sharded_base_eps > 0 ? eps / sharded_base_eps : 0.0);
     char extra[160];
     std::snprintf(extra, sizeof extra,
-                  ", \"shards\": %d, \"blocked_frac\": %.4f, \"messages\": %llu"
-                  ", \"rounds\": %llu",
-                  shards, r.blocked_frac, static_cast<unsigned long long>(r.messages),
-                  static_cast<unsigned long long>(r.rounds));
+                  ", \"shards\": %d, \"blocked_frac\": %.4f, \"rounds\": %llu",
+                  shards, r.blocked_frac, static_cast<unsigned long long>(r.rounds));
     AppendJsonRow(json, name, "current", r.m.events, r.m.wall_s, eps, ape,
                   /*last=*/i + 1 == std::size(shard_counts), extra);
   }

@@ -10,7 +10,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -70,54 +69,6 @@ class RingQueue {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::size_t mask_ = 0;
-};
-
-/// Single-producer/single-consumer mailbox between two shard threads.
-///
-/// The sharded DES drives these under a phase-alternating barrier protocol
-/// (see des::ShardedSimulation): the producing shard pushes only during
-/// execute phases and the consuming shard drains only during drain phases,
-/// and the two phases are separated by a full barrier. Push and pop are
-/// therefore never concurrent — the barrier provides the happens-before
-/// edge — so the queue needs no atomics, can grow on push (the consumer is
-/// quiescent whenever a producer runs), and stays allocation-free once it
-/// reaches its high-water capacity. The alignas pad keeps two mailboxes
-/// that different threads touch in the same round off a shared cache line.
-///
-/// TSan validates the contract on every PR: any push/pop pair not ordered
-/// by the shard barrier is a data race on plain fields and gets reported.
-template <typename T>
-class alignas(64) SpscMailbox {
- public:
-  bool empty() const { return queue_.empty(); }
-  std::size_t size() const { return queue_.size(); }
-  std::size_t capacity() const { return queue_.capacity(); }
-
-  /// Producer side; only during the producing thread's execute phase.
-  void Push(T value) {
-    queue_.push_back(std::move(value));
-    ++pushed_;
-  }
-
-  /// Consumer side; only during the consuming thread's drain phase.
-  /// Invokes `fn(T&&)` for every queued element in FIFO order.
-  template <typename Fn>
-  std::size_t Drain(Fn&& fn) {
-    std::size_t n = 0;
-    while (!queue_.empty()) {
-      fn(std::move(queue_.front()));
-      queue_.pop_front();
-      ++n;
-    }
-    return n;
-  }
-
-  /// Total elements ever pushed (producer-side counter; read at quiescence).
-  std::uint64_t TotalPushed() const { return pushed_; }
-
- private:
-  RingQueue<T> queue_;
-  std::uint64_t pushed_ = 0;
 };
 
 }  // namespace topfull

@@ -44,8 +44,7 @@
 //    slot whose address never moves; the slot carries the InlineEvent and,
 //    for a periodic event, its period. They have no handle and cannot be
 //    cancelled or moved. Producers: periodic ticks, hop retries, the
-//    client-retry backoff, fault and autoscaler actions, cross-shard
-//    message delivery.
+//    client-retry backoff, fault and autoscaler actions.
 //  - Handler events (ScheduleHandlerAt/ScheduleHandlerAfter) are for
 //    frequent work. A handler is registered once (AddHandler); an event is
 //    just {when, seq, handler, arg} in the queue entry, with no slot.

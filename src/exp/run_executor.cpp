@@ -78,7 +78,6 @@ RunResult Run(const RunSpec& spec, const std::string& name) {
     obs::ScopedTimer timer("exp/make_app");
     sim::ShardedApp::Options options;
     options.shards = spec.shards;
-    options.net_latency = spec.net_latency;
     options.threaded = spec.threaded;
     result.sharded = std::make_unique<sim::ShardedApp>(spec.make_app, options);
   }
@@ -161,14 +160,9 @@ RunResult Run(const RunSpec& spec, const std::string& name) {
       sources.duration_s = spec.duration_s;
       sources.sharded = &sharded;
       // Chunked execution is bit-identical to one long run: snapshots are
-      // captured only at chunk edges, where every shard is quiescent.
-      // Chunks are whole multiples of net_latency, a split plan's lookahead,
-      // so window edges land where the unchunked run puts them. Not of
-      // engine().lookahead(): an aligned plan's is unbounded, and the whole
-      // run would then be one chunk with nothing published mid-run.
-      const SimTime net_latency = std::max<SimTime>(spec.net_latency, 1);
-      const SimTime chunk =
-          std::max<SimTime>(Millis(100) / net_latency, 1) * net_latency;
+      // captured only at chunk edges, where every shard is quiescent, and
+      // no shard's events depend on where the chunk edges fall.
+      const SimTime chunk = Millis(100);
       const SimTime end = sharded.Now() + Seconds(spec.duration_s);
       // Publish a start-of-run snapshot so a scrape that races the first
       // chunk never sees an empty board.

@@ -88,12 +88,10 @@ struct RunSpec {
   /// `.alerts.json` artifacts without code changes.
   obs::TsdbPlane* tsdb = nullptr;
 
-  /// Engine shards; 1 is byte-identical to the plain engine.
+  /// Engine shards asked for; the shard plan clamps it to the app's
+  /// cluster count. 1 is byte-identical to the plain engine.
   int shards = 1;
-  /// One-way cross-shard RPC latency; the synchronization window only when
-  /// the shard plan splits a cluster (aligned plans have none to wait on).
-  SimTime net_latency = Millis(1);
-  /// Worker threads vs same-protocol sequential execution (bit-identical;
+  /// Shard threads vs every shard on the calling thread (bit-identical;
   /// sequential is for determinism cross-checks and debugging).
   bool threaded = true;
 };

@@ -143,9 +143,6 @@ std::shared_ptr<const MetricsSnapshot> LivePlane::Capture(
         engine.Stats();
     for (std::size_t i = 0;
          i < std::min(stats.size(), run.shards.size()); ++i) {
-      run.shards[i].messages_sent = stats[i].messages_sent;
-      run.shards[i].messages_delivered = stats[i].messages_delivered;
-      run.shards[i].mailbox_depth_hwm = stats[i].mailbox_depth_hwm;
       run.shards[i].busy_s = stats[i].busy_s;
       run.shards[i].blocked_s = stats[i].blocked_s;
     }

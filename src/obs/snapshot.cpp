@@ -387,9 +387,6 @@ std::string RunStateJson(const MetricsSnapshot& snapshot) {
            ",\"events_scheduled\":" + U64(s.events_scheduled) +
            ",\"events_cancelled\":" + U64(s.events_cancelled) +
            ",\"pending_events\":" + U64(s.pending_events) +
-           ",\"messages_sent\":" + U64(s.messages_sent) +
-           ",\"messages_delivered\":" + U64(s.messages_delivered) +
-           ",\"mailbox_depth_hwm\":" + U64(s.mailbox_depth_hwm) +
            ",\"busy_s\":" + JsonNum(s.busy_s) +
            ",\"blocked_s\":" + JsonNum(s.blocked_s) + "}";
   }

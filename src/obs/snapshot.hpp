@@ -3,9 +3,9 @@
 // The registry (metrics_registry.hpp) is deliberately not thread-safe: the
 // simulation updates it with plain writes on its own thread. To observe it
 // live without perturbing that hot path, the *owning* thread captures an
-// immutable MetricsSnapshot at a quiescent point (between RunUntil chunks,
-// or on the sharded caller thread between window rounds while the workers
-// are parked at the barrier) and publishes it through a SnapshotBoard — a
+// immutable MetricsSnapshot at a quiescent point (between RunUntil chunks;
+// in a sharded run, on the caller thread once every shard thread of the
+// chunk's round has been joined) and publishes it through a SnapshotBoard — a
 // hazard-style slot ring (see the class comment). Readers (the HTTP
 // observability server) pin a slot, copy one shared_ptr and then walk a
 // structure nobody mutates, so scrapes never take a lock and never touch
@@ -45,9 +45,6 @@ struct ShardRunState {
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_cancelled = 0;
   std::uint64_t pending_events = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t mailbox_depth_hwm = 0;
   double busy_s = 0.0;
   double blocked_s = 0.0;
 };
@@ -58,7 +55,7 @@ struct RunState {
   bool finished = false;
   double sim_time_s = 0.0;
   double duration_s = 0.0;
-  /// Window rounds completed (sharded runs; 0 for the unsharded engine).
+  /// Rounds completed (sharded runs; 0 for the unsharded engine).
   std::uint64_t rounds = 0;
   std::uint64_t slo_events = 0;
   /// SLO start/onset events without a matching end/clear yet.

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "des/sharded_simulation.hpp"
-
 namespace topfull::sim {
 
 // One pooled record per admitted request. Recycled through a SlabPool; the
@@ -14,18 +12,11 @@ struct Application::RequestRec {
   RequestInfo info;
   SimTime start = 0;
   const ExecutionPath* path = nullptr;
-  std::uint32_t path_index = 0;
   DoneFn on_done;
   std::uint32_t gen = 0;
   bool finalized = false;
   /// The observer's Tracing() verdict, asked once after OnAdmitted.
   bool traced = false;
-  /// Remote-subtree records (allocated by BeginRemoteSubtree on behalf of
-  /// another shard) reply to `remote_origin` instead of finalising API
-  /// metrics; -1 marks an ordinary local root request.
-  int remote_origin = -1;
-  AttemptRec* remote_proxy = nullptr;
-  std::uint32_t remote_proxy_gen = 0;
 };
 
 // One pooled record per hop attempt. Replaces the old per-attempt closure
@@ -296,14 +287,9 @@ void Application::Submit(ApiId api, const SubmitOptions& options, DoneFn on_done
                                 : static_cast<int>(rng_.UniformInt(0, 127));
   req->start = sim_.Now();
   const auto& spec = apis_[api];
-  const std::size_t path_index = spec.SamplePath(rng_.NextDouble());
-  req->path = &spec.paths()[path_index];
-  req->path_index = static_cast<std::uint32_t>(path_index);
+  req->path = &spec.paths()[spec.SamplePath(rng_.NextDouble())];
   req->on_done = std::move(on_done);
   req->finalized = false;
-  req->remote_origin = -1;
-  req->remote_proxy = nullptr;
-  req->remote_proxy_gen = 0;
   ++inflight_;
   req->traced = false;
   if (observer_ != nullptr) {
@@ -316,15 +302,6 @@ void Application::Submit(ApiId api, const SubmitOptions& options, DoneFn on_done
 
 void Application::StartAttempt(RequestRec* req, const CallNode* node, int attempt,
                                ContRef cont) {
-  if (IsRemote(node->service)) {
-    // Retries of a cross-shard hop happen on the owner shard (it runs the
-    // whole subtree with its own retry budget), so a remote route is only
-    // ever taken for the first attempt.
-    assert(attempt == 0);
-    (void)attempt;
-    StartRemoteAttempt(req, node, cont);
-    return;
-  }
   Service& svc = *services_[node->service];
   ++hop_attempts_;
   AttemptRec* a = attempt_pool_.Alloc();
@@ -488,11 +465,7 @@ void Application::ResolveSubtree(AttemptRec* a, bool ok) {
   RequestRec* req = a->req;
   switch (cont.kind) {
     case ContRef::Kind::kRoot:
-      if (req->remote_origin >= 0) {
-        FinalizeRemoteSubtree(req, ok);
-      } else {
-        FinalizeRequest(req, ok);
-      }
+      FinalizeRequest(req, ok);
       break;
     case ContRef::Kind::kSeq: {
       AttemptRec* p = cont.parent;
@@ -540,100 +513,6 @@ void Application::FinalizeRequest(RequestRec* req, bool ok) {
     metrics_->OnRejectedService(api);
     if (done) done(Outcome::kRejectedService, latency);
   }
-}
-
-void Application::StartRemoteAttempt(RequestRec* req, const CallNode* node,
-                                     ContRef cont) {
-  assert(shard_.net != nullptr && shard_.peers != nullptr);
-  const int owner =
-      (*shard_.service_owner)[static_cast<std::size_t>(node->service)];
-  Application* remote = (*shard_.peers)[static_cast<std::size_t>(owner)];
-  // The proxy holds the caller's place in the call tree: it owns no
-  // dispatch, no timeout, no worker slot — just the logic reference that
-  // the response message resolves. Failure handling (retries, hop
-  // timeouts) is entirely the owner shard's business.
-  AttemptRec* a = attempt_pool_.Alloc();
-  a->req = req;
-  a->node = node;
-  a->attempt = 0;
-  a->cont = cont;
-  a->pending = 1;  // resolved by OnRemoteResponse
-  a->settled = false;
-  a->timed_out = false;
-  a->traced = false;
-  a->held = Service::HeldDispatch{};
-  a->hop_start = sim_.Now();
-  a->hop_service_time = 0;
-  a->timeout = des::Simulation::TimerHandle{};
-  a->next_child = 0;
-  a->join_remaining = 0;
-  a->join_all_ok = true;
-  ++remote_calls_out_;
-
-  const RequestInfo info = req->info;
-  const std::uint32_t path_index = req->path_index;
-  const int node_index = node->node_index;
-  assert(node_index >= 0 && "call graph not finalized");
-  const int origin = shard_.shard;
-  const std::uint32_t proxy_gen = a->gen;
-  shard_.net->Post(
-      origin, owner, sim_.Now() + shard_.net_latency,
-      [remote, info, path_index, node_index, origin, a, proxy_gen]() {
-        remote->BeginRemoteSubtree(info, path_index, node_index, origin, a,
-                                   proxy_gen);
-      });
-}
-
-void Application::BeginRemoteSubtree(const RequestInfo& info,
-                                     std::uint32_t path_index, int node_index,
-                                     int origin_shard, AttemptRec* proxy,
-                                     std::uint32_t proxy_gen) {
-  ++remote_calls_in_;
-  const ApiSpec& spec = apis_[info.api];
-  const CallNode* node = spec.Node(path_index, node_index);
-  assert(!IsRemote(node->service) && "remote subtree routed to a non-owner");
-  // A lightweight request record anchors the subtree: it carries the
-  // request identity (priorities drive per-service admission) but touches
-  // neither API metrics nor the inflight gauge — those belong to the
-  // origin shard.
-  RequestRec* req = request_pool_.Alloc();
-  req->info = info;
-  req->start = sim_.Now();
-  req->path = &spec.paths()[path_index];
-  req->path_index = path_index;
-  req->on_done = nullptr;
-  req->finalized = false;
-  // The owner's observer never admitted this request; its spans belong to
-  // the origin shard's observer.
-  req->traced = false;
-  req->remote_origin = origin_shard;
-  req->remote_proxy = proxy;
-  req->remote_proxy_gen = proxy_gen;
-  StartAttempt(req, node, /*attempt=*/0, ContRef{});
-}
-
-void Application::FinalizeRemoteSubtree(RequestRec* req, bool ok) {
-  if (req->finalized) return;
-  req->finalized = true;
-  const int origin = req->remote_origin;
-  AttemptRec* proxy = req->remote_proxy;
-  const std::uint32_t proxy_gen = req->remote_proxy_gen;
-  ++req->gen;
-  request_pool_.Free(req);
-  Application* origin_app = (*shard_.peers)[static_cast<std::size_t>(origin)];
-  shard_.net->Post(shard_.shard, origin, sim_.Now() + shard_.net_latency,
-                   [origin_app, proxy, proxy_gen, ok]() {
-                     origin_app->OnRemoteResponse(proxy, proxy_gen, ok);
-                   });
-}
-
-void Application::OnRemoteResponse(AttemptRec* proxy, std::uint32_t proxy_gen,
-                                   bool ok) {
-  // The proxy's logic reference is held until this response, so the record
-  // cannot have been recycled.
-  assert(proxy->gen == proxy_gen);
-  (void)proxy_gen;
-  ResolveSubtree(proxy, ok);  // consumes the logic reference
 }
 
 void Application::ReleaseAttempt(AttemptRec* a) {

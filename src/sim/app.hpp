@@ -36,35 +36,7 @@
 #include "sim/service.hpp"
 #include "sim/types.hpp"
 
-namespace topfull::des {
-class ShardedSimulation;
-}
-
 namespace topfull::sim {
-
-class Application;
-
-/// Wires one Application replica into a sharded run (see DESIGN.md §11).
-/// Every shard holds a structurally identical replica of the whole app
-/// (same topology, same seeds, so ids and RNG forks line up); the binding
-/// tells a replica which services it owns. A hop whose service is owned
-/// elsewhere is forwarded as a timestamped message and executed on the
-/// owner's replica; only the owner ever draws from a service's RNG or
-/// touches its pods, so replicas never double-count.
-struct ShardBinding {
-  int shard = 0;
-  int num_shards = 1;
-  /// One-way cross-shard RPC network latency, charged per direction. Must
-  /// be >= the ShardedSimulation lookahead (equal for a split plan: the
-  /// lookahead is derived as the minimum cross-shard latency; an aligned
-  /// plan never sends, and its lookahead is unbounded).
-  SimTime net_latency = 0;
-  /// ServiceId -> owning shard. Not owned; must outlive the Application.
-  const std::vector<int>* service_owner = nullptr;
-  des::ShardedSimulation* net = nullptr;  ///< not owned
-  /// Shard index -> replica. Not owned; must outlive the Application.
-  const std::vector<Application*>* peers = nullptr;
-};
 
 /// Application-wide knobs.
 struct AppConfig {
@@ -187,20 +159,8 @@ class Application {
   /// Cumulative local hop attempts dispatched (first attempts + retries,
   /// including attempts shed at dispatch). HopAttempts() - Retries() is the
   /// number of first attempts, so the per-hop retry amplification factor is
-  /// HopAttempts() / (HopAttempts() - Retries()). Cross-shard proxy hops
-  /// count on the owning shard only (where the real dispatch happens).
+  /// HopAttempts() / (HopAttempts() - Retries()).
   std::uint64_t HopAttempts() const { return hop_attempts_; }
-
-  // --- Sharding -------------------------------------------------------------
-
-  /// Installs the shard binding. Call after Finalize(), before traffic.
-  void BindShard(const ShardBinding& binding) { shard_ = binding; }
-  const ShardBinding& shard_binding() const { return shard_; }
-
-  /// Cross-shard hops forwarded from this replica / subtrees executed here
-  /// on behalf of another shard.
-  std::uint64_t RemoteCallsOut() const { return remote_calls_out_; }
-  std::uint64_t RemoteCallsIn() const { return remote_calls_in_; }
 
   /// Request-engine arena usage (benches/tests): live records and pool
   /// high-water capacity. Steady-state capacity growth means the hot path
@@ -231,24 +191,6 @@ class Application {
 
   void StartAttempt(RequestRec* req, const CallNode* node, int attempt,
                     ContRef cont);
-  /// True when `service` lives on another shard's replica.
-  bool IsRemote(ServiceId service) const {
-    return shard_.service_owner != nullptr &&
-           (*shard_.service_owner)[static_cast<std::size_t>(service)] !=
-               shard_.shard;
-  }
-  /// Forwards a hop to the owning shard: allocates a proxy attempt that
-  /// waits for the response message, ships (api, path, node) by index.
-  void StartRemoteAttempt(RequestRec* req, const CallNode* node, ContRef cont);
-  /// Owner side: rebuilds the subtree request from indices and runs it
-  /// locally (nested cross-shard hops compose).
-  void BeginRemoteSubtree(const RequestInfo& info, std::uint32_t path_index,
-                          int node_index, int origin_shard,
-                          AttemptRec* proxy, std::uint32_t proxy_gen);
-  /// Owner side: remote subtree resolved — reply to the origin shard.
-  void FinalizeRemoteSubtree(RequestRec* req, bool ok);
-  /// Origin side: response message arrived — settle the proxy attempt.
-  void OnRemoteResponse(AttemptRec* proxy, std::uint32_t proxy_gen, bool ok);
   void OnLocalDone(AttemptRec* a, bool ok);
   void OnHopTimeout(AttemptRec* a);
   /// Points new hops at the timer queue for config_.hop_timeout, reusing
@@ -309,9 +251,6 @@ class Application {
   std::uint64_t hop_timeouts_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t hop_attempts_ = 0;
-  ShardBinding shard_{};
-  std::uint64_t remote_calls_out_ = 0;
-  std::uint64_t remote_calls_in_ = 0;
   SlabPool<RequestRec> request_pool_;
   SlabPool<AttemptRec> attempt_pool_;
   /// Hop-timeout timer queues, one per distinct delay: (delay, queue id).

@@ -15,39 +15,18 @@ std::size_t CountNodes(const CallNode& node) {
   return n;
 }
 
-namespace {
-
-void IndexPreorder(CallNode& node, std::vector<const CallNode*>& out) {
-  node.node_index = static_cast<int>(out.size());
-  out.push_back(&node);
-  for (auto& child : node.children) IndexPreorder(child, out);
-}
-
-}  // namespace
-
 void ApiSpec::Finalize() {
   assert(!paths_.empty() && "API must have at least one execution path");
   double total = 0.0;
   for (auto& p : paths_) total += p.probability;
   involved_.clear();
-  path_nodes_.clear();
-  path_nodes_.resize(paths_.size());
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    auto& p = paths_[i];
+  for (auto& p : paths_) {
     p.probability = total > 0.0 ? p.probability / total
                                 : 1.0 / static_cast<double>(paths_.size());
     p.services.clear();
     CollectServices(p.root, p.services);
     involved_.insert(p.services.begin(), p.services.end());
-    IndexPreorder(p.root, path_nodes_[i]);
   }
-}
-
-const CallNode* ApiSpec::Node(std::size_t path_index, int node_index) const {
-  assert(path_index < path_nodes_.size());
-  const auto& nodes = path_nodes_[path_index];
-  assert(node_index >= 0 && static_cast<std::size_t>(node_index) < nodes.size());
-  return nodes[static_cast<std::size_t>(node_index)];
 }
 
 std::size_t ApiSpec::SamplePath(double u) const {

@@ -25,11 +25,6 @@ struct CallNode {
   /// work; otherwise one after another.
   bool parallel = false;
   std::vector<CallNode> children;
-  /// Preorder position within the path's call tree; assigned by
-  /// ApiSpec::Finalize. Node pointers never cross shard boundaries — a
-  /// node travels as (api, path_index, node_index) and is resolved on the
-  /// receiving shard's identical ApiSpec.
-  int node_index = -1;
 };
 
 /// A complete execution path (one possible call tree of an API).
@@ -58,10 +53,6 @@ class ApiSpec {
   /// Samples a path index given a uniform [0,1) draw.
   std::size_t SamplePath(double u) const;
 
-  /// Resolves a (path_index, node_index) pair assigned by Finalize back to
-  /// the node. Used to rebuild cross-shard call-tree references.
-  const CallNode* Node(std::size_t path_index, int node_index) const;
-
   const std::string& name() const { return name_; }
   int business_priority() const { return business_priority_; }
   void set_business_priority(int p) { business_priority_ = p; }
@@ -79,9 +70,6 @@ class ApiSpec {
   int business_priority_ = 0;
   std::vector<ExecutionPath> paths_;
   std::set<ServiceId> involved_;
-  /// Per path: preorder node pointers, indexed by CallNode::node_index.
-  /// Pointers stay stable because paths_ is never resized after Finalize.
-  std::vector<std::vector<const CallNode*>> path_nodes_;
 };
 
 /// Collects the services of a call (sub)tree into `out`.

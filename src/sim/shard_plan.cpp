@@ -1,5 +1,6 @@
 #include "sim/shard_plan.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/partition.hpp"
@@ -30,8 +31,6 @@ ShardPlan BuildShardPlan(const Application& app,
   const int num_services = app.NumServices();
   const int num_apis = app.NumApis();
   ShardPlan plan;
-  plan.num_shards = options.num_shards < 1 ? 1 : options.num_shards;
-  plan.net_latency = options.net_latency;
   plan.service_owner.assign(static_cast<std::size_t>(num_services), 0);
   plan.api_origin.assign(static_cast<std::size_t>(num_apis), 0);
 
@@ -62,47 +61,32 @@ ShardPlan BuildShardPlan(const Application& app,
         root_to_cluster[static_cast<std::size_t>(root)];
   }
   plan.num_clusters = num_clusters;
+  // Whole clusters only: a shard beyond the cluster count would hold nothing.
+  plan.num_shards = std::max(1, std::min(options.num_shards, num_clusters));
 
   if (plan.num_shards > 1) {
-    if (num_clusters >= plan.num_shards) {
-      // Pure cluster packing: whole clusters onto shards, zero cross-shard
-      // edges.
-      std::vector<double> cluster_weight(static_cast<std::size_t>(num_clusters),
-                                         0.0);
-      for (ServiceId s = 0; s < num_services; ++s) {
-        cluster_weight[static_cast<std::size_t>(
-            plan.service_cluster[static_cast<std::size_t>(s)])] +=
-            ServiceWeight(app, s);
-      }
-      const std::vector<int> cluster_shard =
-          PackBinsLpt(cluster_weight, plan.num_shards);
-      for (ServiceId s = 0; s < num_services; ++s) {
-        plan.service_owner[static_cast<std::size_t>(s)] =
-            cluster_shard[static_cast<std::size_t>(
-                plan.service_cluster[static_cast<std::size_t>(s)])];
-      }
-    } else {
-      // Fewer clusters than shards (hand-built apps are often one big
-      // cluster): split at service granularity and pay for the cross-shard
-      // edges with messages.
-      std::vector<double> weights(static_cast<std::size_t>(num_services), 0.0);
-      for (ServiceId s = 0; s < num_services; ++s) {
-        weights[static_cast<std::size_t>(s)] = ServiceWeight(app, s);
-      }
-      plan.service_owner = PackBinsLpt(weights, plan.num_shards);
+    std::vector<double> cluster_weight(static_cast<std::size_t>(num_clusters),
+                                       0.0);
+    for (ServiceId s = 0; s < num_services; ++s) {
+      cluster_weight[static_cast<std::size_t>(
+          plan.service_cluster[static_cast<std::size_t>(s)])] +=
+          ServiceWeight(app, s);
+    }
+    const std::vector<int> cluster_shard =
+        PackBinsLpt(cluster_weight, plan.num_shards);
+    for (ServiceId s = 0; s < num_services; ++s) {
+      plan.service_owner[static_cast<std::size_t>(s)] =
+          cluster_shard[static_cast<std::size_t>(
+              plan.service_cluster[static_cast<std::size_t>(s)])];
     }
   }
 
-  // API origins + alignment check.
-  plan.cluster_aligned = true;
+  // An API's services all share one cluster, hence one shard: its origin.
   for (ApiId a = 0; a < num_apis; ++a) {
     const ApiSpec& spec = app.api(a);
     assert(!spec.paths().empty() && "BuildShardPlan needs a finalized app");
     const ServiceId root = spec.paths()[0].root.service;
     plan.api_origin[static_cast<std::size_t>(a)] = plan.OwnerOf(root);
-    for (const ServiceId s : spec.involved_services()) {
-      if (plan.OwnerOf(s) != plan.OriginOf(a)) plan.cluster_aligned = false;
-    }
   }
   return plan;
 }

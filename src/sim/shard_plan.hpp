@@ -7,15 +7,14 @@
 // union-find cluster decomposition over the finalized app topology (the
 // same computation core::ClusterTracker performs online on overloaded
 // APIs, here applied statically to the full graph) and packs whole
-// clusters onto shards with deterministic LPT. When the topology is one
-// big cluster (hand-built demo apps), the plan falls back to splitting at
-// service granularity: correctness is unaffected — cross-shard hops just
-// become messages — only the cross-shard edge count grows.
+// clusters onto shards with deterministic LPT. A cluster is never split:
+// the plan clamps the shard count to the cluster count, so no hop ever
+// leaves its shard (a one-cluster app, e.g. the Online Boutique, runs on
+// one shard at any requested count).
 #pragma once
 
 #include <vector>
 
-#include "common/sim_time.hpp"
 #include "sim/types.hpp"
 
 namespace topfull::sim {
@@ -23,17 +22,14 @@ namespace topfull::sim {
 class Application;
 
 struct ShardPlanOptions {
+  /// Requested shard count; the plan uses at most one shard per cluster.
   int num_shards = 1;
-  /// One-way network latency charged to every cross-shard hop; doubles as
-  /// the synchronization lookahead of a split plan (it is the minimum — and
-  /// only — cross-shard message latency). A cluster-aligned plan has no
-  /// cross-shard hop, so its lookahead is unbounded.
-  SimTime net_latency = Millis(1);
 };
 
 struct ShardPlan {
+  /// min(requested, clusters), at least 1. Every shard owns at least one
+  /// whole cluster whenever the clusters have positive capacity.
   int num_shards = 1;
-  SimTime net_latency = Millis(1);
   /// ServiceId -> owning shard.
   std::vector<int> service_owner;
   /// ApiId -> shard where the API's requests enter (owner of path 0's
@@ -43,11 +39,6 @@ struct ShardPlan {
   /// membership), before packing.
   std::vector<int> service_cluster;
   int num_clusters = 0;
-  /// True when every API's involved-service set landed on one shard, i.e.
-  /// the plan induces zero cross-shard hops (pure cluster packing). The
-  /// sharded engine then runs with unbounded lookahead and meets only at
-  /// RunUntil boundaries.
-  bool cluster_aligned = true;
 
   int OwnerOf(ServiceId s) const {
     return service_owner[static_cast<std::size_t>(s)];

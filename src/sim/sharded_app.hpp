@@ -2,21 +2,20 @@
 //
 // Each shard holds a full Application replica built by the same factory
 // (identical topology, identical seeds, so ServiceIds, ApiIds and RNG fork
-// points line up across replicas), a shard plan assigns every service an
-// owning shard, and a des::ShardedSimulation synchronizes the per-shard
-// engines with conservative lookahead equal to the minimum latency of any
-// message that can cross shards: the cross-shard network latency when the
-// plan splits a cluster, unbounded when it is cluster-aligned (no hop ever
-// leaves its shard, so each RunUntil is one synchronization round).
-// Traffic enters each API on its origin shard; hops to services owned
-// elsewhere travel as timestamped messages (see Application's shard
-// binding). Observability stays shard-local during the run and is merged
-// deterministically afterwards: API windows are taken from the API's
-// origin shard, service windows from the service's owner — each row has
-// exactly one authoritative shard, so the merge is a selection, not a sum.
+// points line up across replicas). The shard plan gives every shard whole
+// clusters of services, never part of one, and clamps the shard count to
+// the cluster count, so every hop of a request runs on the shard where the
+// request entered. A des::ShardedSimulation then runs the per-shard
+// engines side by side, one spawn-and-join round per RunUntil. Traffic
+// enters each API on its origin shard. Observability stays shard-local
+// during the run and is merged deterministically afterwards: API windows
+// are taken from the API's origin shard, service windows from the
+// service's owner — each row has exactly one authoritative shard, so the
+// merge is a selection, not a sum.
 //
-// shards=1 constructs a single unbound replica and runs it directly — the
-// engine-identity digests pin that path to the unsharded engine.
+// One shard (asked for, or a one-cluster app) constructs a single replica
+// and runs it directly — the engine-identity digests pin that path to the
+// unsharded engine.
 #pragma once
 
 #include <cstdint>
@@ -38,17 +37,19 @@ class ShardedApp {
   using AppFactory = std::function<std::unique_ptr<Application>()>;
 
   struct Options {
+    /// Requested shard count; the plan clamps it to the cluster count.
     int shards = 1;
-    /// One-way cross-shard RPC latency; also the synchronization lookahead
-    /// when the plan splits a cluster (an aligned plan's is unbounded).
+    /// Unread: no hop crosses shards. Kept only because the perfbench
+    /// driver sets it.
     SimTime net_latency = Millis(1);
-    /// Worker threads (default) vs the same window protocol run on the
-    /// calling thread. Bit-identical either way.
+    /// Shard threads (default) vs every shard on the calling thread.
+    /// Bit-identical either way.
     bool threaded = true;
   };
 
   /// `factory` must return a finalized Application and must be
-  /// deterministic: every call builds a structurally identical app.
+  /// deterministic: every call builds a structurally identical app. It is
+  /// called once per shard of the plan, not per requested shard.
   ShardedApp(const AppFactory& factory, Options options);
 
   int num_shards() const { return static_cast<int>(apps_.size()); }
@@ -75,17 +76,16 @@ class ShardedApp {
   /// Aggregates over shards.
   std::uint64_t HopTimeouts() const;
   std::uint64_t Retries() const;
-  std::uint64_t RemoteCalls() const;
   int Inflight() const;
 
   /// Scheduler instrumentation registry (shards > 1): per-shard
   /// `topfull_shard_*` gauges/histograms/counters fed by the engine's round
-  /// observer — round wall time, barrier waits, mailbox depth high-water,
-  /// events and cross-shard messages per round. Values derive from wall
-  /// clocks, so this registry is published only through the live plane and
-  /// never merged into the deterministic offline exports. Written on the
-  /// RunUntil caller thread between rounds; read it only at quiescent
-  /// points (the same contract as the per-shard app registries).
+  /// observer — round wall time, barrier waits, busy time and events per
+  /// round. Values derive from wall clocks, so this registry is published
+  /// only through the live plane and never merged into the deterministic
+  /// offline exports. Written on the RunUntil caller thread between
+  /// rounds; read it only at quiescent points (the same contract as the
+  /// per-shard app registries).
   const obs::MetricsRegistry& scheduler_registry() const {
     return sched_registry_;
   }
@@ -96,15 +96,9 @@ class ShardedApp {
   struct ShardSched {
     obs::Histogram* barrier_wait_ms = nullptr;
     obs::Histogram* events_per_round = nullptr;
-    obs::Histogram* messages_per_round = nullptr;
-    obs::Gauge* mailbox_hwm = nullptr;
     obs::Gauge* busy_seconds = nullptr;
     obs::Gauge* blocked_seconds = nullptr;
-    obs::Counter* messages_sent = nullptr;
-    obs::Counter* messages_delivered = nullptr;
     std::uint64_t prev_events = 0;
-    std::uint64_t prev_sent = 0;
-    std::uint64_t prev_delivered = 0;
     double prev_blocked_s = 0.0;
   };
 
@@ -113,13 +107,11 @@ class ShardedApp {
 
   Options options_;
   std::vector<std::unique_ptr<Application>> apps_;
-  std::vector<Application*> peers_;
   ShardPlan plan_;
   std::unique_ptr<des::ShardedSimulation> engine_;
 
   obs::MetricsRegistry sched_registry_;
   obs::Histogram* round_wall_ms_ = nullptr;
-  obs::Histogram* round_drain_ms_ = nullptr;
   obs::Counter* rounds_total_ = nullptr;
   std::vector<ShardSched> sched_;
 };

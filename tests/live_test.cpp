@@ -29,6 +29,7 @@
 #include "obs/rules.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/tsdb_plane.hpp"
+#include "two_cluster_app.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull {
@@ -512,11 +513,13 @@ TEST(LivePlaneTest, ShardedRunExposesSchedulerMetricsPerShard) {
   options.port = -1;
   options.publish_interval_s = 0.0;
   obs::LivePlane live(options);
-  exp::RunSpec spec = LiveSpec("sharded-live");
+  // Two clusters, so two shards; a one-cluster app would run on one.
+  exp::RunSpec spec = TwoClusterSpec();
+  spec.label = "sharded-live";
   spec.live = &live;
   spec.shards = 2;
-  spec.net_latency = Millis(1);
   const exp::RunResult result = exp::Run(spec);
+  ASSERT_EQ(result.sharded->num_shards(), 2);
 
   const auto snapshot = live.board().Read();
   ASSERT_NE(snapshot, nullptr);
@@ -532,7 +535,7 @@ TEST(LivePlaneTest, ShardedRunExposesSchedulerMetricsPerShard) {
   EXPECT_NE(snapshot->FindCell("topfull_shard_busy_seconds", {{"shard", "1"}}),
             nullptr);
   EXPECT_NE(
-      snapshot->FindCell("topfull_shard_messages_sent_total", {{"shard", "0"}}),
+      snapshot->FindCell("topfull_shard_barrier_wait_ms", {{"shard", "0"}}),
       nullptr);
   // App registries are shard-labeled too.
   bool saw_shard1_app_cell = false;
@@ -552,12 +555,11 @@ TEST(LivePlaneTest, ShardedRunExposesSchedulerMetricsPerShard) {
   std::string error;
   ASSERT_TRUE(obs::ParseJson(runs, &doc, &error)) << error;
   EXPECT_NE(runs.find("\"rounds\":"), std::string::npos);
-  EXPECT_NE(runs.find("\"mailbox_depth_hwm\":"), std::string::npos);
+  EXPECT_NE(runs.find("\"blocked_s\":"), std::string::npos);
 
   std::string prom_error;
   EXPECT_TRUE(ParsesAsProm(obs::PromTextFromSnapshot(*snapshot), &prom_error))
       << prom_error;
-  (void)result;
 }
 
 TEST(LivePlaneTest, ProfilerPercentilesAppearInLiveSnapshots) {

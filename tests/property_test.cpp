@@ -799,85 +799,87 @@ TEST_P(RetryAmplificationSweep, SpanStreamMatchesCountersWithinPolicyBound) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RetryAmplificationSweep,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// --- Sharded DES: conservative lookahead never violates causality ------------
+// --- Sharded DES: independent shards match one engine ----------------------
 //
-// Random message chains bounce between two shards with randomised
-// cross-shard latencies (>= the lookahead). Every execution is compared
-// against a single-simulation reference that runs the same chains on one
-// engine: per-(virtual-)shard execution sequences must match exactly, and
-// in the sharded run no event may observe a receiver clock earlier than its
-// own timestamp — i.e. no event executes before a causally-earlier
-// cross-shard message has been delivered.
+// Random event chains, each confined to one of 2-4 shards (as every hop of
+// a request is confined to the shard that owns its cluster), run through
+// the sharded engine in randomly placed RunUntil chunks. Every hop must run
+// exactly at its timestamp, and each shard's execution sequence must match
+// a single-simulation reference that runs all the chains on one engine:
+// where the rounds fall, and whether shards run on threads, changes
+// nothing.
 
 class ShardedCausalitySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardedCausalitySweep, MatchesSingleSimReferenceAndDeliversOnTime) {
   Rng rng(GetParam() * 0x51A2DE5ULL + 3);
-  const SimTime lookahead = static_cast<SimTime>(rng.UniformInt(200, 3000));
+  const int num_shards = static_cast<int>(rng.UniformInt(2, 4));
   const int num_chains = static_cast<int>(rng.UniformInt(5, 40));
   const SimTime end = Seconds(2);
 
   // Pre-generate the chains so the sharded run and the reference replay
-  // exactly the same structure: chain c starts on shard s0 at t0 and hops
-  // shard-to-shard with per-hop latency >= lookahead.
+  // exactly the same structure: chain c runs on shard `shard` at `times`.
+  // Gaps are multiples of 100 us, so hops of different chains collide.
   struct ChainSpec {
-    int start_shard;
+    int shard;
     std::vector<SimTime> times;  // execution time of hop k
   };
   std::vector<ChainSpec> chains;
   for (int c = 0; c < num_chains; ++c) {
     ChainSpec spec;
-    spec.start_shard = static_cast<int>(rng.UniformInt(0, 1));
-    SimTime t = static_cast<SimTime>(rng.UniformInt(0, Seconds(1)));
+    spec.shard = static_cast<int>(rng.UniformInt(0, num_shards - 1));
+    SimTime t = 100 * static_cast<SimTime>(rng.UniformInt(0, 10000));
     const int hops = static_cast<int>(rng.UniformInt(1, 12));
     for (int k = 0; k < hops; ++k) {
       spec.times.push_back(t);
-      // Cross-shard latency: lookahead plus random slack.
-      t += lookahead + static_cast<SimTime>(rng.UniformInt(0, 2 * lookahead));
+      t += 100 * static_cast<SimTime>(rng.UniformInt(1, 30));
     }
     chains.push_back(std::move(spec));
   }
+  // RunUntil chunk edges, ending at `end`.
+  std::vector<SimTime> edges;
+  for (SimTime t = 0; t < end;) {
+    t = std::min(end, t + 100 * static_cast<SimTime>(rng.UniformInt(1, 5000)));
+    edges.push_back(t);
+  }
 
-  using Log = std::vector<std::vector<std::tuple<SimTime, int, int>>>;
+  using Log = std::vector<std::vector<std::pair<SimTime, int>>>;
+  const auto n = static_cast<std::size_t>(num_shards);
 
   // Sharded execution.
-  Log sharded(2);
+  Log sharded(n);
   {
     des::ShardedSimulation::Options options;
-    options.lookahead = lookahead;
     options.threaded = (GetParam() % 2) == 0;  // alternate execution modes
-    des::ShardedSimulation net(2, options);
+    des::ShardedSimulation net(num_shards, options);
     struct Runner {
       des::ShardedSimulation* net;
       const std::vector<ChainSpec>* chains;
       Log* log;
       void Hop(int chain, std::size_t k) {
         const ChainSpec& spec = (*chains)[static_cast<std::size_t>(chain)];
-        const int shard = (spec.start_shard + static_cast<int>(k)) % 2;
-        const SimTime now = net->shard(shard).Now();
-        // Causality: the hop must run exactly at its timestamp — never
-        // before its predecessor's message has been delivered.
-        ASSERT_EQ(now, spec.times[k]);
-        (*log)[static_cast<std::size_t>(shard)].emplace_back(
-            now, chain, static_cast<int>(k));
+        des::Simulation& sim = net->shard(spec.shard);
+        // The hop runs exactly at its timestamp, whatever the chunking.
+        ASSERT_EQ(sim.Now(), spec.times[k]);
+        (*log)[static_cast<std::size_t>(spec.shard)].emplace_back(sim.Now(), chain);
         if (k + 1 < spec.times.size()) {
           auto* self = this;
-          net->Post(shard, 1 - shard, spec.times[k + 1],
-                    [self, chain, k] { self->Hop(chain, k + 1); });
+          sim.ScheduleAt(spec.times[k + 1], [self, chain, k] { self->Hop(chain, k + 1); });
         }
       }
     };
     Runner runner{&net, &chains, &sharded};
     for (int c = 0; c < num_chains; ++c) {
       const auto& spec = chains[static_cast<std::size_t>(c)];
-      net.shard(spec.start_shard)
-          .ScheduleAt(spec.times[0], [&runner, c] { runner.Hop(c, 0); });
+      net.shard(spec.shard).ScheduleAt(spec.times[0], [&runner, c] { runner.Hop(c, 0); });
     }
-    net.RunUntil(end);
+    for (const SimTime edge : edges) net.RunUntil(edge);
+    EXPECT_EQ(net.Rounds(), edges.size());
+    EXPECT_EQ(net.Horizon(), end);
   }
 
-  // Single-simulation reference: same chains, hops scheduled directly.
-  Log reference(2);
+  // Single-simulation reference: same chains, all on one engine.
+  Log reference(n);
   {
     des::Simulation sim;
     struct Runner {
@@ -886,39 +888,25 @@ TEST_P(ShardedCausalitySweep, MatchesSingleSimReferenceAndDeliversOnTime) {
       Log* log;
       void Hop(int chain, std::size_t k) {
         const ChainSpec& spec = (*chains)[static_cast<std::size_t>(chain)];
-        const int shard = (spec.start_shard + static_cast<int>(k)) % 2;
-        (*log)[static_cast<std::size_t>(shard)].emplace_back(
-            sim->Now(), chain, static_cast<int>(k));
+        (*log)[static_cast<std::size_t>(spec.shard)].emplace_back(sim->Now(), chain);
         if (k + 1 < spec.times.size()) {
           auto* self = this;
-          sim->ScheduleAt(spec.times[k + 1],
-                          [self, chain, k] { self->Hop(chain, k + 1); });
+          sim->ScheduleAt(spec.times[k + 1], [self, chain, k] { self->Hop(chain, k + 1); });
         }
       }
     };
     Runner runner{&sim, &chains, &reference};
     for (int c = 0; c < num_chains; ++c) {
-      const auto& spec = chains[static_cast<std::size_t>(c)];
-      sim.ScheduleAt(spec.times[0], [&runner, c] { runner.Hop(c, 0); });
+      sim.ScheduleAt(chains[static_cast<std::size_t>(c)].times[0],
+                     [&runner, c] { runner.Hop(c, 0); });
     }
     sim.RunUntil(end);
   }
 
-  // Same-timestamp hops on one shard may interleave differently between
-  // the sharded engine (mailbox drain order) and the reference (schedule
-  // order); stable-sort by time keeps equal-time groups comparable as sets.
-  for (auto* log : {&sharded, &reference}) {
-    for (auto& entries : *log) {
-      std::stable_sort(entries.begin(), entries.end());
-    }
-  }
-  ASSERT_EQ(sharded[0], reference[0]);
-  ASSERT_EQ(sharded[1], reference[1]);
-  // Per-shard clocks never regress (monotone logs after sort == before).
-  for (const auto& entries : sharded) {
-    for (std::size_t i = 1; i < entries.size(); ++i) {
-      EXPECT_GE(std::get<0>(entries[i]), std::get<0>(entries[i - 1]));
-    }
+  // A shard's events are scheduled in the same relative order as on the
+  // shared engine, so even equal-time hops must run in the same order.
+  for (std::size_t s = 0; s < n; ++s) {
+    ASSERT_EQ(sharded[s], reference[s]) << "shard " << s;
   }
 }
 

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -54,10 +55,11 @@ using namespace topfull;
 namespace {
 
 /// What a numeric flag must be: any finite number, a value that describes
-/// the run (the scenario grammar's number rule, >= 0), or a time of the
-/// run (its time rule, ParseTime: also small enough to convert to SimTime).
-/// A flag accepts exactly what the matching directive key accepts.
-enum class NumRule { kFinite, kRun, kTime };
+/// the run (the scenario grammar's number rule, >= 0), a time of the run
+/// (its time rule, ParseTime: also small enough to convert to SimTime), or
+/// a count (a whole number from 1 to INT_MAX). A flag accepts exactly what
+/// the matching directive key accepts.
+enum class NumRule { kFinite, kRun, kTime, kCount };
 constexpr NumRule kRun = NumRule::kRun;
 constexpr NumRule kTime = NumRule::kTime;
 
@@ -68,11 +70,18 @@ double NumOrExit(const std::string& source, const std::string& text,
                  NumRule rule = NumRule::kFinite) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
+  const bool finite =
+      !text.empty() && end == text.c_str() + text.size() && std::isfinite(value);
   std::string reason;
   bool ok = false;
   switch (rule) {
     case NumRule::kFinite:
-      ok = !text.empty() && end == text.c_str() + text.size() && std::isfinite(value);
+      ok = finite;
+      break;
+    case NumRule::kCount:
+      // Range-checked before any cast: an int cast of 1e12 is undefined.
+      ok = finite && value >= 1 && value <= std::numeric_limits<int>::max() &&
+           value == std::floor(value);
       break;
     case NumRule::kRun:
       ok = scenario::ParseNumber(text).has_value();
@@ -83,8 +92,12 @@ double NumOrExit(const std::string& source, const std::string& text,
   }
   if (!ok) {
     std::string expected = "a finite number";
-    if (rule != NumRule::kFinite) expected += " >= 0";
+    if (rule == NumRule::kRun || rule == NumRule::kTime) expected += " >= 0";
     if (rule == NumRule::kTime) expected += " of seconds: " + reason;
+    if (rule == NumRule::kCount) {
+      expected = "a whole number from 1 to " +
+                 std::to_string(std::numeric_limits<int>::max());
+    }
     std::fprintf(stderr, "bad %s '%s': expected %s\n", source.c_str(), text.c_str(),
                  expected.c_str());
     std::exit(2);
@@ -106,6 +119,10 @@ struct Args {
   double Num(const std::string& key, double fallback,
              NumRule rule = NumRule::kFinite) const {
     return Has(key) ? NumOrExit("--" + key, Get(key), rule) : fallback;
+  }
+  /// Get as a count (NumRule::kCount); exits 2 on anything else.
+  int Count(const std::string& key, int fallback) const {
+    return static_cast<int>(Num(key, fallback, NumRule::kCount));
   }
 };
 
@@ -230,11 +247,10 @@ int Usage() {
       "  --hop-timeout S  per-hop RPC timeout in seconds (default 0 = none)\n"
       "  --retries N      bounded retries per hop (default 0)\n"
       "  --retry-backoff S delay before each retry (default 0)\n"
-      "  --shards N       run one simulation across N engine shards\n"
-      "                   (conservative-lookahead parallel DES; merged results)\n"
-      "  --net-latency-ms L  one-way cross-shard RPC latency (def 1); the sync\n"
-      "                   window only when the shard plan splits a cluster\n"
-      "  --sequential     run the sharded protocol without worker threads\n"
+      "  --shards N       run one simulation across up to N engine shards, each\n"
+      "                   owning whole service clusters (at most one shard per\n"
+      "                   cluster; merged results)\n"
+      "  --sequential     run the shards one after another on one thread\n"
       "  --replicas K     alibaba only: K independent 127-service copies\n");
   return 2;
 }
@@ -248,7 +264,7 @@ scenario::ScenarioSpec AppFromFlags(const Args& args) {
   if (spec.app == "alibaba" && spec.seed == 42) spec.seed = 2021;
   spec.distinct_priorities = args.Has("priorities");
   spec.probe_failures = args.Has("probe-failures");
-  spec.replicas = static_cast<int>(args.Num("replicas", 1, kRun));
+  spec.replicas = args.Count("replicas", 1);
   return spec;
 }
 
@@ -407,33 +423,22 @@ void PrintFaultLog(const std::vector<fault::FaultRecord>& log,
   }
 }
 
-/// The shard plan, the sync lookahead and per-shard engine stats.
-void PrintShardStats(const sim::ShardedApp& app) {
-  const auto& plan = app.plan();
-  std::printf("shard plan: %d clusters over %d shards (%s)\n",
-              plan.num_clusters, app.num_shards(),
-              plan.cluster_aligned ? "cluster-aligned"
-                                   : "split clusters: cross-shard RPC in play");
-  const SimTime lookahead = app.engine().lookahead();
-  if (lookahead == des::ShardedSimulation::kUnboundedLookahead) {
-    std::printf("sync lookahead: unbounded (cluster-aligned)\n");
-  } else {
-    std::printf("sync lookahead: %.1f ms\n", ToMillis(lookahead));
-  }
-  std::printf("cross-shard RPCs: %llu, sync rounds: %llu\n",
-              static_cast<unsigned long long>(app.RemoteCalls()),
+/// The shard plan (noting a clamp below the `asked` count), the round
+/// count and per-shard engine stats.
+void PrintShardStats(const sim::ShardedApp& app, int asked) {
+  std::printf("shard plan: %d clusters over %d shards", app.plan().num_clusters,
+              app.num_shards());
+  if (asked != app.num_shards()) std::printf(" (%d asked for)", asked);
+  std::printf("\nrounds: %llu\n",
               static_cast<unsigned long long>(app.engine().Rounds()));
   Table table("per-shard engine stats");
-  table.SetHeader({"shard", "events", "busy (s)", "blocked (s)", "msgs out",
-                   "msgs in"});
+  table.SetHeader({"shard", "events", "busy (s)", "blocked (s)"});
   const auto& stats = app.engine().Stats();
   for (int i = 0; i < app.num_shards(); ++i) {
     const auto& s = stats[static_cast<std::size_t>(i)];
     table.AddRow({std::to_string(i),
                   std::to_string(app.app(i).sim().EventsProcessed()),
-                  Fmt(s.busy_s, 2), Fmt(s.blocked_s, 2),
-                  std::to_string(s.messages_sent),
-                  std::to_string(s.messages_delivered)});
+                  Fmt(s.busy_s, 2), Fmt(s.blocked_s, 2)});
   }
   table.Print();
 }
@@ -441,8 +446,8 @@ void PrintShardStats(const sim::ShardedApp& app) {
 /// `run`: fills a scenario::ScenarioSpec from the flags that describe the
 /// run, translates it with scenario::MakeScenarioRun, sets the flags that
 /// say how to execute and observe it, runs it with exp::Run and prints the
-/// result. `--shards N` (N > 1) runs one simulation across N engine
-/// shards with merged results.
+/// result. `--shards N` (N > 1) runs one simulation across up to N engine
+/// shards, one or more whole clusters each, with merged results.
 int CmdRun(const Args& args) {
   obs::ScopedTimer run_timer("cli/run");
   // Every numeric flag is read here, before the run, so a bad value exits
@@ -483,7 +488,7 @@ int CmdRun(const Args& args) {
     std::fprintf(stderr, "unknown --controller '%s'\n", controller.c_str());
     return 2;
   }
-  const int shards = std::max(1, static_cast<int>(args.Num("shards", 1)));
+  const int shards = args.Count("shards", 1);
   std::string error = scenario::CheckScenario(scenario, shards);
   std::optional<scenario::ScenarioRun> scenario_run;
   if (error.empty()) scenario_run = scenario::MakeScenarioRun(scenario, *variant, &error);
@@ -493,7 +498,6 @@ int CmdRun(const Args& args) {
   }
   exp::RunSpec& spec = scenario_run->spec;
   spec.shards = shards;
-  spec.net_latency = Millis(args.Num("net-latency-ms", 1.0));
   spec.threaded = !args.Has("sequential");
   if (args.Has("trace-dir")) spec.telemetry.dir = args.Get("trace-dir");
   if (args.Has("trace-sample")) {
@@ -515,22 +519,22 @@ int CmdRun(const Args& args) {
   std::printf("running %s with %s for %.0f s", spec.label.c_str(),
               exp::VariantName(spec.variant).c_str(), spec.duration_s);
   if (shards > 1) {
-    std::printf(" across %d shards (net latency %.1f ms, %s)", shards,
-                ToMillis(spec.net_latency),
+    std::printf(" across up to %d shards (%s)", shards,
                 spec.threaded ? "threaded" : "sequential");
   }
   std::printf("...\n");
   exp::RunResult result = exp::Run(spec);
   const sim::ShardedApp& app = *result.sharded;
+  const bool multi = app.num_shards() > 1;
 
   PrintFaultLog(result.fault_log, spec.faults.size());
 
   // Each API row comes from the API's origin shard.
-  Table table(shards > 1 ? "per-API results (whole run, merged across shards)"
+  Table table(multi ? "per-API results (whole run, merged across shards)"
                          : "per-API results (whole run)");
   std::vector<std::string> header = {"API", "avg offered", "avg goodput",
                                      "final p95 (ms)", "rate limit"};
-  if (shards > 1) header.insert(header.begin() + 1, "shard");
+  if (multi) header.insert(header.begin() + 1, "shard");
   table.SetHeader(header);
   for (sim::ApiId a = 0; a < app.app(0).NumApis(); ++a) {
     const int origin = app.plan().OriginOf(a);
@@ -547,7 +551,7 @@ int CmdRun(const Args& args) {
                 spec.duration_s, 0),
         Fmt(owner.metrics().AvgGoodput(a), 0),
         Fmt(owner.metrics().Latest().apis[a].latency_p95_ms, 0), limit};
-    if (shards > 1) row.insert(row.begin() + 1, std::to_string(origin));
+    if (multi) row.insert(row.begin() + 1, std::to_string(origin));
     table.AddRow(row);
   }
   table.Print();
@@ -557,7 +561,7 @@ int CmdRun(const Args& args) {
                 tsdb->rules().rule_count(),
                 tsdb->rules().transitions().size());
   }
-  if (shards > 1) PrintShardStats(app);
+  if (shards > 1) PrintShardStats(app, shards);
 
   for (const exp::TelemetrySummary& summary : result.telemetry) {
     std::string paths;
@@ -978,7 +982,7 @@ struct Verb {
 std::vector<Verb> Verbs() {
   const Flags app = {{"app", "seed", "replicas"}, {"priorities", "probe-failures"}};
   const Flags run = app.With(
-      {{"duration", "controller", "static-rate", "shards", "net-latency-ms",
+      {{"duration", "controller", "static-rate", "shards",
         "hop-timeout", "retries", "retry-backoff", "surge", "rps", "users",
         "fault-profile", "fault-seed", "trace-dir", "trace-sample",
         "alert-floor", "serve-port", "publish-ms", "csv"},
