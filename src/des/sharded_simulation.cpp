@@ -53,11 +53,14 @@ void ShardedSimulation::RunUntil(SimTime end) {
       shards_[i]->RunUntil(end);
       finish[i] = Clock::now();
     };
-    std::vector<std::thread> threads;
-    threads.reserve(shards_.size() - 1);
-    for (std::size_t i = 1; i < shards_.size(); ++i) threads.emplace_back(run, i);
-    run(0);
-    for (std::thread& t : threads) t.join();
+    {
+      std::vector<std::jthread> threads;
+      threads.reserve(shards_.size() - 1);
+      for (std::size_t i = 1; i < shards_.size(); ++i) {
+        threads.emplace_back(run, i);
+      }
+      run(0);
+    }  // every shard thread is joined here, on an exception too
     const Clock::time_point joined = Clock::now();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       stats_[i].busy_s += SecondsBetween(start[i], finish[i]);
