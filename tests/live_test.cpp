@@ -499,6 +499,20 @@ TEST(LivePlaneTest, ConcurrentScrapesDuringARunningSimulation) {
 
   exp::RunSpec spec = LiveSpec("scraped", /*duration_s=*/10.0);
   spec.live = &live;
+  // The run takes milliseconds of host time, which a loaded host can spend
+  // before any scraper gets a reply. Hold the simulation at t = 1 s (ten
+  // chunks published) until a complete /metrics scrape has landed, so at
+  // least one scrape is known to race the running simulation.
+  spec.traffic = [traffic = spec.traffic, &complete_scrapes](
+                     workload::TrafficDriver& driver, sim::Application& app) {
+    traffic(driver, app);
+    app.sim().ScheduleAt(Seconds(1), [&complete_scrapes] {
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (complete_scrapes.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  };
   exp::Run(spec);
   done.store(true, std::memory_order_relaxed);
   for (std::thread& thread : scrapers) thread.join();

@@ -95,19 +95,32 @@ LocalOnlyRun RunLocalOnly(int run_until_calls, bool threaded) {
   return run;
 }
 
-TEST(ShardedSimulationTest, ThreadedAndSequentialAreBitIdentical) {
-  // Each RunUntil is one round, and neither the round count nor the
-  // execution mode changes any shard's event order.
+TEST(ShardedSimulationTest, UnboundedLookaheadRunsOneRoundPerRunUntil) {
+  // No event crosses shards, so a round is never cut short by a peer: each
+  // RunUntil is exactly one round, and the number of calls the run is split
+  // into does not change any shard's event order.
   const LocalOnlyRun base = RunLocalOnly(1, /*threaded=*/false);
   ASSERT_GT(base.log[0].size(), 1000u);
   EXPECT_EQ(base.rounds, 1u);
+  for (const int calls : {5, 1000}) {
+    const LocalOnlyRun run = RunLocalOnly(calls, /*threaded=*/false);
+    SCOPED_TRACE(testing::Message() << "calls=" << calls);
+    EXPECT_EQ(run.log, base.log);
+    EXPECT_EQ(run.rounds, static_cast<std::uint64_t>(calls));
+  }
+}
+
+TEST(ShardedSimulationTest, ThreadedAndSequentialAreBitIdentical) {
+  // Worker threads change neither the round count nor any shard's event
+  // order, whatever the number of rounds.
   for (const int calls : {1, 5, 1000}) {
-    for (const bool threaded : {false, true}) {
-      const LocalOnlyRun run = RunLocalOnly(calls, threaded);
-      SCOPED_TRACE(testing::Message() << "calls=" << calls << " threaded=" << threaded);
-      EXPECT_EQ(run.log, base.log);
-      EXPECT_EQ(run.rounds, static_cast<std::uint64_t>(calls));
-    }
+    const LocalOnlyRun sequential = RunLocalOnly(calls, /*threaded=*/false);
+    const LocalOnlyRun threaded = RunLocalOnly(calls, /*threaded=*/true);
+    SCOPED_TRACE(testing::Message() << "calls=" << calls);
+    ASSERT_GT(sequential.log[0].size(), 1000u);
+    EXPECT_EQ(threaded.log, sequential.log);
+    EXPECT_EQ(threaded.rounds, sequential.rounds);
+    EXPECT_EQ(threaded.rounds, static_cast<std::uint64_t>(calls));
   }
 }
 
