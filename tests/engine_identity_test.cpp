@@ -533,6 +533,132 @@ TEST(EngineIdentityTest, HopPathFaultsMatchParent) {
   }
 }
 
+// --- Closed-loop users -------------------------------------------------------
+
+/// Refuses every fifth request of API 1 at the gateway, so closed-loop users
+/// also meet refusals, which complete inside Submit.
+class EveryFifthRefused final : public sim::EntryAdmission {
+ public:
+  bool Admit(sim::ApiId api, SimTime) override {
+    return api != 1 || ++seen_ % 5 != 0;
+  }
+
+ private:
+  std::uint64_t seen_ = 0;
+};
+
+struct ClosedLoopRun {
+  std::unique_ptr<sim::Application> app;
+  std::unique_ptr<EveryFifthRefused> entry;
+  std::unique_ptr<fault::FaultInjector> injector;
+  std::unique_ptr<workload::TrafficDriver> traffic;
+};
+
+/// Two closed-loop pools with pinned priority bands, 300 ms client timeouts
+/// and one client retry. "cache" is blackholed at 3-6 s under 150 ms hop
+/// timeouts with one hop retry, so a "lookup" through it fails only after
+/// about 305 ms: its client has given up by then, and the late response
+/// meets a stale epoch. "store" runs near saturation, so queueing alone
+/// pushes some responses past the client timeout too. Pool 1 drops to 150
+/// users at 4-7 s and climbs back, so users leave and are started again.
+ClosedLoopRun RunClosedLoopUsers() {
+  ClosedLoopRun run;
+  run.app = std::make_unique<sim::Application>("closed-loop-users", 71);
+  sim::Application& app = *run.app;
+  const sim::ServiceId front = app.AddService(HopSvc("front", 1.0, 16, 2, 256));
+  const sim::ServiceId cache = app.AddService(HopSvc("cache", 2.0, 4, 2, 128));
+  const sim::ServiceId store = app.AddService(HopSvc("store", 6.0, 4, 2, 96));
+  sim::ApiSpec lookup("lookup", 1);
+  lookup.AddPath(sim::ExecutionPath{sim::Chain({front, cache, store}), 1.0, {}});
+  app.AddApi(std::move(lookup));
+  sim::ApiSpec write("write", 2);
+  write.AddPath(sim::ExecutionPath{sim::FanOut(front, {store}), 1.0, {}});
+  app.AddApi(std::move(write));
+  app.Finalize();
+  app.ConfigureRpc(Millis(150), /*max_retries=*/1, Millis(5));
+  run.entry = std::make_unique<EveryFifthRefused>();
+  app.SetEntryAdmission(run.entry.get());
+
+  fault::FaultSchedule faults;
+  faults.Blackhole("cache", Seconds(3), Seconds(3));
+  run.injector = std::make_unique<fault::FaultInjector>(&app, std::move(faults));
+  run.injector->Arm();
+
+  run.traffic = std::make_unique<workload::TrafficDriver>(&app);
+  workload::ClosedLoopConfig low;
+  low.mix.weights = {1.0, 1.0};
+  low.think = Millis(400);
+  low.client_timeout = Millis(300);
+  low.max_client_retries = 1;
+  low.client_retry_backoff = Millis(50);
+  low.user_priority_lo = 0;
+  low.user_priority_hi = 63;
+  run.traffic->AddClosedLoop(low, workload::Schedule::Constant(500));
+  workload::ClosedLoopConfig high = low;
+  high.mix.weights = {0.4, 1.0};
+  high.think = Millis(700);
+  high.user_priority_lo = 64;
+  high.user_priority_hi = 127;
+  run.traffic->AddClosedLoop(
+      high, workload::Schedule::Spike(400, Seconds(4), Seconds(3), 150));
+  app.RunFor(Seconds(10));
+  return run;
+}
+
+// Golden minted at commit 4480155, where a request's completion was a
+// std::function and each closed-loop user kept its state and its outcome
+// counters in two arrays. The digest pins every user's counters, not their
+// sum, beside the timeline and the fault log.
+TEST(EngineIdentityTest, ClosedLoopUsersMatchParent) {
+  const ClosedLoopRun run = RunClosedLoopUsers();
+  const sim::Application& app = *run.app;
+  std::string all = Serialize(app, &run.injector->Log());
+  char buf[160];
+  workload::UserOutcomes sum;
+  const auto& pools = run.traffic->pools();
+  for (std::size_t p = 0; p < pools.size(); ++p) {
+    std::snprintf(buf, sizeof buf, "pool %zu live=%d\n", p, pools[p]->LiveUsers());
+    all += buf;
+    const std::vector<workload::UserOutcomes> users = pools[p]->Outcomes();
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      const workload::UserOutcomes& u = users[i];
+      std::snprintf(buf, sizeof buf, "user %zu i=%llu a=%llu ok=%llu f=%llu\n", i,
+                    static_cast<unsigned long long>(u.intents),
+                    static_cast<unsigned long long>(u.attempts),
+                    static_cast<unsigned long long>(u.ok),
+                    static_cast<unsigned long long>(u.failed));
+      all += buf;
+      sum.intents += u.intents;
+      sum.attempts += u.attempts;
+      sum.ok += u.ok;
+      sum.failed += u.failed;
+    }
+  }
+
+  // The case really takes every path: refusals, blackholed hops that time
+  // out and retry, client retries and abandoned transactions.
+  ASSERT_EQ(pools.size(), 2u);
+  EXPECT_EQ(pools[0]->Outcomes().size(), 500u);
+  EXPECT_EQ(pools[1]->Outcomes().size(), 400u);
+  EXPECT_GT(app.service(1).BlackholedDispatches(), 0u);
+  EXPECT_GT(app.HopTimeouts(), 0u);
+  EXPECT_GT(app.Retries(), 0u);
+  EXPECT_GT(sum.attempts, sum.intents);
+  EXPECT_GT(sum.failed, 0u);
+  EXPECT_GT(sum.ok, sum.failed);
+  std::uint64_t refused = 0;
+  for (const auto& snap : app.metrics().Timeline()) {
+    refused += snap.apis.at(1).rejected_entry;
+  }
+  EXPECT_GT(refused, 0u);
+
+  const std::uint64_t digest = Fnv1a(all);
+  if (StrictGolden()) {
+    EXPECT_EQ(digest, 0x45b352d1fb0d9c7dull) << "closed-loop users diverged from the parent engine "
+                              << "(set TOPFULL_STRICT_GOLDEN=0 on a foreign libm)";
+  }
+}
+
 // --- Sharded engine identity -------------------------------------------------
 
 /// Serialization of a sharded run's merged observables, mirroring
