@@ -8,19 +8,23 @@
 // caller re-initialises the fields it uses and owns any generation counter
 // that guards against stale handles (see sim::Application's attempt records).
 //
-// A record type with a `pool_index` member gets its index written once, when
-// its slab is carved; At(index) finds the record again with a shift and a
-// mask, so a 32-bit event argument or job token can name it.
+// A record carries a `pool_index` member, written once, when its slab is
+// carved. At(index) finds the record again with a shift and a mask, so a
+// 32-bit event argument, job token or record field can name it, and the
+// free list is a stack of those 4-byte indices rather than of pointers.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace topfull {
 
+/// T: default-constructible, with a `std::uint32_t pool_index` the pool
+/// owns. T may be incomplete where the pool is declared.
 template <typename T>
 class SlabPool {
  public:
@@ -32,7 +36,7 @@ class SlabPool {
   /// fields they rely on (and must NOT reset generation counters).
   T* Alloc() {
     if (free_.empty()) Grow();
-    T* p = free_.back();
+    T* p = At(free_.back());
     free_.pop_back();
     ++live_;
     return p;
@@ -40,13 +44,13 @@ class SlabPool {
 
   /// Returns `p` to the pool. `p` must have come from this pool's Alloc.
   void Free(T* p) {
-    assert(live_ > 0);
+    assert(live_ > 0 && At(p->pool_index) == p);
     --live_;
-    free_.push_back(p);
+    free_.push_back(p->pool_index);
   }
 
   /// The record whose `pool_index` is `index`.
-  T* At(std::uint32_t index) {
+  T* At(std::uint32_t index) const {
     assert(index < capacity());
     return &slabs_[index >> kSlabShift][index & (kSlabSize - 1)];
   }
@@ -58,22 +62,18 @@ class SlabPool {
 
  private:
   void Grow() {
-    const std::size_t base = capacity();
+    static_assert(std::is_same_v<decltype(T::pool_index), std::uint32_t>);
+    const auto base = static_cast<std::uint32_t>(capacity());
     slabs_.push_back(std::make_unique<T[]>(kSlabSize));
-    free_.reserve(capacity());
     T* slab = slabs_.back().get();
-    if constexpr (requires { slab->pool_index; }) {
-      for (std::size_t i = 0; i < kSlabSize; ++i) {
-        slab[i].pool_index = static_cast<std::uint32_t>(base + i);
-      }
-    }
+    for (std::uint32_t i = 0; i < kSlabSize; ++i) slab[i].pool_index = base + i;
     // Pushed in reverse so the free list hands out records in slab order.
-    for (std::size_t i = kSlabSize; i > 0; --i) free_.push_back(&slab[i - 1]);
+    for (std::uint32_t i = kSlabSize; i > 0; --i) free_.push_back(base + i - 1);
   }
 
   std::size_t live_ = 0;
   std::vector<std::unique_ptr<T[]>> slabs_;  ///< stable record storage
-  std::vector<T*> free_;
+  std::vector<std::uint32_t> free_;          ///< pool indices, LIFO
 };
 
 }  // namespace topfull

@@ -5,47 +5,56 @@
 
 namespace topfull::sim {
 
-// One pooled record per admitted request. Recycled through a SlabPool; the
-// generation counter survives recycling and invalidates any stale pointer
-// (retry events assert against it).
+// One pooled record per admitted request, one cache line. Recycled through
+// a SlabPool; the generation counter survives recycling and invalidates any
+// stale pointer (retry events assert against it).
 struct Application::RequestRec {
   RequestInfo info;
   SimTime start = 0;
   const ExecutionPath* path = nullptr;
-  DoneFn on_done;
+  std::uint64_t done_data = 0;  ///< DoneRef::data
+  std::uint32_t done_handler = DoneRef::kNoHandler;
   std::uint32_t gen = 0;
+  std::uint32_t pool_index = 0;  // set by the SlabPool; AttemptRec::req
   bool finalized = false;
   /// The observer's Tracing() verdict, asked once after OnAdmitted.
   bool traced = false;
 };
 
-// One pooled record per hop attempt. Replaces the old per-attempt closure
-// web (shared_ptr<Request> + shared_ptr<bool> settled + shared_ptr<SimTime>
-// + shared_ptr<HeldDispatch> + std::function captures) with a single
-// recycled struct. `pending` counts the references that may still touch the
-// record: the attempt logic itself, the dispatched job (whose token the pod
-// reports exactly once), and the hop-timeout timer; the record is freed
-// (generation bumped) when all are gone.
+// One pooled record per hop attempt, one cache line. Replaces the old
+// per-attempt closure web (shared_ptr<Request> + shared_ptr<bool> settled +
+// shared_ptr<SimTime> + shared_ptr<HeldDispatch> + std::function captures)
+// with a single recycled struct. `pending` counts the references that may
+// still touch the record: the attempt logic itself, the dispatched job
+// (whose token the pod reports exactly once), and the hop-timeout timer —
+// at most 3; the record is freed (generation bumped) when all are gone.
+// The request and the continuation parent are pool indices; the hop's
+// start and service time, read only by the observer, are in hop_times_.
 struct Application::AttemptRec {
-  RequestRec* req = nullptr;
   const CallNode* node = nullptr;
-  int attempt = 0;
-  ContRef cont{};
+  des::Simulation::TimerHandle timeout{};
+  Service::HeldDispatch held{};
+  std::uint32_t req = 0;         ///< request_pool_ index
+  std::uint32_t parent = 0;      ///< ContRef::parent (kSeq, kJoin)
+  std::uint32_t parent_gen = 0;  ///< ContRef::parent_gen
   std::uint32_t gen = 0;
-  int pending = 0;
-  bool settled = false;
+  std::uint32_t pool_index = 0;  // set by the SlabPool; the job token and timeout arg
+  std::int32_t attempt = 0;
+  // A node's children run either in sequence or in parallel, never both.
+  union {
+    std::uint32_t next_child = 0;  ///< sequential-children cursor
+    std::uint32_t join_remaining;  ///< parallel join: branches still running
+  };
+  std::uint8_t pending = 0;
+  bool settled : 1 = false;
   /// Settled by the hop timeout: the held worker slot (if any) must NOT be
   /// released at subtree resolution — the late completion releases it.
-  bool timed_out = false;
-  bool traced = false;
-  Service::HeldDispatch held{};
-  SimTime hop_start = 0;
-  SimTime hop_service_time = 0;
-  des::Simulation::TimerHandle timeout{};
-  std::uint32_t pool_index = 0;   // set by the SlabPool; the job token and timeout arg
-  std::uint32_t next_child = 0;   // sequential-children cursor
-  int join_remaining = 0;         // parallel join
-  bool join_all_ok = true;
+  bool timed_out : 1 = false;
+  bool traced : 1 = false;
+  bool join_all_ok : 1 = true;
+  ContRef::Kind cont_kind : 2 = ContRef::Kind::kRoot;
+
+  ContRef cont() const { return ContRef{cont_kind, parent, parent_gen}; }
 };
 
 Application::Application(std::string name, std::uint64_t seed, AppConfig config)
@@ -256,22 +265,38 @@ ApiId Application::FindApi(const std::string& name) const {
 }
 
 Application::ArenaStats Application::Arena() const {
+  static_assert(sizeof(RequestRec) <= 64, "a request record fits one cache line");
+  static_assert(sizeof(AttemptRec) == 64, "an attempt record is one cache line");
   return ArenaStats{request_pool_.live(), request_pool_.capacity(),
-                    attempt_pool_.live(), attempt_pool_.capacity()};
+                    attempt_pool_.live(), attempt_pool_.capacity(),
+                    request_pool_.capacity() * sizeof(RequestRec) +
+                        attempt_pool_.capacity() * sizeof(AttemptRec)};
 }
 
-void Application::Submit(ApiId api, DoneFn on_done) {
-  Submit(api, SubmitOptions{}, std::move(on_done));
+std::uint32_t Application::AddDoneHandler(DoneHandler fn) {
+  done_handlers_.push_back(std::move(fn));
+  return static_cast<std::uint32_t>(done_handlers_.size() - 1);
 }
 
-void Application::Submit(ApiId api, const SubmitOptions& options, DoneFn on_done) {
+void Application::Complete(const DoneRef& done, Outcome outcome, SimTime latency) {
+  if (done.handler != DoneRef::kNoHandler) {
+    done_handlers_[done.handler](outcome, latency, done.data);
+  }
+}
+
+void Application::Submit(ApiId api, DoneRef done) {
+  Submit(api, SubmitOptions{}, done);
+}
+
+void Application::Submit(ApiId api, const SubmitOptions& options, DoneRef done) {
   assert(finalized_ && "Finalize() before submitting traffic");
+  assert(done.handler == DoneRef::kNoHandler || done.handler < done_handlers_.size());
   metrics_->OnOffered(api);
   if (observer_ != nullptr) observer_->OnOffered(api, sim_.Now());
   if (entry_ != nullptr && !entry_->Admit(api, sim_.Now())) {
     metrics_->OnRejectedEntry(api);
     if (observer_ != nullptr) observer_->OnEntryRejected(api, sim_.Now());
-    if (on_done) on_done(Outcome::kRejectedEntry, 0);
+    Complete(done, Outcome::kRejectedEntry, 0);
     return;
   }
   metrics_->OnAdmitted(api);
@@ -288,7 +313,8 @@ void Application::Submit(ApiId api, const SubmitOptions& options, DoneFn on_done
   req->start = sim_.Now();
   const auto& spec = apis_[api];
   req->path = &spec.paths()[spec.SamplePath(rng_.NextDouble())];
-  req->on_done = std::move(on_done);
+  req->done_data = done.data;
+  req->done_handler = done.handler;
   req->finalized = false;
   ++inflight_;
   req->traced = false;
@@ -305,36 +331,41 @@ void Application::StartAttempt(RequestRec* req, const CallNode* node, int attemp
   Service& svc = *services_[node->service];
   ++hop_attempts_;
   AttemptRec* a = attempt_pool_.Alloc();
-  a->req = req;
   a->node = node;
+  a->timeout = des::Simulation::TimerHandle{};
+  a->held = Service::HeldDispatch{};
+  a->req = req->pool_index;
+  a->parent = cont.parent;
+  a->parent_gen = cont.parent_gen;
   a->attempt = attempt;
-  a->cont = cont;
+  a->next_child = 0;
   a->pending = 1;  // the attempt logic itself
   a->settled = false;
   a->timed_out = false;
   a->traced = req->traced;
-  a->held = Service::HeldDispatch{};
-  a->hop_start = sim_.Now();
-  a->hop_service_time = 0;
-  a->timeout = des::Simulation::TimerHandle{};
-  a->next_child = 0;
-  a->join_remaining = 0;
   a->join_all_ok = true;
+  a->cont_kind = cont.kind;
 
+  // Dispatch draws the service time whether or not it is asked to report
+  // it, so the RNG stream is identical with and without tracing.
+  SimTime* service_time = nullptr;
+  if (a->traced) {
+    if (hop_times_.size() <= a->pool_index) hop_times_.resize(attempt_pool_.capacity());
+    HopTimes& t = hop_times_[a->pool_index];
+    t = HopTimes{sim_.Now(), 0};
+    service_time = &t.service_time;
+  }
   // Synchronous-RPC services hold their worker slot while the request's
   // downstream subtree runs; the slot is released when the subtree
   // resolves (success or failure). A fresh handle per attempt: a retried
   // hop lands on a (possibly) different pod.
   const bool blocking = svc.config().blocking_rpc && !node->children.empty();
-  // The service-time slot is written unconditionally (a dead store when the
-  // request is untraced) so the dispatch call — and thus the RNG stream —
-  // is identical with and without tracing.
   bool token_retained = false;
   const bool dispatched =
       blocking ? svc.DispatchHeld(req->info, node->work, a->pool_index, &a->held,
-                                  &a->hop_service_time, &token_retained)
-               : svc.Dispatch(req->info, node->work, a->pool_index,
-                              &a->hop_service_time, &token_retained);
+                                  service_time, &token_retained)
+               : svc.Dispatch(req->info, node->work, a->pool_index, service_time,
+                              &token_retained);
   if (!dispatched) {
     if (a->traced) observer_->OnHopShed(req->info.id, node->service, sim_.Now());
     FailAttempt(a);  // consumes the logic reference
@@ -367,8 +398,9 @@ void Application::OnLocalDone(AttemptRec* a, bool ok) {
     a->timeout = des::Simulation::TimerHandle{};
   }
   if (a->traced) {
-    observer_->OnHopDone(a->req->info.id, a->node->service, a->hop_start,
-                         sim_.Now(), a->hop_service_time, ok);
+    const HopTimes& t = hop_times_[a->pool_index];
+    observer_->OnHopDone(request_pool_.At(a->req)->info.id, a->node->service, t.start,
+                         sim_.Now(), t.service_time, ok);
   }
   if (!ok) {
     // Pod died mid-service: no slot is held (the hold handle never
@@ -389,8 +421,9 @@ void Application::OnHopTimeout(AttemptRec* a) {
     a->timeout = des::Simulation::TimerHandle{};
     ++hop_timeouts_;
     if (a->traced) {
-      observer_->OnHopDone(a->req->info.id, a->node->service, a->hop_start,
-                           sim_.Now(), a->hop_service_time, /*ok=*/false);
+      const HopTimes& t = hop_times_[a->pool_index];
+      observer_->OnHopDone(request_pool_.At(a->req)->info.id, a->node->service,
+                           t.start, sim_.Now(), t.service_time, /*ok=*/false);
     }
     FailAttempt(a);  // consumes the logic reference
   }
@@ -400,10 +433,10 @@ void Application::OnHopTimeout(AttemptRec* a) {
 void Application::FailAttempt(AttemptRec* a) {
   if (a->attempt < config_.max_retries) {
     ++retries_;
-    RequestRec* req = a->req;
+    RequestRec* req = request_pool_.At(a->req);
     const CallNode* node = a->node;
     const int next_attempt = a->attempt + 1;
-    const ContRef cont = a->cont;
+    const ContRef cont = a->cont();
     if (config_.retry_backoff > 0) {
       // A pending retry keeps the subtree unresolved, which pins the
       // request and the continuation parent until the retry runs.
@@ -434,12 +467,12 @@ void Application::AfterLocalSuccess(AttemptRec* a) {
     // Fan out all children; join when every branch resolves. Failed
     // branches do not cancel their siblings (their work is wasted),
     // matching real partially-constructed responses.
-    a->join_remaining = static_cast<int>(node->children.size());
+    a->join_remaining = static_cast<std::uint32_t>(node->children.size());
     a->join_all_ok = true;
-    const std::uint32_t gen = a->gen;
+    RequestRec* req = request_pool_.At(a->req);
+    const ContRef cont{ContRef::Kind::kJoin, a->pool_index, a->gen};
     for (const auto& child : node->children) {
-      StartAttempt(a->req, &child, /*attempt=*/0,
-                   ContRef{ContRef::Kind::kJoin, a, gen});
+      StartAttempt(req, &child, /*attempt=*/0, cont);
     }
   } else {
     a->next_child = 0;
@@ -453,23 +486,21 @@ void Application::RunNextChild(AttemptRec* a) {
     ResolveSubtree(a, true);
     return;
   }
-  StartAttempt(a->req, &children[a->next_child], /*attempt=*/0,
-               ContRef{ContRef::Kind::kSeq, a, a->gen});
+  StartAttempt(request_pool_.At(a->req), &children[a->next_child], /*attempt=*/0,
+               ContRef{ContRef::Kind::kSeq, a->pool_index, a->gen});
 }
 
 void Application::ResolveSubtree(AttemptRec* a, bool ok) {
   // A timed-out attempt must keep its held slot: the server is still
   // working and the late completion handler is the one that frees it.
   if (!a->timed_out) Service::ReleaseHeld(a->held);
-  const ContRef cont = a->cont;
-  RequestRec* req = a->req;
-  switch (cont.kind) {
+  switch (a->cont_kind) {
     case ContRef::Kind::kRoot:
-      FinalizeRequest(req, ok);
+      FinalizeRequest(request_pool_.At(a->req), ok);
       break;
     case ContRef::Kind::kSeq: {
-      AttemptRec* p = cont.parent;
-      assert(p->gen == cont.parent_gen);
+      AttemptRec* p = attempt_pool_.At(a->parent);
+      assert(p->gen == a->parent_gen);
       if (!ok) {
         ResolveSubtree(p, false);
       } else {
@@ -479,8 +510,8 @@ void Application::ResolveSubtree(AttemptRec* a, bool ok) {
       break;
     }
     case ContRef::Kind::kJoin: {
-      AttemptRec* p = cont.parent;
-      assert(p->gen == cont.parent_gen);
+      AttemptRec* p = attempt_pool_.At(a->parent);
+      assert(p->gen == a->parent_gen);
       if (!ok) p->join_all_ok = false;
       if (--p->join_remaining == 0) ResolveSubtree(p, p->join_all_ok);
       break;
@@ -500,18 +531,17 @@ void Application::FinalizeRequest(RequestRec* req, bool ok) {
                              ok ? Outcome::kCompleted : Outcome::kRejectedService,
                              ok && latency <= config_.slo);
   }
-  // Recycle the record before running the user callback: on_done may
-  // Submit re-entrantly and is welcome to reuse this slot.
-  DoneFn done = std::move(req->on_done);
-  req->on_done = nullptr;
+  // Recycle the record before running the done handler: it may Submit
+  // re-entrantly and is welcome to reuse this slot.
+  const DoneRef done{req->done_handler, req->done_data};
   ++req->gen;
   request_pool_.Free(req);
   if (ok) {
     metrics_->OnCompleted(api, latency);
-    if (done) done(Outcome::kCompleted, latency);
+    Complete(done, Outcome::kCompleted, latency);
   } else {
     metrics_->OnRejectedService(api);
-    if (done) done(Outcome::kRejectedService, latency);
+    Complete(done, Outcome::kRejectedService, latency);
   }
 }
 

@@ -8,24 +8,30 @@
 // of Fig. 1.
 //
 // The request engine runs on pooled records instead of shared_ptr-chained
-// closures: one RequestRec per admitted request and one AttemptRec per hop
-// attempt, both slab-allocated and recycled, with generation counters
-// guarding the continuations that might outlive their attempt. A hop carries
-// no closure: pods report its outcome to the Application's one
-// Pod::DoneSink by the attempt record's pool index, and hop timeouts are
-// queue timers (one des::Simulation timer queue per distinct delay) armed
-// with the same index and cancelled when the hop settles, so the
-// steady-state per-hop path performs zero heap allocations.
+// closures: one 64-byte RequestRec per admitted request and one 64-byte
+// AttemptRec per hop attempt (one cache line each), both slab-allocated and
+// recycled, with generation counters guarding the continuations that might
+// outlive their attempt. Records name each other by 32-bit pool index, not
+// by pointer. A request carries no closure either: its completion is a
+// DoneRef, the id of a handler registered once on the Application plus 64
+// bits of caller data. A hop carries no closure: pods report its outcome to
+// the Application's one Pod::DoneSink by the attempt record's pool index,
+// and hop timeouts are queue timers (one des::Simulation timer queue per
+// distinct delay) armed with the same index and cancelled when the hop
+// settles, so the steady-state per-hop path performs zero heap allocations.
+// Hop timings that only the observer reads live in a side table grown only
+// while requests are traced.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/inline_function.hpp"
 #include "common/object_pool.hpp"
 #include "common/rng.hpp"
 #include "des/simulation.hpp"
@@ -68,10 +74,23 @@ struct SubmitOptions {
   int user_priority = -1;
 };
 
+/// Where a request's completion goes: a handler registered once with
+/// Application::AddDoneHandler, and the caller data it is called with (a
+/// closed-loop pool passes the user and the attempt's epoch). The default
+/// names no handler: the request completes silently.
+struct DoneRef {
+  static constexpr std::uint32_t kNoHandler = 0xffffffffu;
+  std::uint32_t handler = kNoHandler;
+  std::uint64_t data = 0;
+};
+
 class Application {
  public:
-  /// Completion callback: outcome and end-to-end latency (0 on rejection).
-  using DoneFn = std::function<void(Outcome, SimTime)>;
+  /// Completion handler: the request's outcome, its end-to-end latency (0
+  /// on an entry refusal) and the `data` of the DoneRef it was submitted
+  /// with.
+  using DoneHandler =
+      InlineFunction<void(Outcome outcome, SimTime latency, std::uint64_t data), 16>;
 
   Application(std::string name, std::uint64_t seed, AppConfig config = {});
   ~Application();
@@ -102,10 +121,19 @@ class Application {
   void SetObserver(RequestObserver* observer) { observer_ = observer; }
   RequestObserver* observer() const { return observer_; }
 
-  /// Submits one client request for `api` at the current sim time.
-  void Submit(ApiId api, DoneFn on_done = {});
+  /// Registers a completion handler for the whole run (typically a lambda
+  /// capturing `this`, like des::Simulation::AddHandler) and returns the id
+  /// a DoneRef names. Handlers never move, so one may be registered from
+  /// inside another.
+  std::uint32_t AddDoneHandler(DoneHandler fn);
+
+  /// Submits one client request for `api` at the current sim time. `done`'s
+  /// handler runs exactly once: inside this call for an entry refusal,
+  /// otherwise when the request completes or fails, after its record is
+  /// recycled (the handler may Submit again and reuse it).
+  void Submit(ApiId api, DoneRef done = {});
   /// Submit with explicit attribution (stable user priority, ...).
-  void Submit(ApiId api, const SubmitOptions& options, DoneFn on_done = {});
+  void Submit(ApiId api, const SubmitOptions& options, DoneRef done = {});
 
   // --- Access ---------------------------------------------------------------
 
@@ -162,14 +190,16 @@ class Application {
   /// HopAttempts() / (HopAttempts() - Retries()).
   std::uint64_t HopAttempts() const { return hop_attempts_; }
 
-  /// Request-engine arena usage (benches/tests): live records and pool
-  /// high-water capacity. Steady-state capacity growth means the hot path
-  /// is allocating — the tab_event_throughput bench watches this.
+  /// Request-engine arena usage (benches/tests): live records, pool
+  /// high-water capacity, and the bytes that capacity holds (capacity ×
+  /// record size, both pools). Steady-state capacity growth means the hot
+  /// path is allocating — the tab_event_throughput bench watches this.
   struct ArenaStats {
     std::size_t live_requests = 0;
     std::size_t request_capacity = 0;
     std::size_t live_attempts = 0;
     std::size_t attempt_capacity = 0;
+    std::size_t record_bytes = 0;
   };
   ArenaStats Arena() const;
 
@@ -179,14 +209,21 @@ class Application {
 
   /// Where an attempt's subtree result is delivered: the owning request
   /// (root of the call tree), a sequential parent (advance to the next
-  /// child), or a parallel parent (join). Parent access is generation-
-  /// checked; the parent record is pinned until its subtree resolves, so
-  /// the check is an assertion rather than a branch.
+  /// child), or a parallel parent (join). The parent is named by its
+  /// attempt-pool index; access is generation-checked, but the parent
+  /// record is pinned until its subtree resolves, so the check is an
+  /// assertion rather than a branch.
   struct ContRef {
     enum class Kind : std::uint8_t { kRoot, kSeq, kJoin };
     Kind kind = Kind::kRoot;
-    AttemptRec* parent = nullptr;
+    std::uint32_t parent = 0;
     std::uint32_t parent_gen = 0;
+  };
+  /// Start and sampled service time of a traced hop attempt: read only by
+  /// the observer, so kept beside the attempt records, by pool index.
+  struct HopTimes {
+    SimTime start = 0;
+    SimTime service_time = 0;
   };
 
   void StartAttempt(RequestRec* req, const CallNode* node, int attempt,
@@ -205,6 +242,8 @@ class Application {
   /// deliver to the continuation, drop the logic reference.
   void ResolveSubtree(AttemptRec* a, bool ok);
   void FinalizeRequest(RequestRec* req, bool ok);
+  /// Runs `done`'s handler, if it names one.
+  void Complete(const DoneRef& done, Outcome outcome, SimTime latency);
   /// Drops one reference; frees the record (bumping its generation) at 0.
   void ReleaseAttempt(AttemptRec* a);
 
@@ -253,6 +292,11 @@ class Application {
   std::uint64_t hop_attempts_ = 0;
   SlabPool<RequestRec> request_pool_;
   SlabPool<AttemptRec> attempt_pool_;
+  /// Hop timings of traced attempts, indexed by attempt pool index; empty
+  /// until a request is traced, then grown to the attempt pool's capacity.
+  std::vector<HopTimes> hop_times_;
+  /// Completion handlers by id (a deque: registering never moves one).
+  std::deque<DoneHandler> done_handlers_;
   /// Hop-timeout timer queues, one per distinct delay: (delay, queue id).
   /// The queues' arg is the attempt record's pool index.
   std::vector<std::pair<SimTime, std::uint32_t>> hop_timeout_queues_;

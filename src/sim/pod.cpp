@@ -94,7 +94,7 @@ void Pod::StartService(SimTime service_time, std::uint32_t token, HoldHandle* ho
     record = free_records_.back();
     free_records_.pop_back();
   }
-  in_service_[record] = ServiceRecord{epoch_, service_time, hold, token};
+  in_service_[record] = ServiceRecord{service_time, hold, epoch_, token};
   sim_->ScheduleHandlerAfter(service_time, done_handler_, record);
 }
 

@@ -76,10 +76,10 @@ class Service {
 
   /// Dispatches one sub-request doing `work`× the base service time.
   /// Returns false when shed (admission denied, queue full, or no running
-  /// pod); the sink only ever hears of `token` on success. When
-  /// `sampled_service_time` is non-null, the sampled service duration is
-  /// written to it on success (tracing observes the queue-wait/service-time
-  /// split this way; the RNG draw is identical either way). A blackholed
+  /// pod); the sink only ever hears of `token` on success. The service time
+  /// is drawn whether or not `sampled_service_time` is given; when it is
+  /// non-null, the sampled duration is written to it on success (tracing
+  /// observes the queue-wait/service-time split this way). A blackholed
   /// service returns true but drops the token; `*token_retained` (when
   /// non-null) tells the caller whether the sink will eventually report
   /// `token` — the request engine's attempt records count outstanding
@@ -94,6 +94,7 @@ class Service {
     Pod* pod = nullptr;
     Pod::HoldHandle handle;
   };
+  static_assert(sizeof(HeldDispatch) == 16);
 
   /// Like Dispatch, but the worker slot stays occupied after local service
   /// completes until ReleaseHeld(*held). `held` must stay at a stable

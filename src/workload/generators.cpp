@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <limits>
 
 namespace topfull::workload {
 
@@ -31,13 +32,18 @@ ClosedLoopPool::ClosedLoopPool(sim::Application* app, ClosedLoopConfig config,
     : app_(app),
       config_(std::move(config)),
       mix_cumulative_(config_.mix.Cumulative()),
-      users_(std::move(users)),
+      schedule_(std::move(users)),
       rng_(rng),
       think_handler_(app_->sim().AddHandler(
           [this](std::uint32_t user) { UserLoop(static_cast<int>(user)); })),
       timeout_queue_(app_->sim().AddTimerQueue(
           config_.client_timeout,
-          [this](std::uint32_t user) { OnClientTimeout(static_cast<int>(user)); })) {}
+          [this](std::uint32_t user) { OnClientTimeout(static_cast<int>(user)); })),
+      done_handler_(app_->AddDoneHandler(
+          [this](sim::Outcome outcome, SimTime, std::uint64_t data) {
+            OnResponse(static_cast<int>(data >> 32), static_cast<std::uint32_t>(data),
+                       outcome);
+          })) {}
 
 void ClosedLoopPool::Start() {
   if (started_) return;
@@ -48,13 +54,13 @@ void ClosedLoopPool::Start() {
 }
 
 void ClosedLoopPool::Reconcile() {
-  target_users_ = static_cast<int>(users_.At(app_->sim().Now()));
+  target_users_ = static_cast<int>(schedule_.At(app_->sim().Now()));
   // Ramp-down is gradual: excess users terminate at their next loop
   // boundary (a user whose index >= target exits instead of re-issuing).
   // A user above the target that has not left yet simply carries on when
   // the target rises again; only users that left are started again, in
   // index order, before users never started.
-  if (static_cast<int>(states_.size()) < target_users_) states_.resize(target_users_);
+  if (static_cast<int>(users_.size()) < target_users_) users_.resize(target_users_);
   while (!left_.empty() && left_.front() < target_users_) {
     std::pop_heap(left_.begin(), left_.end(), std::greater<>());
     const int index = left_.back();
@@ -67,6 +73,15 @@ void ClosedLoopPool::Reconcile() {
     ++live_users_;
     UserLoop(index);
   }
+}
+
+std::vector<UserOutcomes> ClosedLoopPool::Outcomes() const {
+  std::vector<UserOutcomes> outcomes;
+  outcomes.reserve(users_.size());
+  for (const User& user : users_) {
+    outcomes.push_back(UserOutcomes{user.intents, user.attempts, user.ok, user.failed});
+  }
+  return outcomes;
 }
 
 int ClosedLoopPool::UserPriority(int user_index) const {
@@ -85,73 +100,73 @@ void ClosedLoopPool::UserLoop(int user_index) {
   }
   const sim::ApiId api =
       ApiMix::SampleCumulative(mix_cumulative_, rng_.NextDouble());
-  UserState& st = states_[static_cast<std::size_t>(user_index)];
-  st.api = api;
-  st.retries_left = config_.max_client_retries;
-  if (outcomes_.size() < states_.size()) outcomes_.resize(states_.size());
-  ++outcomes_[static_cast<std::size_t>(user_index)].intents;
+  User& user = users_[static_cast<std::size_t>(user_index)];
+  user.api = api;
+  user.retries_left = static_cast<std::uint32_t>(std::max(0, config_.max_client_retries));
+  ++user.intents;
   IssueAttempt(user_index);
 }
 
 void ClosedLoopPool::IssueAttempt(int user_index) {
-  UserState& st = states_[static_cast<std::size_t>(user_index)];
-  const std::uint32_t epoch = ++st.epoch;
-  st.waiting = true;
-  st.timeout = des::Simulation::TimerHandle{};
-  ++outcomes_[static_cast<std::size_t>(user_index)].attempts;
+  User& user = users_[static_cast<std::size_t>(user_index)];
+  assert(user.attempts != std::numeric_limits<std::uint32_t>::max());
+  const std::uint32_t epoch = ++user.attempts;
+  user.waiting = true;
+  user.timeout = des::Simulation::TimerHandle{};
   sim::SubmitOptions options;
   options.user_priority = UserPriority(user_index);
-  // The capture {pool, index, epoch} fits std::function's small buffer, so
-  // submitting costs no allocation; the epoch check drops late responses
-  // (the user already gave up — the server work was wasted).
-  app_->Submit(st.api, options,
-               [this, user_index, epoch](sim::Outcome outcome, SimTime) {
-                 UserState& s = states_[static_cast<std::size_t>(user_index)];
-                 if (s.epoch != epoch || !s.waiting) return;
-                 s.waiting = false;
-                 if (s.timeout.valid()) {
-                   app_->sim().Cancel(s.timeout);
-                   s.timeout = des::Simulation::TimerHandle{};
-                 }
-                 OnAttemptDone(user_index, outcome == sim::Outcome::kCompleted);
-               });
-  UserState& after = states_[static_cast<std::size_t>(user_index)];
-  if (after.epoch != epoch || !after.waiting) return;  // resolved synchronously
-  after.timeout =
+  app_->Submit(user.api, options,
+               sim::DoneRef{done_handler_,
+                            static_cast<std::uint64_t>(user_index) << 32 | epoch});
+  // A refusal has already answered inside Submit.
+  if (user.attempts != epoch || !user.waiting) return;
+  user.timeout =
       app_->sim().ArmTimer(timeout_queue_, static_cast<std::uint32_t>(user_index));
+}
+
+void ClosedLoopPool::OnResponse(int user_index, std::uint32_t epoch,
+                                sim::Outcome outcome) {
+  User& user = users_[static_cast<std::size_t>(user_index)];
+  // A late response: the user already gave up (the server work was wasted).
+  if (user.attempts != epoch || !user.waiting) return;
+  user.waiting = false;
+  if (user.timeout.valid()) {
+    app_->sim().Cancel(user.timeout);
+    user.timeout = des::Simulation::TimerHandle{};
+  }
+  OnAttemptDone(user_index, outcome == sim::Outcome::kCompleted);
 }
 
 void ClosedLoopPool::OnClientTimeout(int user_index) {
   // A response cancels the timer, so a firing timer's user is still
   // waiting on the attempt that armed it.
-  UserState& s = states_[static_cast<std::size_t>(user_index)];
-  assert(s.waiting);
-  s.waiting = false;  // client gives up; a late response is ignored
-  s.timeout = des::Simulation::TimerHandle{};
+  User& user = users_[static_cast<std::size_t>(user_index)];
+  assert(user.waiting);
+  user.waiting = false;  // client gives up; a late response is ignored
+  user.timeout = des::Simulation::TimerHandle{};
   OnAttemptDone(user_index, false);
 }
 
 void ClosedLoopPool::OnAttemptDone(int user_index, bool ok) {
-  UserState& st = states_[static_cast<std::size_t>(user_index)];
-  UserOutcomes& outcome = outcomes_[static_cast<std::size_t>(user_index)];
+  User& user = users_[static_cast<std::size_t>(user_index)];
   if (ok) {
-    ++outcome.ok;
+    ++user.ok;
     UserThink(user_index);
     return;
   }
-  if (st.retries_left > 0) {
-    --st.retries_left;
-    const std::uint32_t epoch = st.epoch;
+  if (user.retries_left > 0) {
+    --user.retries_left;
+    const std::uint32_t epoch = user.attempts;
     app_->sim().ScheduleAfter(config_.client_retry_backoff,
                               [this, user_index, epoch]() {
-                                UserState& s =
-                                    states_[static_cast<std::size_t>(user_index)];
-                                if (s.epoch != epoch) return;  // superseded
+                                const User& u =
+                                    users_[static_cast<std::size_t>(user_index)];
+                                if (u.attempts != epoch) return;  // superseded
                                 IssueAttempt(user_index);
                               });
     return;
   }
-  ++outcome.failed;
+  ++user.failed;
   UserThink(user_index);
 }
 

@@ -3,9 +3,12 @@
 // ClosedLoopPool models Locust: a scheduled number of concurrent users, each
 // repeatedly issuing one request (API sampled from a weighted mix), waiting
 // for the response up to a client timeout, then thinking ~1 s — "N users
-// invoking 1 request per second" (§6). OpenLoopGenerator issues Poisson
-// arrivals at a scheduled rate for experiments that need precise offered
-// load per API.
+// invoking 1 request per second" (§6). Each user is one 32-byte record (its
+// request state and its outcome counters), and a request's completion is the
+// pool's one registered done handler called with (user, epoch), so a user's
+// request costs no allocation and no closure. OpenLoopGenerator issues
+// Poisson arrivals at a scheduled rate for experiments that need precise
+// offered load per API.
 #pragma once
 
 #include <cstdint>
@@ -77,9 +80,10 @@ struct UserOutcomes {
 };
 
 /// A pool of closed-loop users whose size follows a Schedule. Think timers
-/// are handler events and client timeouts are timers of the pool's own
-/// timer queue (arg = user index in both); the pool registers both with
-/// `this` captured, so it must not be copied or moved.
+/// are handler events, client timeouts are timers of the pool's own timer
+/// queue (arg = user index in both), and responses come to one done handler
+/// (data = user index and epoch); the pool registers all three with `this`
+/// captured, so it must not be copied or moved.
 class ClosedLoopPool {
  public:
   ClosedLoopPool(sim::Application* app, ClosedLoopConfig config, Schedule users,
@@ -93,9 +97,10 @@ class ClosedLoopPool {
   int LiveUsers() const { return live_users_; }
 
   /// Per-user outcome counters, indexed by user slot (slot i is the same
-  /// "person" across ramp-downs and re-spawns). Pure bookkeeping: tracking
-  /// them perturbs neither the event sequence nor any RNG stream.
-  const std::vector<UserOutcomes>& Outcomes() const { return outcomes_; }
+  /// "person" across ramp-downs and re-spawns), built from the user
+  /// records. Pure bookkeeping: tracking them perturbs neither the event
+  /// sequence nor any RNG stream.
+  std::vector<UserOutcomes> Outcomes() const;
 
   /// The stable priority of user `i` under the configured band, or -1 when
   /// the pool uses legacy per-request sampling.
@@ -104,22 +109,39 @@ class ClosedLoopPool {
   const ClosedLoopConfig& config() const { return config_; }
 
  private:
-  /// Per-user request state, reused across the user's whole lifetime (no
-  /// per-request allocation). `epoch` stamps each issued request so a late
-  /// response or a stale pointer can never be mistaken for the current
-  /// one; the client-timeout timer is cancelled when the response wins.
-  struct UserState {
-    std::uint32_t epoch = 0;
-    bool waiting = false;
-    sim::ApiId api = sim::kNoApi;
-    int retries_left = 0;
+  /// One user, reused across the user's whole lifetime (no per-request
+  /// allocation): the request in flight and the outcome counters. The
+  /// attempt counter doubles as the request's epoch — it is bumped exactly
+  /// when a request is issued — so a late response or a stale retry event
+  /// can never be mistaken for the current request; the client-timeout
+  /// timer is cancelled when the response wins.
+  ///
+  /// 32-bit counters do not overflow: each moves at most once per attempt,
+  /// and every attempt after a user's first (re)start is issued from an
+  /// event of that user's own (a think timer or a retry backoff), so 2^32
+  /// attempts take over 4e9 events for one user alone: some 15 minutes of
+  /// host time at the engine's ~5e6 events/s spent on that one user, where
+  /// a 600 s run with a 1 s think time makes under 1e3 attempts per user
+  /// (IssueAttempt asserts the bound). `retries_left` holds at most
+  /// max_client_retries <= INT_MAX in its 31 bits.
+  struct User {
     des::Simulation::TimerHandle timeout{};
+    std::uint32_t intents = 0;
+    std::uint32_t attempts = 0;  ///< and the epoch of the latest request
+    std::uint32_t ok = 0;
+    std::uint32_t failed = 0;
+    sim::ApiId api = sim::kNoApi;
+    std::uint32_t retries_left : 31 = 0;
+    bool waiting : 1 = false;
   };
+  static_assert(sizeof(User) == 32, "a user record is half a cache line");
 
   void Reconcile();
   void UserLoop(int user_index);
   void IssueAttempt(int user_index);
   void OnClientTimeout(int user_index);
+  /// The done handler: the response to `user_index`'s request `epoch`.
+  void OnResponse(int user_index, std::uint32_t epoch, sim::Outcome outcome);
   void OnAttemptDone(int user_index, bool ok);
   void UserThink(int user_index);
 
@@ -127,14 +149,15 @@ class ClosedLoopPool {
   ClosedLoopConfig config_;
   /// config_.mix.Cumulative(), built once: every user request samples it.
   std::vector<double> mix_cumulative_;
-  Schedule users_;
+  Schedule schedule_;
   Rng rng_;
   /// Handler id of the think timer: UserLoop(arg).
   std::uint32_t think_handler_;
   /// Timer queue of the client timeouts: OnClientTimeout(arg).
   std::uint32_t timeout_queue_;
-  std::vector<UserState> states_;
-  std::vector<UserOutcomes> outcomes_;
+  /// Application done handler: OnResponse(data >> 32, data & 0xffffffff).
+  std::uint32_t done_handler_;
+  std::vector<User> users_;
   /// Indices of users that left at a loop boundary, as a min-heap.
   std::vector<int> left_;
   int spawned_users_ = 0;  ///< users [0, spawned_users_) were ever started

@@ -353,30 +353,41 @@ TEST(InlineFunctionTest, MoveOnlyCaptureWorks) {
   EXPECT_EQ(g(), 5);
 }
 
+/// A pooled record: a payload, a generation the owner bumps on every free,
+/// and the index the pool writes.
+struct PoolRec {
+  std::uint64_t value = 0;
+  std::uint32_t gen = 0;
+  std::uint32_t pool_index = 0;
+};
+
 TEST(SlabPoolTest, ReusesFreedRecordsLifo) {
-  SlabPool<int> pool;
-  int* a = pool.Alloc();
-  int* b = pool.Alloc();
+  SlabPool<PoolRec> pool;
+  PoolRec* a = pool.Alloc();
+  PoolRec* b = pool.Alloc();
   EXPECT_EQ(pool.live(), 2u);
   pool.Free(a);
   EXPECT_EQ(pool.live(), 1u);
-  int* c = pool.Alloc();
+  PoolRec* c = pool.Alloc();
   EXPECT_EQ(c, a);  // LIFO free list hands the hot record back first
   pool.Free(b);
   pool.Free(c);
   EXPECT_EQ(pool.live(), 0u);
+  // Last freed, first reused: c (= a), then b.
+  EXPECT_EQ(pool.Alloc(), c);
+  EXPECT_EQ(pool.Alloc(), b);
 }
 
 TEST(SlabPoolTest, AddressesStableAcrossGrowth) {
-  SlabPool<std::uint64_t> pool;
-  std::vector<std::uint64_t*> ptrs;
+  SlabPool<PoolRec> pool;
+  std::vector<PoolRec*> ptrs;
   for (int i = 0; i < 2000; ++i) {  // spans many slabs
     ptrs.push_back(pool.Alloc());
-    *ptrs.back() = static_cast<std::uint64_t>(i);
+    ptrs.back()->value = static_cast<std::uint64_t>(i);
   }
   EXPECT_GE(pool.capacity(), 2000u);
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_EQ(*ptrs[static_cast<std::size_t>(i)], static_cast<std::uint64_t>(i));
+    EXPECT_EQ(ptrs[static_cast<std::size_t>(i)]->value, static_cast<std::uint64_t>(i));
   }
   for (auto* p : ptrs) pool.Free(p);
   EXPECT_EQ(pool.live(), 0u);
@@ -384,6 +395,36 @@ TEST(SlabPoolTest, AddressesStableAcrossGrowth) {
   const std::size_t cap = pool.capacity();
   for (int i = 0; i < 2000; ++i) ptrs[static_cast<std::size_t>(i)] = pool.Alloc();
   EXPECT_EQ(pool.capacity(), cap);
+}
+
+// Fresh records come in index order; an index names its record for the
+// pool's whole life, and the record keeps its fields — its generation too —
+// through Free and the next Alloc.
+TEST(SlabPoolTest, PoolIndexAndGenerationSurviveRecycling) {
+  SlabPool<PoolRec> pool;
+  std::vector<PoolRec*> ptrs;
+  for (std::uint32_t i = 0; i < 600; ++i) {  // three slabs
+    ptrs.push_back(pool.Alloc());
+    EXPECT_EQ(ptrs.back()->pool_index, i);
+    EXPECT_EQ(pool.At(i), ptrs.back());
+  }
+  for (PoolRec* p : ptrs) {
+    ++p->gen;
+    pool.Free(p);
+  }
+  for (int round = 0; round < 3; ++round) {
+    PoolRec* p = pool.Alloc();
+    EXPECT_EQ(p, ptrs.back());  // LIFO: the last freed
+    EXPECT_EQ(p->pool_index, 599u);
+    EXPECT_EQ(p->gen, static_cast<std::uint32_t>(round + 1));
+    ++p->gen;
+    pool.Free(p);
+  }
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    EXPECT_EQ(pool.At(i)->pool_index, i);
+    EXPECT_EQ(pool.At(i), ptrs[i]);
+  }
+  EXPECT_EQ(pool.capacity(), 768u);
 }
 
 TEST(RingQueueTest, FifoOrderAcrossGrowthAndWraparound) {

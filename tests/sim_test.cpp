@@ -9,6 +9,7 @@
 #include "sim/app.hpp"
 #include "sim/call_graph.hpp"
 #include "sim/pod.hpp"
+#include "done_closures.hpp"
 #include "recording_sink.hpp"
 
 namespace topfull::sim {
@@ -437,9 +438,10 @@ TEST(ApplicationTest, FindByName) {
 
 TEST(ApplicationTest, CompletedRequestLatencyIsSumOfStages) {
   auto app = TwoTierApp();
+  DoneClosures done(app.get());
   Outcome outcome = Outcome::kRejectedEntry;
   SimTime latency = 0;
-  app->Submit(0, [&](Outcome o, SimTime l) {
+  done.Submit(0, [&](Outcome o, SimTime l) {
     outcome = o;
     latency = l;
   });
@@ -468,22 +470,103 @@ TEST(ApplicationTest, EntryAdmissionRejectionsAreCounted) {
   auto app = TwoTierApp();
   DenyAll deny;
   app->SetEntryAdmission(&deny);
+  DoneClosures done(app.get());
   Outcome outcome = Outcome::kCompleted;
-  app->Submit(0, [&](Outcome o, SimTime) { outcome = o; });
+  done.Submit(0, [&](Outcome o, SimTime) { outcome = o; });
   app->RunFor(Seconds(1));
   EXPECT_EQ(outcome, Outcome::kRejectedEntry);
   EXPECT_EQ(app->metrics().Totals()[0].rejected_entry, 1u);
   EXPECT_EQ(app->metrics().Totals()[0].admitted, 0u);
 }
 
+// The done handler runs exactly once per request: inside Submit for a
+// refusal, at completion for an admitted request, with that request's data.
+TEST(ApplicationTest, DoneHandlerRunsOncePerRequest) {
+  class RefuseFirst : public EntryAdmission {
+   public:
+    bool Admit(ApiId, SimTime) override { return seen_++ > 0; }
+
+   private:
+    int seen_ = 0;
+  };
+  auto app = TwoTierApp();
+  RefuseFirst entry;
+  app->SetEntryAdmission(&entry);
+  struct Call {
+    Outcome outcome;
+    SimTime latency;
+    std::uint64_t data;
+    SimTime at;
+    std::size_t live_requests;
+  };
+  std::vector<Call> calls;
+  const std::uint32_t handler =
+      app->AddDoneHandler([&](Outcome o, SimTime l, std::uint64_t data) {
+        calls.push_back(Call{o, l, data, app->sim().Now(), app->Arena().live_requests});
+      });
+  app->Submit(0, DoneRef{handler, 7});
+  ASSERT_EQ(calls.size(), 1u);  // answered inside Submit
+  EXPECT_EQ(calls[0].outcome, Outcome::kRejectedEntry);
+  EXPECT_EQ(calls[0].latency, 0);
+  EXPECT_EQ(calls[0].data, 7u);
+  app->Submit(0, DoneRef{handler, 8});
+  EXPECT_EQ(calls.size(), 1u);
+  app->RunFor(Seconds(1));
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[1].outcome, Outcome::kCompleted);
+  EXPECT_EQ(calls[1].latency, Millis(20));
+  EXPECT_EQ(calls[1].at, Millis(20));
+  EXPECT_EQ(calls[1].data, 8u);
+  EXPECT_EQ(calls[1].live_requests, 0u);  // the record was freed first
+  // A request without a handler completes silently.
+  app->Submit(1);
+  app->RunFor(Seconds(1));
+  EXPECT_EQ(calls.size(), 2u);
+  EXPECT_EQ(app->metrics().Totals()[1].completed, 1u);
+}
+
+// A handler that submits again gets the record its request just freed: a
+// chain of five requests, one at a time, never grows the request pool.
+TEST(ApplicationTest, DoneHandlerMaySubmitIntoTheFreedRecord) {
+  auto app = TwoTierApp();
+  struct Chain {
+    Application* app;
+    std::uint32_t handler = 0;
+    std::vector<SimTime> done_at;
+  } chain{app.get(), 0, {}};
+  // One capture: a handler holds 16 bytes.
+  chain.handler = app->AddDoneHandler([&chain](Outcome o, SimTime, std::uint64_t left) {
+    Application& a = *chain.app;
+    EXPECT_EQ(o, Outcome::kCompleted);
+    EXPECT_EQ(a.Arena().live_requests, 0u);
+    chain.done_at.push_back(a.sim().Now());
+    if (left > 0) {
+      a.Submit(0, DoneRef{chain.handler, left - 1});
+      EXPECT_EQ(a.Arena().live_requests, 1u);
+    }
+  });
+  app->Submit(0, DoneRef{chain.handler, 4});
+  const std::size_t capacity = app->Arena().request_capacity;
+  app->RunFor(Seconds(1));
+  ASSERT_EQ(chain.done_at.size(), 5u);
+  for (std::size_t i = 0; i < chain.done_at.size(); ++i) {
+    EXPECT_EQ(chain.done_at[i], Millis(20) * static_cast<SimTime>(i + 1));
+  }
+  EXPECT_EQ(app->Arena().request_capacity, capacity);
+  EXPECT_EQ(app->Arena().live_requests, 0u);
+  EXPECT_EQ(app->Arena().record_bytes,
+            capacity * 64 + app->Arena().attempt_capacity * 64);
+}
+
 TEST(ApplicationTest, DownstreamShedFailsWholeRequest) {
   // Saturate B far beyond its queue; api1 requests must fail as
   // kRejectedService while api2 (A only) still completes.
   auto app = TwoTierApp();
+  DoneClosures done(app.get());
   int rejected = 0, completed = 0;
   for (int i = 0; i < 3000; ++i) {
     app->sim().ScheduleAt(Millis(i / 4), [&]() {
-      app->Submit(0, [&](Outcome o, SimTime) {
+      done.Submit(0, [&](Outcome o, SimTime) {
         o == Outcome::kCompleted ? ++completed : ++rejected;
       });
     });
@@ -521,8 +604,9 @@ TEST(ApplicationTest, ParallelFanOutLatencyIsMax) {
   api.AddPath(ExecutionPath{FanOut(root, {fast, slow}), 1.0, {}});
   app->AddApi(std::move(api));
   app->Finalize();
+  DoneClosures done(app.get());
   SimTime latency = 0;
-  app->Submit(0, [&](Outcome, SimTime l) { latency = l; });
+  done.Submit(0, [&](Outcome, SimTime l) { latency = l; });
   app->RunFor(Seconds(1));
   EXPECT_EQ(latency, Millis(60));  // 10 (root) + max(5, 50)
 }
@@ -537,8 +621,9 @@ TEST(ApplicationTest, SequentialChildrenLatencyIsSum) {
   api.AddPath(ExecutionPath{node, 1.0, {}});
   app->AddApi(std::move(api));
   app->Finalize();
+  DoneClosures done(app.get());
   SimTime latency = 0;
-  app->Submit(0, [&](Outcome, SimTime l) { latency = l; });
+  done.Submit(0, [&](Outcome, SimTime l) { latency = l; });
   app->RunFor(Seconds(1));
   EXPECT_EQ(latency, Millis(65));  // 10 + 5 + 50
 }
@@ -550,8 +635,9 @@ TEST(ApplicationTest, WorkScalesServiceTime) {
   api.AddPath(ExecutionPath{CallNode{svc, 2.5, false, {}}, 1.0, {}});
   app->AddApi(std::move(api));
   app->Finalize();
+  DoneClosures done(app.get());
   SimTime latency = 0;
-  app->Submit(0, [&](Outcome, SimTime l) { latency = l; });
+  done.Submit(0, [&](Outcome, SimTime l) { latency = l; });
   app->RunFor(Seconds(1));
   EXPECT_EQ(latency, Millis(25));
 }
@@ -634,18 +720,20 @@ TEST(ApplicationTest, BlockingRpcHoldsUpstreamThreads) {
   };
   // Async: both requests overlap at the leaf (2 threads) => both ~101 ms.
   auto async_app = make(false);
+  DoneClosures async_done(async_app.get());
   std::vector<SimTime> async_latency;
   for (int i = 0; i < 2; ++i) {
-    async_app->Submit(0, [&](Outcome, SimTime l) { async_latency.push_back(l); });
+    async_done.Submit(0, [&](Outcome, SimTime l) { async_latency.push_back(l); });
   }
   async_app->RunFor(Seconds(2));
   ASSERT_EQ(async_latency.size(), 2u);
   EXPECT_EQ(async_latency[1], Millis(102));  // 1 ms root wait + 1 ms root + 100 ms leaf
   // Blocking: the second request waits for the root's only thread.
   auto sync_app = make(true);
+  DoneClosures sync_done(sync_app.get());
   std::vector<SimTime> sync_latency;
   for (int i = 0; i < 2; ++i) {
-    sync_app->Submit(0, [&](Outcome, SimTime l) { sync_latency.push_back(l); });
+    sync_done.Submit(0, [&](Outcome, SimTime l) { sync_latency.push_back(l); });
   }
   sync_app->RunFor(Seconds(2));
   ASSERT_EQ(sync_latency.size(), 2u);
