@@ -36,16 +36,18 @@ struct ScenarioRun {
   std::shared_ptr<rl::GaussianPolicy> policy;
 };
 
-/// Translates `spec` under `variant` into a run: app factory with the RPC
-/// policy, traffic (one closed-loop pool per tenant, or open-loop rps split
-/// evenly over the APIs), expanded faults, HPA and the controller. The run
-/// is labelled with the app's name; execution and observation settings
-/// (shards, telemetry, TSDB, live plane) keep their RunSpec defaults for the
-/// caller to set. Nullopt with *error when CheckScenario rejects the spec,
-/// the app is unknown or a fault names an unknown service.
+/// Translates `spec` under `variant` into a run on up to `shards` engine
+/// shards: app factory with the RPC policy, traffic (one closed-loop pool
+/// per tenant, or open-loop rps split evenly over the APIs), expanded
+/// faults, HPA and the controller. The run is labelled with the app's name;
+/// other execution and observation settings (telemetry, TSDB, live plane)
+/// keep their RunSpec defaults for the caller to set. Nullopt with *error
+/// when CheckScenario rejects the spec at the shard count the plan uses
+/// (`shards` clamped to the app's clusters), the app is unknown or a fault
+/// names an unknown service.
 std::optional<ScenarioRun> MakeScenarioRun(const ScenarioSpec& spec,
                                            exp::Variant variant,
-                                           std::string* error);
+                                           std::string* error, int shards = 1);
 
 /// One scenario x controller cell of the matrix.
 struct CellVerdict {

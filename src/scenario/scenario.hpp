@@ -185,7 +185,9 @@ struct ScenarioSpec {
 /// (after every directive, so a rejection names its line) and `topfull
 /// run`: a positive duration, nondecreasing phases, no tenants on rps
 /// phases, `replicas` only on alibaba, and no HPA across `shards` > 1 (each
-/// shard would build its own VM cluster). Single values are checked as
+/// shard would build its own VM cluster). `shards` is the count the shard
+/// plan uses, after clamping to the app's clusters, not the count asked
+/// for (MakeScenarioRun does the clamping). Single values are checked as
 /// they are read, by the grammar's ParseNumber. Returns the reason, or ""
 /// when the spec is valid.
 std::string CheckScenario(const ScenarioSpec& spec, int shards = 1);

@@ -55,11 +55,11 @@ using namespace topfull;
 namespace {
 
 /// What a numeric flag must be: any finite number, a value that describes
-/// the run (the scenario grammar's number rule, >= 0), a time of the run
-/// (its time rule, ParseTime: also small enough to convert to SimTime), or
-/// a count (a whole number from 1 to INT_MAX). A flag accepts exactly what
-/// the matching directive key accepts.
-enum class NumRule { kFinite, kRun, kTime, kCount };
+/// the run (the scenario grammar's number rule, >= 0), or a time of the run
+/// (its time rule, ParseTime: also small enough to convert to SimTime). A
+/// flag accepts exactly what the matching directive key accepts. Flags
+/// read as an int are whole numbers in a range (WholeOrExit).
+enum class NumRule { kFinite, kRun, kTime };
 constexpr NumRule kRun = NumRule::kRun;
 constexpr NumRule kTime = NumRule::kTime;
 
@@ -78,11 +78,6 @@ double NumOrExit(const std::string& source, const std::string& text,
     case NumRule::kFinite:
       ok = finite;
       break;
-    case NumRule::kCount:
-      // Range-checked before any cast: an int cast of 1e12 is undefined.
-      ok = finite && value >= 1 && value <= std::numeric_limits<int>::max() &&
-           value == std::floor(value);
-      break;
     case NumRule::kRun:
       ok = scenario::ParseNumber(text).has_value();
       break;
@@ -94,15 +89,27 @@ double NumOrExit(const std::string& source, const std::string& text,
     std::string expected = "a finite number";
     if (rule == NumRule::kRun || rule == NumRule::kTime) expected += " >= 0";
     if (rule == NumRule::kTime) expected += " of seconds: " + reason;
-    if (rule == NumRule::kCount) {
-      expected = "a whole number from 1 to " +
-                 std::to_string(std::numeric_limits<int>::max());
-    }
     std::fprintf(stderr, "bad %s '%s': expected %s\n", source.c_str(), text.c_str(),
                  expected.c_str());
     std::exit(2);
   }
   return value;
+}
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
+/// `text` as a whole number from `lo` to `hi`, or exit 2 naming `source`.
+/// Range-checked before the cast: an int cast of 1e12 is undefined.
+int WholeOrExit(const std::string& source, const std::string& text, int lo, int hi) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || !(value >= lo) ||
+      !(value <= hi) || value != std::floor(value)) {
+    std::fprintf(stderr, "bad %s '%s': expected a whole number from %d to %d\n",
+                 source.c_str(), text.c_str(), lo, hi);
+    std::exit(2);
+  }
+  return static_cast<int>(value);
 }
 
 struct Args {
@@ -120,9 +127,14 @@ struct Args {
              NumRule rule = NumRule::kFinite) const {
     return Has(key) ? NumOrExit("--" + key, Get(key), rule) : fallback;
   }
-  /// Get as a count (NumRule::kCount); exits 2 on anything else.
+  /// Get as a whole number from `lo` to `hi` (WholeOrExit); exits 2 on
+  /// anything else.
+  int Whole(const std::string& key, int fallback, int lo, int hi) const {
+    return Has(key) ? WholeOrExit("--" + key, Get(key), lo, hi) : fallback;
+  }
+  /// Get as a count: a whole number from 1 to INT_MAX.
   int Count(const std::string& key, int fallback) const {
-    return static_cast<int>(Num(key, fallback, NumRule::kCount));
+    return Whole(key, fallback, 1, kIntMax);
   }
 };
 
@@ -277,7 +289,7 @@ std::unique_ptr<obs::LivePlane> MakeLivePlane(const Args& args,
                                               int* rc) {
   if (!args.Has("serve-port")) return nullptr;
   obs::LiveOptions options;
-  options.port = static_cast<int>(args.Num("serve-port", 0));
+  options.port = args.Whole("serve-port", 0, 0, 65535);
   options.publish_interval_s = args.Num("publish-ms", 10.0) / 1e3;
   auto live = std::make_unique<obs::LivePlane>(options);
   live->SetTsdb(tsdb);
@@ -457,7 +469,7 @@ int CmdRun(const Args& args) {
   scenario.static_rate = args.Num("static-rate", 0.0, kRun);
   scenario.hpa = args.Has("hpa");
   scenario.Rpc(args.Num("hop-timeout", 0, kTime),
-               static_cast<int>(args.Num("retries", 0, kRun)),
+               args.Whole("retries", 0, 0, kIntMax),
                args.Num("retry-backoff", 0, kTime));
   // --users N (or --rps R) from t = 0; --surge T:N switches to N at T.
   scenario.open_loop = args.Has("rps");
@@ -489,15 +501,14 @@ int CmdRun(const Args& args) {
     return 2;
   }
   const int shards = args.Count("shards", 1);
-  std::string error = scenario::CheckScenario(scenario, shards);
-  std::optional<scenario::ScenarioRun> scenario_run;
-  if (error.empty()) scenario_run = scenario::MakeScenarioRun(scenario, *variant, &error);
+  std::string error;
+  std::optional<scenario::ScenarioRun> scenario_run =
+      scenario::MakeScenarioRun(scenario, *variant, &error, shards);
   if (!scenario_run.has_value()) {
     std::fprintf(stderr, "bad run: %s\n", error.c_str());
     return 2;
   }
   exp::RunSpec& spec = scenario_run->spec;
-  spec.shards = shards;
   spec.threaded = !args.Has("sequential");
   if (args.Has("trace-dir")) spec.telemetry.dir = args.Get("trace-dir");
   if (args.Has("trace-sample")) {
@@ -591,7 +602,7 @@ int CmdRun(const Args& args) {
 }
 
 int CmdTrain(const Args& args) {
-  const int episodes = static_cast<int>(args.Num("episodes", exp::PretrainEpisodes()));
+  const int episodes = args.Count("episodes", exp::PretrainEpisodes());
   std::printf("training PPO policy on the graph simulator (%d episodes)...\n",
               episodes);
   rl::TrainResult result;
@@ -655,6 +666,7 @@ std::string RunName(const Args& args, const std::string& dir,
 // scrape targets work after the simulation has exited. `--name` picks a run
 // inside the directory (default: lexicographically first *.metrics.prom).
 int CmdServe(const Args& args) {
+  const int port = args.Whole("port", 0, 0, 65535);
   const std::string dir =
       args.Get("dir", args.positional.empty() ? "topfull-report"
                                               : args.positional[0]);
@@ -713,7 +725,7 @@ int CmdServe(const Args& args) {
     return response;
   });
   std::string error;
-  if (!server.Start(static_cast<int>(args.Num("port", 0)), &error)) {
+  if (!server.Start(port, &error)) {
     std::fprintf(stderr, "cannot start server: %s\n", error.c_str());
     return 1;
   }
@@ -1024,12 +1036,12 @@ int main(int argc, char** argv) {
   }
   const Args args = Parse(argc, argv, verb->flags);
   if (args.Has(kGlobalFlag)) {
-    ThreadPool::SetGlobalThreads(static_cast<int>(args.Num(kGlobalFlag, 0)));
+    ThreadPool::SetGlobalThreads(args.Whole(kGlobalFlag, 0, 0, kIntMax));
   } else if (const char* env = std::getenv("TOPFULL_THREADS");
              env != nullptr && *env != '\0') {
     // The pool reads the variable itself and falls back to its default
     // size on junk; checked here, it fails like --threads does.
-    NumOrExit("TOPFULL_THREADS", env);
+    WholeOrExit("TOPFULL_THREADS", env, 0, kIntMax);
   }
   return verb->run(args);
 }
