@@ -289,6 +289,7 @@ ShardedMeasurement RunShardedDeepTree(int shards) {
   }
   r.blocked_frac = busy + blocked > 0 ? blocked / (busy + blocked) : 0.0;
   r.rounds = app.engine().Rounds() - rounds0;
+  for (int i = 0; i < shards; ++i) r.m.arena.record_bytes += app.app(i).Arena().record_bytes;
   return r;
 }
 
@@ -385,6 +386,7 @@ ClosedLoopMeasurement RunClosedLoop(int users) {
   r.m.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.m.events = EngineEvents(app->sim()) - events0;
   r.m.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
+  r.m.arena = app->Arena();
   r.pending = pending_sum / measure_s;
   return r;
 }
@@ -406,16 +408,22 @@ constexpr SeedRow kSeedRows[] = {
 };
 
 /// Appends one JSON row; `extra` holds further `, "key": value` fields.
+/// `arena_bytes` is the request engine's record bytes at the end of the
+/// row (ArenaStats::record_bytes, summed over shards; 0 without an app).
 void AppendJsonRow(std::string& out, const char* workload, const char* engine,
                    std::uint64_t events, double wall_s, double events_per_sec,
-                   double allocs_per_event, bool last, const char* extra = "") {
+                   double allocs_per_event, std::size_t arena_bytes, bool last,
+                   const char* extra = "") {
   char buf[768];
   std::snprintf(buf, sizeof buf,
                 "  {\"workload\": \"%s\", \"engine\": \"%s\", "
                 "\"events\": %llu, \"wall_s\": %.4f, "
-                "\"events_per_sec\": %.1f, \"allocs_per_event\": %.4f%s}%s\n",
+                "\"events_per_sec\": %.1f, \"allocs_per_event\": %.4f, "
+                "\"arena_bytes\": %llu%s}%s\n",
                 workload, engine, static_cast<unsigned long long>(events),
-                wall_s, events_per_sec, allocs_per_event, extra, last ? "" : ",");
+                wall_s, events_per_sec, allocs_per_event,
+                static_cast<unsigned long long>(arena_bytes), extra,
+                last ? "" : ",");
   out += buf;
 }
 
@@ -435,7 +443,7 @@ int main(int argc, char** argv) {
   std::string json = "[\n";
   for (const auto& seed : kSeedRows) {
     AppendJsonRow(json, seed.name, "seed", 0, 0.0, seed.events_per_sec,
-                  seed.allocs_per_event, false);
+                  seed.allocs_per_event, 0, false);
   }
   double open_loop_eps = 0.0;
   for (std::size_t i = 0; i < std::size(cases); ++i) {
@@ -453,14 +461,15 @@ int main(int argc, char** argv) {
     if (m.arena.request_capacity > 0) {
       std::printf(
           "  arena: live_requests=%llu request_capacity=%llu "
-          "live_attempts=%llu attempt_capacity=%llu\n",
+          "live_attempts=%llu attempt_capacity=%llu record_bytes=%llu\n",
           static_cast<unsigned long long>(m.arena.live_requests),
           static_cast<unsigned long long>(m.arena.request_capacity),
           static_cast<unsigned long long>(m.arena.live_attempts),
-          static_cast<unsigned long long>(m.arena.attempt_capacity));
+          static_cast<unsigned long long>(m.arena.attempt_capacity),
+          static_cast<unsigned long long>(m.arena.record_bytes));
     }
     AppendJsonRow(json, c.name, "current", m.events, m.wall_s, eps, ape,
-                  /*last=*/false);
+                  m.arena.record_bytes, /*last=*/false);
   }
 
   // Live telemetry plane on the open_loop workload: snapshot publishes paced
@@ -501,7 +510,7 @@ int main(int argc, char** argv) {
         publish_frac, wall_paced_overhead,
         open_loop_eps > 0 ? 100.0 * (1.0 - eps / open_loop_eps) : 0.0);
     AppendJsonRow(json, c.name, "current", m.events, m.wall_s, eps, ape,
-                  /*last=*/false);
+                  m.arena.record_bytes, /*last=*/false);
   }
 
   // Queue depth: closed-loop users, one pending timer each. CI gates the
@@ -525,7 +534,7 @@ int main(int argc, char** argv) {
     char extra[64];
     std::snprintf(extra, sizeof extra, ", \"pending\": %.0f", r.pending);
     AppendJsonRow(json, name, "current", r.m.events, r.m.wall_s, eps, ape,
-                  /*last=*/false, extra);
+                  r.m.arena.record_bytes, /*last=*/false, extra);
   }
 
   // Sharded engine: one scaled deep-tree simulation across 1/2/4/8 shards.
@@ -554,6 +563,7 @@ int main(int argc, char** argv) {
                   ", \"shards\": %d, \"blocked_frac\": %.4f, \"rounds\": %llu",
                   shards, r.blocked_frac, static_cast<unsigned long long>(r.rounds));
     AppendJsonRow(json, name, "current", r.m.events, r.m.wall_s, eps, ape,
+                  r.m.arena.record_bytes,
                   /*last=*/i + 1 == std::size(shard_counts), extra);
   }
   json += "]\n";
