@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "rl/graph_sim_env.hpp"
 #include "rl/nn.hpp"
@@ -153,6 +156,79 @@ TEST(PolicyTest, LoadRejectsGarbage) {
   GaussianPolicy policy(PolicyConfig{}, rng);
   std::stringstream ss("not-a-checkpoint 1 2 3");
   EXPECT_FALSE(policy.Load(ss));
+}
+
+// The checkpoints every TopFull run deploys (paper §4.3 transfer).
+const char* const kCommittedModels[] = {"base_policy", "transfer_ob", "transfer_tt"};
+
+std::string ModelPath(const char* name) {
+  return std::string(TOPFULL_SOURCE_DIR) + "/models/" + name + ".txt";
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// Reference parse: one locale-aware `>> double` per number, the way the
+// loader read checkpoints before it parsed a buffer with std::from_chars.
+struct StreamParse {
+  double low = 0.0;
+  double high = 0.0;
+  std::vector<double> params;
+};
+
+StreamParse ParseByStream(const std::string& text) {
+  std::istringstream in(text);
+  StreamParse out;
+  std::string magic;
+  int obs_dim = 0;
+  std::size_t num_hidden = 0;
+  in >> magic >> obs_dim >> num_hidden;
+  for (std::size_t i = 0; i < num_hidden; ++i) {
+    int h = 0;
+    in >> h;
+  }
+  std::size_t n = 0;
+  in >> out.low >> out.high >> n;
+  out.params.resize(n);
+  for (auto& p : out.params) in >> p;
+  EXPECT_TRUE(static_cast<bool>(in));
+  return out;
+}
+
+TEST(PolicyTest, LoadMatchesStreamParseOnCommittedModels) {
+  for (const char* name : kCommittedModels) {
+    SCOPED_TRACE(name);
+    const std::string path = ModelPath(name);
+    const StreamParse ref = ParseByStream(ReadBytes(path));
+    Rng rng(1);
+    GaussianPolicy policy(PolicyConfig{}, rng);
+    ASSERT_TRUE(policy.LoadFile(path));
+    std::vector<double> params;
+    policy.CopyParamsTo(params);
+    ASSERT_EQ(params.size(), ref.params.size());
+    EXPECT_EQ(std::memcmp(params.data(), ref.params.data(),
+                          params.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&policy.config().action_low, &ref.low, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&policy.config().action_high, &ref.high, sizeof(double)), 0);
+  }
+}
+
+TEST(PolicyTest, SaveReproducesCommittedModels) {
+  for (const char* name : kCommittedModels) {
+    SCOPED_TRACE(name);
+    const std::string path = ModelPath(name);
+    Rng rng(1);
+    GaussianPolicy policy(PolicyConfig{}, rng);
+    ASSERT_TRUE(policy.LoadFile(path));
+    std::ostringstream saved;
+    policy.Save(saved);
+    EXPECT_TRUE(saved.str() == ReadBytes(path));
+  }
 }
 
 TEST(ObservationTest, ClampsFeatures) {
