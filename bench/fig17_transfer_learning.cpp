@@ -32,35 +32,35 @@ std::shared_ptr<rl::GaussianPolicy> FineTune(
     std::function<std::unique_ptr<sim::Application>(std::uint64_t)> factory,
     std::vector<std::pair<double, double>> rate_ranges,
     const rl::GaussianPolicy& base) {
-  if (auto cached = exp::LoadCachedPolicy(cache_name)) return cached;
-  const int episodes = exp::FinetuneEpisodes();
-  std::fprintf(stderr, "[fig17] fine-tuning %s for %d episodes...\n",
-               cache_name.c_str(), episodes);
-  Rng rng(99);
-  auto policy = std::make_shared<rl::GaussianPolicy>(rl::PolicyConfig{}, rng);
-  std::vector<double> params;
-  base.CopyParamsTo(params);
-  policy->SetParams(params);  // start from the pre-trained base (Sim2real)
+  return exp::LoadOrTrainPolicy(exp::ModelDir() + "/" + cache_name + ".txt", [&] {
+    const int episodes = exp::FinetuneEpisodes();
+    std::fprintf(stderr, "[fig17] fine-tuning %s for %d episodes...\n",
+                 cache_name.c_str(), episodes);
+    Rng rng(99);
+    auto policy = std::make_shared<rl::GaussianPolicy>(rl::PolicyConfig{}, rng);
+    std::vector<double> params;
+    base.CopyParamsTo(params);
+    policy->SetParams(params);  // start from the pre-trained base (Sim2real)
 
-  exp::MicroserviceEnvConfig env_config;
-  env_config.factory = std::move(factory);
-  env_config.api_rate_ranges = std::move(rate_ranges);
-  exp::MicroserviceEnv env(std::move(env_config));
+    exp::MicroserviceEnvConfig env_config;
+    env_config.factory = std::move(factory);
+    env_config.api_rate_ranges = std::move(rate_ranges);
+    exp::MicroserviceEnv env(std::move(env_config));
 
-  rl::PpoConfig ppo;
-  ppo.episodes_per_iter = 4;  // app episodes are costly; smaller batches
-  ppo.lr = 1e-5;              // conservative: specialisation, not retraining
-  ppo.sgd_iters = 4;
-  rl::PpoTrainer trainer(policy.get(), ppo, 0x71707170);
-  // Checkpoint selection on a fixed validation scenario set keeps the
-  // fine-tuned model from drifting below the base policy.
-  auto validate = [&env](rl::GaussianPolicy& p) {
-    return rl::EvaluatePolicy(p, env, /*episodes=*/12, /*seed0=*/777,
-                              /*steps_per_episode=*/50);
-  };
-  trainer.Train(env, episodes, validate, /*checkpoint_every=*/20);
-  exp::SaveCachedPolicy(*policy, cache_name);
-  return policy;
+    rl::PpoConfig ppo;
+    ppo.episodes_per_iter = 4;  // app episodes are costly; smaller batches
+    ppo.lr = 1e-5;              // conservative: specialisation, not retraining
+    ppo.sgd_iters = 4;
+    rl::PpoTrainer trainer(policy.get(), ppo, 0x71707170);
+    // Checkpoint selection on a fixed validation scenario set keeps the
+    // fine-tuned model from drifting below the base policy.
+    auto validate = [&env](rl::GaussianPolicy& p) {
+      return rl::EvaluatePolicy(p, env, /*episodes=*/12, /*seed0=*/777,
+                                /*steps_per_episode=*/50);
+    };
+    trainer.Train(env, episodes, validate, /*checkpoint_every=*/20);
+    return policy;
+  });
 }
 
 /// The surge run; a null `policy` is the autoscaler alone.

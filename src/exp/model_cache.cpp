@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 
 #include "rl/graph_sim_env.hpp"
 
@@ -54,33 +55,37 @@ std::shared_ptr<rl::GaussianPolicy> TrainBasePolicy(int episodes, std::uint64_t 
   return policy;
 }
 
-std::shared_ptr<rl::GaussianPolicy> GetPretrainedPolicy() {
-  const std::string path = ModelDir() + "/base_policy.txt";
-  {
+std::shared_ptr<rl::GaussianPolicy> LoadOrTrainPolicy(
+    const std::string& path, const std::function<std::shared_ptr<rl::GaussianPolicy>()>& train) {
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec)) {
     Rng rng(1);
     auto policy = std::make_shared<rl::GaussianPolicy>(rl::PolicyConfig{}, rng);
-    if (policy->LoadFile(path)) return policy;
+    if (!policy->LoadFile(path)) {
+      throw std::runtime_error("[model-cache] " + path +
+                               " is not a readable policy checkpoint; fix or delete it "
+                               "(nothing was trained or written)");
+    }
+    return policy;
   }
-  const int episodes = PretrainEpisodes();
-  std::fprintf(stderr,
-               "[model-cache] training base policy on the graph simulator "
-               "(%d episodes; set TOPFULL_PRETRAIN_EPISODES to change)...\n",
-               episodes);
-  auto policy = TrainBasePolicy(episodes);
-  policy->SaveFile(path);
-  std::fprintf(stderr, "[model-cache] saved %s\n", path.c_str());
+  auto policy = train();
+  if (policy->SaveFile(path)) {
+    std::fprintf(stderr, "[model-cache] saved %s\n", path.c_str());
+  } else {
+    std::fprintf(stderr, "[model-cache] could not write %s\n", path.c_str());
+  }
   return policy;
 }
 
-std::shared_ptr<rl::GaussianPolicy> LoadCachedPolicy(const std::string& name) {
-  Rng rng(1);
-  auto policy = std::make_shared<rl::GaussianPolicy>(rl::PolicyConfig{}, rng);
-  if (!policy->LoadFile(ModelDir() + "/" + name + ".txt")) return nullptr;
-  return policy;
-}
-
-bool SaveCachedPolicy(const rl::GaussianPolicy& policy, const std::string& name) {
-  return policy.SaveFile(ModelDir() + "/" + name + ".txt");
+std::shared_ptr<rl::GaussianPolicy> GetPretrainedPolicy() {
+  return LoadOrTrainPolicy(ModelDir() + "/base_policy.txt", [] {
+    const int episodes = PretrainEpisodes();
+    std::fprintf(stderr,
+                 "[model-cache] training base policy on the graph simulator "
+                 "(%d episodes; set TOPFULL_PRETRAIN_EPISODES to change)...\n",
+                 episodes);
+    return TrainBasePolicy(episodes);
+  });
 }
 
 }  // namespace topfull::exp

@@ -9,6 +9,7 @@
 // variables for paper-scale training.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -25,21 +26,22 @@ int PretrainEpisodes();
 /// Default fine-tuning episode count (env-overridable).
 int FinetuneEpisodes();
 
-/// Returns the shared pre-trained base policy: loads models/base_policy.txt
-/// when present, otherwise trains it on GraphSimEnv (with validation-based
-/// checkpoint selection) and saves it.
+/// The policy checkpoint at `path`, or, only when no file is there, the
+/// one `train` makes, which is then saved to `path`. A file that is present
+/// but does not load (rl::GaussianPolicy's checkpoint grammar) throws
+/// std::runtime_error naming the path: nothing is trained and nothing is
+/// written, so a loader fault cannot silently replace a committed model.
+std::shared_ptr<rl::GaussianPolicy> LoadOrTrainPolicy(
+    const std::string& path, const std::function<std::shared_ptr<rl::GaussianPolicy>()>& train);
+
+/// Returns the shared pre-trained base policy: LoadOrTrainPolicy on
+/// models/base_policy.txt, training on GraphSimEnv (with validation-based
+/// checkpoint selection) when the file is missing.
 std::shared_ptr<rl::GaussianPolicy> GetPretrainedPolicy();
 
 /// Trains a fresh policy on GraphSimEnv for `episodes` episodes (no cache).
 std::shared_ptr<rl::GaussianPolicy> TrainBasePolicy(int episodes,
                                                     std::uint64_t seed = 1234,
                                                     rl::TrainResult* result = nullptr);
-
-/// Loads a cached policy by name (e.g. "transfer_tt"); returns nullptr when
-/// the cache file is absent or malformed.
-std::shared_ptr<rl::GaussianPolicy> LoadCachedPolicy(const std::string& name);
-
-/// Saves a policy under models/<name>.txt.
-bool SaveCachedPolicy(const rl::GaussianPolicy& policy, const std::string& name);
 
 }  // namespace topfull::exp

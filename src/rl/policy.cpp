@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 
 namespace topfull::rl {
 namespace {
@@ -123,29 +127,123 @@ void GaussianPolicy::Save(std::ostream& os) const {
   for (const double p : params) os << p << '\n';
 }
 
-bool GaussianPolicy::Load(std::istream& is) {
-  std::string magic;
-  if (!(is >> magic) || magic != "topfull-policy-v1") return false;
-  int obs_dim = 0;
+namespace {
+
+constexpr std::size_t kReadBufferBytes = 64 * 1024;
+
+// Reads whitespace-separated tokens through one fixed buffer that `fill`
+// (std::size_t(char* dst, std::size_t max)) tops up; a token cut by the end
+// of the buffer is moved to its front before the next fill.
+template <typename Fill>
+class TokenReader {
+ public:
+  explicit TokenReader(Fill fill) : fill_(fill) {}
+
+  /// The next token; false at end of input or for a token that does not
+  /// fit the buffer. The view lives until the next call.
+  bool Next(std::string_view* token) {
+    for (;;) {
+      while (pos_ < end_ && IsSpace(buf_[pos_])) ++pos_;
+      std::size_t stop = pos_;
+      while (stop < end_ && !IsSpace(buf_[stop])) ++stop;
+      if (stop < end_ || (eof_ && stop > pos_)) {
+        *token = std::string_view(buf_ + pos_, stop - pos_);
+        pos_ = stop;
+        return true;
+      }
+      if (eof_ || !Refill()) return false;
+    }
+  }
+
+ private:
+  static bool IsSpace(char c) {
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+  }
+
+  bool Refill() {
+    const std::size_t keep = end_ - pos_;
+    if (keep == sizeof(buf_)) return false;
+    std::memmove(buf_, buf_ + pos_, keep);
+    pos_ = 0;
+    end_ = keep;
+    const std::size_t got = fill_(buf_ + end_, sizeof(buf_) - end_);
+    end_ += got;
+    eof_ = got == 0;
+    return true;
+  }
+
+  Fill fill_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+  bool eof_ = false;
+  char buf_[kReadBufferBytes];
+};
+
+// from_chars takes a leading '-' but no '+': drop one '+' unless a '-'
+// follows it, so "+-1" still fails.
+std::string_view StripPlus(std::string_view token) {
+  if (token.size() > 1 && token[0] == '+' && token[1] != '-') token.remove_prefix(1);
+  return token;
+}
+
+template <typename Reader>
+bool NextCount(Reader& reader, std::size_t* out) {
+  std::string_view token;
+  if (!reader.Next(&token)) return false;
+  token = StripPlus(token);
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+template <typename Reader>
+bool NextFinite(Reader& reader, double* out) {
+  std::string_view token;
+  if (!reader.Next(&token)) return false;
+  token = StripPlus(token);
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
+}  // namespace
+
+template <typename Reader>
+bool GaussianPolicy::Parse(Reader& reader) {
+  std::string_view magic;
+  if (!reader.Next(&magic) || magic != "topfull-policy-v1") return false;
+  std::size_t obs_dim = 0;
   std::size_t num_hidden = 0;
-  if (!(is >> obs_dim >> num_hidden)) return false;
-  std::vector<int> hidden(num_hidden);
-  for (auto& h : hidden) {
-    if (!(is >> h)) return false;
+  if (!NextCount(reader, &obs_dim) || !NextCount(reader, &num_hidden)) return false;
+  if (obs_dim != static_cast<std::size_t>(config_.obs_dim) ||
+      num_hidden != config_.hidden.size()) {
+    return false;
+  }
+  for (const int h : config_.hidden) {
+    std::size_t size = 0;
+    if (!NextCount(reader, &size) || size != static_cast<std::size_t>(h)) return false;
   }
   double low = 0.0, high = 0.0;
-  if (!(is >> low >> high)) return false;
-  if (obs_dim != config_.obs_dim || hidden != config_.hidden) return false;
+  if (!NextFinite(reader, &low) || !NextFinite(reader, &high)) return false;
   std::size_t n = 0;
-  if (!(is >> n) || n != ParamCount()) return false;
+  if (!NextCount(reader, &n) || n != ParamCount()) return false;
   std::vector<double> params(n);
   for (auto& p : params) {
-    if (!(is >> p)) return false;
+    if (!NextFinite(reader, &p)) return false;
   }
   config_.action_low = low;
   config_.action_high = high;
   SetParams(params);
   return true;
+}
+
+bool GaussianPolicy::Load(std::istream& is) {
+  auto fill = [&is](char* dst, std::size_t max) {
+    is.read(dst, static_cast<std::streamsize>(max));
+    return static_cast<std::size_t>(is.gcount());
+  };
+  TokenReader<decltype(fill)> reader(fill);
+  return Parse(reader);
 }
 
 bool GaussianPolicy::SaveFile(const std::string& path) const {
@@ -156,9 +254,13 @@ bool GaussianPolicy::SaveFile(const std::string& path) const {
 }
 
 bool GaussianPolicy::LoadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  return Load(in);
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return false;
+  auto fill = [file](char* dst, std::size_t max) { return std::fread(dst, 1, max, file); };
+  TokenReader<decltype(fill)> reader(fill);
+  const bool ok = Parse(reader);
+  std::fclose(file);
+  return ok;
 }
 
 }  // namespace topfull::rl

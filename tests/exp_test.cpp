@@ -5,12 +5,17 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <sstream>
+#include <stdexcept>
 
 #include "apps/online_boutique.hpp"
 #include "autoscale/hpa.hpp"
 #include "exp/harness.hpp"
 #include "exp/csv.hpp"
 #include "exp/microservice_env.hpp"
+#include "exp/model_cache.hpp"
 #include "exp/run_executor.hpp"
 
 namespace topfull::exp {
@@ -256,6 +261,64 @@ TEST(ExpTest, HpaClusterConfigMatchesHandWiredRun) {
     }
     EXPECT_GT(grown, 0);
   }
+}
+
+// LoadOrTrainPolicy: only a missing checkpoint may be trained and written.
+struct CountingTrainer {
+  int calls = 0;
+  std::shared_ptr<rl::GaussianPolicy> operator()() {
+    ++calls;
+    Rng rng(5);
+    return std::make_shared<rl::GaussianPolicy>(rl::PolicyConfig{}, rng);
+  }
+};
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(ModelCacheTest, MissingCheckpointIsTrainedAndSaved) {
+  const std::string path = ::testing::TempDir() + "model_cache_missing.txt";
+  std::remove(path.c_str());
+  CountingTrainer trainer;
+  const auto policy = LoadOrTrainPolicy(path, std::ref(trainer));
+  ASSERT_NE(policy, nullptr);
+  EXPECT_EQ(trainer.calls, 1);
+  std::ostringstream saved;
+  policy->Save(saved);
+  EXPECT_TRUE(FileBytes(path) == saved.str());
+  // The second call finds the file and trains nothing.
+  const auto again = LoadOrTrainPolicy(path, std::ref(trainer));
+  EXPECT_EQ(trainer.calls, 1);
+  std::vector<double> a, b;
+  policy->CopyParamsTo(a);
+  again->CopyParamsTo(b);
+  EXPECT_EQ(a, b);
+  std::remove(path.c_str());
+}
+
+TEST(ModelCacheTest, MalformedCheckpointIsAnErrorNotRetrained) {
+  const std::string path = ::testing::TempDir() + "model_cache_malformed.txt";
+  const char* const bodies[] = {"", "topfull-policy-v1\n2 2 64 64\n-0.5 0.5\n8835\n0.1\n",
+                                "not a checkpoint"};
+  for (const char* body : bodies) {
+    SCOPED_TRACE(body);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << body;
+    }
+    CountingTrainer trainer;
+    try {
+      LoadOrTrainPolicy(path, std::ref(trainer));
+      ADD_FAILURE() << "a malformed checkpoint loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(trainer.calls, 0);
+    EXPECT_EQ(FileBytes(path), body);  // not overwritten
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // environment's behaviour rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -229,6 +231,234 @@ TEST(PolicyTest, SaveReproducesCommittedModels) {
     policy.Save(saved);
     EXPECT_TRUE(saved.str() == ReadBytes(path));
   }
+}
+
+// A 19-parameter policy keeps the grammar tables and the fuzz loop cheap.
+PolicyConfig TinyConfig() {
+  PolicyConfig config;
+  config.hidden = {2};
+  return config;
+}
+
+std::vector<double> Params(const GaussianPolicy& policy) {
+  std::vector<double> out;
+  policy.CopyParamsTo(out);
+  return out;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+struct TinyCheckpoint {
+  std::string text;              ///< as Save writes it
+  std::vector<std::string> lines;  ///< its lines; params start at line 4
+  std::vector<double> params;
+};
+
+TinyCheckpoint MakeTinyCheckpoint() {
+  Rng rng(21);
+  GaussianPolicy policy(TinyConfig(), rng);
+  TinyCheckpoint out;
+  std::ostringstream os;
+  policy.Save(os);
+  out.text = os.str();
+  std::istringstream in(out.text);
+  for (std::string line; std::getline(in, line);) out.lines.push_back(line);
+  out.params = Params(policy);
+  return out;
+}
+
+std::string JoinLines(const std::vector<std::string>& lines, const std::string& eol = "\n") {
+  std::string out;
+  for (const auto& line : lines) out += line + eol;
+  return out;
+}
+
+// A policy with other weights than the checkpoint, so a load that changes
+// nothing is visible.
+GaussianPolicy FreshTinyPolicy() {
+  Rng rng(77);
+  return GaussianPolicy(TinyConfig(), rng);
+}
+
+bool LoadText(GaussianPolicy& policy, const std::string& text) {
+  std::istringstream in(text);
+  return policy.Load(in);
+}
+
+TEST(PolicyTest, LoadRejectsMalformedCheckpoints) {
+  const TinyCheckpoint good = MakeTinyCheckpoint();
+  ASSERT_EQ(good.lines.size(), 4u + 19u);
+  const auto with_line = [&good](std::size_t i, const std::string& line) {
+    std::vector<std::string> lines = good.lines;
+    lines[i] = line;
+    return JoinLines(lines);
+  };
+  const std::size_t mid = 4 + 9;  // a parameter in the middle of the list
+  std::vector<std::string> truncated = good.lines;
+  truncated.pop_back();
+  const struct {
+    const char* name;
+    std::string text;
+  } cases[] = {
+      {"bad magic", with_line(0, "topfull-policy-v2")},
+      {"wrong obs dim", with_line(1, "3 1 2")},
+      {"wrong hidden count", with_line(1, "2 2 2 2")},
+      {"wrong hidden size", with_line(1, "2 1 3")},
+      {"huge hidden count", with_line(1, "2 99999999999999999999 2")},
+      {"negative count", with_line(1, "2 -1 2")},
+      {"count mismatch", with_line(3, "18")},
+      {"truncated parameters", JoinLines(truncated)},
+      {"empty file", ""},
+      {"whitespace only", " \n\t\r\n"},
+      {"inf", with_line(mid, "inf")},
+      {"-inf", with_line(mid, "-inf")},
+      {"nan", with_line(mid, "nan")},
+      {"1e400", with_line(mid, "1e400")},
+      {"1e-400 underflows", with_line(mid, "1e-400")},
+      {"5e", with_line(mid, "5e")},
+      {"hex float", with_line(mid, "0x1p3")},
+      {"1.5abc mid-file", with_line(mid, "1.5abc")},
+      {"junk glued to the last parameter", with_line(4 + 18, good.lines[4 + 18] + "abc")},
+      {"bare plus", with_line(mid, "+")},
+      {"plus minus", with_line(mid, "+-1")},
+      {"double plus", with_line(mid, "++1")},
+      {"non-finite action bound", with_line(2, "-inf 0.5")},
+      {"token longer than the read buffer",
+       with_line(mid, "0." + std::string(70 * 1024, '0') + "1")},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    GaussianPolicy policy = FreshTinyPolicy();
+    const std::vector<double> before = Params(policy);
+    EXPECT_FALSE(LoadText(policy, c.text));
+    EXPECT_TRUE(SameBits(Params(policy), before));  // untouched on failure
+  }
+}
+
+TEST(PolicyTest, LoadAcceptsPlusSignsCrlfAndTabs) {
+  const TinyCheckpoint good = MakeTinyCheckpoint();
+  std::vector<std::string> plus = good.lines;
+  plus[1] = "+2 +1 +2";
+  plus[3] = "+19";
+  for (std::size_t i = 4; i < plus.size(); ++i) {
+    if (plus[i][0] != '-') plus[i] = "+" + plus[i];
+  }
+  std::string tabs;
+  for (std::size_t i = 0; i < good.lines.size(); ++i) {
+    tabs += good.lines[i] + (i % 2 == 0 ? "\t" : " \t\v\f ");
+  }
+  std::string unterminated = good.text;
+  unterminated.pop_back();
+  const struct {
+    const char* name;
+    std::string text;
+  } cases[] = {
+      {"as saved", good.text},
+      {"leading plus", JoinLines(plus)},
+      {"CRLF", JoinLines(good.lines, "\r\n")},
+      {"tabs and no line breaks", tabs},
+      {"no final newline", unterminated},
+      {"trailing tokens ignored", good.text + "trailing junk 1e999 nan\n"},
+      {"leading whitespace", "\n\n  \t" + good.text},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    GaussianPolicy policy = FreshTinyPolicy();
+    ASSERT_TRUE(LoadText(policy, c.text));
+    EXPECT_TRUE(SameBits(Params(policy), good.params));
+  }
+}
+
+TEST(PolicyTest, LoadCarriesATokenAcrossTheRefill) {
+  constexpr std::size_t kBuffer = 64 * 1024;  // policy.cpp's read buffer
+  const TinyCheckpoint good = MakeTinyCheckpoint();
+  const std::string header = JoinLines({good.lines.begin(), good.lines.begin() + 4});
+  const std::string body =
+      JoinLines({good.lines.begin() + 4, good.lines.end()});
+  const std::size_t first_len = good.lines[4].size();
+  const std::string path = ::testing::TempDir() + "policy_refill.txt";
+  // Start the first parameter so that the buffer edge falls before, inside
+  // and just after it.
+  for (std::size_t back = 0; back <= first_len + 1; ++back) {
+    SCOPED_TRACE(back);
+    const std::size_t start = kBuffer - back;
+    const std::string text = header + std::string(start - header.size(), ' ') + body;
+    GaussianPolicy from_stream = FreshTinyPolicy();
+    ASSERT_TRUE(LoadText(from_stream, text));
+    EXPECT_TRUE(SameBits(Params(from_stream), good.params));
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    GaussianPolicy from_file = FreshTinyPolicy();
+    ASSERT_TRUE(from_file.LoadFile(path));
+    EXPECT_TRUE(SameBits(Params(from_file), good.params));
+  }
+  std::remove(path.c_str());
+}
+
+// Seeded fuzz of the checkpoint reader: whatever the bytes, Load returns
+// (no crash, no sanitizer report) and an accepted checkpoint is finite.
+TEST(PolicyTest, LoadSurvivesFuzzedCheckpoints) {
+  const TinyCheckpoint good = MakeTinyCheckpoint();
+  const char* const kTokens[] = {
+      "inf", "nan", "-nan", "1e400", "1e-400", "-0", "0x1p3", "+", "-", ".", "e5",
+      "1e", "18446744073709551616", "99999999999999999999", "4.9406564584124654e-324",
+      "1.7976931348623157e308", "0", "19", "2", "topfull-policy-v1"};
+  const char kBytes[] = "0123456789.eE+- \t\r\n\v\fxXinfa";
+  Rng rng(2024);
+  int accepted = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<std::string> tokens;
+    {
+      std::istringstream in(good.text);
+      for (std::string t; in >> t;) tokens.push_back(t);
+    }
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng.UniformInt(0, static_cast<std::int64_t>(n) - 1));
+    };
+    const int edits = static_cast<int>(rng.UniformInt(1, 3));
+    for (int e = 0; e < edits; ++e) {
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          std::swap(tokens[pick(tokens.size())], tokens[pick(tokens.size())]);
+          break;
+        case 1:
+          tokens[pick(tokens.size())] = kTokens[pick(std::size(kTokens))];
+          break;
+        default:
+          tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(pick(tokens.size())));
+          break;
+      }
+    }
+    std::string text;
+    for (const auto& t : tokens) text += t + "\n";
+    for (int flips = static_cast<int>(rng.UniformInt(0, 3)); flips > 0 && !text.empty();
+         --flips) {
+      const char byte = rng.Bernoulli(0.5) ? kBytes[pick(sizeof(kBytes) - 1)]
+                                           : static_cast<char>(rng.UniformInt(0, 255));
+      text[pick(text.size())] = byte;
+    }
+    if (rng.Bernoulli(0.2)) text.resize(pick(text.size() + 1));
+    if (rng.Bernoulli(0.05)) {
+      // Pad so that the refill edge lands on a random parameter.
+      const std::size_t at = std::min(text.size(), good.lines[0].size() + 1);
+      text.insert(at, 64 * 1024 - at - pick(200), ' ');
+    }
+    GaussianPolicy policy = FreshTinyPolicy();
+    if (!LoadText(policy, text)) continue;
+    ++accepted;
+    for (const double p : Params(policy)) ASSERT_TRUE(std::isfinite(p)) << text;
+    ASSERT_TRUE(std::isfinite(policy.config().action_low));
+    ASSERT_TRUE(std::isfinite(policy.config().action_high));
+  }
+  // Swaps of equal-looking tokens and bytes flipped into trailing text keep
+  // some inputs valid; the fuzz is useless if none or all get through.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 3000);
 }
 
 TEST(ObservationTest, ClampsFeatures) {
