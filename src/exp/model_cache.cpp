@@ -57,8 +57,10 @@ std::shared_ptr<rl::GaussianPolicy> TrainBasePolicy(int episodes, std::uint64_t 
 
 std::shared_ptr<rl::GaussianPolicy> LoadOrTrainPolicy(
     const std::string& path, const std::function<std::shared_ptr<rl::GaussianPolicy>()>& train) {
+  // A path whose status cannot be read counts as present: only a file that
+  // is certainly absent may be trained and written.
   std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
+  if (std::filesystem::exists(path, ec) || ec) {
     Rng rng(1);
     auto policy = std::make_shared<rl::GaussianPolicy>(rl::PolicyConfig{}, rng);
     if (!policy->LoadFile(path)) {

@@ -326,8 +326,10 @@ TEST(PolicyTest, LoadRejectsMalformedCheckpoints) {
       {"plus minus", with_line(mid, "+-1")},
       {"double plus", with_line(mid, "++1")},
       {"non-finite action bound", with_line(2, "-inf 0.5")},
+      // Last, so that no later parameter goes missing if the cut-off head
+      // of the token were read as a number.
       {"token longer than the read buffer",
-       with_line(mid, "0." + std::string(70 * 1024, '0') + "1")},
+       with_line(4 + 18, "0." + std::string(70 * 1024, '0') + "1")},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
