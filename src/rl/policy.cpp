@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string_view>
 #include <system_error>
 
@@ -133,7 +134,10 @@ constexpr std::size_t kReadBufferBytes = 64 * 1024;
 
 // Reads whitespace-separated tokens through one fixed buffer that `fill`
 // (std::size_t(char* dst, std::size_t max)) tops up; a token cut by the end
-// of the buffer is moved to its front before the next fill.
+// of the buffer is moved to its front before the next fill. The buffer is a
+// heap block below glibc's mmap threshold, which the run's later
+// allocations reuse; on the stack its pages would stay resident and add to
+// the run's peak RSS.
 template <typename Fill>
 class TokenReader {
  public:
@@ -147,7 +151,7 @@ class TokenReader {
       std::size_t stop = pos_;
       while (stop < end_ && !IsSpace(buf_[stop])) ++stop;
       if (stop < end_ || (eof_ && stop > pos_)) {
-        *token = std::string_view(buf_ + pos_, stop - pos_);
+        *token = std::string_view(buf_.get() + pos_, stop - pos_);
         pos_ = stop;
         return true;
       }
@@ -162,11 +166,11 @@ class TokenReader {
 
   bool Refill() {
     const std::size_t keep = end_ - pos_;
-    if (keep == sizeof(buf_)) return false;
-    std::memmove(buf_, buf_ + pos_, keep);
+    if (keep == kReadBufferBytes) return false;
+    std::memmove(buf_.get(), buf_.get() + pos_, keep);
     pos_ = 0;
     end_ = keep;
-    const std::size_t got = fill_(buf_ + end_, sizeof(buf_) - end_);
+    const std::size_t got = fill_(buf_.get() + end_, kReadBufferBytes - end_);
     end_ += got;
     eof_ = got == 0;
     return true;
@@ -176,7 +180,7 @@ class TokenReader {
   std::size_t pos_ = 0;
   std::size_t end_ = 0;
   bool eof_ = false;
-  char buf_[kReadBufferBytes];
+  std::unique_ptr<char[]> buf_{new char[kReadBufferBytes]};
 };
 
 // from_chars takes a leading '-' but no '+': drop one '+' unless a '-'
