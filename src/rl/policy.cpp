@@ -10,6 +10,7 @@
 #include <memory>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 
 namespace topfull::rl {
 namespace {
@@ -120,11 +121,11 @@ void GaussianPolicy::Save(std::ostream& os) const {
   os << config_.obs_dim << ' ' << config_.hidden.size();
   for (const int h : config_.hidden) os << ' ' << h;
   os << '\n';
+  os.precision(17);  // enough digits for every double to read back exactly
   os << config_.action_low << ' ' << config_.action_high << '\n';
   std::vector<double> params;
   CopyParamsTo(params);
   os << params.size() << '\n';
-  os.precision(17);
   for (const double p : params) os << p << '\n';
 }
 
@@ -183,31 +184,19 @@ class TokenReader {
   std::unique_ptr<char[]> buf_{new char[kReadBufferBytes]};
 };
 
-// from_chars takes a leading '-' but no '+': drop one '+' unless a '-'
-// follows it, so "+-1" still fails.
-std::string_view StripPlus(std::string_view token) {
+// The next token as a T. The number must be the whole token and may carry
+// one leading '+', which from_chars does not take ("+-1" still fails); a
+// floating-point one must be finite.
+template <typename T, typename Reader>
+bool NextNumber(Reader& reader, T* out) {
+  std::string_view token;
+  if (!reader.Next(&token)) return false;
   if (token.size() > 1 && token[0] == '+' && token[1] != '-') token.remove_prefix(1);
-  return token;
-}
-
-template <typename Reader>
-bool NextCount(Reader& reader, std::size_t* out) {
-  std::string_view token;
-  if (!reader.Next(&token)) return false;
-  token = StripPlus(token);
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-template <typename Reader>
-bool NextFinite(Reader& reader, double* out) {
-  std::string_view token;
-  if (!reader.Next(&token)) return false;
-  token = StripPlus(token);
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
-  return ec == std::errc() && ptr == end && std::isfinite(*out);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+  return true;
 }
 
 }  // namespace
@@ -218,22 +207,22 @@ bool GaussianPolicy::Parse(Reader& reader) {
   if (!reader.Next(&magic) || magic != "topfull-policy-v1") return false;
   std::size_t obs_dim = 0;
   std::size_t num_hidden = 0;
-  if (!NextCount(reader, &obs_dim) || !NextCount(reader, &num_hidden)) return false;
+  if (!NextNumber(reader, &obs_dim) || !NextNumber(reader, &num_hidden)) return false;
   if (obs_dim != static_cast<std::size_t>(config_.obs_dim) ||
       num_hidden != config_.hidden.size()) {
     return false;
   }
   for (const int h : config_.hidden) {
     std::size_t size = 0;
-    if (!NextCount(reader, &size) || size != static_cast<std::size_t>(h)) return false;
+    if (!NextNumber(reader, &size) || size != static_cast<std::size_t>(h)) return false;
   }
   double low = 0.0, high = 0.0;
-  if (!NextFinite(reader, &low) || !NextFinite(reader, &high)) return false;
+  if (!NextNumber(reader, &low) || !NextNumber(reader, &high)) return false;
   std::size_t n = 0;
-  if (!NextCount(reader, &n) || n != ParamCount()) return false;
+  if (!NextNumber(reader, &n) || n != ParamCount()) return false;
   std::vector<double> params(n);
   for (auto& p : params) {
-    if (!NextFinite(reader, &p)) return false;
+    if (!NextNumber(reader, &p)) return false;
   }
   config_.action_low = low;
   config_.action_high = high;

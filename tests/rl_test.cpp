@@ -153,6 +153,21 @@ TEST(PolicyTest, SaveLoadRoundTrip) {
   }
 }
 
+TEST(PolicyTest, SaveLoadRoundTripKeepsActionBoundsExact) {
+  PolicyConfig config;
+  config.action_low = -0.123456789;
+  config.action_high = 0.4444444444;
+  Rng rng(8);
+  GaussianPolicy policy(config, rng);
+  std::stringstream ss;
+  policy.Save(ss);
+  Rng rng2(999);
+  GaussianPolicy loaded(PolicyConfig{}, rng2);
+  ASSERT_TRUE(loaded.Load(ss));
+  EXPECT_EQ(loaded.config().action_low, config.action_low);
+  EXPECT_EQ(loaded.config().action_high, config.action_high);
+}
+
 TEST(PolicyTest, LoadRejectsGarbage) {
   Rng rng(9);
   GaussianPolicy policy(PolicyConfig{}, rng);

@@ -30,6 +30,7 @@
 #include <set>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1043,5 +1044,11 @@ int main(int argc, char** argv) {
     // size on junk; checked here, it fails like --threads does.
     WholeOrExit("TOPFULL_THREADS", env, 0, kIntMax);
   }
-  return verb->run(args);
+  try {
+    return verb->run(args);
+  } catch (const std::runtime_error& e) {
+    // E.g. a model file that is present but malformed (exp::LoadOrTrainPolicy).
+    std::fprintf(stderr, "topfull: %s\n", e.what());
+    return 2;
+  }
 }
