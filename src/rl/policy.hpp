@@ -71,17 +71,19 @@ class GaussianPolicy {
   //   <obs_dim> <num_hidden> <hidden_1> ... <hidden_num_hidden>
   //   <action_low> <action_high>
   //   <n>
-  //   <param_1> ... <param_n>     (one per line, 17 significant digits)
+  //   <param_1> ... <param_n>     (one per line)
   //
-  // Tokens are separated by any run of whitespace (space, tab, CR, LF, VT,
-  // FF); line breaks carry no meaning. Each number must be its whole token:
-  // `1.5abc` and `5e` are rejected. Counts are unsigned decimal integers.
-  // Bounds and parameters are decimal floats, correctly rounded, and must
-  // be finite: `inf`, `nan`, hex floats (`0x1p3`) and magnitudes beyond the
-  // double range either way (`1e400`, `1e-400`) are rejected. Every number
-  // may carry one leading `+`. The dimensions must match this policy's
-  // config and <n> must equal ParamCount(). A token longer than the 64 KiB
-  // read buffer is rejected. Anything after the last parameter is ignored.
+  // Save writes floats with 17 significant digits, so every double reads
+  // back exactly. Tokens are separated by any run of whitespace (space,
+  // tab, CR, LF, VT, FF); line breaks carry no meaning. Each number must be
+  // its whole token: `1.5abc` and `5e` are rejected. Counts are unsigned
+  // decimal integers. Bounds and parameters are decimal floats, correctly
+  // rounded, and must be finite: `inf`, `nan`, hex floats (`0x1p3`) and
+  // numbers that overflow (`1e400`) or underflow to zero (`1e-400`) are
+  // rejected; subnormals load. Every number may carry one leading `+`. The
+  // dimensions must match this policy's config and <n> must equal
+  // ParamCount(). A token longer than the 64 KiB read buffer is rejected.
+  // Anything after the last parameter is ignored.
   void Save(std::ostream& os) const;
   /// Loads a checkpoint; returns false on malformed input, leaving the
   /// policy unchanged. Reads `is` a buffer at a time, so it may consume

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -387,6 +388,12 @@ TEST(PolicyTest, LoadAcceptsPlusSignsCrlfAndTabs) {
     ASSERT_TRUE(LoadText(policy, c.text));
     EXPECT_TRUE(SameBits(Params(policy), good.params));
   }
+  // A subnormal is finite and loads as itself.
+  std::vector<std::string> subnormal = good.lines;
+  subnormal[4 + 9] = "4.9406564584124654e-324";
+  GaussianPolicy policy = FreshTinyPolicy();
+  ASSERT_TRUE(LoadText(policy, JoinLines(subnormal)));
+  EXPECT_EQ(Params(policy)[9], std::numeric_limits<double>::denorm_min());
 }
 
 TEST(PolicyTest, LoadCarriesATokenAcrossTheRefill) {
