@@ -1,6 +1,9 @@
 #include "common/thread_pool.hpp"
 
+#include <climits>
 #include <cstdlib>
+
+#include "common/parse.hpp"
 
 namespace topfull {
 namespace {
@@ -58,9 +61,10 @@ void ThreadPool::WorkerLoop() {
 }
 
 int ThreadPool::EnvThreads() {
-  if (const char* value = std::getenv("TOPFULL_THREADS")) {
-    const int parsed = std::atoi(value);
-    if (parsed > 0) return parsed;
+  // Checked like --threads: 0, empty or unset is the default; junk exits 2.
+  const char* value = std::getenv("TOPFULL_THREADS");
+  if (value != nullptr && *value != '\0') {
+    if (const int n = WholeOrExit("TOPFULL_THREADS", value, 0, INT_MAX); n > 0) return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "common/parse.hpp"
 #include "obs/export.hpp"
 #include "obs/report.hpp"
 #include "obs/tsdb_plane.hpp"
@@ -121,7 +122,7 @@ TelemetryOptions TelemetryOptions::FromEnv() {
   if (dir != nullptr) options.dir = dir;
   const char* sample = std::getenv("TOPFULL_TRACE_SAMPLE");
   if (sample != nullptr && *sample != '\0') {
-    options.sample_rate = std::atof(sample);
+    options.sample_rate = FiniteOrExit("TOPFULL_TRACE_SAMPLE", sample);
   }
   return options;
 }

@@ -3,18 +3,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 
+#include "common/parse.hpp"
 #include "rl/graph_sim_env.hpp"
 
 namespace topfull::exp {
 namespace {
 
-int EnvInt(const char* name, int fallback) {
+/// An episode count from the environment, checked like `train --episodes`;
+/// `fallback` when unset or empty.
+int EnvEpisodes(const char* name, int fallback) {
   const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
+  return value == nullptr || *value == '\0'
+             ? fallback
+             : WholeOrExit(name, value, 1, std::numeric_limits<int>::max());
 }
 
 }  // namespace
@@ -26,8 +30,8 @@ std::string ModelDir() {
   return dir;
 }
 
-int PretrainEpisodes() { return EnvInt("TOPFULL_PRETRAIN_EPISODES", 16000); }
-int FinetuneEpisodes() { return EnvInt("TOPFULL_FINETUNE_EPISODES", 160); }
+int PretrainEpisodes() { return EnvEpisodes("TOPFULL_PRETRAIN_EPISODES", 16000); }
+int FinetuneEpisodes() { return EnvEpisodes("TOPFULL_FINETUNE_EPISODES", 160); }
 
 std::shared_ptr<rl::GaussianPolicy> TrainBasePolicy(int episodes, std::uint64_t seed,
                                                     rl::TrainResult* result_out) {

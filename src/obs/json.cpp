@@ -1,7 +1,11 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
+#include <string_view>
+
+#include "common/parse.hpp"
 
 namespace topfull::obs {
 
@@ -69,24 +73,15 @@ class Parser {
 
   bool ParseNumber(JsonValue* out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' ||
-          c == '-') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
+    pos_ = std::min(text_.find_first_not_of("0123456789.eE+-", pos_), text_.size());
     if (pos_ == start) return Fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    out->number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
+    const std::optional<double> number =
+        ParseFinite(std::string_view(text_).substr(start, pos_ - start));
+    if (!number.has_value()) {
       pos_ = start;
       return Fail("malformed number");
     }
+    out->number = *number;
     out->type = JsonValue::Type::kNumber;
     return true;
   }

@@ -1,12 +1,11 @@
 #include "obs/prom_parser.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <string_view>
 
+#include "common/parse.hpp"
 #include "obs/snapshot.hpp"
 
 namespace topfull::obs {
@@ -38,26 +37,14 @@ std::string_view TakeName(std::string_view line, std::size_t& pos,
   return line.substr(start, pos - start);
 }
 
-/// Parses a sample value token: the three spelled non-finite forms the
-/// plane emits, or a fully-consumed strtod number.
-bool ParseValue(const std::string& token, double* value) {
-  if (token == "NaN") {
-    *value = std::numeric_limits<double>::quiet_NaN();
-    return true;
-  }
-  if (token == "+Inf") {
-    *value = std::numeric_limits<double>::infinity();
-    return true;
-  }
-  if (token == "-Inf") {
-    *value = -std::numeric_limits<double>::infinity();
-    return true;
-  }
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  *value = std::strtod(token.c_str(), &end);
-  return errno == 0 && end == token.c_str() + token.size();
+/// A sample value token: one of the three spelled non-finite forms the
+/// format defines, or a finite number (common/parse.hpp).
+std::optional<double> ParseValue(std::string_view token) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (token == "NaN") return std::numeric_limits<double>::quiet_NaN();
+  if (token == "+Inf") return kInf;
+  if (token == "-Inf") return -kInf;
+  return ParseFinite(token);
 }
 
 /// Unescapes a HELP payload (`\\` and `\n`, the two forms PromEscapeHelp
@@ -247,21 +234,19 @@ struct Parser {
     while (pos < line.size() && line[pos] != ' ') ++pos;
     sample.value_text =
         std::string(line.substr(value_start, pos - value_start));
-    if (!ParseValue(sample.value_text, &sample.value)) {
+    const std::optional<double> value = ParseValue(sample.value_text);
+    if (!value.has_value()) {
       return Fail("bad sample value '" + sample.value_text + "'");
     }
+    sample.value = *value;
     if (pos < line.size()) {
       ++pos;  // the space before the timestamp
-      const std::string ts{line.substr(pos)};
+      const std::string_view ts = line.substr(pos);
       if (ts.empty()) return Fail("trailing space");
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(ts.c_str(), &end, 10);
-      if (errno != 0 || end != ts.c_str() + ts.size()) {
-        return Fail("bad timestamp '" + ts + "'");
-      }
+      const std::optional<std::int64_t> parsed = ParseWhole<std::int64_t>(ts);
+      if (!parsed.has_value()) return Fail("bad timestamp '" + std::string(ts) + "'");
       sample.has_timestamp = true;
-      sample.timestamp_ms = parsed;
+      sample.timestamp_ms = *parsed;
     }
 
     // Resolve the owning family: exact name, else a histogram base via the

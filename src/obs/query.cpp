@@ -11,6 +11,7 @@
 #include <regex>
 #include <string_view>
 
+#include "common/parse.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/text_buffer.hpp"
 
@@ -66,13 +67,12 @@ struct Lexer {
           ++pos;
         }
         const std::string text(src.substr(start, pos - start));
-        char* end = nullptr;
-        const double value = std::strtod(text.c_str(), &end);
-        if (end != text.c_str() + text.size()) {
+        const std::optional<double> value = ParseFinite(text);
+        if (!value.has_value()) {
           error = "bad number '" + text + "'";
           break;
         }
-        tokens.push_back({Token::kNumber, text, value, start});
+        tokens.push_back({Token::kNumber, text, *value, start});
         continue;
       }
       if (c == '"') {
@@ -592,23 +592,21 @@ struct Evaluator {
     };
     std::map<std::string, Group> groups;
     for (const Ser& ser : arg.series) {
-      double le = 0.0;
-      bool has_le = false;
+      // A series without a readable `le` is dropped, as Prometheus does.
+      std::optional<double> le;
       Labels rest;
       for (const auto& [k, v] : ser.labels) {
         if (k == "le") {
-          has_le = true;
-          le = v == "+Inf" ? std::numeric_limits<double>::infinity()
-                           : std::strtod(v.c_str(), nullptr);
+          le = v == "+Inf" ? std::numeric_limits<double>::infinity() : ParseFinite(v);
         } else {
           rest.emplace_back(k, v);
         }
       }
-      if (!has_le) continue;
+      if (!le.has_value()) continue;
       const std::string key = MetricsRegistry::LabelKey(rest);
       Group& group = groups[key];
       group.labels = rest;
-      group.buckets.push_back({le, ser.samples[0].value});
+      group.buckets.push_back({*le, ser.samples[0].value});
     }
     out->kind = Value::kVector;
     out->series.clear();
@@ -910,9 +908,20 @@ QueryResult EvalInstant(const Tsdb& tsdb, const std::string& expr, double t_s,
 QueryResult EvalRange(const Tsdb& tsdb, const std::string& expr,
                       double start_s, double end_s, double step_s,
                       const EvalOptions& options) {
+  // Prometheus's cap on the points of one series. A step below the
+  // resolution of the timestamps (1e17 + 1 == 1e17) would never advance t,
+  // so it is refused too; the count in the loop catches a stall midway.
+  constexpr std::size_t kMaxPoints = 11000;
+  const char* too_many = "range query needs more than 11000 points per series, or a "
+                         "step too small to advance its timestamps; raise the step";
   QueryResult result;
   if (step_s <= 0.0 || end_s < start_s) {
     result.error = "bad range: need start <= end and step > 0";
+    return result;
+  }
+  if ((end_s - start_s) / step_s >= kMaxPoints || start_s + step_s == start_s ||
+      end_s + step_s == end_s) {
+    result.error = too_many;
     return result;
   }
   std::string error;
@@ -921,25 +930,22 @@ QueryResult EvalRange(const Tsdb& tsdb, const std::string& expr,
     result.error = error;
     return result;
   }
-  result.ok = true;
-  result.type = QueryResult::Type::kMatrix;
   std::map<std::string, QuerySeries> merged;
-  std::vector<std::string> order;  // label keys in first-seen... (sorted below)
   const double epsilon = step_s * 1e-9;
+  std::size_t points = 0;
   for (double t = start_s; t <= end_s + epsilon; t += step_s) {
     Evaluator evaluator{tsdb, options, t, {}};
     Value value;
+    if (++points > kMaxPoints) {
+      result.error = too_many;
+      return result;
+    }
     if (!evaluator.Eval(*root, &value)) {
-      result.ok = false;
-      result.series.clear();
       result.error = evaluator.error;
       return result;
     }
     if (value.kind == Value::kRange) {
-      result.ok = false;
-      result.series.clear();
-      result.error = "range query needs a scalar or instant-vector "
-                     "expression";
+      result.error = "range query needs a scalar or instant-vector expression";
       return result;
     }
     if (value.kind == Value::kScalar) {
@@ -955,6 +961,8 @@ QueryResult EvalRange(const Tsdb& tsdb, const std::string& expr,
       series.points.push_back({t, ser.samples[0].value});
     }
   }
+  result.ok = true;
+  result.type = QueryResult::Type::kMatrix;
   for (auto& [key, series] : merged) result.series.push_back(std::move(series));
   return result;
 }

@@ -1,9 +1,8 @@
 #include "obs/tsdb_plane.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 
+#include "common/parse.hpp"
 #include "obs/json.hpp"
 #include "obs/query.hpp"
 #include "obs/text_buffer.hpp"
@@ -180,15 +179,6 @@ HttpResponse QueryError(int status, const std::string& message) {
   return response;
 }
 
-/// Full-token strtod; false on partial or empty input.
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return errno == 0 && end == text.c_str() + text.size();
-}
-
 }  // namespace
 
 HttpResponse HandleQueryRequest(const HttpRequest& request, const Tsdb& tsdb) {
@@ -207,20 +197,20 @@ HttpResponse HandleQueryRequest(const HttpRequest& request, const Tsdb& tsdb) {
   const bool range = !start_text.empty() || !end_text.empty() ||
                      !step_text.empty();
   if (range) {
-    double start = 0.0, end = 0.0, step = 0.0;
-    if (!ParseDouble(start_text, &start) || !ParseDouble(end_text, &end) ||
-        !ParseDouble(step_text, &step)) {
+    const std::optional<double> start = ParseFinite(start_text);
+    const std::optional<double> end = ParseFinite(end_text);
+    const std::optional<double> step = ParseFinite(step_text);
+    if (!start || !end || !step) {
       return QueryError(400, "range query needs numeric start, end and step");
     }
-    if (step <= 0.0) return QueryError(400, "step must be positive");
-    if (end < start) return QueryError(400, "end precedes start");
-    result = EvalRange(tsdb, expr, start, end, step);
+    if (*step <= 0.0) return QueryError(400, "step must be positive");
+    if (*end < *start) return QueryError(400, "end precedes start");
+    result = EvalRange(tsdb, expr, *start, *end, *step);
   } else {
-    double t = tsdb.LatestTime();
-    if (!time_text.empty() && !ParseDouble(time_text, &t)) {
-      return QueryError(400, "bad time parameter");
-    }
-    result = EvalInstant(tsdb, expr, t);
+    const std::optional<double> t =
+        time_text.empty() ? tsdb.LatestTime() : ParseFinite(time_text);
+    if (!t.has_value()) return QueryError(400, "bad time parameter");
+    result = EvalInstant(tsdb, expr, *t);
   }
 
   HttpResponse response;

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string_view>
-#include <system_error>
-#include <type_traits>
+
+#include "common/parse.hpp"
 
 namespace topfull::rl {
 namespace {
@@ -160,6 +159,17 @@ class TokenReader {
     }
   }
 
+  /// The next token as a finite number or a count (common/parse.hpp's
+  /// rule); nullopt at end of input or for any other token.
+  std::optional<double> NextFinite() {
+    std::string_view token;
+    return Next(&token) ? ParseFinite(token) : std::nullopt;
+  }
+  std::optional<std::size_t> NextCount() {
+    std::string_view token;
+    return Next(&token) ? ParseWhole<std::size_t>(token) : std::nullopt;
+  }
+
  private:
   static bool IsSpace(char c) {
     return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
@@ -184,48 +194,30 @@ class TokenReader {
   std::unique_ptr<char[]> buf_{new char[kReadBufferBytes]};
 };
 
-// The next token as a T. The number must be the whole token and may carry
-// one leading '+', which from_chars does not take ("+-1" still fails); a
-// floating-point one must be finite.
-template <typename T, typename Reader>
-bool NextNumber(Reader& reader, T* out) {
-  std::string_view token;
-  if (!reader.Next(&token)) return false;
-  if (token.size() > 1 && token[0] == '+' && token[1] != '-') token.remove_prefix(1);
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
-  if (ec != std::errc() || ptr != end) return false;
-  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
-  return true;
-}
-
 }  // namespace
 
 template <typename Reader>
 bool GaussianPolicy::Parse(Reader& reader) {
   std::string_view magic;
   if (!reader.Next(&magic) || magic != "topfull-policy-v1") return false;
-  std::size_t obs_dim = 0;
-  std::size_t num_hidden = 0;
-  if (!NextNumber(reader, &obs_dim) || !NextNumber(reader, &num_hidden)) return false;
-  if (obs_dim != static_cast<std::size_t>(config_.obs_dim) ||
-      num_hidden != config_.hidden.size()) {
+  if (reader.NextCount() != static_cast<std::size_t>(config_.obs_dim) ||
+      reader.NextCount() != config_.hidden.size()) {
     return false;
   }
   for (const int h : config_.hidden) {
-    std::size_t size = 0;
-    if (!NextNumber(reader, &size) || size != static_cast<std::size_t>(h)) return false;
+    if (reader.NextCount() != static_cast<std::size_t>(h)) return false;
   }
-  double low = 0.0, high = 0.0;
-  if (!NextNumber(reader, &low) || !NextNumber(reader, &high)) return false;
-  std::size_t n = 0;
-  if (!NextNumber(reader, &n) || n != ParamCount()) return false;
-  std::vector<double> params(n);
+  const std::optional<double> low = reader.NextFinite();
+  const std::optional<double> high = reader.NextFinite();
+  if (!low || !high || reader.NextCount() != ParamCount()) return false;
+  std::vector<double> params(ParamCount());
   for (auto& p : params) {
-    if (!NextNumber(reader, &p)) return false;
+    const std::optional<double> value = reader.NextFinite();
+    if (!value) return false;
+    p = *value;
   }
-  config_.action_low = low;
-  config_.action_high = high;
+  config_.action_low = *low;
+  config_.action_high = *high;
   SetParams(params);
   return true;
 }

@@ -75,12 +75,10 @@ class GaussianPolicy {
   //
   // Save writes floats with 17 significant digits, so every double reads
   // back exactly. Tokens are separated by any run of whitespace (space,
-  // tab, CR, LF, VT, FF); line breaks carry no meaning. Each number must be
-  // its whole token: `1.5abc` and `5e` are rejected. Counts are unsigned
-  // decimal integers. Bounds and parameters are decimal floats, correctly
-  // rounded, and must be finite: `inf`, `nan`, hex floats (`0x1p3`) and
-  // numbers that overflow (`1e400`) or underflow to zero (`1e-400`) are
-  // rejected; subnormals load. Every number may carry one leading `+`. The
+  // tab, CR, LF, VT, FF); line breaks carry no meaning. Each number follows
+  // common/parse.hpp's rule: counts are whole numbers (ParseWhole), bounds
+  // and parameters correctly rounded finite ones (ParseFinite), so
+  // `1.5abc`, `5e`, `inf`, `0x1p3`, `1e400` and `1e-400` are rejected. The
   // dimensions must match this policy's config and <n> must equal
   // ParamCount(). A token longer than the 64 KiB read buffer is rejected.
   // Anything after the last parameter is ignored.

@@ -1,13 +1,16 @@
 #include "scenario/profile.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <sstream>
+#include <string_view>
+
+#include "common/parse.hpp"
 
 namespace topfull::scenario {
 namespace {
@@ -46,21 +49,18 @@ bool ParseKeyValues(const std::string& body, int line, KeyValues* out,
   return true;
 }
 
+/// A number key's value, which Apply has checked, or `fallback` when the
+/// key is absent.
 double GetNum(const KeyValues& kv, const std::string& key, double fallback) {
   const auto it = kv.find(key);
-  return it == kv.end() ? fallback : std::atof(it->second.c_str());
+  return it == kv.end() ? fallback : ParseFinite(it->second).value_or(fallback);
 }
 
-/// Counts and seeds: numbers are >= 0 by ParseNumber; the caps keep the
-/// casts defined for absurd values.
-int GetInt(const KeyValues& kv, const std::string& key, int fallback) {
-  return static_cast<int>(std::min(GetNum(kv, key, fallback), 1e9));
-}
-
-std::uint64_t GetSeed(const KeyValues& kv, const std::string& key,
-                      std::uint64_t fallback) {
-  return static_cast<std::uint64_t>(
-      std::min(GetNum(kv, key, static_cast<double>(fallback)), 1e18));
+/// A whole number key's value (kWholeKeys), or `fallback`.
+template <typename T>
+T GetWhole(const KeyValues& kv, const std::string& key, T fallback) {
+  const auto it = kv.find(key);
+  return it == kv.end() ? fallback : ParseWhole<T>(it->second).value_or(fallback);
 }
 
 std::string GetStr(const KeyValues& kv, const std::string& key,
@@ -72,15 +72,14 @@ std::string GetStr(const KeyValues& kv, const std::string& key,
 /// Parses a `prio=LO-HI` band (or a single `prio=P`); false on junk or an
 /// empty band.
 bool ParsePriorityBand(const std::string& value, int* lo, int* hi) {
-  const auto dash = value.find('-');
-  const std::string lo_s = value.substr(0, dash);
-  const std::string hi_s = dash == std::string::npos ? lo_s : value.substr(dash + 1);
-  char* lo_end = nullptr;
-  char* hi_end = nullptr;
-  *lo = static_cast<int>(std::strtol(lo_s.c_str(), &lo_end, 10));
-  *hi = static_cast<int>(std::strtol(hi_s.c_str(), &hi_end, 10));
-  return lo_end != lo_s.c_str() && *lo_end == '\0' && hi_end != hi_s.c_str() &&
-         *hi_end == '\0' && *lo >= 0 && *hi >= *lo;
+  const std::string_view text(value);
+  const auto dash = text.find('-');
+  const std::optional<int> low = ParseWhole<int>(text.substr(0, dash), 0);
+  const std::optional<int> high =
+      dash == std::string_view::npos ? low : ParseWhole<int>(text.substr(dash + 1), low.value_or(0));
+  *lo = low.value_or(0);
+  *hi = high.value_or(0);
+  return low && high;
 }
 
 /// One directive of the grammar: the keys it takes and what it does to the
@@ -104,7 +103,7 @@ Directive FaultEventDirective(const char* name, fault::FaultType type,
     event.service = GetStr(kv, "svc");
     event.at = Seconds(GetNum(kv, "at", 0.0));
     event.duration = Seconds(GetNum(kv, "for", 0.0));
-    event.pods = GetInt(kv, type == fault::FaultType::kVmOutage ? "vms" : "pods", 1);
+    event.pods = GetWhole(kv, type == fault::FaultType::kVmOutage ? "vms" : "pods", 1);
     event.restart_delay = Seconds(GetNum(kv, "restart", 0.0));
     event.restart_stagger = Seconds(GetNum(kv, "stagger", 0.0));
     event.severity = GetNum(
@@ -126,13 +125,13 @@ const std::vector<Directive>& Directives() {
        [](const KeyValues& kv, ScenarioSpec* spec) {
          *spec = ScenarioSpec::Make(GetStr(kv, "name"), GetStr(kv, "app", "boutique"));
          spec->duration_s = GetNum(kv, "duration", spec->duration_s);
-         spec->seed = GetSeed(kv, "seed", spec->seed);
+         spec->seed = GetWhole(kv, "seed", spec->seed);
          spec->static_rate = GetNum(kv, "static", 0.0);
          spec->distinct_priorities = GetNum(kv, "distinct_prio", 0.0) != 0.0;
          spec->probe_failures = GetNum(kv, "probe_failures", 0.0) != 0.0;
-         spec->replicas = GetInt(kv, "replicas", spec->replicas);
+         spec->replicas = GetWhole(kv, "replicas", spec->replicas);
          spec->hpa = GetNum(kv, "hpa", 0.0) != 0.0;
-         spec->fault_seed = GetSeed(kv, "fault_seed", spec->fault_seed);
+         spec->fault_seed = GetWhole(kv, "fault_seed", spec->fault_seed);
          return std::string();
        }},
       {"phase", {"at", "users", "rps", "ramp"}, {"at"}, {},
@@ -165,7 +164,7 @@ const std::vector<Directive>& Directives() {
       {"client", {"timeout", "retries", "backoff", "think"}, {}, {},
        [](const KeyValues& kv, ScenarioSpec* spec) {
          spec->Client(GetNum(kv, "timeout", spec->client_timeout_s),
-                      GetInt(kv, "retries", spec->client_retries),
+                      GetWhole(kv, "retries", spec->client_retries),
                       GetNum(kv, "backoff", spec->client_retry_backoff_s),
                       GetNum(kv, "think", spec->think_s));
          return std::string();
@@ -173,7 +172,7 @@ const std::vector<Directive>& Directives() {
       {"rpc", {"timeout", "retries", "backoff"}, {}, {},
        [](const KeyValues& kv, ScenarioSpec* spec) {
          spec->Rpc(GetNum(kv, "timeout", spec->hop_timeout_s),
-                   GetInt(kv, "retries", spec->hop_retries),
+                   GetWhole(kv, "retries", spec->hop_retries),
                    GetNum(kv, "backoff", spec->hop_retry_backoff_s));
          return std::string();
        }},
@@ -217,8 +216,8 @@ const std::vector<Directive>& Directives() {
       {"chaos", {"seed", "events", "horizon", "start", "blackhole"}, {}, {},
        [](const KeyValues& kv, ScenarioSpec* spec) {
          fault::ChaosOptions chaos;
-         chaos.seed = GetSeed(kv, "seed", chaos.seed);
-         chaos.events = GetInt(kv, "events", chaos.events);
+         chaos.seed = GetWhole(kv, "seed", chaos.seed);
+         chaos.events = GetWhole(kv, "events", chaos.events);
          chaos.horizon_s = GetNum(kv, "horizon", chaos.horizon_s);
          chaos.start_s = GetNum(kv, "start", chaos.start_s);
          chaos.allow_blackhole = GetNum(kv, "blackhole", 0.0) != 0.0;
@@ -239,6 +238,12 @@ bool Contains(const Keys& keys, const std::string& key) {
 const Keys kTimeKeys = {"duration", "at",      "ramp",    "timeout", "backoff",
                         "think",    "period",  "from",    "for",     "restart",
                         "stagger",  "horizon", "start"};
+/// Keys whose value is a whole number, with its largest value: counts are
+/// ints, and seeds span uint64.
+const std::map<std::string, std::uint64_t> kWholeKeys = {
+    {"pods", INT_MAX},   {"vms", INT_MAX},         {"replicas", INT_MAX},
+    {"retries", INT_MAX}, {"events", INT_MAX},      {"seed", UINT64_MAX},
+    {"fault_seed", UINT64_MAX}};
 
 /// Applies one `name: body` entry to `spec`, then CheckScenario, all
 /// rejections blamed on `line`. Keys outside the directive's list are
@@ -263,8 +268,13 @@ bool Apply(const std::string& name, const std::string& body, int line,
       return Fail(error, line, "unknown key '" + key + "' in '" + name + "' directive");
     }
     if (Contains(d->text, key)) continue;
-    const bool ok = Contains(kTimeKeys, key) ? ParseTime(value, &reason).has_value()
-                                             : ParseNumber(value, &reason).has_value();
+    bool ok = Contains(kTimeKeys, key) ? ParseTime(value, &reason).has_value()
+                                       : ParseNumber(value, &reason).has_value();
+    const auto whole = kWholeKeys.find(key);
+    if (ok && whole != kWholeKeys.end()) {
+      ok = ParseWhole<std::uint64_t>(value, 0, whole->second).has_value();
+      reason = "not a whole number from 0 to " + std::to_string(whole->second);
+    }
     if (!ok) {
       return Fail(error, line,
                   "value '" + value + "' for key '" + key + "' is " + reason);
@@ -307,15 +317,11 @@ bool ForEachDirective(const std::string& text, char separator,
 }  // namespace
 
 std::optional<double> ParseNumber(const std::string& text, std::string* reason) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  const char* why = "not a finite number >= 0";
-  if (end == text.c_str() || *end != '\0') {
-    why = "non-numeric";
-  } else if (std::isfinite(value) && value >= 0.0) {
-    return value;
+  const std::optional<double> value = ParseFinite(text);
+  if (value.has_value() && *value >= 0.0) return value;
+  if (reason != nullptr) {
+    *reason = ParseDouble(text).has_value() ? "not a finite number >= 0" : "non-numeric";
   }
-  if (reason != nullptr) *reason = why;
   return std::nullopt;
 }
 

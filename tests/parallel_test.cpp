@@ -105,6 +105,24 @@ TEST(ThreadPoolTest, EnvVariableSizesDefaultPool) {
   EXPECT_GE(ThreadPool::EnvThreads(), 1);
 }
 
+// Every binary that sizes its pool from TOPFULL_THREADS fails on junk like
+// --threads does, rather than running on the default pool.
+TEST(ThreadPoolDeathTest, EnvThreadsExitsOnJunk) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* junk : {"abc", "12abc", "2.5", "-1", " 3", "1e12"}) {
+    EXPECT_EXIT(
+        {
+          setenv("TOPFULL_THREADS", junk, /*overwrite=*/1);
+          ThreadPool::EnvThreads();
+        },
+        testing::ExitedWithCode(2), "bad TOPFULL_THREADS '.*': expected a whole number")
+        << junk;
+  }
+  ASSERT_EQ(setenv("TOPFULL_THREADS", "0", /*overwrite=*/1), 0);
+  EXPECT_GE(ThreadPool::EnvThreads(), 1);  // 0 is the default, as for --threads
+  ASSERT_EQ(unsetenv("TOPFULL_THREADS"), 0);
+}
+
 // --- Determinism contract ---------------------------------------------------
 
 std::vector<double> TrainedParams(ThreadPool* pool, bool use_factory) {

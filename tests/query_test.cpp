@@ -245,6 +245,19 @@ TEST(QueryTest, HistogramQuantileEdgeCases) {
   EXPECT_FALSE(EvalInstant(tsdb, "histogram_quantile(0.5)", 1.0).ok);
 }
 
+// An `le` label that is not a number drops its series, as in Prometheus;
+// read as 0 it would be a bucket holding every observation.
+TEST(QueryTest, HistogramQuantileDropsAnUnreadableLe) {
+  for (const char* le : {"abc", "1e400", "0x10", ""}) {
+    obs::Tsdb tsdb;
+    tsdb.Append("h_bucket", {{"le", "1"}}, obs::MetricType::kCounter, 1.0, 2.0);
+    tsdb.Append("h_bucket", {{"le", "+Inf"}}, obs::MetricType::kCounter, 1.0, 4.0);
+    tsdb.Append("h_bucket", {{"le", le}}, obs::MetricType::kCounter, 1.0, 4.0);
+    EXPECT_EQ(Scalar1(EvalInstant(tsdb, "histogram_quantile(0.25, h_bucket)", 1.0)), 0.5)
+        << "le=" << le;
+  }
+}
+
 TEST(QueryTest, RangeQueriesMergeStepsIntoAMatrix) {
   obs::Tsdb tsdb;
   for (double t = 1.0; t <= 5.0; t += 1.0) {
@@ -501,6 +514,27 @@ TEST(QueryHttpTest, ServesInstantAndRangeQueries) {
   const obs::HttpResponse empty = Query(tsdb, "/query?expr=m&time=100");
   EXPECT_EQ(empty.status, 200);
   EXPECT_NE(empty.body.find("\"result\":[]"), std::string::npos);
+}
+
+// A range query answers at most Prometheus's 11,000 points per series. A
+// step below the resolution of the timestamps (1e17 + 1 == 1e17) never
+// advances t; both queries below used to run without end.
+TEST(QueryHttpTest, RangeQueriesBeyondElevenThousandPointsAreErrors) {
+  obs::Tsdb tsdb;
+  tsdb.Append("m", {}, obs::MetricType::kGauge, 1.0, 7.0);
+  for (const char* target : {"/query?expr=m&start=1e17&end=1e17&step=1",
+                             "/query?expr=m&start=0&end=1e12&step=1",
+                             "/query?expr=m&start=0&end=11000&step=1"}) {
+    const obs::HttpResponse response = Query(tsdb, target);
+    EXPECT_EQ(response.status, 400) << target;
+    EXPECT_NE(response.body.find("11000 points"), std::string::npos)
+        << target << ": " << response.body;
+  }
+  const QueryResult most = EvalRange(tsdb, "1", 0.0, 10999.0, 1.0);
+  ASSERT_TRUE(most.ok) << most.error;
+  ASSERT_EQ(most.series.size(), 1u);
+  EXPECT_EQ(most.series[0].points.size(), 11000u);
+  EXPECT_EQ(most.series[0].points.back().t_s, 10999.0);
 }
 
 TEST(QueryHttpTest, RejectsBadRequestsWithTheJsonErrorEnvelope) {

@@ -709,6 +709,46 @@ TEST(ScenarioProfileTest, RejectsTimesThatOverflowSimTime) {
   EXPECT_LE(kMaxConfigSeconds * 2 * 1e6, 9.3e18);  // two such times still fit
 }
 
+// Seeds are whole uint64s over the full range, never read through a double
+// (which turns 9007199254740993 into ...992); counts are whole ints, so
+// `pods=2.5` is not 2 and `replicas=3e9` is not capped.
+TEST(ScenarioProfileTest, SeedsAndCountsAreWholeNumbers) {
+  std::string error;
+  const auto specs = ParseScenarioProfile(
+      "scenario: name=a, seed=9007199254740993, fault_seed=18446744073709551615\n"
+      "chaos: seed=+9007199254740993, events=3\n"
+      "tenant: name=t, weight=1, prio=+2-7\n",
+      &error);
+  ASSERT_TRUE(specs.has_value()) << error;
+  const ScenarioSpec& spec = specs->at(0);
+  EXPECT_EQ(spec.seed, 9007199254740993ull);
+  EXPECT_EQ(spec.fault_seed, 18446744073709551615ull);
+  ASSERT_EQ(spec.faults.size(), 1u);
+  EXPECT_EQ(spec.faults[0].chaos->seed, 9007199254740993ull);
+  EXPECT_EQ(spec.tenants.at(0).priority_lo, 2);
+  EXPECT_EQ(spec.tenants.at(0).priority_hi, 7);
+
+  const std::vector<MalformedCase> cases = {
+      {"scenario: name=a, seed=18446744073709551616\n",
+       "'seed' is not a whole number from 0 to 18446744073709551615"},
+      {"scenario: name=a, seed=1e3\n", "not a whole number"},
+      {"scenario: name=a, fault_seed=2.5\n", "not a whole number"},
+      {"scenario: name=a, seed=0x10\n", "non-numeric"},
+      {"scenario: name=a\ncrash: svc=cart, at=5, pods=2.5\n",
+       "'pods' is not a whole number from 0 to 2147483647"},
+      {"scenario: name=a, app=alibaba, replicas=3e9\n", "not a whole number"},
+      {"scenario: name=a\nchaos: events=-1\n", "not a finite number >= 0"},
+      {"scenario: name=a\nclient: retries=1e400\n", "non-numeric"},
+      {"scenario: name=a\ntenant: name=t, weight=1, prio=1e3\n", "priority band"},
+      {"scenario: name=a\ntenant: name=t, weight=1, prio=2- 7\n", "priority band"},
+      {"scenario: name=a\ntenant: name=t, weight=1, prio=0x2\n", "priority band"},
+  };
+  for (const MalformedCase& c : cases) {
+    EXPECT_FALSE(ParseScenarioProfile(c.text, &error).has_value()) << c.text;
+    EXPECT_NE(error.find(c.expect), std::string::npos) << c.text << "\n" << error;
+  }
+}
+
 TEST(ScenarioProfileTest, FuzzNeverCrashesAndAlwaysExplains) {
   // Seeded structural fuzz: random lines assembled from grammar fragments
   // and junk. The parser must never crash and every rejection must carry a

@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/csv.hpp"
@@ -56,62 +57,11 @@ using namespace topfull;
 namespace {
 
 /// What a numeric flag must be: any finite number, a value that describes
-/// the run (the scenario grammar's number rule, >= 0), or a time of the run
-/// (its time rule, ParseTime: also small enough to convert to SimTime). A
-/// flag accepts exactly what the matching directive key accepts. Flags
-/// read as an int are whole numbers in a range (WholeOrExit).
-enum class NumRule { kFinite, kRun, kTime };
-constexpr NumRule kRun = NumRule::kRun;
-constexpr NumRule kTime = NumRule::kTime;
-
-/// `text` as a number under `rule`, or exit 2 naming `source` (a flag or
-/// an environment variable): atof would read "abc" as 0 and "10x" as 10
-/// without a word.
-double NumOrExit(const std::string& source, const std::string& text,
-                 NumRule rule = NumRule::kFinite) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  const bool finite =
-      !text.empty() && end == text.c_str() + text.size() && std::isfinite(value);
-  std::string reason;
-  bool ok = false;
-  switch (rule) {
-    case NumRule::kFinite:
-      ok = finite;
-      break;
-    case NumRule::kRun:
-      ok = scenario::ParseNumber(text).has_value();
-      break;
-    case NumRule::kTime:
-      ok = scenario::ParseTime(text, &reason).has_value();
-      break;
-  }
-  if (!ok) {
-    std::string expected = "a finite number";
-    if (rule == NumRule::kRun || rule == NumRule::kTime) expected += " >= 0";
-    if (rule == NumRule::kTime) expected += " of seconds: " + reason;
-    std::fprintf(stderr, "bad %s '%s': expected %s\n", source.c_str(), text.c_str(),
-                 expected.c_str());
-    std::exit(2);
-  }
-  return value;
-}
-
+/// the run (the scenario grammar's number rule: >= 0), or a time of the run
+/// (its time rule: also at most kMaxConfigSeconds, so it converts to
+/// SimTime). A flag accepts exactly what the matching directive key
+/// accepts. Flags read as an int are whole numbers in a range (Whole).
 constexpr int kIntMax = std::numeric_limits<int>::max();
-
-/// `text` as a whole number from `lo` to `hi`, or exit 2 naming `source`.
-/// Range-checked before the cast: an int cast of 1e12 is undefined.
-int WholeOrExit(const std::string& source, const std::string& text, int lo, int hi) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() || !(value >= lo) ||
-      !(value <= hi) || value != std::floor(value)) {
-    std::fprintf(stderr, "bad %s '%s': expected a whole number from %d to %d\n",
-                 source.c_str(), text.c_str(), lo, hi);
-    std::exit(2);
-  }
-  return static_cast<int>(value);
-}
 
 struct Args {
   std::string command;
@@ -123,14 +73,16 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  /// Get as a finite number (NumOrExit); exits 2 when it does not parse.
+  /// Get as a finite number from `lo` to `hi`; exits 2 on anything else.
   double Num(const std::string& key, double fallback,
-             NumRule rule = NumRule::kFinite) const {
-    return Has(key) ? NumOrExit("--" + key, Get(key), rule) : fallback;
+             double lo = std::numeric_limits<double>::lowest(),
+             double hi = std::numeric_limits<double>::max()) const {
+    return Has(key) ? FiniteOrExit("--" + key, Get(key), lo, hi) : fallback;
   }
-  /// Get as a whole number from `lo` to `hi` (WholeOrExit); exits 2 on
-  /// anything else.
-  int Whole(const std::string& key, int fallback, int lo, int hi) const {
+  /// Get as a whole number from `lo` to `hi`; exits 2 on anything else.
+  template <typename T>
+  T Whole(const std::string& key, T fallback, T lo = std::numeric_limits<T>::min(),
+          T hi = std::numeric_limits<T>::max()) const {
     return Has(key) ? WholeOrExit("--" + key, Get(key), lo, hi) : fallback;
   }
   /// Get as a count: a whole number from 1 to INT_MAX.
@@ -273,7 +225,7 @@ int Usage() {
 scenario::ScenarioSpec AppFromFlags(const Args& args) {
   scenario::ScenarioSpec spec =
       scenario::ScenarioSpec::Make("", args.Get("app", "boutique"));
-  spec.seed = static_cast<std::uint64_t>(args.Num("seed", 42, kRun));
+  spec.seed = args.Whole<std::uint64_t>("seed", 42);
   if (spec.app == "alibaba" && spec.seed == 42) spec.seed = 2021;
   spec.distinct_priorities = args.Has("priorities");
   spec.probe_failures = args.Has("probe-failures");
@@ -341,10 +293,10 @@ bool HttpGet(const std::string& host, int port, const std::string& target,
   }
   ::close(fd);
   const std::size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos ||
-      std::sscanf(response.c_str(), "HTTP/1.1 %d", status) != 1) {
-    return false;
-  }
+  if (header_end == std::string::npos || response.rfind("HTTP/1.1 ", 0) != 0) return false;
+  const std::optional<int> code = ParseWhole(std::string_view(response).substr(9, 3), 100, 599);
+  if (!code.has_value()) return false;
+  *status = *code;
   *body = response.substr(header_end + 4);
   return true;
 }
@@ -357,8 +309,9 @@ bool ParseServerUrl(std::string url, std::string* host, int* port) {
   const std::size_t colon = url.rfind(':');
   if (colon == std::string::npos) return false;
   *host = url.substr(0, colon);
-  *port = std::atoi(url.substr(colon + 1).c_str());
-  return !host->empty() && *port > 0;
+  const std::optional<int> parsed = ParseWhole(url.substr(colon + 1), 1, 65535);
+  *port = parsed.value_or(0);
+  return !host->empty() && parsed.has_value();
 }
 
 /// Percent-encodes a query-string value (the expression may carry spaces,
@@ -466,22 +419,22 @@ int CmdRun(const Args& args) {
   // Every numeric flag is read here, before the run, so a bad value exits
   // before any simulation starts.
   scenario::ScenarioSpec scenario = AppFromFlags(args);
-  scenario.duration_s = args.Num("duration", 120, kTime);
-  scenario.static_rate = args.Num("static-rate", 0.0, kRun);
+  scenario.duration_s = args.Num("duration", 120, 0, kMaxConfigSeconds);
+  scenario.static_rate = args.Num("static-rate", 0.0, 0);
   scenario.hpa = args.Has("hpa");
-  scenario.Rpc(args.Num("hop-timeout", 0, kTime),
+  scenario.Rpc(args.Num("hop-timeout", 0, 0, kMaxConfigSeconds),
                args.Whole("retries", 0, 0, kIntMax),
-               args.Num("retry-backoff", 0, kTime));
+               args.Num("retry-backoff", 0, 0, kMaxConfigSeconds));
   // --users N (or --rps R) from t = 0; --surge T:N switches to N at T.
   scenario.open_loop = args.Has("rps");
-  scenario.Phase(0, scenario.open_loop ? args.Num("rps", 1000, kRun)
-                                       : args.Num("users", 1000, kRun));
+  scenario.Phase(0, scenario.open_loop ? args.Num("rps", 1000, 0)
+                                       : args.Num("users", 1000, 0));
   if (args.Has("surge")) {
     const std::string surge = args.Get("surge");
     const auto colon = surge.find(':');
     if (colon == std::string::npos) return Usage();
-    scenario.Phase(NumOrExit("--surge", surge.substr(0, colon), kTime),
-                   NumOrExit("--surge", surge.substr(colon + 1), kRun));
+    scenario.Phase(FiniteOrExit("--surge", surge.substr(0, colon), 0, kMaxConfigSeconds),
+                   FiniteOrExit("--surge", surge.substr(colon + 1), 0));
   }
   if (args.Has("fault-profile")) {
     std::string error;
@@ -492,8 +445,7 @@ int CmdRun(const Args& args) {
     }
     scenario.faults = *faults;
   }
-  scenario.fault_seed = static_cast<std::uint64_t>(
-      args.Num("fault-seed", static_cast<double>(scenario.fault_seed), kRun));
+  scenario.fault_seed = args.Whole("fault-seed", scenario.fault_seed);
   // Unknown names are an error rather than a silently uncontrolled run.
   const std::string controller = args.Get("controller", "topfull");
   const auto variant = exp::VariantFromName(controller);
@@ -794,10 +746,11 @@ int CmdQuery(const Args& args) {
   }
   std::string target = "/query?expr=" + PercentEncode(args.positional[0]);
   if (args.Has("start") || args.Has("end") || args.Has("step")) {
-    target += "&start=" + args.Get("start") + "&end=" + args.Get("end") +
-              "&step=" + args.Get("step");
+    target += "&start=" + PercentEncode(args.Get("start")) +
+              "&end=" + PercentEncode(args.Get("end")) +
+              "&step=" + PercentEncode(args.Get("step"));
   } else if (args.Has("time")) {
-    target += "&time=" + args.Get("time");
+    target += "&time=" + PercentEncode(args.Get("time"));
   }
 
   if (args.Has("url")) return PrintFromServer(args, target);
@@ -906,15 +859,12 @@ int CmdCompare(const Args& args) {
   }
   obs::JsonValue docs[2];
   for (int i = 0; i < 2; ++i) {
-    std::ifstream in(args.positional[i]);
-    if (!in) {
+    std::string text, error;
+    if (!ReadFile(args.positional[i], &text)) {
       std::fprintf(stderr, "cannot read %s\n", args.positional[i].c_str());
       return 2;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string error;
-    if (!obs::ParseJson(text.str(), &docs[i], &error)) {
+    if (!obs::ParseJson(text, &docs[i], &error)) {
       std::fprintf(stderr, "%s: %s\n", args.positional[i].c_str(), error.c_str());
       return 2;
     }
@@ -1038,11 +988,8 @@ int main(int argc, char** argv) {
   const Args args = Parse(argc, argv, verb->flags);
   if (args.Has(kGlobalFlag)) {
     ThreadPool::SetGlobalThreads(args.Whole(kGlobalFlag, 0, 0, kIntMax));
-  } else if (const char* env = std::getenv("TOPFULL_THREADS");
-             env != nullptr && *env != '\0') {
-    // The pool reads the variable itself and falls back to its default
-    // size on junk; checked here, it fails like --threads does.
-    WholeOrExit("TOPFULL_THREADS", env, 0, kIntMax);
+  } else {
+    ThreadPool::EnvThreads();  // junk in TOPFULL_THREADS exits 2 before any verb runs
   }
   try {
     return verb->run(args);
