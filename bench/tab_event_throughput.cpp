@@ -146,7 +146,7 @@ Measurement RunOpenLoopLive(double publish_every_s) {
   obs::LivePlane live;  // ephemeral port
   live.StartServer();
   obs::LiveSources sources;
-  sources.shards.push_back({app.get(), nullptr, nullptr});
+  sources.app = app.get();
   sources.label = "open_loop_live";
   sources.duration_s = 18.0;
 

@@ -33,7 +33,7 @@ int main() {
   };
   exp::RunResult result = exp::Run(spec);
   const sim::Application& app = result.app();
-  const core::TopFullController& controller = *result.controllers[0].topfull();
+  const core::TopFullController& controller = *result.controllers.topfull();
 
   const auto& snap = app.metrics().Latest();
 

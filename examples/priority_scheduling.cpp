@@ -68,7 +68,7 @@ int main() {
   };
   exp::RunResult result = exp::Run(spec);
   const sim::Application& app = result.app();
-  const core::TopFullController& controller = *result.controllers[0].topfull();
+  const core::TopFullController& controller = *result.controllers.topfull();
 
   Table table("steady goodput under 1.9x overload of the shared service");
   table.SetHeader({"API", "priority", "offered", "goodput (60-120 s)", "rate limit"});

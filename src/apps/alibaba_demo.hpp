@@ -22,10 +22,10 @@ struct AlibabaDemoOptions {
   double capacity_scale = 1.0;
   /// Scaled-up topology: `replicas` independent copies of the 127-service
   /// deployment (distinct service/API names, per-copy seeds) in one
-  /// Application — 127*K services, 25*K APIs. Copies never share services,
-  /// so the shard partitioner sees >= K clusters and a sharded run
-  /// schedules whole copies onto shards with zero cross-shard edges; this
-  /// is the "scaled-up Alibaba topology" target of the sharded-DES bench.
+  /// Application — 127*K services, 25*K APIs, simulated on one engine
+  /// (`topfull run --replicas K`). Copies never share services, so the
+  /// shard partitioner of the perfbench `alibaba_sharded` workload puts
+  /// whole copies onto shards with zero cross-shard edges.
   /// replicas == 1 is byte-identical to the original demo.
   int replicas = 1;
 };

@@ -43,7 +43,6 @@ void ShardedSimulation::RunUntil(SimTime end) {
     return;
   }
   if (end <= horizon_) return;
-  const Clock::time_point t0 = Clock::now();
   if (options_.threaded) {
     // Each shard stamps its own start and finish; the join is the barrier.
     std::vector<Clock::time_point> start(shards_.size());
@@ -71,13 +70,6 @@ void ShardedSimulation::RunUntil(SimTime end) {
   }
   horizon_ = end;
   ++rounds_;
-  if (round_observer_) {
-    RoundInfo info;
-    info.round = rounds_ - 1;
-    info.horizon = horizon_;
-    info.wall_s = SecondsBetween(t0, Clock::now());
-    round_observer_(info);
-  }
 }
 
 std::uint64_t ShardedSimulation::TotalEventsProcessed() const {

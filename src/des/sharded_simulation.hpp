@@ -1,6 +1,10 @@
 // Sharded parallel DES: many single-threaded des::Simulation engines that
 // never exchange an event.
 //
+// Only sim::ShardedApp uses it, for the perfbench `alibaba_sharded`
+// workload and the `sharded_deep_tree_*` rows of tab_event_throughput;
+// every other run is one des::Simulation.
+//
 // The service graph decomposes into independent clusters (§6.4 of the
 // paper — the same decomposition the overload controller exploits), and the
 // shard plan (sim::BuildShardPlan) puts whole clusters on shards, so no hop
@@ -9,19 +13,14 @@
 // to `end` on their own std::threads, shard 0 runs on the calling thread,
 // and the caller joins them. A shard's (when, seq) stream depends on its
 // own queue alone, so where the RunUntil boundaries fall changes nothing
-// but the round count. RunUntil boundaries are the caller's quiescent
-// points (live publishes, rule evaluation), so callers that need to observe
-// mid-run state chunk their RunUntil calls.
+// but the round count.
 //
 // shards == 1 bypasses threads entirely (a plain RunUntil) and is
-// byte-identical to a lone des::Simulation; the engine-identity digests pin
-// this.
+// byte-identical to a lone des::Simulation.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -39,28 +38,11 @@ class ShardedSimulation {
     bool threaded = true;
   };
 
-  /// Per-shard accounting for the benchmark tables and the live plane.
+  /// Per-shard accounting for the benchmark tables.
   struct ShardStats {
     double busy_s = 0;     ///< wall time running the shard's engine
     double blocked_s = 0;  ///< wall time from the shard's finish to the round's end
   };
-
-  /// Wall-clock accounting for one completed round, delivered to the round
-  /// observer on the RunUntil caller thread.
-  struct RoundInfo {
-    std::uint64_t round = 0;  ///< 0-based index of the round just completed
-    SimTime horizon = 0;      ///< global horizon after the round
-    double wall_s = 0.0;      ///< spawn-to-join wall time
-  };
-
-  /// Called after every completed round, on the caller thread, once every
-  /// shard thread has been joined — the observer may therefore read every
-  /// shard engine and Stats() without synchronization. It must not
-  /// schedule events or otherwise mutate engine state (determinism).
-  using RoundObserver = std::function<void(const RoundInfo&)>;
-  void SetRoundObserver(RoundObserver observer) {
-    round_observer_ = std::move(observer);
-  }
 
   /// Non-owning: runs engines owned elsewhere (e.g. by sim::Application
   /// instances). All pointers must outlive this object and every engine
@@ -107,7 +89,6 @@ class ShardedSimulation {
   Options options_;
   SimTime horizon_ = 0;
   std::uint64_t rounds_ = 0;
-  RoundObserver round_observer_;
   std::vector<ShardStats> stats_;
 };
 

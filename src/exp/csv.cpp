@@ -10,9 +10,7 @@
 
 namespace topfull::exp {
 
-bool WriteTimelineCsv(const sim::Application& app,
-                      const std::vector<sim::Snapshot>& timeline,
-                      const std::string& path) {
+bool WriteTimelineCsv(const sim::Application& app, const std::string& path) {
   obs::TextBuffer out(path);
   if (!out.ok()) return false;
   out << "t_s";
@@ -28,7 +26,7 @@ bool WriteTimelineCsv(const sim::Application& app,
   // Doubles keep the iostream default rendering the file has always had:
   // %g with six significant digits.
   constexpr int kDigits = 6;
-  for (const auto& snap : timeline) {
+  for (const auto& snap : app.metrics().Timeline()) {
     out.Num(snap.t_end_s, kDigits);
     for (const auto& api : snap.apis) {
       out << ",";
@@ -58,7 +56,7 @@ void MaybeExportTimeline(const sim::Application& app, const std::string& name) {
   }
   const std::string path = std::string(dir) + "/" + name + ".csv";
   errno = 0;
-  if (WriteTimelineCsv(app, app.metrics().Timeline(), path)) {
+  if (WriteTimelineCsv(app, path)) {
     std::fprintf(stderr, "[csv] wrote %s\n", path.c_str());
   } else {
     std::fprintf(stderr, "[csv] FAILED to write %s: %s\n", path.c_str(),

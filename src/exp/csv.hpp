@@ -7,18 +7,14 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "sim/app.hpp"
 
 namespace topfull::exp {
 
-/// Writes a metric timeline to `path`, with the API and service names
-/// taken from `app`: the app's own timeline, or a sharded run's merged one
-/// (sim::ShardedApp::MergedTimeline). Returns false on I/O failure.
-bool WriteTimelineCsv(const sim::Application& app,
-                      const std::vector<sim::Snapshot>& timeline,
-                      const std::string& path);
+/// Writes the app's metric timeline to `path`. Returns false on I/O
+/// failure.
+bool WriteTimelineCsv(const sim::Application& app, const std::string& path);
 
 /// If the TOPFULL_CSV_DIR environment variable is set, writes the timeline
 /// to "$TOPFULL_CSV_DIR/<name>.csv" and reports the location on stderr.

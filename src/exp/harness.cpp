@@ -198,7 +198,12 @@ TelemetrySummary Telemetry::Export(const sim::Application& app,
   }
   const std::string prom = base + ".metrics.prom";
   ReportWrite(&summary, prom, obs::WritePrometheusText(app, tracer_.get(), prom));
-  if (tsdb_ != nullptr) ExportTsdb(*tsdb_, name, &summary);
+  if (tsdb_ != nullptr) {
+    const std::string tsdb_path = base + ".tsdb.json";
+    ReportWrite(&summary, tsdb_path, obs::WriteTsdbJson(tsdb_->tsdb(), tsdb_path));
+    const std::string alerts_path = base + ".alerts.json";
+    ReportWrite(&summary, alerts_path, obs::WriteAlertsJson(tsdb_->rules(), alerts_path));
+  }
 
   if (events != nullptr) summary.slo_events = events->size();
   obs::ReportInputs inputs;
@@ -213,16 +218,6 @@ TelemetrySummary Telemetry::Export(const sim::Application& app,
   const std::string html_path = base + ".report.html";
   ReportWrite(&summary, html_path, obs::WriteHtmlReport(inputs, html_path));
   return summary;
-}
-
-void Telemetry::ExportTsdb(const obs::TsdbPlane& tsdb, const std::string& name,
-                           TelemetrySummary* summary) const {
-  if (!enabled()) return;
-  const std::string base = options_.dir + "/" + name;
-  const std::string tsdb_path = base + ".tsdb.json";
-  ReportWrite(summary, tsdb_path, obs::WriteTsdbJson(tsdb.tsdb(), tsdb_path));
-  const std::string alerts_path = base + ".alerts.json";
-  ReportWrite(summary, alerts_path, obs::WriteAlertsJson(tsdb.rules(), alerts_path));
 }
 
 std::string SanitizeFileName(const std::string& name) {

@@ -147,13 +147,6 @@ class Telemetry {
                           const core::TopFullController* controller = nullptr,
                           const std::vector<fault::FaultRecord>* faults = nullptr);
 
-  /// Writes "<dir>/<name>.tsdb.json" and "<dir>/<name>.alerts.json" and
-  /// appends them to `summary`. Export calls it for the plane set with
-  /// SetTsdb; a sharded run calls it once for its run-level plane. No-op
-  /// when disabled.
-  void ExportTsdb(const obs::TsdbPlane& tsdb, const std::string& name,
-                  TelemetrySummary* summary) const;
-
   const obs::RequestTracer* tracer() const { return tracer_.get(); }
   const obs::SloMonitor* monitor() const { return monitor_.get(); }
 

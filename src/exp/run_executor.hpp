@@ -3,8 +3,8 @@
 // Every paper figure is a matrix of independent simulation runs
 // (variant x demand, variant x seed, vCPUs x with/without, ...). A RunSpec
 // describes one cell — an app factory, the controller variant to attach,
-// the traffic to drive, faults, observers, the shard count and how long to
-// run — and exp::Run executes it. The CLI, the scenario matrix and the
+// the traffic to drive, faults, observers and how long to run — and
+// exp::Run executes it on one engine. The CLI, the scenario matrix and the
 // sweep benches all go through Run, so the attach order lives in one place.
 // RunExecutor runs a whole list of specs on the shared worker pool, one
 // complete simulation per worker. Each run owns its app, RNG streams, and
@@ -24,7 +24,6 @@
 #include "exp/harness.hpp"
 #include "fault/fault.hpp"
 #include "sim/app.hpp"
-#include "sim/sharded_app.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull::obs {
@@ -39,13 +38,11 @@ struct RunSpec {
   std::string label;
   double duration_s = 0.0;
 
-  /// Builds the application (topology, seeds, pod counts) once per shard,
-  /// on the worker: no mutable state shared across specs, and identical
-  /// replicas on every call.
+  /// Builds the application (topology, seeds, pod counts) on the worker:
+  /// no mutable state shared across specs.
   std::function<std::unique_ptr<sim::Application>()> make_app;
 
-  /// Installs the workload (closed-loop pools / open-loop generators), once
-  /// per shard with a shard-scoped driver.
+  /// Installs the workload (closed-loop pools / open-loop generators).
   std::function<void(workload::TrafficDriver&, sim::Application&)> traffic;
 
   /// Standard controller attachment (ignored when `attach` is set).
@@ -61,18 +58,15 @@ struct RunSpec {
   std::function<std::shared_ptr<void>(sim::Application&)> attach;
 
   /// Horizontal pod autoscaler (default HpaConfig) on a VM cluster of this
-  /// shape, which the fault injector's VM outages hit; nullopt = none. Each
-  /// shard replica scales independently.
+  /// shape, which the fault injector's VM outages hit; nullopt = none.
   std::optional<autoscale::ClusterConfig> hpa;
 
-  /// Faults injected during the run (empty = none; zero perturbation),
-  /// each armed on the shard owning its service. The injector draws only
-  /// from its own stream seeded by `fault_seed`.
+  /// Faults injected during the run (empty = none; zero perturbation). The
+  /// injector draws only from its own stream seeded by `fault_seed`.
   fault::FaultSchedule faults;
   std::uint64_t fault_seed = fault::FaultInjector::kDefaultSeed;
 
-  /// Span tracing and file exports; files get a ".shard<k>" suffix per
-  /// shard when shards > 1.
+  /// Span tracing and file exports.
   TelemetryOptions telemetry = TelemetryOptions::FromEnv();
 
   /// Live telemetry plane (non-owning; may be null). When set, the run is
@@ -87,34 +81,25 @@ struct RunSpec {
   /// with the SLO burn rules, so benches gain the `.tsdb.json` and
   /// `.alerts.json` artifacts without code changes.
   obs::TsdbPlane* tsdb = nullptr;
-
-  /// Engine shards asked for; the shard plan clamps it to the app's
-  /// cluster count. 1 is byte-identical to the plain engine.
-  int shards = 1;
-  /// Shard threads vs every shard on the calling thread (bit-identical;
-  /// sequential is for determinism cross-checks and debugging).
-  bool threaded = true;
 };
 
 /// The finished run: what a caller may read afterwards. The simulation
 /// must not be advanced again.
 struct RunResult {
   std::string label;
-  std::unique_ptr<sim::ShardedApp> sharded;
-  /// Per shard: the standard controllers (empty when `attach` was used)
-  /// and the traffic driver, whose closed-loop pools keep per-user outcomes.
-  std::vector<Controllers> controllers;
-  std::vector<std::unique_ptr<workload::TrafficDriver>> traffic;
-  /// What the fault injectors actually did, merged deterministically:
-  /// stable-sorted by injection time, shard order kept within a timestamp.
+  std::unique_ptr<sim::Application> application;
+  /// The standard controllers (empty when `attach` was used) and the
+  /// traffic driver, whose closed-loop pools keep per-user outcomes.
+  Controllers controllers;
+  std::unique_ptr<workload::TrafficDriver> traffic;
+  /// What the fault injector actually did, in injection order.
   std::vector<fault::FaultRecord> fault_log;
-  /// SLO monitor events, merged the same way.
+  /// SLO monitor events, in emission order.
   std::vector<obs::SloEvent> slo_events;
-  /// Per-shard export accounting (empty when telemetry is off).
-  std::vector<TelemetrySummary> telemetry;
+  /// Export accounting (nullopt when telemetry is off).
+  std::optional<TelemetrySummary> telemetry;
 
-  /// The single-app view: the whole run when shards == 1.
-  sim::Application& app() const { return sharded->app(0); }
+  sim::Application& app() const { return *application; }
 };
 
 /// Runs `spec` to completion on the calling thread. `name` names the run's

@@ -263,18 +263,16 @@ bool WriteDecisionLogJsonl(const DecisionLog& log, const sim::Application& app,
   return out.Close();
 }
 
-void AppendTracerCounters(SnapshotBuilder& builder, const RequestTracer& tracer,
-                          const Labels& extra) {
+void AppendTracerCounters(SnapshotBuilder& builder, const RequestTracer& tracer) {
   const TracerCounters& c = tracer.counters();
-  builder.AddCounter("topfull_trace_sampled_total", "Request traces recorded.",
-                     extra, c.sampled);
+  builder.AddCounter("topfull_trace_sampled_total", "Request traces recorded.", {},
+                     c.sampled);
   builder.AddCounter("topfull_trace_dropped_total",
-                     "Sampled traces discarded by the memory cap.", extra,
-                     c.dropped);
+                     "Sampled traces discarded by the memory cap.", {}, c.dropped);
   std::uint64_t spans = 0;
   for (const RequestTrace& trace : tracer.finished()) spans += trace.spans.size();
   builder.AddCounter("topfull_trace_spans_total",
-                     "Service hop spans across finished traces.", extra, spans);
+                     "Service hop spans across finished traces.", {}, spans);
 }
 
 bool WritePrometheusText(const sim::Application& app, const RequestTracer* tracer,

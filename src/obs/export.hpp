@@ -62,9 +62,7 @@ bool WritePrometheusText(const sim::Application& app, const RequestTracer* trace
                          const std::string& path);
 
 /// Adds the tracer's counter families (sampled/dropped traces, finished
-/// hop spans) to a snapshot under construction; `extra` labels are appended
-/// to each cell (the sharded capture path passes {{"shard", "k"}}).
-void AppendTracerCounters(SnapshotBuilder& builder, const RequestTracer& tracer,
-                          const Labels& extra = {});
+/// hop spans) to a snapshot under construction.
+void AppendTracerCounters(SnapshotBuilder& builder, const RequestTracer& tracer);
 
 }  // namespace topfull::obs

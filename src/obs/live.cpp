@@ -5,12 +5,10 @@
 #include <utility>
 
 #include "common/sim_time.hpp"
-#include "des/sharded_simulation.hpp"
 #include "obs/export.hpp"
 #include "obs/profile.hpp"
 #include "obs/tsdb_plane.hpp"
 #include "sim/app.hpp"
-#include "sim/sharded_app.hpp"
 
 namespace topfull::obs {
 
@@ -95,59 +93,27 @@ void LivePlane::Publish(const LiveSources& sources, bool finished) {
 std::shared_ptr<const MetricsSnapshot> LivePlane::Capture(
     const LiveSources& sources, bool finished) {
   SnapshotBuilder builder;
-  const bool multi = sources.shards.size() > 1;
-
   RunState run;
   run.label = sources.label;
   run.duration_s = sources.duration_s;
   run.finished = finished;
-  run.shards.reserve(sources.shards.size());
-
-  for (std::size_t i = 0; i < sources.shards.size(); ++i) {
-    const LiveSources::Shard& shard = sources.shards[i];
-    Labels extra;
-    // A single-shard capture adds no label, so the end-of-run snapshot is
-    // byte-identical to the offline .metrics.prom dump.
-    if (multi) extra.emplace_back("shard", std::to_string(i));
-    if (shard.app != nullptr) {
-      builder.AddRegistry(shard.app->metrics_registry(), extra);
-    }
-    if (shard.tracer != nullptr) {
-      AppendTracerCounters(builder, *shard.tracer, extra);
-    }
-
-    ShardRunState state;
-    if (shard.app != nullptr) {
-      const des::Simulation& sim = shard.app->sim();
-      state.events_processed = sim.EventsProcessed();
-      state.events_scheduled = sim.EventsScheduled();
-      state.events_cancelled = sim.EventsCancelled();
-      state.pending_events = sim.PendingEvents();
-      run.sim_time_s = std::max(run.sim_time_s, ToSeconds(sim.Now()));
-    }
-    run.shards.push_back(state);
-
-    if (shard.monitor != nullptr) {
-      run.slo_events += shard.monitor->events().size();
-      run.active_slo_events += CountActiveSloEvents(
-          shard.monitor->events(), &run.active_slo_subjects);
-    }
+  // The app's registry and the tracer counters, as the offline
+  // .metrics.prom dump has them: the end-of-run snapshot renders the same
+  // bytes.
+  if (sources.app != nullptr) {
+    builder.AddRegistry(sources.app->metrics_registry());
+    const des::Simulation& sim = sources.app->sim();
+    run.sim_time_s = ToSeconds(sim.Now());
+    run.events_processed = sim.EventsProcessed();
+    run.events_scheduled = sim.EventsScheduled();
+    run.events_cancelled = sim.EventsCancelled();
+    run.pending_events = sim.PendingEvents();
   }
-  std::sort(run.active_slo_subjects.begin(), run.active_slo_subjects.end());
-
-  if (sources.sharded != nullptr && multi) {
-    const des::ShardedSimulation& engine = sources.sharded->engine();
-    run.rounds = engine.Rounds();
-    run.sim_time_s = std::max(run.sim_time_s, ToSeconds(engine.Horizon()));
-    const std::vector<des::ShardedSimulation::ShardStats>& stats =
-        engine.Stats();
-    for (std::size_t i = 0;
-         i < std::min(stats.size(), run.shards.size()); ++i) {
-      run.shards[i].busy_s = stats[i].busy_s;
-      run.shards[i].blocked_s = stats[i].blocked_s;
-    }
-    // Wall-clock scheduler metrics: live-only, never in offline dumps.
-    builder.AddRegistry(sources.sharded->scheduler_registry());
+  if (sources.tracer != nullptr) AppendTracerCounters(builder, *sources.tracer);
+  if (sources.monitor != nullptr) {
+    run.slo_events = sources.monitor->events().size();
+    run.active_slo_events =
+        CountActiveSloEvents(sources.monitor->events(), &run.active_slo_subjects);
   }
 
   // Profiler percentiles as live-only gauges (wall-clock, so they are

@@ -2,21 +2,20 @@
 //
 // LivePlane owns a SnapshotBoard and an HttpServer and turns the two into
 // the run-facing API: the sim-owning thread calls MaybePublish() at
-// quiescent points (between RunUntil chunks, or between sharded window
-// rounds — never from inside an event), which captures an immutable
-// MetricsSnapshot of every attached registry and swaps it onto the board;
-// the server thread answers scrapes from board reads only. Publishing is
-// strictly an observer: it never schedules events, never touches RNG
-// state, and is rate-limited by wall clock, so a run with the server
-// enabled is bit-identical to one without.
+// quiescent points (between RunUntil chunks, never from inside an event),
+// which captures an immutable MetricsSnapshot of the app's registry and
+// swaps it onto the board; the server thread answers scrapes from board
+// reads only. Publishing is strictly an observer: it never schedules
+// events, never touches RNG state, and is rate-limited by wall clock, so a
+// run with the server enabled is bit-identical to one without.
 //
 // Endpoints:
 //   /metrics        Prometheus text exposition (same renderer as the
 //                   offline .metrics.prom dump — byte-identical at end of
-//                   run). Sharded runs label per-shard cells shard="k".
+//                   run)
 //   /healthz        liveness probe ("ok")
 //   /runs           run-state JSON: label, sim time/progress, active SLO
-//                   events, per-shard engine + scheduler stats
+//                   events, the engine's event counters
 //   /snapshot.json  flattened registry dump (histograms as percentile
 //                   summaries)
 //   /query          PromQL-subset evaluation over the attached TSDB plane
@@ -39,7 +38,6 @@
 
 namespace topfull::sim {
 class Application;
-class ShardedApp;
 }  // namespace topfull::sim
 
 namespace topfull::obs {
@@ -56,19 +54,14 @@ struct LiveOptions {
   double publish_interval_s = 0.010;
 };
 
-/// What a publish captures. All pointers are non-owning and may be null;
-/// `shards` has one entry per shard (a single entry for unsharded runs).
+/// What a publish captures: one app and its observers. All pointers are
+/// non-owning and may be null.
 struct LiveSources {
-  struct Shard {
-    const sim::Application* app = nullptr;
-    const RequestTracer* tracer = nullptr;
-    const SloMonitor* monitor = nullptr;
-  };
-  std::vector<Shard> shards;
+  const sim::Application* app = nullptr;
+  const RequestTracer* tracer = nullptr;
+  const SloMonitor* monitor = nullptr;
   std::string label;
   double duration_s = 0.0;
-  /// Sharded runs only: engine stats + the scheduler registry.
-  const sim::ShardedApp* sharded = nullptr;
 };
 
 /// Counts SLO start/onset events without a matching end/clear (exposed for

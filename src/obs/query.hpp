@@ -38,7 +38,7 @@
 //
 // Evaluation only ever looks backward from the evaluation timestamp, so
 // re-evaluating a time T after later samples arrived gives the identical
-// answer — the property the sharded rule-evaluation discipline relies on.
+// answer.
 #pragma once
 
 #include <string>

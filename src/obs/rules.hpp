@@ -15,8 +15,8 @@
 //
 // "True" for a condition: a comparison/vector expression evaluating to a
 // non-empty vector, or a scalar evaluating non-zero. Evaluation is
-// strictly backward-looking (see query.hpp), so boundaries may be
-// evaluated late — e.g. between sharded rounds — with identical results.
+// strictly backward-looking (see query.hpp), so a boundary evaluated late
+// — e.g. by the end-of-run catch-up — gives the identical result.
 //
 // Thread safety: Evaluate and the JSON/state readers lock internally;
 // transitions() returns a reference and is for single-threaded use after

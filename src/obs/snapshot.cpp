@@ -154,13 +154,10 @@ MetricsSnapshot::Cell* SnapshotBuilder::GetCell(const std::string& name,
   return &cell;
 }
 
-void SnapshotBuilder::AddRegistry(const MetricsRegistry& registry,
-                                  const Labels& extra) {
-  // The registry already keys every cell by its canonical label key, and
-  // `extra` appends at the end of the label list, so the combined key is a
-  // plain concatenation — no re-encoding on this (per-publish) path. Cells
-  // iterate in key order, so the end() hint makes fresh inserts O(1).
-  const std::string extra_key = MetricsRegistry::LabelKey(extra);
+void SnapshotBuilder::AddRegistry(const MetricsRegistry& registry) {
+  // The registry already keys every cell by its canonical label key, so no
+  // re-encoding on this (per-publish) path. Cells iterate in key order, so
+  // the end() hint makes fresh inserts O(1).
   for (const auto& [name, family] : registry.families()) {
     FamilyBuild& build = families_[name];
     if (build.cells.empty()) {
@@ -168,25 +165,10 @@ void SnapshotBuilder::AddRegistry(const MetricsRegistry& registry,
       build.type = family.type;
     }
     for (const auto& [key, cell] : family.cells) {
-      std::string cell_key = key;
-      if (!extra_key.empty()) {
-        if (cell_key.empty()) {
-          cell_key = extra_key;
-        } else {
-          cell_key += ",";
-          cell_key += extra_key;
-        }
-      }
       MetricsSnapshot::Cell& out =
-          build.cells
-              .emplace_hint(build.cells.end(), std::move(cell_key),
-                            MetricsSnapshot::Cell{})
+          build.cells.emplace_hint(build.cells.end(), key, MetricsSnapshot::Cell{})
               ->second;
-      out.labels.clear();
-      out.labels.reserve(cell->labels.size() + extra.size());
-      out.labels.insert(out.labels.end(), cell->labels.begin(),
-                        cell->labels.end());
-      out.labels.insert(out.labels.end(), extra.begin(), extra.end());
+      out.labels = cell->labels;
       switch (family.type) {
         case MetricType::kCounter:
           out.counter = cell->counter.value();
@@ -368,7 +350,6 @@ std::string RunStateJson(const MetricsSnapshot& snapshot) {
                     ",\"duration_s\":" + JsonNum(run.duration_s) +
                     ",\"progress\":" + JsonNum(progress) +
                     ",\"snapshot_version\":" + U64(snapshot.version) +
-                    ",\"rounds\":" + U64(run.rounds) +
                     ",\"slo_events_total\":" + U64(run.slo_events) +
                     ",\"active_slo_events\":" + U64(run.active_slo_events) +
                     ",\"active_slo_subjects\":[";
@@ -378,19 +359,10 @@ std::string RunStateJson(const MetricsSnapshot& snapshot) {
     out += JsonEscape(run.active_slo_subjects[i]);
     out += "\"";
   }
-  out += "],\"shards\":[";
-  for (std::size_t i = 0; i < run.shards.size(); ++i) {
-    const ShardRunState& s = run.shards[i];
-    if (i > 0) out += ",";
-    out += "{\"shard\":" + U64(i) +
-           ",\"events_processed\":" + U64(s.events_processed) +
-           ",\"events_scheduled\":" + U64(s.events_scheduled) +
-           ",\"events_cancelled\":" + U64(s.events_cancelled) +
-           ",\"pending_events\":" + U64(s.pending_events) +
-           ",\"busy_s\":" + JsonNum(s.busy_s) +
-           ",\"blocked_s\":" + JsonNum(s.blocked_s) + "}";
-  }
-  return out + "]}";
+  return out + "],\"events_processed\":" + U64(run.events_processed) +
+         ",\"events_scheduled\":" + U64(run.events_scheduled) +
+         ",\"events_cancelled\":" + U64(run.events_cancelled) +
+         ",\"pending_events\":" + U64(run.pending_events) + "}";
 }
 
 }  // namespace topfull::obs

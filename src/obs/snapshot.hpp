@@ -3,9 +3,8 @@
 // The registry (metrics_registry.hpp) is deliberately not thread-safe: the
 // simulation updates it with plain writes on its own thread. To observe it
 // live without perturbing that hot path, the *owning* thread captures an
-// immutable MetricsSnapshot at a quiescent point (between RunUntil chunks;
-// in a sharded run, on the caller thread once every shard thread of the
-// chunk's round has been joined) and publishes it through a SnapshotBoard — a
+// immutable MetricsSnapshot at a quiescent point (between RunUntil chunks)
+// and publishes it through a SnapshotBoard — a
 // hazard-style slot ring (see the class comment). Readers (the HTTP
 // observability server) pin a slot, copy one shared_ptr and then walk a
 // structure nobody mutates, so scrapes never take a lock and never touch
@@ -38,30 +37,21 @@
 
 namespace topfull::obs {
 
-/// Per-shard engine/scheduler state captured alongside the metric families
+/// Run-level progress and engine counters captured at publish time
 /// (rendered by `/runs`, not by `/metrics`).
-struct ShardRunState {
-  std::uint64_t events_processed = 0;
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t events_cancelled = 0;
-  std::uint64_t pending_events = 0;
-  double busy_s = 0.0;
-  double blocked_s = 0.0;
-};
-
-/// Run-level progress captured at publish time.
 struct RunState {
   std::string label;
   bool finished = false;
   double sim_time_s = 0.0;
   double duration_s = 0.0;
-  /// Rounds completed (sharded runs; 0 for the unsharded engine).
-  std::uint64_t rounds = 0;
   std::uint64_t slo_events = 0;
   /// SLO start/onset events without a matching end/clear yet.
   std::uint64_t active_slo_events = 0;
   std::vector<std::string> active_slo_subjects;
-  std::vector<ShardRunState> shards;
+  std::uint64_t events_processed = 0;
+  std::uint64_t events_scheduled = 0;
+  std::uint64_t events_cancelled = 0;
+  std::uint64_t pending_events = 0;
 };
 
 /// Immutable flattened copy of one or more registries. Families are sorted
@@ -92,13 +82,11 @@ struct MetricsSnapshot {
 
 /// Accumulates cells from registries and ad-hoc values, then freezes them
 /// into a sorted immutable snapshot. Single-use: Finish() moves the state
-/// out. Adding the same (family, label set) twice overwrites the cell —
-/// callers keep cells distinct (sharded captures add a shard="k" label).
+/// out. Adding the same (family, label set) twice overwrites the cell.
 class SnapshotBuilder {
  public:
-  /// Copies every family/cell of `registry`, appending `extra` labels to
-  /// each cell (e.g. {{"shard", "2"}}; pass {} for none).
-  void AddRegistry(const MetricsRegistry& registry, const Labels& extra = {});
+  /// Copies every family/cell of `registry`.
+  void AddRegistry(const MetricsRegistry& registry);
 
   void AddCounter(const std::string& name, const std::string& help,
                   Labels labels, std::uint64_t value);
@@ -177,7 +165,7 @@ std::string PromTextFromRegistry(const MetricsRegistry& registry);
 /// count/sum/min/max/mean/p50/p90/p99 summaries).
 std::string SnapshotJson(const MetricsSnapshot& snapshot);
 
-/// `/runs`: run-state JSON (label, progress, SLO events, per-shard stats).
+/// `/runs`: run-state JSON (label, progress, SLO events, engine counters).
 std::string RunStateJson(const MetricsSnapshot& snapshot);
 
 /// Prometheus label-value escaping (backslash, double-quote, newline).

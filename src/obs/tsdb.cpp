@@ -186,9 +186,8 @@ std::string TsdbJson(const Tsdb& tsdb) {
 
 // --- RegistryFeed -------------------------------------------------------------
 
-RegistryFeed::RegistryFeed(Tsdb* tsdb, const MetricsRegistry* registry,
-                           Labels extra)
-    : tsdb_(tsdb), registry_(registry), extra_(std::move(extra)) {}
+RegistryFeed::RegistryFeed(Tsdb* tsdb, const MetricsRegistry* registry)
+    : tsdb_(tsdb), registry_(registry) {}
 
 void RegistryFeed::Plan() {
   scalars_.clear();
@@ -196,7 +195,6 @@ void RegistryFeed::Plan() {
   for (const auto& [name, family] : registry_->families()) {
     for (const auto& [key, cell] : family.cells) {
       Labels labels = cell->labels;
-      labels.insert(labels.end(), extra_.begin(), extra_.end());
       if (family.type != MetricType::kHistogram) {
         const bool counter = family.type == MetricType::kCounter;
         scalars_.push_back({cell.get(), counter,

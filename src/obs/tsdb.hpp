@@ -25,7 +25,7 @@
 // values are formatted with the same locale-independent printf forms as
 // the rest of the plane, and nothing here reads wall-clock time — a TSDB
 // fed from sim-time window closes serialises byte-identically across
-// TOPFULL_THREADS and shard-worker interleavings. All public methods are
+// TOPFULL_THREADS. All public methods are
 // thread-safe (one mutex), so the HTTP query thread may read mid-run.
 #pragma once
 
@@ -52,6 +52,10 @@ struct TsdbOptions {
   /// Ring capacity per series: samples retained before eviction.
   std::size_t retention = 4096;
 };
+
+/// The largest retention a reloaded dump may ask for: every series reserves
+/// its whole ring up front, so a dump's retention is a memory request.
+inline constexpr std::size_t kMaxTsdbRetention = std::size_t{1} << 20;
 
 /// One timestamped value of a series.
 struct TsdbSample {
@@ -140,8 +144,7 @@ class Tsdb {
 
 /// The in-process feed: appends every cell of one registry to a Tsdb at
 /// each call, flattened exactly like the text exposition (and therefore
-/// exactly like AppendScrape of that exposition). `extra` labels are
-/// appended to every series (the sharded plane passes {{"shard", "k"}}).
+/// exactly like AppendScrape of that exposition).
 ///
 /// The feed resolves each cell to its series handle once and keeps the
 /// plan until the registry creates a new cell (MetricsRegistry::
@@ -152,7 +155,7 @@ class Tsdb {
 /// updates the registry.
 class RegistryFeed {
  public:
-  RegistryFeed(Tsdb* tsdb, const MetricsRegistry* registry, Labels extra = {});
+  RegistryFeed(Tsdb* tsdb, const MetricsRegistry* registry);
 
   void Append(double t_s);
 
@@ -165,7 +168,7 @@ class RegistryFeed {
   struct HistogramSeries {
     const Histogram* histogram = nullptr;
     std::string bucket_name;             ///< family name + "_bucket"
-    Labels labels;                       ///< cell labels + extra
+    Labels labels;                       ///< the cell's labels
     std::vector<Tsdb::Series*> buckets;  ///< finite buckets, null until used
     Tsdb::Series* inf = nullptr;
     Tsdb::Series* sum = nullptr;
@@ -177,7 +180,6 @@ class RegistryFeed {
 
   Tsdb* tsdb_;
   const MetricsRegistry* registry_;
-  Labels extra_;
   std::uint64_t planned_cells_ = 0;  ///< registry cells_created() at Plan
   std::vector<Scalar> scalars_;
   std::vector<HistogramSeries> histograms_;

@@ -1,5 +1,6 @@
 #include "obs/tsdb_plane.hpp"
 
+#include <cmath>
 #include <limits>
 
 #include "common/parse.hpp"
@@ -12,11 +13,11 @@ namespace topfull::obs {
 
 /// Chained window observer: forwards to the previously installed observer
 /// first (SloMonitor events precede same-timestamp TSDB activity), then
-/// hands the window to the plane.
+/// appends the window and evaluates the rules up to its close.
 struct TsdbPlane::Feeder : sim::WindowObserver {
-  Feeder(TsdbPlane* plane, const MetricsRegistry* registry, Labels extra,
+  Feeder(TsdbPlane* plane, const MetricsRegistry* registry,
          sim::WindowObserver* next)
-      : plane(plane), feed(&plane->tsdb_, registry, std::move(extra)), next(next) {}
+      : plane(plane), feed(&plane->tsdb_, registry), next(next) {}
 
   TsdbPlane* plane;
   RegistryFeed feed;
@@ -24,53 +25,32 @@ struct TsdbPlane::Feeder : sim::WindowObserver {
 
   void OnWindow(const sim::Snapshot& snapshot) override {
     if (next != nullptr) next->OnWindow(snapshot);
-    // Registry families only: the live-only wall-clock families (profiler,
-    // sharded scheduler) never enter the store, so its contents depend on
-    // simulation state alone.
+    // Registry families only: the live-only wall-clock families (profiler)
+    // never enter the store, so its contents depend on simulation state
+    // alone.
     feed.Append(snapshot.t_end_s);
-    plane->OnFeederWindow(snapshot.t_end_s);
+    plane->FinishRules(snapshot.t_end_s);
   }
 };
 
-TsdbPlane::TsdbPlane(TsdbPlaneOptions options)
-    : options_(options), tsdb_(options.tsdb), rules_(&tsdb_) {}
+TsdbPlane::TsdbPlane(TsdbOptions options) : tsdb_(options), rules_(&tsdb_) {}
 
 TsdbPlane::~TsdbPlane() = default;
 
-void TsdbPlane::Attach(sim::Application& app, int shard, int num_shards) {
-  Labels extra;
-  if (num_shards > 1) extra.emplace_back("shard", std::to_string(shard));
+void TsdbPlane::Attach(sim::Application& app) {
   auto feeder = std::make_unique<Feeder>(this, &app.metrics_registry(),
-                                         std::move(extra),
                                          app.metrics().window_observer());
   app.metrics().SetWindowObserver(feeder.get());
   feeders_.push_back(std::move(feeder));
 }
 
-void TsdbPlane::OnFeederWindow(double t_end_s) {
-  if (options_.evaluate_on_window) {
-    EvaluateBoundaries(t_end_s, /*inclusive=*/true);
-  }
-}
-
-void TsdbPlane::EvaluateRulesUpTo(double t_s) {
-  EvaluateBoundaries(t_s, /*inclusive=*/false);
-}
-
 void TsdbPlane::FinishRules(double t_s) {
-  EvaluateBoundaries(t_s, /*inclusive=*/true);
-}
-
-void TsdbPlane::EvaluateBoundaries(double limit_s, bool inclusive) {
-  std::lock_guard<std::mutex> lock(eval_mu_);
-  const double step = options_.tsdb.step_s;
+  const double step = tsdb_.options().step_s;
   if (step <= 0.0) return;
   const double eps = step * 1e-9;
-  while (true) {
-    const double boundary = static_cast<double>(next_boundary_) * step;
-    if (inclusive ? boundary > limit_s + eps : boundary >= limit_s - eps) {
-      break;
-    }
+  for (double boundary = static_cast<double>(next_boundary_) * step;
+       boundary <= t_s + eps;
+       boundary = static_cast<double>(next_boundary_) * step) {
     rules_.Evaluate(boundary);
     ++next_boundary_;
   }
@@ -100,13 +80,22 @@ std::unique_ptr<Tsdb> TsdbFromJson(const std::string& text,
       schema->string != "topfull.tsdb.v1") {
     return fail("not a topfull.tsdb.v1 document");
   }
+  // Both are optional, but a present value must be usable: the step
+  // paces rule evaluation and the retention sizes every series' ring.
   TsdbOptions options;
-  if (const JsonValue* step = doc.Find("step_s");
-      step != nullptr && step->IsNumber()) {
+  if (const JsonValue* step = doc.Find("step_s"); step != nullptr) {
+    if (!step->IsNumber() || !std::isfinite(step->number) || step->number <= 0) {
+      return fail("step_s must be a finite positive number");
+    }
     options.step_s = step->number;
   }
-  if (const JsonValue* retention = doc.Find("retention");
-      retention != nullptr && retention->IsNumber()) {
+  if (const JsonValue* retention = doc.Find("retention"); retention != nullptr) {
+    if (!retention->IsNumber() || !(retention->number >= 1) ||
+        retention->number > static_cast<double>(kMaxTsdbRetention) ||
+        retention->number != std::floor(retention->number)) {
+      return fail("retention must be a whole number from 1 to " +
+                  std::to_string(kMaxTsdbRetention));
+    }
     options.retention = static_cast<std::size_t>(retention->number);
   }
   auto tsdb = std::make_unique<Tsdb>(options);

@@ -4,27 +4,19 @@
 // the sim::MetricsCollector window stream: Attach installs a
 // WindowObserver on the application that, at every window close, appends
 // the application's registry through a RegistryFeed (registry families
-// only — none of the live-only profiler/scheduler gauges ever enter the
-// store) at the window's sim-time stamp. The feeder chains to whatever
-// observer was already installed (obs::SloMonitor) and calls it first, so
-// the SLO event stream is untouched and alert transitions at the same
-// timestamp sort after monitor events.
-//
-// Rule pacing follows the quiescent-point discipline:
-//  * unsharded (evaluate_on_window = true, the default): rules are
-//    evaluated inline at each window close, right after the append;
-//  * sharded (evaluate_on_window = false): feeders only append; the
-//    coordinating thread calls EvaluateRulesUpTo at chunk edges and
-//    FinishRules at end of run. Because query evaluation is strictly
-//    backward-looking (query.hpp), evaluating a boundary late produces the
-//    identical result, so both pacings yield the same transitions.
+// only — none of the live-only profiler gauges ever enter the store) at
+// the window's sim-time stamp, then evaluates the rules at every step
+// boundary up to that stamp. The feeder chains to whatever observer was
+// already installed (obs::SloMonitor) and calls it first, so the SLO event
+// stream is untouched and alert transitions at the same timestamp sort
+// after monitor events. FinishRules catches the boundaries after the last
+// window at end of run.
 //
 // The plane is a pure observer: it never schedules events or touches RNG
 // state, so a run with it attached is bit-identical to one without.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,54 +31,32 @@ class Application;
 
 namespace topfull::obs {
 
-struct TsdbPlaneOptions {
-  TsdbOptions tsdb;
-  /// Evaluate rules inline at every window close (unsharded runs). Sharded
-  /// runs set false and pace evaluation with EvaluateRulesUpTo/FinishRules.
-  bool evaluate_on_window = true;
-};
-
 class TsdbPlane {
  public:
-  explicit TsdbPlane(TsdbPlaneOptions options = {});
+  explicit TsdbPlane(TsdbOptions options = {});
   ~TsdbPlane();
   TsdbPlane(const TsdbPlane&) = delete;
   TsdbPlane& operator=(const TsdbPlane&) = delete;
 
   /// Installs the window feeder on `app`, chaining to any observer already
-  /// installed there. Cells get a shard="k" label only when num_shards > 1
-  /// (so unsharded series keys match the text exposition exactly).
-  void Attach(sim::Application& app, int shard = 0, int num_shards = 1);
+  /// installed there.
+  void Attach(sim::Application& app);
 
   Tsdb& tsdb() { return tsdb_; }
   const Tsdb& tsdb() const { return tsdb_; }
   RuleEngine& rules() { return rules_; }
   const RuleEngine& rules() const { return rules_; }
-  const TsdbPlaneOptions& options() const { return options_; }
 
-  /// Switches to externally paced rule evaluation (the sharded runner
-  /// calls this before attaching feeders: worker threads must only
-  /// append). Must be called before the run starts.
-  void DisableInlineEvaluation() { options_.evaluate_on_window = false; }
-
-  /// Evaluates every not-yet-evaluated step boundary strictly before
-  /// `t_s`. Strictly: a window closing exactly at a chunk edge may not
-  /// have run yet, so the edge itself is deferred to the next call.
-  void EvaluateRulesUpTo(double t_s);
-
-  /// End-of-run catch-up: evaluates boundaries up to and including `t_s`.
+  /// Evaluates every not-yet-evaluated step boundary up to and including
+  /// `t_s`: the feeder calls it at every window close, the run driver once
+  /// at end of run.
   void FinishRules(double t_s);
 
  private:
   struct Feeder;
-  /// Rule pacing after a feeder appended the window closing at `t_end_s`.
-  void OnFeederWindow(double t_end_s);
-  void EvaluateBoundaries(double limit_s, bool inclusive);
 
-  TsdbPlaneOptions options_;
   Tsdb tsdb_;
   RuleEngine rules_;
-  std::mutex eval_mu_;
   std::uint64_t next_boundary_ = 1;  ///< next boundary is next_boundary_*step
   std::vector<std::unique_ptr<Feeder>> feeders_;
 };
@@ -100,7 +70,9 @@ bool WriteAlertsJson(const RuleEngine& rules, const std::string& path);
 /// Reloads a "topfull.tsdb.v1" document (the `<name>.tsdb.json` artifact)
 /// into a fresh store. Samples are stored in `%.17g`, so the reload is
 /// bit-exact and replayed /query responses match the live ones byte for
-/// byte. Returns null with `error` filled on malformed input.
+/// byte. Returns null with `error` filled on malformed input, including a
+/// `step_s` that is not a finite positive number and a `retention` that is
+/// not a whole number from 1 to kMaxTsdbRetention.
 std::unique_ptr<Tsdb> TsdbFromJson(const std::string& text,
                                    std::string* error = nullptr);
 

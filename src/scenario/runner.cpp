@@ -13,7 +13,6 @@
 #include "obs/snapshot.hpp"
 #include "obs/text_buffer.hpp"
 #include "obs/tsdb_plane.hpp"
-#include "sim/shard_plan.hpp"
 
 namespace topfull::scenario {
 
@@ -45,30 +44,21 @@ std::unique_ptr<sim::Application> MakeApp(const ScenarioSpec& spec,
 
 std::optional<ScenarioRun> MakeScenarioRun(const ScenarioSpec& spec,
                                            exp::Variant variant,
-                                           std::string* error, int shards) {
+                                           std::string* error) {
   if (const std::string problem = CheckScenario(spec); !problem.empty()) {
     *error = problem;
     return std::nullopt;
   }
-  // A probe app checks the app name, names the run, fixes the shard count
-  // and expands the faults before anything runs, so a bad spec yields an
-  // error, not a half run.
+  // A probe app checks the app name, names the run and expands the faults
+  // before anything runs, so a bad spec yields an error, not a half run.
   const auto probe = MakeApp(spec, error);
   if (probe == nullptr) return std::nullopt;
-  if (shards > 1) {
-    const int planned = sim::BuildShardPlan(*probe, {shards}).num_shards;
-    if (std::string problem = CheckScenario(spec, planned); !problem.empty()) {
-      *error = std::move(problem);
-      return std::nullopt;
-    }
-  }
   auto faults = ExpandFaults(spec, *probe, error);
   if (!faults.has_value()) return std::nullopt;
 
   ScenarioRun result;
   exp::RunSpec& run = result.spec;
   run.label = probe->name();
-  run.shards = shards;
   run.duration_s = spec.duration_s;
   run.faults = std::move(*faults);
   run.fault_seed = spec.fault_seed;
@@ -165,7 +155,7 @@ CellVerdict RunScenarioCell(const ScenarioSpec& spec,
   std::uint64_t client_attempts = 0;
   std::uint64_t client_intents = 0;
   std::vector<double> all_rates;
-  for (const auto& pool : result.traffic[0]->pools()) {
+  for (const auto& pool : result.traffic->pools()) {
     artifacts.tenant_outcomes.push_back(pool->Outcomes());
     for (const workload::UserOutcomes& user : artifacts.tenant_outcomes.back()) {
       client_attempts += user.attempts;

@@ -188,7 +188,7 @@ ScenarioSpec ScenarioSpec::TimeScaled(double factor) const {
   return scaled;
 }
 
-std::string CheckScenario(const ScenarioSpec& spec, int shards) {
+std::string CheckScenario(const ScenarioSpec& spec) {
   if (!(spec.duration_s > 0.0)) return "duration must be > 0";
   for (std::size_t i = 1; i < spec.phases.size(); ++i) {
     if (spec.phases[i].at_s < spec.phases[i - 1].at_s) {
@@ -202,11 +202,6 @@ std::string CheckScenario(const ScenarioSpec& spec, int shards) {
   if (spec.replicas != 1 && spec.app != "alibaba") {
     return "replicas=" + std::to_string(spec.replicas) +
            " needs app=alibaba: only the Alibaba demo has copies";
-  }
-  if (spec.hpa && shards > 1) {
-    return "hpa is not supported across " + std::to_string(shards) +
-           " shards: each shard builds its own VM cluster, so the shards "
-           "would autoscale separate clusters";
   }
   return "";
 }

@@ -184,13 +184,10 @@ struct ScenarioSpec {
 /// The validity check of a run description, shared by the profile parser
 /// (after every directive, so a rejection names its line) and `topfull
 /// run`: a positive duration, nondecreasing phases, no tenants on rps
-/// phases, `replicas` only on alibaba, and no HPA across `shards` > 1 (each
-/// shard would build its own VM cluster). `shards` is the count the shard
-/// plan uses, after clamping to the app's clusters, not the count asked
-/// for (MakeScenarioRun does the clamping). Single values are checked as
+/// phases and `replicas` only on alibaba. Single values are checked as
 /// they are read, by the grammar's ParseNumber. Returns the reason, or ""
 /// when the spec is valid.
-std::string CheckScenario(const ScenarioSpec& spec, int shards = 1);
+std::string CheckScenario(const ScenarioSpec& spec);
 
 /// The spec's faults as a schedule for `app`: checks every service name
 /// and draws each chaos directive against the app's services. Returns

@@ -35,8 +35,6 @@
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
 #include "sim/app.hpp"
-#include "sim/sharded_app.hpp"
-#include "two_cluster_app.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull {
@@ -288,8 +286,7 @@ void CheckCase(std::vector<exp::RunSpec> (*make)(), std::uint64_t golden) {
 
 // Goldens captured from the pre-rewrite seed engine (commit 62e3978) with the
 // same serialization, on the reference toolchain. Execute runs every spec
-// through exp::Run, i.e. a sim::ShardedApp at shards = 1, so these goldens
-// also pin the single-replica path to the unsharded seed engine.
+// through exp::Run.
 TEST(EngineIdentityTest, Fig08BoutiqueMatchesSeedEngine) {
   CheckCase(Fig08Specs, 0xc68e4a7aac39ce8dull);
 }
@@ -331,7 +328,7 @@ TEST(EngineIdentityTest, TimeoutsAndRetriesMatchParent) {
     const exp::RunResult& r = results.at(0);
     std::string all = Serialize(r.app(), &r.fault_log);
     workload::UserOutcomes sum;
-    for (const auto& pool_ptr : r.traffic.at(0)->pools()) {
+    for (const auto& pool_ptr : r.traffic->pools()) {
       for (const workload::UserOutcomes& u : pool_ptr->Outcomes()) {
         sum.intents += u.intents;
         sum.attempts += u.attempts;
@@ -657,144 +654,6 @@ TEST(EngineIdentityTest, ClosedLoopUsersMatchParent) {
     EXPECT_EQ(digest, 0x45b352d1fb0d9c7dull) << "closed-loop users diverged from the parent engine "
                               << "(set TOPFULL_STRICT_GOLDEN=0 on a foreign libm)";
   }
-}
-
-// --- Sharded engine identity -------------------------------------------------
-
-/// Serialization of a sharded run's merged observables, mirroring
-/// Serialize() field-for-field.
-std::string SerializeSharded(const sim::ShardedApp& app,
-                             const std::vector<fault::FaultRecord>& log) {
-  std::string out;
-  char buf[512];
-  for (const auto& snap : app.MergedTimeline()) {
-    std::snprintf(buf, sizeof buf, "t=%.17g\n", snap.t_end_s);
-    out += buf;
-    for (const auto& a : snap.apis) {
-      std::snprintf(buf, sizeof buf,
-                    "api o=%llu a=%llu re=%llu rs=%llu c=%llu g=%llu "
-                    "p50=%.17g p95=%.17g p99=%.17g mean=%.17g\n",
-                    static_cast<unsigned long long>(a.offered),
-                    static_cast<unsigned long long>(a.admitted),
-                    static_cast<unsigned long long>(a.rejected_entry),
-                    static_cast<unsigned long long>(a.rejected_service),
-                    static_cast<unsigned long long>(a.completed),
-                    static_cast<unsigned long long>(a.good), a.latency_p50_ms,
-                    a.latency_p95_ms, a.latency_p99_ms, a.latency_mean_ms);
-      out += buf;
-    }
-    for (const auto& s : snap.services) {
-      std::snprintf(buf, sizeof buf,
-                    "svc util=%.17g avgq=%.17g maxq=%.17g pods=%d out=%d\n",
-                    s.cpu_utilization, s.avg_queue_delay_s, s.max_queue_delay_s,
-                    s.running_pods, s.outstanding);
-      out += buf;
-    }
-  }
-  std::snprintf(buf, sizeof buf, "timeouts=%llu retries=%llu inflight=%d\n",
-                static_cast<unsigned long long>(app.HopTimeouts()),
-                static_cast<unsigned long long>(app.Retries()), app.Inflight());
-  out += buf;
-  for (const auto& r : log) {
-    std::snprintf(buf, sizeof buf, "fault t=%lld %s %s %s sev=%.17g n=%d\n",
-                  static_cast<long long>(r.at), fault::FaultTypeName(r.type),
-                  fault::FaultActionName(r.action), r.service.c_str(),
-                  r.severity, r.count);
-    out += buf;
-  }
-  return out;
-}
-
-/// Digest of `specs` run at `shards` engine shards, merged observables.
-std::uint64_t ShardedSweepDigest(std::vector<exp::RunSpec> specs, int shards,
-                                 bool threaded) {
-  std::string all;
-  for (auto& spec : specs) {
-    spec.shards = shards;
-    spec.threaded = threaded;
-    const exp::RunResult r = exp::Run(spec);
-    all += r.label;
-    all += '\n';
-    all += SerializeSharded(*r.sharded, r.fault_log);
-  }
-  return Fnv1a(all);
-}
-
-/// Two Alibaba copies under MIMD with a pod crash in the first copy: 62
-/// clusters, so every shard count up to 62 packs whole clusters.
-std::vector<exp::RunSpec> AlibabaReplicaSpecs() {
-  exp::RunSpec spec;
-  spec.label = "alibaba-x2";
-  spec.duration_s = 8.0;
-  spec.variant = exp::Variant::kTopFullMimd;
-  spec.make_app = [] {
-    apps::AlibabaDemoOptions options;
-    options.replicas = 2;
-    return apps::MakeAlibabaDemo(options).app;
-  };
-  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
-    traffic.AddClosedLoop(exp::UniformUsers(app), workload::Schedule::Constant(6000));
-  };
-  apps::AlibabaDemoOptions options;
-  options.replicas = 2;
-  const apps::AlibabaDemo demo = apps::MakeAlibabaDemo(options);
-  spec.faults.CrashPods(demo.app->service(demo.overloadable.at(0)).name(), Seconds(3),
-                        2, Seconds(2), Seconds(1));
-  std::vector<exp::RunSpec> specs;
-  specs.push_back(std::move(spec));
-  return specs;
-}
-
-std::vector<exp::RunSpec> TwoClusterSpecs() {
-  std::vector<exp::RunSpec> specs;
-  specs.push_back(TwoClusterSpec());
-  return specs;
-}
-
-// Minted on the engine that could still split a cluster across shards
-// (commit c667b4c). Every run here packs whole clusters onto shards, so no
-// hop ever leaves its shard and the merged observables must not change when
-// the cross-shard path goes.
-TEST(EngineIdentityTest, AlignedShardsMatchParent) {
-  // The Alibaba run is not trivial: both shards simulate, the crash lands.
-  exp::RunSpec alibaba = AlibabaReplicaSpecs()[0];
-  alibaba.shards = 2;
-  const exp::RunResult r = exp::Run(alibaba);
-  ASSERT_EQ(r.sharded->num_shards(), 2);
-  EXPECT_GT(r.sharded->app(0).sim().EventsProcessed(), 10000u);
-  EXPECT_GT(r.sharded->app(1).sim().EventsProcessed(), 10000u);
-  EXPECT_FALSE(r.fault_log.empty());
-  EXPECT_GT(r.sharded->MergedAvgTotalGoodput(1.0), 0.0);
-
-  std::string all;
-  for (const auto& [make, shards] :
-       std::vector<std::pair<std::vector<exp::RunSpec> (*)(), int>>{
-           {AlibabaReplicaSpecs, 2}, {AlibabaReplicaSpecs, 4}, {TwoClusterSpecs, 2}}) {
-    const std::uint64_t threaded = ShardedSweepDigest(make(), shards, /*threaded=*/true);
-    const std::uint64_t sequential =
-        ShardedSweepDigest(make(), shards, /*threaded=*/false);
-    EXPECT_EQ(threaded, sequential) << shards << " shards depend on the execution mode";
-    char line[32];
-    std::snprintf(line, sizeof line, "%d:%016llx\n", shards,
-                  static_cast<unsigned long long>(threaded));
-    all += line;
-  }
-  const std::uint64_t digest = Fnv1a(all);
-  if (StrictGolden()) {
-    EXPECT_EQ(digest, 0x94aa1c7b4372358eull)
-        << "aligned sharded runs diverged from the parent engine "
-        << "(set TOPFULL_STRICT_GOLDEN=0 on a foreign libm)";
-  }
-}
-
-// The boutique is one cluster, so asking for 4 shards runs it on one: the
-// merged observables are the 1-shard run's, in either execution mode.
-TEST(EngineIdentityTest, Fig08ShardsFourIsSelfConsistent) {
-  const std::uint64_t one = ShardedSweepDigest(Fig08Specs(), 1, true);
-  EXPECT_EQ(ShardedSweepDigest(Fig08Specs(), 4, true), one)
-      << "4 shards asked for diverged from 1 shard (threaded)";
-  EXPECT_EQ(ShardedSweepDigest(Fig08Specs(), 4, false), one)
-      << "4 shards asked for diverged from 1 shard (sequential)";
 }
 
 }  // namespace

@@ -150,7 +150,7 @@ TEST(CsvTest, TimelineExportHasHeaderAndRows) {
   traffic.AddOpenLoop(0, workload::Schedule::Constant(100));
   app->RunFor(Seconds(5));
   const std::string path = ::testing::TempDir() + "/timeline.csv";
-  ASSERT_TRUE(WriteTimelineCsv(*app, app->metrics().Timeline(), path));
+  ASSERT_TRUE(WriteTimelineCsv(*app, path));
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));

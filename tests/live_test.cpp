@@ -29,7 +29,6 @@
 #include "obs/rules.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/tsdb_plane.hpp"
-#include "two_cluster_app.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull {
@@ -260,18 +259,6 @@ TEST(SnapshotTest, RegistryAndSnapshotRenderingsAgree) {
   EXPECT_NE(direct.find("live_latency_ms_bucket"), std::string::npos);
 }
 
-TEST(SnapshotTest, ExtraLabelsAppendToEveryCell) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("s_total", "S.", {{"api", "a"}})->Inc(1);
-  obs::SnapshotBuilder builder;
-  builder.AddRegistry(registry, {{"shard", "3"}});
-  const auto snapshot = builder.Finish();
-  const auto* cell =
-      snapshot->FindCell("s_total", {{"api", "a"}, {"shard", "3"}});
-  ASSERT_NE(cell, nullptr);
-  EXPECT_EQ(cell->counter, 1u);
-}
-
 TEST(SnapshotTest, JsonRenderersProduceParsableJson) {
   obs::SnapshotBuilder builder;
   builder.AddCounter("j_total", "J \"quoted\".", {{"api", "x\n"}}, 5);
@@ -279,7 +266,7 @@ TEST(SnapshotTest, JsonRenderersProduceParsableJson) {
   run.label = "json-run";
   run.sim_time_s = 1.5;
   run.duration_s = 3.0;
-  run.shards.resize(2);
+  run.events_processed = 42;
   const auto snapshot = builder.Finish(std::move(run), 9);
 
   for (const std::string& text :
@@ -289,6 +276,8 @@ TEST(SnapshotTest, JsonRenderersProduceParsableJson) {
     ASSERT_TRUE(obs::ParseJson(text, &doc, &error)) << error << "\n" << text;
   }
   EXPECT_NE(obs::RunStateJson(*snapshot).find("\"label\":\"json-run\""),
+            std::string::npos);
+  EXPECT_NE(obs::RunStateJson(*snapshot).find("\"events_processed\":42"),
             std::string::npos);
 }
 
@@ -363,7 +352,7 @@ sim::ServiceConfig Svc(const char* name, double mean_ms, int threads, int pods) 
   return config;
 }
 
-/// Two independent 2-service chains (two clusters, so 2 shards align).
+/// Two independent 2-service chains.
 std::unique_ptr<sim::Application> MakeLiveApp(std::uint64_t seed = 7) {
   auto app = std::make_unique<sim::Application>("live-app", seed);
   const sim::ServiceId a = app->AddService(Svc("A", 4.0, 8, 1));
@@ -520,60 +509,6 @@ TEST(LivePlaneTest, ConcurrentScrapesDuringARunningSimulation) {
   EXPECT_GT(complete_scrapes.load(), 0);
   EXPECT_GE(live.publishes(), 2u);
   EXPECT_TRUE(live.board().Read()->run.finished);
-}
-
-TEST(LivePlaneTest, ShardedRunExposesSchedulerMetricsPerShard) {
-  obs::LiveOptions options;
-  options.port = -1;
-  options.publish_interval_s = 0.0;
-  obs::LivePlane live(options);
-  // Two clusters, so two shards; a one-cluster app would run on one.
-  exp::RunSpec spec = TwoClusterSpec();
-  spec.label = "sharded-live";
-  spec.live = &live;
-  spec.shards = 2;
-  const exp::RunResult result = exp::Run(spec);
-  ASSERT_EQ(result.sharded->num_shards(), 2);
-
-  const auto snapshot = live.board().Read();
-  ASSERT_NE(snapshot, nullptr);
-  EXPECT_TRUE(snapshot->run.finished);
-  EXPECT_GT(snapshot->run.rounds, 0u);
-  ASSERT_EQ(snapshot->run.shards.size(), 2u);
-  EXPECT_GT(snapshot->run.shards[0].events_processed, 0u);
-  EXPECT_GT(snapshot->run.shards[1].events_processed, 0u);
-
-  // Scheduler families exist and per-shard cells carry shard labels.
-  EXPECT_NE(snapshot->FindFamily("topfull_shard_rounds_total"), nullptr);
-  EXPECT_NE(snapshot->FindFamily("topfull_shard_round_wall_ms"), nullptr);
-  EXPECT_NE(snapshot->FindCell("topfull_shard_busy_seconds", {{"shard", "1"}}),
-            nullptr);
-  EXPECT_NE(
-      snapshot->FindCell("topfull_shard_barrier_wait_ms", {{"shard", "0"}}),
-      nullptr);
-  // App registries are shard-labeled too.
-  bool saw_shard1_app_cell = false;
-  const auto* family = snapshot->FindFamily("topfull_requests_offered_total");
-  if (family == nullptr) family = snapshot->FindFamily("topfull_engine_pending_events");
-  ASSERT_NE(family, nullptr);
-  for (const auto& cell : family->cells) {
-    for (const auto& [key, value] : cell.labels) {
-      if (key == "shard" && value == "1") saw_shard1_app_cell = true;
-    }
-  }
-  EXPECT_TRUE(saw_shard1_app_cell);
-
-  // /runs carries the per-shard scheduler stats.
-  const std::string runs = obs::RunStateJson(*snapshot);
-  obs::JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(obs::ParseJson(runs, &doc, &error)) << error;
-  EXPECT_NE(runs.find("\"rounds\":"), std::string::npos);
-  EXPECT_NE(runs.find("\"blocked_s\":"), std::string::npos);
-
-  std::string prom_error;
-  EXPECT_TRUE(ParsesAsProm(obs::PromTextFromSnapshot(*snapshot), &prom_error))
-      << prom_error;
 }
 
 TEST(LivePlaneTest, ProfilerPercentilesAppearInLiveSnapshots) {

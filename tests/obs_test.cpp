@@ -515,7 +515,7 @@ TEST(ObsTest, WritersReturnFalseWhenTheDiskIsFull) {
   EXPECT_FALSE(obs::WriteAlertsJson(plane.rules(), full));
   EXPECT_FALSE(obs::WriteRunSummaryJson(inputs, full));
   EXPECT_FALSE(obs::WriteHtmlReport(inputs, full));
-  EXPECT_FALSE(exp::WriteTimelineCsv(*app, app->metrics().Timeline(), full));
+  EXPECT_FALSE(exp::WriteTimelineCsv(*app, full));
 }
 
 // --- Satellite: CSV export creates its directory -----------------------------

@@ -309,8 +309,8 @@ TEST(NumberRuleDeathTest, FlagsAndEnvironmentVariablesExitOnEachRejectedToken) {
       &TokenCase::finite);
   ExpectExitsOnRejected(
       {
-          {"--shards",
-           [](const std::string& t) { return WholeOrExit("--shards", t, 1, 1 << 20); }},
+          {"--replicas",
+           [](const std::string& t) { return WholeOrExit("--replicas", t, 1, 1 << 20); }},
           {"TOPFULL_THREADS",
            [](const std::string& t) {
              return WithEnv("TOPFULL_THREADS", t, [] { return ThreadPool::EnvThreads(); });

@@ -605,9 +605,7 @@ TEST(ScenarioSpecTest, CheckScenarioJudgesSpecsBuiltInCode) {
   ScenarioSpec spec = ScenarioSpec::Make("ok").Phase(0.0, 100.0);
   EXPECT_EQ(CheckScenario(spec), "");
   spec.hpa = true;
-  EXPECT_EQ(CheckScenario(spec, /*shards=*/1), "");
-  EXPECT_NE(CheckScenario(spec, /*shards=*/2).find("its own VM cluster"),
-            std::string::npos);
+  EXPECT_EQ(CheckScenario(spec), "");
 
   const ScenarioSpec nan_duration = ScenarioSpec::Make("nan").Duration(std::nan(""));
   EXPECT_EQ(CheckScenario(nan_duration), "duration must be > 0");
@@ -1108,57 +1106,6 @@ TEST(ScenarioMatrixTest, MetastableTrapsStaticWhileTopFullEscapes) {
   EXPECT_TRUE(escaped.conforms);
   EXPECT_GT(escaped.goodput_rps, trapped.goodput_rps)
       << "escaping should out-serve staying trapped";
-}
-
-// --- Sharded self-consistency -------------------------------------------------
-
-// One scenario driven through the sharded engine: shards=4 must be
-// bit-identical between threaded and sequential execution, and, since the
-// boutique is one cluster, the 4-shard goodput must equal the 1-shard
-// goodput exactly.
-TEST(ScenarioShardedTest, FourShardsSelfConsistent) {
-  const ScenarioSpec scenario = MiniStorm();
-
-  exp::RunSpec spec;
-  spec.label = "scenario_shard";
-  spec.duration_s = scenario.duration_s;
-  spec.make_app = [scenario]() {
-    apps::BoutiqueOptions options;
-    options.seed = scenario.seed;
-    return apps::MakeOnlineBoutique(options);
-  };
-  spec.traffic = [scenario](workload::TrafficDriver& driver,
-                            sim::Application& app) {
-    workload::ClosedLoopConfig config = exp::UniformUsers(app);
-    config.think = Seconds(scenario.think_s);
-    config.client_timeout = Seconds(scenario.client_timeout_s);
-    config.max_client_retries = scenario.client_retries;
-    config.client_retry_backoff = Seconds(scenario.client_retry_backoff_s);
-    driver.AddClosedLoop(std::move(config), scenario.BuildUserSchedule());
-  };
-  spec.variant = *exp::VariantFromName("breakwater");
-  spec.static_rate = scenario.static_rate;
-
-  spec.shards = 4;
-  const exp::RunResult four = exp::Run(spec);
-
-  spec.threaded = false;
-  const exp::RunResult four_seq = exp::Run(spec);
-  EXPECT_DOUBLE_EQ(four.sharded->MergedAvgTotalGoodput(),
-                   four_seq.sharded->MergedAvgTotalGoodput())
-      << "threaded vs sequential sharded execution diverged";
-  EXPECT_EQ(four.sharded->Retries(), four_seq.sharded->Retries());
-  EXPECT_EQ(four.sharded->HopTimeouts(), four_seq.sharded->HopTimeouts());
-
-  spec.shards = 1;
-  const exp::RunResult one = exp::Run(spec);
-  const double goodput1 = one.sharded->MergedAvgTotalGoodput();
-  const double goodput4 = four.sharded->MergedAvgTotalGoodput();
-  ASSERT_GT(goodput1, 0.0);
-  // The boutique is one cluster: 4 shards asked for run on one.
-  EXPECT_EQ(four.sharded->num_shards(), 1);
-  EXPECT_DOUBLE_EQ(goodput4, goodput1)
-      << "4 shards asked for diverged from the single-shard run";
 }
 
 }  // namespace

@@ -1,32 +1,26 @@
-// Sharded parallel DES: rounds, partitioner, and end-to-end sharded
-// application runs (determinism, conservation, whole clusters per shard).
+// Sharded parallel DES: rounds, partitioner, and sim::ShardedApp driven
+// directly (each shard is a standalone engine, merged rows come from their
+// authoritative shard). No run driver uses the sharded engine; the perfbench
+// `alibaba_sharded` workload drives it the way these tests do.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/alibaba_demo.hpp"
 #include "apps/online_boutique.hpp"
 #include "common/partition.hpp"
 #include "des/sharded_simulation.hpp"
-#include "exp/csv.hpp"
 #include "exp/harness.hpp"
-#include "exp/run_executor.hpp"
-#include "obs/http_server.hpp"
-#include "obs/live.hpp"
-#include "obs/rules.hpp"
-#include "obs/tsdb_plane.hpp"
 #include "sim/app.hpp"
 #include "sim/shard_plan.hpp"
 #include "sim/sharded_app.hpp"
-#include "two_cluster_app.hpp"
 #include "workload/generators.hpp"
 
 namespace topfull {
@@ -126,18 +120,16 @@ TEST(ShardedSimulationTest, ThreadedAndSequentialAreBitIdentical) {
 
 TEST(ShardedSimulationTest, ThreadedStatsSplitEachRoundIntoBusyAndBlocked) {
   des::ShardedSimulation net(2, EngineOptions(true));
-  std::vector<des::ShardedSimulation::RoundInfo> rounds;
-  net.SetRoundObserver(
-      [&rounds](const des::ShardedSimulation::RoundInfo& info) { rounds.push_back(info); });
+  const auto t0 = std::chrono::steady_clock::now();
   net.RunUntil(Millis(10));
   net.RunUntil(Millis(10));  // already there: no round
   net.RunUntil(Millis(20));
-  ASSERT_EQ(rounds.size(), 2u);
-  EXPECT_EQ(rounds[1].round, 1u);
-  EXPECT_EQ(rounds[1].horizon, Millis(20));
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(net.Rounds(), 2u);
+  EXPECT_EQ(net.Horizon(), Millis(20));
   EXPECT_EQ(net.shard(1).Now(), Millis(20));
-  double wall = 0;
-  for (const auto& r : rounds) wall += r.wall_s;
+  ASSERT_EQ(net.Stats().size(), 2u);
   for (const auto& s : net.Stats()) {
     EXPECT_GE(s.busy_s, 0.0);
     EXPECT_GE(s.blocked_s, 0.0);
@@ -186,6 +178,27 @@ void ExpectWholeClusters(const sim::Application& app, const sim::ShardPlan& plan
   }
 }
 
+/// Two disjoint 2-service chains -> two clusters, two APIs.
+std::unique_ptr<sim::Application> MakeTwoClusterApp() {
+  auto app = std::make_unique<sim::Application>("two-cluster", 7);
+  for (int i = 0; i < 4; ++i) {
+    sim::ServiceConfig config;
+    config.name = "svc-" + std::to_string(i);
+    config.mean_service_ms = 5.0 + i;
+    config.threads = 4;
+    config.initial_pods = 2;
+    app->AddService(config);
+  }
+  sim::ApiSpec left("left", 1);
+  left.AddPath(sim::ExecutionPath{sim::Chain({0, 1}), 1.0, {}});
+  app->AddApi(std::move(left));
+  sim::ApiSpec right("right", 1);
+  right.AddPath(sim::ExecutionPath{sim::Chain({2, 3}), 1.0, {}});
+  app->AddApi(std::move(right));
+  app->Finalize();
+  return app;
+}
+
 sim::ShardPlan PlanFor(const sim::Application& app, int shards) {
   sim::ShardPlanOptions options;
   options.num_shards = shards;
@@ -226,272 +239,133 @@ TEST(ShardPlanTest, OneShardOwnsEverything) {
   EXPECT_EQ(plan.num_shards, 1);
 }
 
-// --- End-to-end sharded runs -------------------------------------------------
+// --- ShardedApp, driven directly --------------------------------------------
 
-std::string SerializeMerged(const sim::ShardedApp& app,
-                            const std::vector<fault::FaultRecord>& fault_log) {
-  std::string out;
-  char buf[256];
-  for (const auto& snap : app.MergedTimeline()) {
-    std::snprintf(buf, sizeof buf, "t=%.17g\n", snap.t_end_s);
-    out += buf;
-    for (const auto& a : snap.apis) {
-      std::snprintf(buf, sizeof buf, "api %llu %llu %llu %llu %llu %llu %.17g\n",
-                    static_cast<unsigned long long>(a.offered),
-                    static_cast<unsigned long long>(a.admitted),
-                    static_cast<unsigned long long>(a.rejected_entry),
-                    static_cast<unsigned long long>(a.rejected_service),
-                    static_cast<unsigned long long>(a.completed),
-                    static_cast<unsigned long long>(a.good), a.latency_mean_ms);
-      out += buf;
-    }
-    for (const auto& s : snap.services) {
-      std::snprintf(buf, sizeof buf, "svc %.17g %.17g %d %d\n", s.cpu_utilization,
-                    s.avg_queue_delay_s, s.running_pods, s.outstanding);
-      out += buf;
-    }
+constexpr double kAlibabaRunS = 4.0;
+
+/// Two Alibaba copies: 62 clusters, planned onto two shards.
+std::unique_ptr<sim::Application> MakeTwoAlibabaCopies() {
+  apps::AlibabaDemoOptions options;
+  options.replicas = 2;
+  return apps::MakeAlibabaDemo(options).app;
+}
+
+/// MIMD control and closed-loop users scoped to the APIs entering on
+/// `shard`, attached to one engine, as the perfbench driver wires each
+/// shard of `alibaba_sharded` (which runs the RL policy instead of MIMD).
+struct ShardLoad {
+  ShardLoad(sim::Application& app, const std::vector<int>& api_origin, int shard)
+      : traffic(&app) {
+    controllers.Attach(exp::Variant::kTopFullMimd, app, nullptr);
+    traffic.SetShardScope({&api_origin, shard});
+    traffic.AddClosedLoop(exp::UniformUsers(app), workload::Schedule::Constant(4000));
   }
-  std::snprintf(buf, sizeof buf, "timeouts=%llu retries=%llu inflight=%d\n",
-                static_cast<unsigned long long>(app.HopTimeouts()),
-                static_cast<unsigned long long>(app.Retries()), app.Inflight());
-  out += buf;
-  for (const auto& r : fault_log) {
-    std::snprintf(buf, sizeof buf, "fault t=%lld %s %s\n",
-                  static_cast<long long>(r.at), fault::FaultTypeName(r.type),
-                  r.service.c_str());
-    out += buf;
+  exp::Controllers controllers;
+  workload::TrafficDriver traffic;
+};
+
+/// Every counter of one API window row.
+std::string ApiRow(const sim::ApiWindow& a) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "%llu %llu %llu %llu %llu %llu %.17g %.17g",
+                static_cast<unsigned long long>(a.offered),
+                static_cast<unsigned long long>(a.admitted),
+                static_cast<unsigned long long>(a.rejected_entry),
+                static_cast<unsigned long long>(a.rejected_service),
+                static_cast<unsigned long long>(a.completed),
+                static_cast<unsigned long long>(a.good), a.latency_p95_ms,
+                a.latency_mean_ms);
+  return buf;
+}
+
+std::string ServiceRow(const sim::ServiceWindow& s) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "%.17g %.17g %d %d", s.cpu_utilization,
+                s.avg_queue_delay_s, s.running_pods, s.outstanding);
+  return buf;
+}
+
+/// A whole timeline, one line per row.
+std::string Serialize(const std::vector<sim::Snapshot>& timeline) {
+  std::string out;
+  for (const sim::Snapshot& snap : timeline) {
+    out += "t=" + std::to_string(snap.t_end_s) + "\n";
+    for (const auto& a : snap.apis) out += "api " + ApiRow(a) + "\n";
+    for (const auto& s : snap.services) out += "svc " + ServiceRow(s) + "\n";
   }
   return out;
 }
 
-std::string RunTwoCluster(int shards, bool threaded) {
-  exp::RunSpec spec = TwoClusterSpec();
-  spec.shards = shards;
-  spec.threaded = threaded;
-  const exp::RunResult r = exp::Run(spec);
-  return SerializeMerged(*r.sharded, r.fault_log);
-}
+TEST(ShardedAppTest, ShardsAreStandaloneEnginesAndMergeFromTheirOwners) {
+  const sim::ShardPlan plan = PlanFor(*MakeTwoAlibabaCopies(), 2);
+  ASSERT_EQ(plan.num_shards, 2);
 
-TEST(ShardedAppTest, AlignedPlanRunsWithoutCrossShardCalls) {
-  exp::RunSpec spec = TwoClusterSpec();
-  spec.shards = 2;
-  const exp::RunResult r = exp::Run(spec);
-  ASSERT_EQ(r.sharded->num_shards(), 2);
-  ExpectWholeClusters(r.app(), r.sharded->plan());
-  // Nothing can cross, so the one-shot run is a single round.
-  EXPECT_EQ(r.sharded->engine().Rounds(), 1u);
-  // Both shards did real work.
-  EXPECT_GT(r.sharded->app(0).sim().EventsProcessed(), 1000u);
-  EXPECT_GT(r.sharded->app(1).sim().EventsProcessed(), 1000u);
-  // Conservation per API: everything offered is accounted for.
-  for (const auto& t : r.sharded->MergedTotals()) {
-    EXPECT_GT(t.offered, 0u);
-    EXPECT_EQ(t.offered, t.admitted + t.rejected_entry);
+  // Each shard on its own: a plain engine with the shard's scope.
+  std::vector<std::string> standalone;
+  for (int shard = 0; shard < plan.num_shards; ++shard) {
+    const auto app = MakeTwoAlibabaCopies();
+    ShardLoad load(*app, plan.api_origin, shard);
+    app->RunFor(Seconds(kAlibabaRunS));
+    standalone.push_back(Serialize(app->metrics().Timeline()));
   }
-  EXPECT_GT(r.sharded->MergedAvgTotalGoodput(1.0), 0.0);
-}
 
-TEST(ShardedAppTest, FixedShardCountIsBitIdenticalAcrossRunsAndExecModes) {
-  const std::string a = RunTwoCluster(2, /*threaded=*/true);
-  const std::string b = RunTwoCluster(2, /*threaded=*/true);
-  const std::string c = RunTwoCluster(2, /*threaded=*/false);
-  EXPECT_EQ(a, b) << "repeated sharded runs diverged";
-  EXPECT_EQ(a, c) << "threaded vs sequential diverged";
-}
+  for (const bool threaded : {true, false}) {
+    SCOPED_TRACE(threaded ? "threaded" : "sequential");
+    sim::ShardedApp::Options options;
+    options.shards = 2;
+    options.threaded = threaded;
+    sim::ShardedApp sharded(MakeTwoAlibabaCopies, options);
+    ASSERT_EQ(sharded.num_shards(), 2);
+    ExpectWholeClusters(sharded.app(0), sharded.plan());
+    std::vector<std::unique_ptr<ShardLoad>> loads;
+    for (int shard = 0; shard < sharded.num_shards(); ++shard) {
+      loads.push_back(std::make_unique<ShardLoad>(sharded.app(shard),
+                                                  sharded.plan().api_origin, shard));
+    }
+    sharded.RunFor(Seconds(kAlibabaRunS));
+    // Nothing crosses shards, so the one-shot run is a single round.
+    EXPECT_EQ(sharded.engine().Rounds(), 1u);
 
-/// Runs TwoClusterSpec on 2 aligned shards with a TSDB plane (SLO burn
-/// rules plus one rule that surely fires) and returns the plane's store
-/// and alert history. With `live` set the run advances in publish chunks.
-struct TsdbRun {
-  std::string tsdb_json;
-  std::string alerts_json;
-  std::size_t transitions = 0;
-  std::uint64_t rounds = 0;
-};
+    for (int shard = 0; shard < sharded.num_shards(); ++shard) {
+      EXPECT_GT(sharded.app(shard).sim().EventsProcessed(), 10000u);
+      EXPECT_EQ(Serialize(sharded.app(shard).metrics().Timeline()),
+                standalone[static_cast<std::size_t>(shard)])
+          << "shard " << shard << " diverged from its standalone engine";
+    }
 
-TsdbRun RunTwoClusterWithTsdb(obs::LivePlane* live) {
-  obs::TsdbPlane plane;
-  for (obs::AlertRule& rule : obs::SloBurnRules()) {
-    plane.rules().AddAlert(std::move(rule));
+    // Each merged row is its authoritative shard's row.
+    const std::vector<sim::Snapshot> merged = sharded.MergedTimeline();
+    ASSERT_EQ(merged.size(), static_cast<std::size_t>(kAlibabaRunS));
+    for (std::size_t row = 0; row < merged.size(); ++row) {
+      for (sim::ApiId a = 0; a < sharded.app(0).NumApis(); ++a) {
+        const sim::Application& origin = sharded.app(sharded.plan().OriginOf(a));
+        EXPECT_EQ(ApiRow(merged[row].apis[static_cast<std::size_t>(a)]),
+                  ApiRow(origin.metrics().Timeline()[row].apis[static_cast<std::size_t>(a)]))
+            << "row " << row << " api " << a;
+      }
+      for (sim::ServiceId s = 0; s < sharded.app(0).NumServices(); ++s) {
+        const sim::Application& owner = sharded.app(sharded.plan().OwnerOf(s));
+        EXPECT_EQ(
+            ServiceRow(merged[row].services[static_cast<std::size_t>(s)]),
+            ServiceRow(owner.metrics().Timeline()[row].services[static_cast<std::size_t>(s)]))
+            << "row " << row << " service " << s;
+      }
+    }
+    const std::vector<sim::ApiTotals> totals = sharded.MergedTotals();
+    std::uint64_t offered = 0;
+    for (sim::ApiId a = 0; a < sharded.app(0).NumApis(); ++a) {
+      const sim::ApiTotals& t = totals[static_cast<std::size_t>(a)];
+      const sim::ApiTotals& want = sharded.app(sharded.plan().OriginOf(a))
+                                       .metrics()
+                                       .Totals()[static_cast<std::size_t>(a)];
+      EXPECT_EQ(t.offered, want.offered) << "api " << a;
+      EXPECT_EQ(t.good, want.good) << "api " << a;
+      // Conservation: everything offered was admitted or rejected at entry.
+      EXPECT_EQ(t.offered, t.admitted + t.rejected_entry) << "api " << a;
+      offered += t.offered;
+    }
+    EXPECT_GT(offered, 0u);
   }
-  obs::AlertRule busy;
-  busy.name = "completing";
-  busy.exprs = {"sum(rate(topfull_requests_completed_total[2s])) > 0"};
-  busy.for_s = 1.0;
-  plane.rules().AddAlert(std::move(busy));
-  exp::RunSpec spec = TwoClusterSpec();
-  spec.tsdb = &plane;
-  spec.live = live;
-  spec.shards = 2;
-  const exp::RunResult r = exp::Run(spec);
-  EXPECT_EQ(r.sharded->num_shards(), 2);
-  return {obs::TsdbJson(plane.tsdb()), plane.rules().AlertsJson(),
-          plane.rules().transitions().size(), r.sharded->engine().Rounds()};
-}
-
-TEST(ShardedAppTest, AlignedShardsDriftOnlyBetweenQuiescentPoints) {
-  // One-shot: a single round for the whole run, rules evaluated at the end.
-  const TsdbRun one_shot = RunTwoClusterWithTsdb(nullptr);
-  EXPECT_EQ(one_shot.rounds, 1u);
-  EXPECT_GT(one_shot.transitions, 0u);
-
-  // Chunked: a publish and a rule evaluation at every chunk edge, one
-  // round per chunk; shards run up to a whole chunk apart in between.
-  obs::LiveOptions live_options;
-  live_options.port = -1;
-  live_options.publish_interval_s = 0.0;
-  obs::LivePlane live(live_options);
-  const TsdbRun chunked = RunTwoClusterWithTsdb(&live);
-  EXPECT_GT(chunked.rounds, 2u);
-  // Start-of-run and final publishes plus at least two mid-run snapshots.
-  EXPECT_GE(live.publishes(), 4u);
-
-  EXPECT_EQ(one_shot.tsdb_json, chunked.tsdb_json);
-  EXPECT_EQ(one_shot.alerts_json, chunked.alerts_json);
-}
-
-TEST(ShardedAppTest, FaultsAreArmedOnTheOwningShardOnly) {
-  exp::RunSpec spec = TwoClusterSpec();
-  spec.faults.CrashPods("svc-2", Seconds(2), 1, Seconds(2));
-  spec.shards = 2;
-  const exp::RunResult r = exp::Run(spec);
-  // The crash happened exactly once, on whichever shard owns svc-2.
-  int crashes = 0;
-  for (const auto& rec : r.fault_log) {
-    if (rec.action == fault::FaultRecord::Action::kApply) ++crashes;
-  }
-  EXPECT_EQ(crashes, 1);
-  const int owner = r.sharded->plan().OwnerOf(r.sharded->app(0).FindService("svc-2"));
-  EXPECT_GT(r.sharded->app(owner).HopTimeouts() + 1, 0u);  // owner shard exists
-}
-
-TEST(ShardedAppTest, ReplicatedAlibabaShardsRunAligned) {
-  exp::RunSpec spec;
-  spec.label = "alibaba-x2";
-  spec.duration_s = 4.0;
-  spec.make_app = [] {
-    apps::AlibabaDemoOptions options;
-    options.replicas = 2;
-    return apps::MakeAlibabaDemo(options).app;
-  };
-  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
-    traffic.AddClosedLoop(exp::UniformUsers(app),
-                          workload::Schedule::Constant(2000));
-  };
-  spec.shards = 2;
-  const exp::RunResult r = exp::Run(spec);
-  ASSERT_EQ(r.sharded->num_shards(), 2);
-  ExpectWholeClusters(r.app(), r.sharded->plan());
-  EXPECT_GT(r.sharded->app(0).sim().EventsProcessed(), 1000u);
-  EXPECT_GT(r.sharded->app(1).sim().EventsProcessed(), 1000u);
-  EXPECT_GT(r.sharded->MergedAvgTotalGoodput(1.0), 0.0);
-}
-
-TEST(ShardedAppTest, StaticLimitCapsEveryShardCount) {
-  constexpr double kRate = 30.0;
-  exp::RunSpec spec = TwoClusterSpec();
-  spec.variant = exp::Variant::kStaticLimit;
-  spec.static_rate = kRate;
-
-  // Two shards: every API's entry bucket lives on its origin shard, so the
-  // merged goodput stays within the per-API rate plus the initial burst.
-  spec.shards = 2;
-  const exp::RunResult two = exp::Run(spec);
-  const core::TopFullConfig config;
-  const double burst = std::max(config.min_burst, kRate * config.burst_fraction);
-  const int apis = two.app().NumApis();
-  EXPECT_LE(two.sharded->MergedAvgTotalGoodput(),
-            apis * (kRate + burst / spec.duration_s));
-  std::uint64_t rejected = 0;
-  for (const auto& t : two.sharded->MergedTotals()) rejected += t.rejected_entry;
-  EXPECT_GT(rejected, 0u) << "the limit never bit";
-
-  // One shard: identical to attaching the limiter by hand on a plain app.
-  spec.shards = 1;
-  const exp::RunResult one = exp::Run(spec);
-  auto plain = MakeTwoClusterApp();
-  exp::Controllers controllers;
-  controllers.Attach(exp::Variant::kStaticLimit, *plain, nullptr, config, kRate);
-  workload::TrafficDriver traffic(plain.get());
-  spec.traffic(traffic, *plain);
-  plain->RunFor(Seconds(spec.duration_s));
-  for (sim::ApiId a = 0; a < apis; ++a) {
-    const auto& got = one.app().metrics().Totals()[static_cast<std::size_t>(a)];
-    const auto& want = plain->metrics().Totals()[static_cast<std::size_t>(a)];
-    EXPECT_EQ(got.offered, want.offered) << "api " << a;
-    EXPECT_EQ(got.admitted, want.admitted) << "api " << a;
-    EXPECT_EQ(got.good, want.good) << "api " << a;
-  }
-  EXPECT_DOUBLE_EQ(one.app().metrics().AvgTotalGoodput(),
-                   plain->metrics().AvgTotalGoodput());
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-TEST(ShardedAppTest, TsdbEnvWritesRunLevelArtifacts) {
-  const std::string dir = testing::TempDir() + "sharded_tsdb";
-  std::filesystem::remove_all(dir);
-  ASSERT_EQ(setenv("TOPFULL_TSDB", "1", 1), 0);
-  exp::RunSpec spec = TwoClusterSpec();
-  spec.shards = 2;
-  spec.telemetry.dir = dir;
-  const exp::RunResult r = exp::Run(spec);
-  unsetenv("TOPFULL_TSDB");
-
-  // Per-shard telemetry, plus the shared store once under the run name.
-  EXPECT_FALSE(ReadFile(dir + "/two-cluster.shard0.metrics.prom").empty());
-  EXPECT_FALSE(ReadFile(dir + "/two-cluster.shard1.metrics.prom").empty());
-  EXPECT_FALSE(ReadFile(dir + "/two-cluster.alerts.json").empty());
-  const std::string tsdb_json = ReadFile(dir + "/two-cluster.tsdb.json");
-  ASSERT_FALSE(tsdb_json.empty());
-  ASSERT_EQ(r.telemetry.size(), 2u);
-  const std::vector<std::string>& paths = r.telemetry[0].paths;
-  EXPECT_NE(std::find(paths.begin(), paths.end(), dir + "/two-cluster.tsdb.json"),
-            paths.end());
-
-  // The reloaded artifact answers queries (what `topfull query --dir`
-  // does), with both shards' series in it.
-  std::string error;
-  const auto tsdb = obs::TsdbFromJson(tsdb_json, &error);
-  ASSERT_NE(tsdb, nullptr) << error;
-  obs::HttpRequest request;
-  request.method = "GET";
-  request.target = "/query?expr=sum%20by(shard)%20(topfull_requests_good_total)";
-  const obs::HttpResponse response = obs::HandleQueryRequest(request, *tsdb);
-  EXPECT_EQ(response.status, 200) << response.body;
-  EXPECT_NE(response.body.find("\"shard\":\"1\""), std::string::npos)
-      << response.body;
-}
-
-TEST(ShardedAppTest, TimelineCsvFromTheMergedTimeline) {
-  const std::string dir = testing::TempDir();
-  exp::RunSpec spec = TwoClusterSpec();
-  // One shard: the merged timeline is the app's own, byte for byte.
-  const exp::RunResult one = exp::Run(spec);
-  ASSERT_TRUE(exp::WriteTimelineCsv(one.app(), one.app().metrics().Timeline(),
-                                    dir + "/single.csv"));
-  ASSERT_TRUE(exp::WriteTimelineCsv(one.app(), one.sharded->MergedTimeline(),
-                                    dir + "/merged1.csv"));
-  const std::string single = ReadFile(dir + "/single.csv");
-  ASSERT_FALSE(single.empty());
-  EXPECT_EQ(ReadFile(dir + "/merged1.csv"), single);
-
-  // Two shards: one row per window, both APIs present.
-  spec.shards = 2;
-  const exp::RunResult two = exp::Run(spec);
-  ASSERT_TRUE(exp::WriteTimelineCsv(two.app(), two.sharded->MergedTimeline(),
-                                    dir + "/merged2.csv"));
-  std::ifstream in(dir + "/merged2.csv");
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("good_left"), std::string::npos);
-  EXPECT_NE(line.find("good_right"), std::string::npos);
-  int rows = 0;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, static_cast<int>(spec.duration_s));
 }
 
 }  // namespace

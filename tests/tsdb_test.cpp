@@ -108,78 +108,59 @@ TEST(TsdbTest, IterationIsSortedByNameThenLabelKey) {
 // must build the same store after every window: same keys, types, and
 // values. Midway the registry gains new cells (a counter and a histogram)
 // and a histogram bucket fills for the first time, so the feed has to
-// re-plan and resolve a bucket lazily; both with and without the sharded
-// shard="k" label the feed appends.
+// re-plan and resolve a bucket lazily.
 TEST(TsdbTest, RegistryFeedMatchesScrapeEveryWindow) {
   const obs::HistogramConfig config{0.1, 1e4, 8};
-  for (const obs::Labels& extra :
-       {obs::Labels{}, obs::Labels{{"shard", "1"}}}) {
-    obs::MetricsRegistry registry;
-    obs::Counter* a =
-        registry.GetCounter("req_total", "Requests.", {{"api", "a"}});
-    obs::Gauge* depth = registry.GetGauge("depth", "Depth.", {});
-    obs::Histogram* latency =
-        registry.GetHistogram("latency_ms", "Latency.", {}, config);
-    obs::Counter* c = nullptr;
-    obs::Histogram* latency_c = nullptr;
+  obs::MetricsRegistry registry;
+  obs::Counter* a = registry.GetCounter("req_total", "Requests.", {{"api", "a"}});
+  obs::Gauge* depth = registry.GetGauge("depth", "Depth.", {});
+  obs::Histogram* latency = registry.GetHistogram("latency_ms", "Latency.", {}, config);
+  obs::Counter* c = nullptr;
+  obs::Histogram* latency_c = nullptr;
 
-    obs::Tsdb fed = MakeTsdb();
-    obs::RegistryFeed feed(&fed, &registry, extra);
-    obs::Tsdb scraped = MakeTsdb();
-    for (int w = 1; w <= 6; ++w) {
-      a->Inc(static_cast<std::uint64_t>(w));
-      depth->Set(0.5 * w);
-      latency->Record(1.0);
-      if (w == 3) {
-        c = registry.GetCounter("req_total", "Requests.", {{"api", "c"}});
-        latency_c = registry.GetHistogram("latency_ms", "Latency.",
-                                          {{"api", "c"}}, config);
-        latency->Record(50.0);  // first sample in the 50 ms bucket
-      }
-      if (w == 5) latency->Record(2e9);  // overflow: only +Inf moves
-      if (c != nullptr) c->Inc(2);
-      if (latency_c != nullptr) latency_c->Record(8.0);
-
-      const double t = static_cast<double>(w);
-      feed.Append(t);
-      std::string text;
-      if (extra.empty()) {
-        text = obs::PromTextFromRegistry(registry);
-      } else {
-        obs::SnapshotBuilder builder;
-        builder.AddRegistry(registry, extra);
-        text = obs::PromTextFromSnapshot(*builder.Finish());
-      }
-      obs::PromScrape scrape;
-      std::string error;
-      ASSERT_TRUE(obs::ParsePromText(text, &scrape, &error)) << error;
-      scraped.AppendScrape(scrape, t);
-      ASSERT_EQ(obs::TsdbJson(fed), obs::TsdbJson(scraped))
-          << "window " << w << ", " << extra.size() << " extra label(s)";
+  obs::Tsdb fed = MakeTsdb();
+  obs::RegistryFeed feed(&fed, &registry);
+  obs::Tsdb scraped = MakeTsdb();
+  for (int w = 1; w <= 6; ++w) {
+    a->Inc(static_cast<std::uint64_t>(w));
+    depth->Set(0.5 * w);
+    latency->Record(1.0);
+    if (w == 3) {
+      c = registry.GetCounter("req_total", "Requests.", {{"api", "c"}});
+      latency_c = registry.GetHistogram("latency_ms", "Latency.", {{"api", "c"}}, config);
+      latency->Record(50.0);  // first sample in the 50 ms bucket
     }
+    if (w == 5) latency->Record(2e9);  // overflow: only +Inf moves
+    if (c != nullptr) c->Inc(2);
+    if (latency_c != nullptr) latency_c->Record(8.0);
 
-    // The expansion is cumulative and ends with the authoritative +Inf
-    // bucket equal to _count; the mid-run cells made it in.
-    const auto buckets = fed.Match("latency_ms_bucket", nullptr);
-    ASSERT_GE(buckets.size(), 4u);
-    double inf_count = -1.0;
-    for (const obs::SeriesSnapshot& series : buckets) {
-      EXPECT_GE(series.samples.back().value, 0.0);
-      if (series.labels.size() == extra.size() + 1 &&
-          series.labels.back() == obs::Labels::value_type{"le", "+Inf"}) {
-        inf_count = series.samples.back().value;
-      }
-      if (!extra.empty()) {
-        EXPECT_EQ(series.labels[series.labels.size() - 2], extra[0]);
-      }
-    }
-    const auto count = fed.Match(
-        "latency_ms_count", [&extra](const obs::Labels& l) { return l == extra; });
-    ASSERT_EQ(count.size(), 1u);
-    EXPECT_EQ(inf_count, count[0].samples.back().value);
-    EXPECT_EQ(fed.Match("latency_ms_count", nullptr).size(), 2u);
-    EXPECT_EQ(fed.Match("req_total", nullptr).size(), 2u);
+    const double t = static_cast<double>(w);
+    feed.Append(t);
+    obs::PromScrape scrape;
+    std::string error;
+    ASSERT_TRUE(obs::ParsePromText(obs::PromTextFromRegistry(registry), &scrape, &error))
+        << error;
+    scraped.AppendScrape(scrape, t);
+    ASSERT_EQ(obs::TsdbJson(fed), obs::TsdbJson(scraped)) << "window " << w;
   }
+
+  // The expansion is cumulative and ends with the authoritative +Inf
+  // bucket equal to _count; the mid-run cells made it in.
+  const auto buckets = fed.Match("latency_ms_bucket", nullptr);
+  ASSERT_GE(buckets.size(), 4u);
+  double inf_count = -1.0;
+  for (const obs::SeriesSnapshot& series : buckets) {
+    EXPECT_GE(series.samples.back().value, 0.0);
+    if (series.labels == obs::Labels{{"le", "+Inf"}}) {
+      inf_count = series.samples.back().value;
+    }
+  }
+  const auto count =
+      fed.Match("latency_ms_count", [](const obs::Labels& l) { return l.empty(); });
+  ASSERT_EQ(count.size(), 1u);
+  EXPECT_EQ(inf_count, count[0].samples.back().value);
+  EXPECT_EQ(fed.Match("latency_ms_count", nullptr).size(), 2u);
+  EXPECT_EQ(fed.Match("req_total", nullptr).size(), 2u);
 }
 
 TEST(TsdbTest, JsonRoundTripIsByteExact) {
@@ -247,6 +228,42 @@ TEST(TsdbTest, FromJsonRejectsMalformedDocuments) {
                 &error),
             nullptr);
   EXPECT_NE(error.find("malformed sample"), std::string::npos);
+}
+
+// The dump's retention sizes every reloaded series' ring and its step paces
+// rule evaluation, so each must be usable or the dump is malformed: read
+// unchecked, a retention of -1 asked vector::reserve for SIZE_MAX samples
+// and 1e300 was an undefined float-to-integer cast.
+TEST(TsdbTest, FromJsonRejectsUnusableRetentionAndStep) {
+  const auto dump = [](const std::string& key, const std::string& value) {
+    return "{\"schema\":\"topfull.tsdb.v1\",\"" + key + "\":" + value +
+           ",\"series\":[{\"name\":\"x\",\"type\":\"gauge\",\"labels\":{},"
+           "\"samples\":[[1,2]]}]}";
+  };
+  for (const std::string bad : {"-1", "0", "2.5", "1e300", "\"inf\"", "1048577"}) {
+    std::string error;
+    EXPECT_EQ(obs::TsdbFromJson(dump("retention", bad), &error), nullptr) << bad;
+    EXPECT_NE(error.find("retention must be a whole number from 1 to 1048576"),
+              std::string::npos)
+        << bad << ": " << error;
+  }
+  for (const std::string bad : {"0", "-1", "\"inf\"", "null"}) {
+    std::string error;
+    EXPECT_EQ(obs::TsdbFromJson(dump("step_s", bad), &error), nullptr) << bad;
+    EXPECT_NE(error.find("step_s must be a finite positive number"), std::string::npos)
+        << bad << ": " << error;
+  }
+  // The bounds themselves load.
+  for (const std::string good : {"1", "1048576"}) {
+    std::string error;
+    const auto tsdb = obs::TsdbFromJson(dump("retention", good), &error);
+    ASSERT_NE(tsdb, nullptr) << good << ": " << error;
+    EXPECT_EQ(tsdb->options().retention, std::stoull(good));
+  }
+  std::string error;
+  const auto tsdb = obs::TsdbFromJson(dump("step_s", "0.5"), &error);
+  ASSERT_NE(tsdb, nullptr) << error;
+  EXPECT_EQ(tsdb->options().step_s, 0.5);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //   topfull run --app boutique --controller topfull --users 2600 --duration 120
 //   topfull run --app trainticket --controller dagor --users 800 --surge 40:3500
 //   topfull run --app boutique --users 2600 --duration 60 --serve-port 9090
-//   topfull run --app alibaba --replicas 4 --shards 4 --controller mimd
+//   topfull run --app alibaba --replicas 4 --controller mimd
 //   topfull inspect --app alibaba
 //   topfull report --app boutique --users 2600 --surge 30:5200 --duration 90
 //   topfull compare baseline.summary.json candidate.summary.json
@@ -212,11 +212,8 @@ int Usage() {
       "  --hop-timeout S  per-hop RPC timeout in seconds (default 0 = none)\n"
       "  --retries N      bounded retries per hop (default 0)\n"
       "  --retry-backoff S delay before each retry (default 0)\n"
-      "  --shards N       run one simulation across up to N engine shards, each\n"
-      "                   owning whole service clusters (at most one shard per\n"
-      "                   cluster; merged results)\n"
-      "  --sequential     run the shards one after another on one thread\n"
-      "  --replicas K     alibaba only: K independent 127-service copies\n");
+      "  --replicas K     alibaba only: K independent 127-service copies in\n"
+      "                   one simulation\n");
   return 2;
 }
 
@@ -389,31 +386,10 @@ void PrintFaultLog(const std::vector<fault::FaultRecord>& log,
   }
 }
 
-/// The shard plan (noting a clamp below the `asked` count), the round
-/// count and per-shard engine stats.
-void PrintShardStats(const sim::ShardedApp& app, int asked) {
-  std::printf("shard plan: %d clusters over %d shards", app.plan().num_clusters,
-              app.num_shards());
-  if (asked != app.num_shards()) std::printf(" (%d asked for)", asked);
-  std::printf("\nrounds: %llu\n",
-              static_cast<unsigned long long>(app.engine().Rounds()));
-  Table table("per-shard engine stats");
-  table.SetHeader({"shard", "events", "busy (s)", "blocked (s)"});
-  const auto& stats = app.engine().Stats();
-  for (int i = 0; i < app.num_shards(); ++i) {
-    const auto& s = stats[static_cast<std::size_t>(i)];
-    table.AddRow({std::to_string(i),
-                  std::to_string(app.app(i).sim().EventsProcessed()),
-                  Fmt(s.busy_s, 2), Fmt(s.blocked_s, 2)});
-  }
-  table.Print();
-}
-
 /// `run`: fills a scenario::ScenarioSpec from the flags that describe the
 /// run, translates it with scenario::MakeScenarioRun, sets the flags that
 /// say how to execute and observe it, runs it with exp::Run and prints the
-/// result. `--shards N` (N > 1) runs one simulation across up to N engine
-/// shards, one or more whole clusters each, with merged results.
+/// result.
 int CmdRun(const Args& args) {
   obs::ScopedTimer run_timer("cli/run");
   // Every numeric flag is read here, before the run, so a bad value exits
@@ -453,16 +429,14 @@ int CmdRun(const Args& args) {
     std::fprintf(stderr, "unknown --controller '%s'\n", controller.c_str());
     return 2;
   }
-  const int shards = args.Count("shards", 1);
   std::string error;
   std::optional<scenario::ScenarioRun> scenario_run =
-      scenario::MakeScenarioRun(scenario, *variant, &error, shards);
+      scenario::MakeScenarioRun(scenario, *variant, &error);
   if (!scenario_run.has_value()) {
     std::fprintf(stderr, "bad run: %s\n", error.c_str());
     return 2;
   }
   exp::RunSpec& spec = scenario_run->spec;
-  spec.threaded = !args.Has("sequential");
   if (args.Has("trace-dir")) spec.telemetry.dir = args.Get("trace-dir");
   if (args.Has("trace-sample")) {
     spec.telemetry.sample_rate = args.Num("trace-sample", 1.0);
@@ -480,54 +454,36 @@ int CmdRun(const Args& args) {
   if (live_rc != 0) return live_rc;
   spec.live = live.get();
 
-  std::printf("running %s with %s for %.0f s", spec.label.c_str(),
+  std::printf("running %s with %s for %.0f s...\n", spec.label.c_str(),
               exp::VariantName(spec.variant).c_str(), spec.duration_s);
-  if (shards > 1) {
-    std::printf(" across up to %d shards (%s)", shards,
-                spec.threaded ? "threaded" : "sequential");
-  }
-  std::printf("...\n");
   exp::RunResult result = exp::Run(spec);
-  const sim::ShardedApp& app = *result.sharded;
-  const bool multi = app.num_shards() > 1;
+  const sim::Application& app = result.app();
 
   PrintFaultLog(result.fault_log, spec.faults.size());
 
-  // Each API row comes from the API's origin shard.
-  Table table(multi ? "per-API results (whole run, merged across shards)"
-                         : "per-API results (whole run)");
-  std::vector<std::string> header = {"API", "avg offered", "avg goodput",
-                                     "final p95 (ms)", "rate limit"};
-  if (multi) header.insert(header.begin() + 1, "shard");
-  table.SetHeader(header);
-  for (sim::ApiId a = 0; a < app.app(0).NumApis(); ++a) {
-    const int origin = app.plan().OriginOf(a);
-    const sim::Application& owner = app.app(origin);
+  Table table("per-API results (whole run)");
+  table.SetHeader({"API", "avg offered", "avg goodput", "final p95 (ms)", "rate limit"});
+  for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
     std::string limit = "-";
-    if (core::TopFullController* controller =
-            result.controllers[static_cast<std::size_t>(origin)].topfull()) {
+    if (core::TopFullController* controller = result.controllers.topfull()) {
       const auto value = controller->RateLimit(a);
       limit = value ? Fmt(*value, 0) : "uncapped";
     }
-    std::vector<std::string> row = {
-        owner.api(a).name(),
-        Fmt(static_cast<double>(owner.metrics().Totals()[a].offered) /
-                spec.duration_s, 0),
-        Fmt(owner.metrics().AvgGoodput(a), 0),
-        Fmt(owner.metrics().Latest().apis[a].latency_p95_ms, 0), limit};
-    if (multi) row.insert(row.begin() + 1, std::to_string(origin));
-    table.AddRow(row);
+    table.AddRow({app.api(a).name(),
+                  Fmt(static_cast<double>(app.metrics().Totals()[a].offered) /
+                          spec.duration_s, 0),
+                  Fmt(app.metrics().AvgGoodput(a), 0),
+                  Fmt(app.metrics().Latest().apis[a].latency_p95_ms, 0), limit});
   }
   table.Print();
-  std::printf("total avg goodput: %.0f rps\n", app.MergedAvgTotalGoodput());
+  std::printf("total avg goodput: %.0f rps\n", app.metrics().AvgTotalGoodput());
   if (tsdb != nullptr) {
     std::printf("alerts: %zu rules, %zu transitions\n",
                 tsdb->rules().rule_count(),
                 tsdb->rules().transitions().size());
   }
-  if (shards > 1) PrintShardStats(app, shards);
-
-  for (const exp::TelemetrySummary& summary : result.telemetry) {
+  if (result.telemetry.has_value()) {
+    const exp::TelemetrySummary& summary = *result.telemetry;
     std::string paths;
     for (const std::string& path : summary.paths) {
       if (!paths.empty()) paths += " ";
@@ -544,7 +500,7 @@ int CmdRun(const Args& args) {
 
   if (args.Has("csv")) {
     const std::string path = args.Get("csv");
-    if (exp::WriteTimelineCsv(app.app(0), app.MergedTimeline(), path)) {
+    if (exp::WriteTimelineCsv(app, path)) {
       std::printf("timeline written to %s\n", path.c_str());
     } else {
       std::fprintf(stderr, "failed to write %s\n", path.c_str());
@@ -945,11 +901,11 @@ struct Verb {
 std::vector<Verb> Verbs() {
   const Flags app = {{"app", "seed", "replicas"}, {"priorities", "probe-failures"}};
   const Flags run = app.With(
-      {{"duration", "controller", "static-rate", "shards",
-        "hop-timeout", "retries", "retry-backoff", "surge", "rps", "users",
-        "fault-profile", "fault-seed", "trace-dir", "trace-sample",
-        "alert-floor", "serve-port", "publish-ms", "csv"},
-       {"hpa", "sequential", "tsdb"}});
+      {{"duration", "controller", "static-rate", "hop-timeout", "retries",
+        "retry-backoff", "surge", "rps", "users", "fault-profile", "fault-seed",
+        "trace-dir", "trace-sample", "alert-floor", "serve-port", "publish-ms",
+        "csv"},
+       {"hpa", "tsdb"}});
   const Flags scenarios = {{"profile", "scenario"}, {}};
   return {
       {"run", CmdRun, run},
